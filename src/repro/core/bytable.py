@@ -22,6 +22,7 @@ import datetime
 import math
 from collections.abc import Callable, Mapping
 
+from repro.core import guard as guardmod
 from repro.core.answers import (
     AggregateAnswer,
     DistributionAnswer,
@@ -128,6 +129,59 @@ def by_table_results(
             query, pmapping, unmapped="null"
         )
     ]
+
+
+def columnar_results(problem) -> list[tuple[object, float]] | None:
+    """Steps 1-4 of Figure 1 read off a pinned array-backed problem.
+
+    ``problem`` is the :class:`~repro.core.vectorized.VectorizedProblem`
+    of the same flat, ungrouped, non-DISTINCT query: its
+    ``participation[j]`` mask holds exactly the rows whose reformulation
+    under mapping ``j`` qualifies with a non-NULL argument, so each
+    certain answer is one fold over the masked values — the same
+    ``len``/``fsum``/``min``/``max`` :func:`repro.core.eval.apply_aggregate`
+    applies, giving answers ``==`` to :func:`memory_executor`'s and of the
+    same Python type.  Returns ``None`` (use an executor) when an INT
+    column's SUM leaves the range where float64 holds it exactly.
+    """
+    guard = guardmod.current_guard()
+    relation = problem.ctable.relation
+    op = problem.op
+    results: list[tuple[object, float]] = []
+    for probability, mask, values, argument in zip(
+        problem.probability_list,
+        problem.participation,
+        problem.values,
+        problem.arguments,
+    ):
+        if guard is not None:
+            guard.check_deadline()
+        if op is AggregateOp.COUNT:
+            results.append((int(mask.sum()), probability))
+            continue
+        selected = values[mask].tolist()
+        if not selected:
+            results.append((None, probability))
+            continue
+        if op is AggregateOp.AVG:
+            results.append((math.fsum(selected) / len(selected), probability))
+            continue
+        if op is AggregateOp.SUM:
+            value = math.fsum(selected)
+        elif op is AggregateOp.MIN:
+            value = min(selected)
+        else:
+            value = max(selected)
+        if relation.attribute(argument).type is AttributeType.INT:
+            if abs(value) >= _FLOAT_EXACT_LIMIT:
+                return None
+            value = int(value)
+        results.append((value, probability))
+    return results
+
+
+#: Integers of smaller magnitude survive a float64 round trip exactly.
+_FLOAT_EXACT_LIMIT = 2.0**53
 
 
 def combine_scalar_results(

@@ -232,7 +232,9 @@ class PreparedTupleQuery:
         """
         return self._problem
 
-    def materialize(self, columnar=None) -> "PreparedTupleQuery":
+    def materialize(
+        self, columnar=None, *, vectors: bool = True
+    ) -> "PreparedTupleQuery":
         """Pin the contribution state (and partition) for re-execution.
 
         Costs one full evaluation pass and O(n * m) memory; afterwards every
@@ -251,11 +253,17 @@ class PreparedTupleQuery:
             problem (contiguous participation masks and value columns)
             instead of per-row vector tuples; otherwise it falls back to
             pinning the vectors as before.
+        vectors:
+            With ``False``, pin only an array-backed problem: outside the
+            vectorizable fragment nothing is pinned and no row is walked
+            (the by-table lane's use, which has no use for row vectors).
         """
         if self._vectors is None and self._problem is None:
             if columnar is not None:
                 self._problem = self._columnar_problem_or_none(columnar)
             if self._problem is None:
+                if not vectors:
+                    return self
                 self._vectors = list(self._generate_vectors())
             # Any partition built before pinning lacks the vectors; the
             # next partition() call rebuilds the subs over the pinned list.

@@ -101,6 +101,17 @@ class CompiledQuery:
         except UnsupportedQueryError:
             return None
 
+    @property
+    def columnar_problem(self):
+        """The pinned array-backed problem of this (flat) level, or ``None``.
+
+        Never builds anything: ``None`` until a prepared query's plan has
+        materialized it over a numpy columnar snapshot.
+        """
+        if self._prepared is None:
+            return None
+        return self._prepared.columnar_problem
+
     def reformulations(self) -> list[tuple[AggregateQuery, float]]:
         """Per-mapping ``(reformulated query, probability)`` pairs.
 
@@ -114,7 +125,9 @@ class CompiledQuery:
                 )
         return self._reformulations
 
-    def materialize(self, columnar=None) -> "CompiledQuery":
+    def materialize(
+        self, columnar=None, *, vectors: bool = True
+    ) -> "CompiledQuery":
         """Pin the contribution vectors for repeated execution.
 
         Delegates to :meth:`PreparedTupleQuery.materialize` on the flat
@@ -123,14 +136,16 @@ class CompiledQuery:
         :class:`~repro.storage.columnar.ColumnarTable` snapshot of the
         source table is supplied, the prepared query materializes as an
         array-backed problem instead of per-row vectors where it can (see
-        :meth:`PreparedTupleQuery.materialize`).
+        :meth:`PreparedTupleQuery.materialize`); ``vectors=False`` pins
+        that array-backed problem or nothing.
         """
         target = self.inner if self.inner is not None else self
         prepared = target.prepared_or_none()
         if prepared is not None and not prepared.is_materialized:
-            metrics.inc("prepared.materializations")
             with trace.span("compile.materialize", query=self.text):
-                prepared.materialize(columnar=columnar)
+                prepared.materialize(columnar=columnar, vectors=vectors)
+            if prepared.is_materialized:
+                metrics.inc("prepared.materializations")
         return self
 
     def __repr__(self) -> str:

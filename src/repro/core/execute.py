@@ -159,8 +159,6 @@ class ExecutionContext:
             else None
         )
         self.feedback_path = feedback_path
-        if self.feedback is not None and feedback_path is not None:
-            self.feedback.load(feedback_path)
         #: The context's cost model — calibrated when feedback is on.
         self.cost_model = costmod.CostModel(self.feedback)
         self.parallel_executor = parallel_executor
@@ -174,6 +172,10 @@ class ExecutionContext:
         #: to the process-wide registry so EXPLAIN ANALYZE sees the same
         #: numbers.  Reset by :meth:`invalidate` and :meth:`close`.
         self.metrics = metrics.MetricsRegistry(parent=metrics.get_registry())
+        if self.feedback is not None and feedback_path is not None:
+            # A corrupt file loads empty; its load-error count lands here.
+            with metrics.use_registry(self.metrics):
+                self.feedback.load(feedback_path)
         self._compiled: OrderedDict[str, CompiledQuery] = OrderedDict()
         self._plans: OrderedDict[
             tuple[str, MappingSemantics, AggregateSemantics], ExecutionPlan
@@ -435,15 +437,22 @@ class PreparedQuery:
             coerce_mapping_semantics(mapping_semantics),
             coerce_aggregate_semantics(aggregate_semantics),
         )
-        if plan.uses_prepared_tuples:
-            from repro.storage.columnar import HAVE_NUMPY
+        from repro.storage.columnar import HAVE_NUMPY
 
+        # By-table plans pin the array-backed problem only (see
+        # _by_table_columnar_shape); by-tuple lanes fall back to vectors.
+        arrays_only = (
+            HAVE_NUMPY
+            and plan.lane == Lane.BY_TABLE
+            and _by_table_columnar_shape(plan)
+        )
+        if plan.uses_prepared_tuples or arrays_only:
             columnar = (
                 self._context.columnar_for(self.compiled)
                 if HAVE_NUMPY
                 else None
             )
-            self.compiled.materialize(columnar=columnar)
+            self.compiled.materialize(columnar=columnar, vectors=not arrays_only)
         return plan
 
     def answer(
@@ -791,11 +800,20 @@ def _dispatch(
             context.metrics.inc(
                 "bytable.reformulations", len(reformulated_pairs)
             )
-            results = []
-            for reformulated, probability in reformulated_pairs:
-                if guard is not None:
-                    guard.check_deadline()
-                results.append((context.executor(reformulated), probability))
+            problem = plan.compiled.columnar_problem
+            results = None
+            if problem is not None and _by_table_columnar_shape(plan):
+                results = bytable.columnar_results(problem)
+            if results is not None:
+                context.metrics.inc("bytable.columnar")
+            else:
+                results = []
+                for reformulated, probability in reformulated_pairs:
+                    if guard is not None:
+                        guard.check_deadline()
+                    results.append(
+                        (context.executor(reformulated), probability)
+                    )
             _note_lane(lane)
             return bytable.combine_results(results, plan.aggregate_semantics)
         if lane == Lane.PARALLEL:
@@ -880,6 +898,23 @@ def _dispatch(
             _note_lane(lane)
             return answer
     raise EvaluationError(f"unknown execution lane {lane!r}")
+
+
+def _by_table_columnar_shape(plan: ExecutionPlan) -> bool:
+    """True when a by-table plan may answer from the pinned arrays.
+
+    Flat, ungrouped, non-DISTINCT queries on the in-memory executor: the
+    per-mapping answers then come from one masked fold per mapping
+    (:func:`repro.core.bytable.columnar_results`).  SQLite-backed engines
+    keep shipping the reformulations to the DBMS.
+    """
+    query = plan.compiled.query
+    return (
+        plan.context.backend is None
+        and not plan.compiled.is_nested
+        and query.group_by is None
+        and not query.aggregate.distinct
+    )
 
 
 def _execute_streaming(plan: ExecutionPlan) -> AggregateAnswer | None:
@@ -1075,6 +1110,11 @@ def _try_vectorized(plan: ExecutionPlan) -> AggregateAnswer | None:
         return None
     try:
         columnar = plan.context.columnar_for(compiled)
+        problem = compiled.columnar_problem
+        if problem is not None and problem.ctable is columnar:
+            # A prepared query pinned the masks over this very snapshot.
+            metrics.inc("tuples.scanned", problem.row_count)
+            return vectorized.PROBLEM_KERNELS[cell](problem)
         return vectorized.run_grouped_vectorized(
             columnar, compiled.pmapping, compiled.query, scalar_vectorized
         )

@@ -90,8 +90,7 @@ def degradation_chain(lane: str) -> list[str]:
 Cell = tuple[AggregateOp, MappingSemantics, AggregateSemantics]
 
 
-def complexity_matrix() -> dict[Cell, str]:
-    """The full Figure 6 matrix as a dictionary over all 30 cells."""
+def _build_complexity_matrix() -> dict[Cell, str]:
     matrix: dict[Cell, str] = {}
     for op in AggregateOp:
         for aggregate_semantics in AggregateSemantics:
@@ -118,9 +117,18 @@ def complexity_matrix() -> dict[Cell, str]:
     return matrix
 
 
+#: Figure 6, built once; every plan reads its cell's label from here.
+_COMPLEXITY = _build_complexity_matrix()
+
+
+def complexity_matrix() -> dict[Cell, str]:
+    """The full Figure 6 matrix as a dictionary over all 30 cells (a copy)."""
+    return dict(_COMPLEXITY)
+
+
 def format_complexity_matrix() -> str:
     """A text rendering of Figure 6 (used by the benchmark harness)."""
-    matrix = complexity_matrix()
+    matrix = _COMPLEXITY
     lines = []
     header = f"{'operator':<10}{'semantics':<10}" + "".join(
         f"{s.value:>16}" for s in AggregateSemantics
@@ -849,7 +857,7 @@ class Planner:
     ) -> str:
         """The Figure 6 complexity label of a cell."""
         try:
-            return complexity_matrix()[(op, mapping_semantics, aggregate_semantics)]
+            return _COMPLEXITY[(op, mapping_semantics, aggregate_semantics)]
         except KeyError:
             raise EvaluationError(
                 f"unknown semantics cell ({op}, {mapping_semantics}, "

@@ -9,8 +9,10 @@ the aggregate in the induced world, and the empirical distribution of the
 results estimates the true one.
 
 For flat queries the per-tuple contribution vectors are precomputed once
-and each sample costs O(n); nested or grouped queries fall back to full
-world materialization per sample.  Estimation error for the expected value
+and each sample costs O(n); when the prepared query pinned an array-backed
+problem, whole blocks of samples are drawn and reduced as arrays, with the
+same seeded stream and bit-identical values.  Nested or grouped queries
+fall back to full world materialization per sample.  Estimation error for the expected value
 shrinks as O(1/sqrt(samples)); for the distribution, the
 Dvoretzky-Kiefer-Wolfowitz bound gives a uniform CDF error of
 ``sqrt(ln(2/alpha) / (2 * samples))`` with confidence ``1 - alpha``.
@@ -22,6 +24,7 @@ import bisect
 import itertools
 import math
 import random
+from collections.abc import Iterator
 
 from repro.core import guard as guardmod
 from repro.core.answers import (
@@ -37,11 +40,21 @@ from repro.exceptions import EvaluationError, UnsupportedQueryError
 from repro.obs import metrics
 from repro.prob.distribution import DiscreteDistribution
 from repro.schema.mapping import PMapping
-from repro.sql.ast import AggregateQuery, SubquerySource
+from repro.sql.ast import AggregateOp, AggregateQuery, SubquerySource
 from repro.storage.table import Table
+
+try:  # pragma: no cover - exercised by the no-numpy CI job
+    import numpy as np
+except ImportError:  # pragma: no cover
+    np = None
 
 #: Default number of sampled mapping sequences.
 DEFAULT_SAMPLES = 2000
+
+#: Cap on the (samples x tuples) cells of one block drawn by the
+#: array-backed sampler: its uniform, index, and gather arrays stay in
+#: the tens of kilobytes whatever the sample count.
+BLOCK_CELLS = 2048
 
 
 def dkw_epsilon(samples: int, alpha: float = 0.05) -> float:
@@ -210,13 +223,36 @@ def _sample_flat(
     if prepared is None:
         prepared = PreparedTupleQuery(table, pmapping, query)
     metrics.inc("sampling.iterations", samples)
-    vectors = list(prepared.contribution_vectors())
-    metrics.inc("tuples.scanned", len(vectors))
     cumulative = list(itertools.accumulate(prepared.probabilities))
-    outcomes: dict[float, int] = {}
-    undefined = 0
     op = prepared.op
     guard = guardmod.current_guard()
+    problem = prepared.columnar_problem
+    if problem is not None:
+        metrics.inc("tuples.scanned", problem.row_count)
+        values = _sample_columnar(problem, op, cumulative, samples, rng, guard)
+    else:
+        values = _sample_rows(prepared, op, cumulative, samples, rng, guard)
+    outcomes: dict[float, int] = {}
+    undefined = 0
+    for value in values:
+        if value is None:
+            undefined += 1
+        else:
+            outcomes[value] = outcomes.get(value, 0) + 1
+    return _project(_empirical_answer(outcomes, undefined, samples), semantics)
+
+
+def _sample_rows(
+    prepared: PreparedTupleQuery,
+    op: AggregateOp,
+    cumulative: list[float],
+    samples: int,
+    rng: random.Random,
+    guard: guardmod.ExecutionGuard | None,
+) -> Iterator[float | None]:
+    """Per-sample aggregate values, drawn one tuple at a time."""
+    vectors = list(prepared.contribution_vectors())
+    metrics.inc("tuples.scanned", len(vectors))
     for _ in range(samples):
         if guard is not None:
             guard.add_worlds(1)
@@ -228,12 +264,100 @@ def _sample_flat(
             contribution = vector[j]
             if contribution is not None:
                 contributions.append(contribution)
-        value = apply_aggregate(op, contributions)
-        if value is None:
-            undefined += 1
+        yield apply_aggregate(op, contributions)
+
+
+def uniform_block(rng: random.Random, count: int):
+    """``count`` uniforms as a float64 array, in one draw from ``rng``.
+
+    Equal element for element to ``[rng.random() for _ in range(count)]``
+    and leaves ``rng`` in the same state: ``random()`` builds each double
+    from two consecutive 32-bit Mersenne Twister words as
+    ``((w0 >> 5) * 2**26 + (w1 >> 6)) / 2**53``, and ``getrandbits`` emits
+    the same words least-significant first.
+    """
+    words = np.frombuffer(
+        rng.getrandbits(64 * count).to_bytes(8 * count, "little"),
+        dtype="<u4",
+    )
+    high = (words[0::2] >> 5).astype(np.float64)
+    low = (words[1::2] >> 6).astype(np.float64)
+    return (high * 67108864.0 + low) * (1.0 / 9007199254740992.0)
+
+
+def _sample_columnar(
+    problem,
+    op: AggregateOp,
+    cumulative: list[float],
+    samples: int,
+    rng: random.Random,
+    guard: guardmod.ExecutionGuard | None,
+) -> list[float | None]:
+    """Per-sample aggregate values over a pinned array-backed problem.
+
+    Draws blocks of whole samples from the same stream the row walk
+    consumes (sample-major, tuple-minor) and picks each tuple's mapping
+    as the row walk's clamped ``bisect_left`` does: the count of
+    cumulative probabilities below the draw, all but the last.  It then
+    gathers participation and values for the block at once and reduces
+    per sample through the same float primitives as
+    :func:`~repro.core.eval.apply_aggregate` (``fsum`` for SUM/AVG,
+    ``min``/``max`` with ties and NaNs settled in tuple order), so every
+    value is bit-identical to the row walk over the problem's
+    contribution vectors.
+    """
+    n = problem.row_count
+    bounds = cumulative[:-1]
+    columns = np.arange(n)
+    participation = problem.participation_matrix().ravel()
+    value_flat = None if op is AggregateOp.COUNT else problem.value_matrix().ravel()
+    per_block = max(1, BLOCK_CELLS // max(n, 1))
+    out: list[float | None] = []
+    done = 0
+    while done < samples:
+        block = min(per_block, samples - done)
+        if guard is not None:
+            for _ in range(block):
+                guard.add_worlds(1)
+        done += block
+        uniforms = uniform_block(rng, block * n).reshape(block, n)
+        chosen = np.zeros((block, n), dtype=np.intp)
+        for bound in bounds:
+            chosen += uniforms > bound
+        index = chosen * n + columns
+        selected = participation.take(index)
+        counts = selected.sum(axis=1).tolist()
+        if value_flat is None:
+            out.extend(counts)
+            continue
+        if op is AggregateOp.SUM or op is AggregateOp.AVG:
+            flat = value_flat.take(index[selected]).tolist()
+            start = 0
+            for count in counts:
+                if count:
+                    total = math.fsum(flat[start:start + count])
+                    out.append(total if op is AggregateOp.SUM else total / count)
+                else:
+                    out.append(None)
+                start += count
+            continue
+        values = value_flat.take(index)
+        if op is AggregateOp.MIN:
+            extremes = values.min(axis=1, where=selected, initial=np.inf)
+            fold = min
         else:
-            outcomes[value] = outcomes.get(value, 0) + 1
-    return _project(_empirical_answer(outcomes, undefined, samples), semantics)
+            extremes = values.max(axis=1, where=selected, initial=-np.inf)
+            fold = max
+        for row, (count, extreme) in enumerate(zip(counts, extremes.tolist())):
+            if not count:
+                out.append(None)
+            elif extreme == 0.0 or extreme != extreme:
+                # +-0.0 ties and NaNs depend on fold order: redo it in
+                # tuple order, as the row walk does.
+                out.append(fold(values[row][selected[row]].tolist()))
+            else:
+                out.append(extreme)
+    return out
 
 
 def _sample_worlds(

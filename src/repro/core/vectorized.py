@@ -31,6 +31,7 @@ queries partition the column arrays per group key.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from repro.core import guard as guardmod
@@ -78,6 +79,7 @@ __all__ = [
     "VectorizationError",
     "VectorizedProblem",
     "VECTORIZED_CELLS",
+    "PROBLEM_KERNELS",
     "run_grouped_vectorized",
     "accumulator_for_problem",
 ]
@@ -348,7 +350,8 @@ class VectorizedProblem:
     WHERE-condition true *and* aggregate argument non-NULL (SQL aggregates
     skip NULL arguments, matching the scalar ``contribution()``);
     ``values[j]`` the aggregate argument column under mapping ``j``
-    (``None`` for COUNT, whose contribution is 1).
+    (``None`` for COUNT, whose contribution is 1); ``arguments[j]`` the
+    source column it reads (``None`` for ``COUNT(*)``).
     """
 
     def __init__(
@@ -382,11 +385,13 @@ class VectorizedProblem:
         self.probabilities = np.asarray(self.probability_list)
         self.participation: list = []
         self.values: list = []
+        self.arguments: list[str | None] = []
         for mapping, _ in pmapping:
             reformulated = reformulate_query(query, mapping, unmapped="null")
             binding = reformulated.source.binding_name
             true_mask, _ = _truth(reformulated.where, ctable, binding)
             argument = reformulated.aggregate.argument
+            self.arguments.append(None if argument is None else argument.name)
             if argument is None:
                 self.participation.append(true_mask)
                 self.values.append(None)
@@ -434,9 +439,8 @@ class VectorizedProblem:
     def iter_vectors(self):
         """Reconstruct scalar contribution vectors from the arrays.
 
-        Serves consumers outside the array kernels (sampling, naive
-        enumeration, the extension lanes) from an array-backed prepared
-        query.  Numeric values come back as Python floats; ``int == float``
+        Serves consumers outside the array kernels (naive enumeration,
+        the extension lanes) from an array-backed prepared query.  Numeric values come back as Python floats; ``int == float``
         equality keeps them interchangeable with the scalar lane's.
         """
         masks = [mask.tolist() for mask in self.participation]
@@ -1025,4 +1029,21 @@ VECTORIZED_CELLS = {
     (AggregateOp.AVG, AggregateSemantics.RANGE): by_tuple_range_avg_vec,
     (AggregateOp.MIN, AggregateSemantics.RANGE): by_tuple_range_min_vec,
     (AggregateOp.MAX, AggregateSemantics.RANGE): by_tuple_range_max_vec,
+}
+
+#: The same cells' kernels over an already-built :class:`VectorizedProblem`.
+#: The vectorized lane calls these directly when the prepared query has
+#: pinned one, instead of rebuilding the masks per execution.
+PROBLEM_KERNELS = {
+    (AggregateOp.COUNT, AggregateSemantics.RANGE): range_count_on,
+    (AggregateOp.COUNT, AggregateSemantics.DISTRIBUTION):
+        distribution_count_on,
+    (AggregateOp.COUNT, AggregateSemantics.EXPECTED_VALUE): expected_count_on,
+    (AggregateOp.SUM, AggregateSemantics.RANGE): range_sum_on,
+    (AggregateOp.SUM, AggregateSemantics.EXPECTED_VALUE): expected_sum_on,
+    (AggregateOp.AVG, AggregateSemantics.RANGE): range_avg_on,
+    (AggregateOp.MIN, AggregateSemantics.RANGE):
+        functools.partial(range_minmax_on, maximize=False),
+    (AggregateOp.MAX, AggregateSemantics.RANGE):
+        functools.partial(range_minmax_on, maximize=True),
 }

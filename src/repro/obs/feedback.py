@@ -27,10 +27,15 @@ lock per recorded execution).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
+import tempfile
 import threading
 from pathlib import Path
+
+from repro.obs import metrics
 
 #: Observations kept per (cell, lane) key — enough for stable medians
 #: and fits, bounded against unbounded query churn.
@@ -199,30 +204,65 @@ class PlanFeedback:
         }
 
     def save(self, path: str | Path) -> None:
-        """Write the store as JSON (atomic enough for a calibration file)."""
-        Path(path).write_text(json.dumps(self.to_dict(), indent=1) + "\n")
+        """Write the store as JSON, atomically.
+
+        The document goes to a temporary file in the same directory, is
+        flushed to disk, and then replaces ``path`` in one ``os.replace``:
+        a crash mid-write leaves the previous file (or none), never a
+        truncated one.
+        """
+        path = Path(path)
+        text = json.dumps(self.to_dict(), indent=1) + "\n"
+        fd, temporary = tempfile.mkstemp(
+            dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
+        )
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(temporary, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(temporary)
+            raise
 
     def load(self, path: str | Path) -> int:
         """Merge a previously-saved store into this one.
 
         Returns the number of observations loaded.  A missing file loads
-        zero observations (first run with a configured ``feedback_path``);
-        malformed content raises ``ValueError`` like any bad JSON input.
+        zero observations (first run with a configured ``feedback_path``).
+        A truncated or otherwise corrupt file also loads zero — calibration
+        is advisory, so a bad file must not stop an engine from starting —
+        and counts a ``feedback.load_error`` metric.
         """
         path = Path(path)
         if not path.exists():
             return 0
-        document = json.loads(path.read_text())
-        loaded = 0
-        for key, bucket in document.get("observations", {}).items():
-            cell, _, lane = key.partition("|")
-            if not cell or not lane:
-                continue
-            for entry in bucket:
-                rows, worlds, cost, seconds = entry
-                self.record(
-                    cell, lane,
-                    rows=rows, worlds=worlds, cost=cost, seconds=seconds,
-                )
-                loaded += 1
-        return loaded
+        try:
+            entries = list(_entries(json.loads(path.read_text())))
+        except (OSError, ValueError, TypeError, AttributeError):
+            metrics.inc("feedback.load_error")
+            return 0
+        for cell, lane, (rows, worlds, cost, seconds) in entries:
+            self.record(
+                cell, lane, rows=rows, worlds=worlds, cost=cost, seconds=seconds
+            )
+        return len(entries)
+
+
+def _entries(document: dict):
+    """``(cell, lane, observation)`` triples of a saved document.
+
+    Raises ``ValueError``/``TypeError``/``AttributeError`` on a document
+    of the wrong shape, before anything is recorded.
+    """
+    for key, bucket in document.get("observations", {}).items():
+        cell, _, lane = key.partition("|")
+        if not cell or not lane:
+            continue
+        for entry in bucket:
+            rows, worlds, cost, seconds = entry
+            yield cell, lane, (
+                float(rows), float(worlds), float(cost), float(seconds)
+            )

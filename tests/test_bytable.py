@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import datetime
+import random
+
 import pytest
 
 from repro.core.answers import (
@@ -21,8 +24,11 @@ from repro.core.bytable import (
 from repro.core.semantics import AggregateSemantics
 from repro.data import ebay, realestate
 from repro.exceptions import EvaluationError
+from repro.schema.mapping import AttributeCorrespondence, PMapping, RelationMapping
+from repro.schema.model import Attribute, AttributeType, Relation
 from repro.sql.parser import parse_query
 from repro.storage.sqlite_backend import SQLiteBackend
+from repro.storage.table import Table
 
 
 class TestCombineScalarResults:
@@ -167,3 +173,195 @@ class TestByTableEndToEnd:
         )
         assert answer.distribution.probability_of(1076.93) == pytest.approx(0.3)
         assert answer.distribution.probability_of(931.94) == pytest.approx(0.7)
+
+
+# -- the array-backed by-table path -------------------------------------------
+
+_SOURCE = Relation(
+    "S",
+    [
+        Attribute("id", AttributeType.INT),
+        Attribute("p", AttributeType.REAL),
+        Attribute("q", AttributeType.REAL),
+        Attribute("n", AttributeType.INT),
+        Attribute("m", AttributeType.INT),
+        Attribute("t", AttributeType.TEXT),
+        Attribute("d", AttributeType.DATE),
+    ],
+)
+_TARGET = Relation(
+    "T",
+    [
+        Attribute("id", AttributeType.INT),
+        Attribute("price", AttributeType.REAL),
+        Attribute("qty", AttributeType.INT),
+        Attribute("label", AttributeType.TEXT),
+        Attribute("day", AttributeType.DATE),
+        Attribute("extra", AttributeType.REAL),
+    ],
+)
+
+
+def _mapping(name, pairs):
+    return RelationMapping(
+        _SOURCE,
+        _TARGET,
+        [AttributeCorrespondence("id", "id")]
+        + [AttributeCorrespondence(s, t) for s, t in pairs],
+        name=name,
+    )
+
+
+#: ``extra`` is unmapped under m1, so its WHERE references read NULL there.
+_PMAPPING = PMapping(
+    _SOURCE,
+    _TARGET,
+    [
+        (_mapping("m0", [("p", "price"), ("n", "qty"), ("t", "label"),
+                         ("d", "day"), ("q", "extra")]), 0.5),
+        (_mapping("m1", [("q", "price"), ("m", "qty"), ("t", "label"),
+                         ("d", "day")]), 0.3),
+        (_mapping("m2", [("q", "price"), ("n", "qty"), ("t", "label"),
+                         ("d", "day"), ("p", "extra")]), 0.2),
+    ],
+)
+
+
+def _typed_table(rows: int = 40, seed: int = 5) -> Table:
+    """NULL-bearing rows.  REAL values are quarter-multiples, so SQLite's
+    own SUM/AVG rounding cannot differ from ``fsum`` — the comparison is
+    about the array path, not about the two executors' float sums."""
+    rng = random.Random(seed)
+
+    def maybe(value):
+        return None if rng.random() < 0.2 else value
+
+    return Table(
+        _SOURCE,
+        [
+            (
+                i,
+                maybe(rng.randint(-40, 400) / 4),
+                maybe(rng.randint(-40, 400) / 4),
+                maybe(rng.randint(-5, 60)),
+                maybe(rng.randint(-5, 60)),
+                maybe(rng.choice(["x", "y", "z"])),
+                maybe(datetime.date(2024, 1, rng.randint(1, 28))),
+            )
+            for i in range(rows)
+        ],
+    )
+
+
+_ARRAY_QUERIES = [
+    f"SELECT {aggregate} FROM T{where}"
+    for aggregate in (
+        "COUNT(*)", "COUNT(price)", "COUNT(qty)", "COUNT(label)",
+        "COUNT(day)", "SUM(price)", "SUM(qty)", "AVG(price)", "AVG(qty)",
+        "MIN(price)", "MIN(qty)", "MAX(price)", "MAX(qty)",
+    )
+    for where in (
+        "", " WHERE extra > 20", " WHERE qty >= 30", " WHERE label = 'x'",
+        " WHERE day < '2024-01-10'", " WHERE price > 1000",
+    )
+]
+
+_FALLBACK_QUERIES = [
+    "SELECT COUNT(DISTINCT qty) FROM T",
+    "SELECT MAX(DISTINCT price) FROM T",
+    "SELECT SUM(price) FROM T GROUP BY label",
+    "SELECT AVG(R1.price) FROM "
+    "(SELECT MAX(R2.price) FROM T AS R2 GROUP BY R2.label) AS R1",
+    "SELECT MIN(label) FROM T",
+    "SELECT MAX(day) FROM T WHERE qty > 3",
+]
+
+#: Every semantics cell of a sample of the array-path queries and of each
+#: fallback shape (TEXT/DATE values have no expected value).
+_ENGINE_CELLS = [
+    (text, semantics)
+    for text in _ARRAY_QUERIES[::7] + _FALLBACK_QUERIES
+    for semantics in AggregateSemantics
+    if not (
+        semantics is AggregateSemantics.EXPECTED_VALUE
+        and ("label)" in text or "day)" in text)
+    )
+]
+
+
+def _typed(results):
+    return [(value, type(value), p) for value, p in results]
+
+
+class TestColumnarByTable:
+    @pytest.fixture(autouse=True)
+    def _numpy(self):
+        pytest.importorskip("numpy")
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        return _typed_table()
+
+    @pytest.mark.parametrize("text", _ARRAY_QUERIES)
+    def test_equals_both_executors(self, table, text):
+        from repro.core.bytable import columnar_results
+        from repro.core.vectorized import VectorizedProblem
+        from repro.storage.columnar import ColumnarTable
+
+        query = parse_query(text)
+        problem = VectorizedProblem(ColumnarTable(table), _PMAPPING, query)
+        arrays = columnar_results(problem)
+        memory = by_table_results(query, _PMAPPING, memory_executor({"S": table}))
+        with SQLiteBackend() as backend:
+            backend.materialize(table)
+            sqlite = by_table_results(query, _PMAPPING, sqlite_executor(backend))
+        assert _typed(arrays) == _typed(memory) == _typed(sqlite)
+
+    def test_int_sum_beyond_float_exactness_declines(self):
+        from repro.core.bytable import columnar_results
+        from repro.core.vectorized import VectorizedProblem
+        from repro.storage.columnar import ColumnarTable
+
+        big = Table(
+            _SOURCE,
+            [(i, 1.0, 1.0, 2**52, 2**52, "x", None) for i in range(3)],
+        )
+        query = parse_query("SELECT SUM(qty) FROM T")
+        problem = VectorizedProblem(ColumnarTable(big), _PMAPPING, query)
+        assert columnar_results(problem) is None
+
+    @pytest.mark.parametrize("text, semantics", _ENGINE_CELLS)
+    def test_engine_lane(self, table, text, semantics):
+        from repro import AggregationEngine
+
+        engine = AggregationEngine([table], _PMAPPING)
+        answer = engine.prepare(text).answer("by-table", semantics)
+        expected = by_table_answer(
+            parse_query(text), _PMAPPING, memory_executor({"S": table}),
+            semantics,
+        )
+        assert answer == expected
+        assert _answer_types(answer) == _answer_types(expected)
+        used_arrays = engine.metrics_snapshot().get("bytable.columnar", 0)
+        assert used_arrays == (0 if text in _FALLBACK_QUERIES else 1)
+
+    def test_sqlite_engine_keeps_the_dbms(self, table):
+        from repro import AggregationEngine
+
+        with AggregationEngine([table], _PMAPPING, backend="sqlite") as engine:
+            engine.prepare(_ARRAY_QUERIES[0]).answer("by-table", "range")
+            assert "bytable.columnar" not in engine.metrics_snapshot()
+
+
+def _answer_types(answer):
+    if isinstance(answer, GroupedAnswer):
+        return {key: _answer_types(value) for key, value in answer}
+    if isinstance(answer, RangeAnswer):
+        return (type(answer.low), type(answer.high))
+    if isinstance(answer, DistributionAnswer):
+        if answer.distribution is None:
+            return None
+        return sorted(
+            (repr(v), type(v)) for v, _ in answer.distribution.items()
+        )
+    return type(answer.value)

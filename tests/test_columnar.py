@@ -373,6 +373,60 @@ class TestCacheLifecycle:
         assert after.high == before.high + 10
 
 
+@requires_numpy
+class TestPinnedProblemReuse:
+    """A prepared query's pinned array-backed problem serves the vectorized
+    lane directly; unprepared answers never pin one."""
+
+    QUERY = "SELECT {aggregate} FROM MED WHERE value < 500"
+
+    def _counting(self, monkeypatch):
+        from repro.core import vectorized
+
+        built = []
+
+        class Counting(vectorized.VectorizedProblem):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(vectorized, "VectorizedProblem", Counting)
+        return built
+
+    def test_prepared_cells_build_the_problem_once(self, monkeypatch):
+        table, pmapping = TestCacheLifecycle()._workload()
+        scalar = AggregationEngine(table, pmapping)
+        built = self._counting(monkeypatch)
+        with AggregationEngine(table, pmapping, vectorize=True) as engine:
+            for aggregate in dict(CELLS):
+                handle = engine.prepare(self.QUERY.format(aggregate=aggregate))
+                del built[:]
+                # The by-table cell pins the arrays; the by-tuple cells
+                # (all on the vectorized lane) reuse them.
+                handle.answer(MappingSemantics.BY_TABLE, AggregateSemantics.RANGE)
+                for cell_aggregate, semantics in CELLS:
+                    if cell_aggregate != aggregate:
+                        continue
+                    answer = handle.answer(MappingSemantics.BY_TUPLE, semantics)
+                    assert answer == scalar.answer(
+                        handle.text, MappingSemantics.BY_TUPLE, semantics
+                    )
+                assert len(built) == 1, aggregate
+            assert engine.metrics_snapshot()["vectorized.hit"] == len(CELLS)
+
+    def test_unprepared_answers_pin_nothing(self, monkeypatch):
+        table, pmapping = TestCacheLifecycle()._workload()
+        built = self._counting(monkeypatch)
+        with AggregationEngine(table, pmapping, vectorize=True) as engine:
+            text = self.QUERY.format(aggregate="SUM(value)")
+            for _ in range(2):
+                engine.answer(
+                    text, MappingSemantics.BY_TUPLE, AggregateSemantics.RANGE
+                )
+            assert len(built) == 2
+            assert engine.compile(text).columnar_problem is None
+
+
 class TestNoNumpyDegradation:
     def test_engine_degrades_to_scalar_lane(self, monkeypatch):
         import repro.core.vectorized as vectorized_module

@@ -535,6 +535,31 @@ class TestEngineCalibration:
         key = f"{TestCalibratedCutover.KEY}|scalar"
         assert second.feedback_snapshot()[key]["observations"] == 3
 
+    def test_truncated_feedback_file_loads_empty(self, tmp_path):
+        path = tmp_path / "feedback.json"
+        first = synthetic_engine(64, 3, feedback_path=str(path))
+        for _ in range(3):
+            first.answer(SUM_QUERY, "by-tuple", "range")
+        first.close()
+        text = path.read_text()
+        # A crash mid-write of a non-atomic save would leave this.
+        path.write_text(text[: len(text) // 2])
+        assert PlanFeedback().load(path) == 0
+        second = synthetic_engine(64, 3, feedback_path=str(path))
+        assert second.feedback_snapshot() == {}
+        assert second.metrics_snapshot()["feedback.load_error"] == 1
+        # The next save replaces the corrupt file with a whole document.
+        second.answer(SUM_QUERY, "by-tuple", "range")
+        second.close()
+        assert json.loads(path.read_text())["version"] == 1
+
+    def test_save_leaves_no_temporary_files(self, tmp_path):
+        store = PlanFeedback()
+        store.record("c", "scalar", rows=1, worlds=0, cost=1, seconds=1e-4)
+        store.save(tmp_path / "feedback.json")
+        store.save(tmp_path / "feedback.json")
+        assert [p.name for p in tmp_path.iterdir()] == ["feedback.json"]
+
     def test_failed_runs_not_recorded(self):
         engine = synthetic_engine(64, 3, calibrate=True, max_rows=10)
         with pytest.raises(Exception):

@@ -23,6 +23,14 @@ class TestComplexityMatrix:
     def test_thirty_cells(self):
         assert len(complexity_matrix()) == 5 * 2 * 3
 
+    def test_returns_a_copy(self):
+        cell = (AggregateOp.SUM, MappingSemantics.BY_TUPLE,
+                AggregateSemantics.DISTRIBUTION)
+        matrix = complexity_matrix()
+        matrix[cell] = "tampered"
+        assert complexity_matrix()[cell] == Complexity.OPEN
+        assert Planner().complexity_of(*cell) == Complexity.OPEN
+
     def test_by_table_always_ptime(self):
         matrix = complexity_matrix()
         for op in AggregateOp:

@@ -2,14 +2,24 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from repro.core.answers import DistributionAnswer, GroupedAnswer
+from repro.core import guard as guardmod
+from repro.core import sampling
+from repro.core.answers import DistributionAnswer, GroupedAnswer, RangeAnswer
+from repro.core.common import PreparedTupleQuery
+from repro.core.guard import Budget
 from repro.core.naive import naive_by_tuple_answer
 from repro.core.sampling import dkw_epsilon, sample_by_tuple
 from repro.core.semantics import AggregateSemantics
-from repro.exceptions import EvaluationError
+from repro.exceptions import BudgetExceededError, EvaluationError
+from repro.schema.mapping import AttributeCorrespondence, PMapping, RelationMapping
+from repro.schema.model import Attribute, AttributeType, Relation
 from repro.sql.parser import parse_query
+from repro.storage.columnar import ColumnarTable
+from repro.storage.table import Table
 from tests.test_bytuple_sum import _two_column_problem
 
 
@@ -171,3 +181,272 @@ class TestWorldSampling:
         )
         assert isinstance(flat, type(grouped[34]))
         assert flat.value == pytest.approx(grouped[34].value, abs=15.0)
+
+
+# -- array-backed sampler vs the row walk -------------------------------------
+
+_SOURCE = Relation(
+    "S",
+    [
+        Attribute("id", AttributeType.INT),
+        Attribute("a", AttributeType.REAL),
+        Attribute("b", AttributeType.REAL),
+        Attribute("c", AttributeType.REAL),
+        Attribute("k", AttributeType.INT),
+    ],
+)
+_TARGET = Relation(
+    "T",
+    [
+        Attribute("id", AttributeType.INT),
+        Attribute("value", AttributeType.REAL),
+        Attribute("score", AttributeType.REAL),
+    ],
+)
+
+#: Candidate mappings of ``value``/``score``; the third leaves ``score``
+#: unmapped (its WHERE references read NULL).
+_MAPPINGS = [
+    RelationMapping(
+        _SOURCE,
+        _TARGET,
+        [AttributeCorrespondence("id", "id")]
+        + [AttributeCorrespondence(s, t) for s, t in pairs],
+        name=f"m{i}",
+    )
+    for i, pairs in enumerate(
+        [
+            [("a", "value"), ("b", "score")],
+            [("b", "value"), ("a", "score")],
+            [("c", "value")],
+            [("k", "value"), ("c", "score")],
+        ]
+    )
+]
+
+_PROBABILITIES = {
+    "plain": [0.4, 0.3, 0.2, 0.1],
+    "zero-probability mapping": [0.5, 0.0, 0.3, 0.2],
+    "sum just below one": [0.7, 0.1, 0.1, 0.1],
+}
+
+
+def _mixed_table(rows: int, seed: int = 0) -> Table:
+    """Values with NULLs, signed zeros, negatives, and an INT column."""
+    rng = random.Random(seed)
+
+    def real():
+        roll = rng.random()
+        if roll < 0.15:
+            return None
+        if roll < 0.25:
+            return rng.choice([0.0, -0.0])
+        return rng.uniform(-50.0, 100.0)
+
+    def integer():
+        return None if rng.random() < 0.15 else rng.randint(-20, 90)
+
+    return Table(
+        _SOURCE,
+        [(i, real(), real(), real(), integer()) for i in range(rows)],
+    )
+
+
+def _pmapping(probabilities) -> PMapping:
+    return PMapping(_SOURCE, _TARGET, list(zip(_MAPPINGS, probabilities)))
+
+
+def _bits(answer):
+    """An answer's exact float bits (sign of zero included)."""
+
+    def hexed(value):
+        return None if value is None else float(value).hex()
+
+    if isinstance(answer, DistributionAnswer):
+        if answer.distribution is None:
+            return ("undefined",)
+        return (
+            sorted(
+                (hexed(value), hexed(probability))
+                for value, probability in answer.distribution.items()
+            ),
+            hexed(answer.undefined_probability),
+        )
+    if isinstance(answer, RangeAnswer):
+        return (hexed(answer.low), hexed(answer.high))
+    return (hexed(answer.value),)
+
+
+def _both_samplers(table, pmapping, text, semantics, *, samples, seed):
+    """``(array answer, row-walk answer)`` for one query."""
+    query = parse_query(text)
+    arrays = PreparedTupleQuery(table, pmapping, query).materialize(
+        columnar=ColumnarTable(table)
+    )
+    assert arrays.columnar_problem is not None
+    rows = PreparedTupleQuery(table, pmapping, query).materialize()
+    assert rows.columnar_problem is None
+    return tuple(
+        sample_by_tuple(
+            table, pmapping, query, semantics,
+            samples=samples, seed=seed, prepared=prepared,
+        )
+        for prepared in (arrays, rows)
+    )
+
+
+_AGGREGATES = [
+    "COUNT(*)", "COUNT(value)", "SUM(value)", "AVG(value)",
+    "MIN(value)", "MAX(value)",
+]
+_WHERES = ["", " WHERE score > 10", " WHERE value > 1000"]
+
+
+class TestArraySamplerDifferential:
+    @pytest.fixture(autouse=True)
+    def _numpy(self):
+        pytest.importorskip("numpy")
+
+    def test_batched_draw_matches_random_stream(self):
+        for count in (1, 2, 3, 64, 4097):
+            batched, scalar = random.Random(count), random.Random(count)
+            drawn = sampling.uniform_block(batched, count).tolist()
+            assert drawn == [scalar.random() for _ in range(count)]
+            assert batched.getstate() == scalar.getstate()
+
+    @pytest.mark.parametrize("case", sorted(_PROBABILITIES))
+    @pytest.mark.parametrize("semantics", list(AggregateSemantics))
+    @pytest.mark.parametrize("aggregate", _AGGREGATES)
+    def test_answers_bit_identical(self, aggregate, semantics, case):
+        table = _mixed_table(60, seed=len(case))
+        pmapping = _pmapping(_PROBABILITIES[case])
+        for where in _WHERES:
+            text = f"SELECT {aggregate} FROM T{where}"
+            arrays, rows = _both_samplers(
+                table, pmapping, text, semantics, samples=150, seed=17
+            )
+            assert arrays == rows, text
+            assert _bits(arrays) == _bits(rows), text
+
+    def test_no_qualifying_rows_is_undefined(self):
+        arrays, rows = _both_samplers(
+            _mixed_table(30), _pmapping(_PROBABILITIES["plain"]),
+            "SELECT SUM(value) FROM T WHERE value > 1000",
+            AggregateSemantics.DISTRIBUTION, samples=40, seed=3,
+        )
+        assert arrays == rows
+        assert not arrays.is_defined
+
+    @pytest.mark.parametrize(
+        "rows, samples", [(10, 20), (10, 6), (64, 5), (100, 3), (0, 4)]
+    )
+    def test_block_boundaries(self, monkeypatch, rows, samples):
+        # 64-cell blocks: 6 samples of 10 rows, exactly one of 64, and a
+        # single sample wider than a block.
+        monkeypatch.setattr(sampling, "BLOCK_CELLS", 64)
+        table = _mixed_table(rows, seed=rows)
+        pmapping = _pmapping(_PROBABILITIES["plain"])
+        for aggregate in _AGGREGATES:
+            for semantics in AggregateSemantics:
+                text = f"SELECT {aggregate} FROM T WHERE score > 0"
+                arrays, rows_answer = _both_samplers(
+                    table, pmapping, text, semantics,
+                    samples=samples, seed=rows + samples,
+                )
+                assert _bits(arrays) == _bits(rows_answer), text
+
+    @pytest.mark.parametrize(
+        "aggregate, other", [("MIN(value)", 2.5), ("MAX(value)", -2.5)]
+    )
+    def test_signed_zero_ties_follow_tuple_order(self, aggregate, other):
+        """MIN/MAX over a mix of 0.0 and -0.0 return whichever the row
+        walk meets first, as Python's ``min``/``max`` do."""
+        rng = random.Random(4)
+        table = Table(
+            _SOURCE,
+            [
+                tuple([i] + [rng.choice([0.0, -0.0, other]) for _ in range(3)]
+                      + [None])
+                for i in range(12)
+            ],
+        )
+        # The distribution keeps the sign of the first zero drawn, so many
+        # short runs compare the per-sample signs.
+        for seed in range(40):
+            arrays, rows = _both_samplers(
+                table, _pmapping(_PROBABILITIES["plain"]),
+                f"SELECT {aggregate} FROM T",
+                AggregateSemantics.DISTRIBUTION, samples=2, seed=seed,
+            )
+            assert _bits(arrays) == _bits(rows), seed
+
+    def test_draws_above_the_last_cumulative_clamp(self, monkeypatch):
+        """Probabilities summing to just under one (inside the p-mapping
+        tolerance) leave draws above the last cumulative bound; both
+        samplers clamp them to the last mapping."""
+
+        class HighWords(random.Random):
+            """A word stream where most draws land at ``1 - 2**-53``."""
+
+            def getrandbits(self, k):
+                words = [
+                    0xFFFFFFFF if super(HighWords, self).random() < 0.8
+                    else super(HighWords, self).getrandbits(32)
+                    for _ in range(k // 32)
+                ]
+                return sum(word << (32 * i) for i, word in enumerate(words))
+
+            def random(self):
+                high = self.getrandbits(32) >> 5
+                low = self.getrandbits(32) >> 6
+                return (high * 67108864.0 + low) * (1.0 / 9007199254740992.0)
+
+        probabilities = [0.5, 0.2, 0.2, 0.1 - 5e-10]
+        assert sum(probabilities) < 1.0 - 2**-53
+        monkeypatch.setattr(sampling.random, "Random", HighWords)
+        for aggregate in ("COUNT(value)", "SUM(value)", "MAX(value)"):
+            arrays, rows = _both_samplers(
+                _mixed_table(40), _pmapping(probabilities),
+                f"SELECT {aggregate} FROM T",
+                AggregateSemantics.DISTRIBUTION, samples=30, seed=5,
+            )
+            assert _bits(arrays) == _bits(rows), aggregate
+
+    def test_world_budget_breaches_at_the_same_count(self):
+        table = _mixed_table(50)
+        pmapping = _pmapping(_PROBABILITIES["plain"])
+        query = parse_query("SELECT SUM(value) FROM T")
+        progress = []
+        for columnar in (ColumnarTable(table), None):
+            prepared = PreparedTupleQuery(table, pmapping, query).materialize(
+                columnar=columnar
+            )
+            with guardmod.guarded(Budget(max_worlds=37)):
+                with pytest.raises(BudgetExceededError) as raised:
+                    sample_by_tuple(
+                        table, pmapping, query,
+                        AggregateSemantics.DISTRIBUTION,
+                        samples=200, seed=1, prepared=prepared,
+                    )
+            progress.append((raised.value.used, raised.value.progress))
+        assert progress[0] == progress[1]
+        assert progress[0][0] == 38
+
+    def test_world_budget_of_exactly_the_samples_holds(self):
+        table = _mixed_table(50)
+        pmapping = _pmapping(_PROBABILITIES["plain"])
+        query = parse_query("SELECT AVG(value) FROM T")
+        answers = []
+        for columnar in (ColumnarTable(table), None):
+            prepared = PreparedTupleQuery(table, pmapping, query).materialize(
+                columnar=columnar
+            )
+            with guardmod.guarded(Budget(max_worlds=200)):
+                answers.append(
+                    sample_by_tuple(
+                        table, pmapping, query,
+                        AggregateSemantics.EXPECTED_VALUE,
+                        samples=200, seed=2, prepared=prepared,
+                    )
+                )
+        assert _bits(answers[0]) == _bits(answers[1])
