@@ -11,8 +11,8 @@ Answers a handful of queries on an engine whose slow-query threshold is
 2. ``engine.recent_queries()`` agrees with the file;
 3. the Prometheus exposition over the engine's registry is well-formed:
    every sample line parses as ``name[{labels}] value``, every family has
-   a ``# TYPE``, counters end in ``_total``, and the merged shard-fold
-   counter matches the recorded shard count after a parallel query.
+   a ``# TYPE``, counters end in ``_total``, and the plan-cache miss
+   counter matches the engine registry.
 
 Run from the repository root::
 
@@ -74,7 +74,7 @@ def check_query_log(slow_path: Path, engine: AggregationEngine) -> None:
     check(in_memory == records, "recent_queries() matches the slow log")
 
 
-def check_prometheus(text: str, folds: int) -> None:
+def check_prometheus(text: str, misses: int) -> None:
     check(text.endswith("\n"), "exposition ends with a newline")
     typed: dict[str, str] = {}
     for line in text.splitlines():
@@ -92,11 +92,11 @@ def check_prometheus(text: str, folds: int) -> None:
     check(bool(counters) and all(n.endswith("_total") for n in counters),
           "counters end in _total")
     match = re.search(
-        r"^repro_parallel_shard_folds_total (\d+)$", text, re.MULTILINE
+        r"^repro_plan_cache_miss_total (\d+)$", text, re.MULTILINE
     )
-    check(match is not None and int(match.group(1)) == folds,
-          "exposition agrees with the registry on shard folds "
-          f"({match and match.group(1)} vs {folds})")
+    check(match is not None and int(match.group(1)) == misses,
+          "exposition agrees with the registry on plan-cache misses "
+          f"({match and match.group(1)} vs {misses})")
 
 
 def run() -> int:
@@ -108,19 +108,11 @@ def run() -> int:
             workload.table,
             workload.pmapping,
             allow_sampling=True,
-            max_workers=2,
-            min_rows_per_shard=1000,
             slow_query_ms=0,
             slow_query_path=str(slow_path),
         )
         with engine:
-            engine.answer(query, "by-tuple", "range")  # parallel lane
-            snapshot = engine.metrics_snapshot()
-            shards = int(snapshot.get("parallel.columnar_shards", 0))
-            check(shards > 1, f"parallel lane sharded ({shards} shards)")
-            check(snapshot.get("parallel.shard.folds") == shards,
-                  "merged shard folds match parallel.columnar_shards "
-                  f"({snapshot.get('parallel.shard.folds')} vs {shards})")
+            engine.answer(query, "by-tuple", "range")
             engine.answer(query, "by-tuple", "distribution")  # sampling
             try:
                 engine.answer(
@@ -129,12 +121,10 @@ def run() -> int:
                 )
             except ReproError:
                 pass  # the error record is the point
-            folds = int(
-                engine.metrics_snapshot().get("parallel.shard.folds", 0)
-            )
+            misses = int(engine.metrics_snapshot()["plan.cache.miss"])
             check_query_log(slow_path, engine)
             check_prometheus(
-                export.render_prometheus(engine.context.metrics), folds
+                export.render_prometheus(engine.context.metrics), misses
             )
     if failures:
         print(f"{failures} telemetry check(s) failed")

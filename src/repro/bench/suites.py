@@ -16,8 +16,6 @@ kernels         the PTIME scalar and vectorized kernels at medium size
                 (figs 9-12, ablation_vectorized)
 matcher         similarity, assignment, and top-K ranking (bench_matcher)
 streaming       batch vs streaming vs vectorized (bench_streaming)
-parallel        sequential vs sharded pool execution at 200k tuples
-                (bench_parallel; baseline: ``BENCH_parallel.json``)
 prepared-reuse  one-shot answer() vs prepared plans (bench_prepared_reuse)
 columnar        row-walk scalar kernels vs the columnar array kernels on
                 the same cells (baseline: ``BENCH_columnar.json``)
@@ -343,86 +341,6 @@ if _HAVE_NUMPY:
                 context.columnar, context.pmapping, query
             )
         ), context.close
-
-
-# -- parallel -----------------------------------------------------------------
-
-parallel_suite = register_suite(Suite(
-    "parallel",
-    "sequential vs sharded pool execution at 200k tuples (bench_parallel)",
-))
-
-#: Large enough that sharding can amortize worker dispatch; matches the
-#: acceptance experiment (>= 200k tuples, 4 workers).
-_PARALLEL_TUPLES = 200_000
-_PARALLEL_ATTRIBUTES = 6
-_PARALLEL_MAPPINGS = 4
-
-
-def _parallel_engine_case(aggregate_op: str, asem: str, max_workers: int | None):
-    def factory():
-        from repro.bench.contexts import make_synthetic_context
-        from repro.core.engine import AggregationEngine
-        from repro.sql.ast import AggregateOp
-
-        context = make_synthetic_context(
-            _PARALLEL_TUPLES, _PARALLEL_ATTRIBUTES, _PARALLEL_MAPPINGS
-        )
-        query = context.query(AggregateOp[aggregate_op])
-        engine = AggregationEngine(
-            context.table, context.pmapping, max_workers=max_workers
-        )
-
-        def close():
-            engine.close()
-            context.close()
-
-        return (lambda: engine.answer(query, "by-tuple", asem)), close
-
-    return factory
-
-
-def _parallel_streaming_case(aggregate_op: str, accumulator_name: str):
-    def factory():
-        from repro.bench.contexts import make_synthetic_context
-        from repro.core import streaming
-        from repro.sql.ast import AggregateOp
-
-        context = make_synthetic_context(
-            _PARALLEL_TUPLES, _PARALLEL_ATTRIBUTES, _PARALLEL_MAPPINGS
-        )
-        query = context.query(AggregateOp[aggregate_op])
-        accumulator_factory = getattr(streaming, accumulator_name)
-
-        def run():
-            return streaming.answer_stream(
-                iter(context.table.rows),
-                context.table.relation,
-                context.pmapping,
-                query,
-                accumulator_factory,
-            )
-
-        return run, context.close
-
-    return factory
-
-
-parallel_suite.case("streaming.sum.range", repeats=3, warmup=1)(
-    _parallel_streaming_case("SUM", "RangeSumAccumulator")
-)
-parallel_suite.case("streaming.count.expected", repeats=3, warmup=1)(
-    _parallel_streaming_case("COUNT", "ExpectedCountAccumulator")
-)
-parallel_suite.case("scalar.sum.range", repeats=3, warmup=1)(
-    _parallel_engine_case("SUM", "range", None)
-)
-parallel_suite.case("pool4.sum.range", repeats=3, warmup=1)(
-    _parallel_engine_case("SUM", "range", 4)
-)
-parallel_suite.case("pool4.count.expected", repeats=3, warmup=1)(
-    _parallel_engine_case("COUNT", "expected-value", 4)
-)
 
 
 # -- prepared-reuse -----------------------------------------------------------

@@ -401,15 +401,6 @@ def _render_plan(plan: dict, indent: int = 0) -> list[str]:
             f"worlds={estimate['worlds']:g} "
             f"support={estimate['support']:g} cost={estimate['cost']:g}"
         )
-        cutover = estimate.get("cutover_rows")
-        if cutover is not None:
-            if cutover >= (1 << 62):
-                lines.append(
-                    f"{pad}  parallel cutover: never (calibrated: parallel "
-                    "does not pay off here)"
-                )
-            else:
-                lines.append(f"{pad}  parallel cutover: {cutover} rows")
         if estimate.get("predicted_seconds") is not None:
             lines.append(
                 f"{pad}  predicted: "
@@ -626,7 +617,6 @@ def _run_engine_query(args: argparse.Namespace) -> int:
         backend=args.backend,
         allow_exponential=args.allow_exponential,
         allow_sampling=args.samples is not None,
-        max_workers=args.max_workers,
         timeout_ms=args.timeout_ms,
         max_worlds=args.max_worlds,
         degrade=args.degrade,
@@ -731,7 +721,6 @@ def _run_stats(args: argparse.Namespace) -> int:
                 pmapping,
                 allow_exponential=args.allow_exponential,
                 allow_sampling=args.samples is not None,
-                max_workers=args.max_workers,
             ) as engine:
                 for _ in range(args.repeat):
                     engine.answer(
@@ -783,12 +772,14 @@ def _run_recent(args: argparse.Namespace) -> int:
 
     try:
         if args.file is not None:
-            records = []
-            with open(args.file) as handle:
-                for line in handle:
-                    line = line.strip()
-                    if line:
-                        records.append(json.loads(line))
+            from repro.obs.querylog import read_slow_log
+
+            records, torn = read_slow_log(args.file)
+            if torn:
+                print(
+                    f"note: skipped {torn} torn final line in {args.file}",
+                    file=sys.stderr,
+                )
         else:
             from repro.core.engine import AggregationEngine
             from repro.data import synthetic
@@ -886,7 +877,6 @@ def _run_feedback(args: argparse.Namespace) -> int:
                 pmapping,
                 calibrate=True,
                 feedback_path=args.file,
-                max_workers=args.max_workers,
             )
             with engine:
                 for _ in range(args.repeat):
@@ -1028,19 +1018,13 @@ def main(argv: list[str] | None = None) -> int:
     )
     query_parser.add_argument(
         "--degrade", action="store_true",
-        help="on a guardrail breach, degrade to a cheaper lane (parallel -> "
-        "streaming -> scalar; exponential -> sampling) instead of failing",
-    )
-    query_parser.add_argument(
-        "--max-workers", type=int, default=None, metavar="N",
-        help="shard flat PTIME by-tuple queries across N worker processes "
-        "(answers are bit-for-bit equal to the sequential lanes; small "
-        "inputs keep the sequential fast path)",
+        help="on a guardrail breach, degrade to a cheaper lane (exponential "
+        "enumeration -> sampling) instead of failing",
     )
     query_parser.add_argument(
         "--trace-jsonl", default=None, metavar="PATH",
         help="append this invocation's span trees (one JSON object per "
-        "root span, including per-shard spans of a parallel run) to PATH",
+        "root span) to PATH",
     )
     profile_parser = subparsers.add_parser(
         "profile",
@@ -1133,7 +1117,6 @@ def main(argv: list[str] | None = None) -> int:
     stats_parser.add_argument("--seed", type=int, default=0)
     stats_parser.add_argument("--allow-exponential", action="store_true")
     stats_parser.add_argument("--samples", type=int, default=None)
-    stats_parser.add_argument("--max-workers", type=int, default=None)
     stats_parser.add_argument(
         "--serve", action="store_true",
         help="serve the exposition at /metrics instead of printing once",
@@ -1215,7 +1198,6 @@ def main(argv: list[str] | None = None) -> int:
     feedback_parser.add_argument("--attributes", type=int, default=8)
     feedback_parser.add_argument("--mappings", type=int, default=5)
     feedback_parser.add_argument("--seed", type=int, default=0)
-    feedback_parser.add_argument("--max-workers", type=int, default=None)
     match_parser = subparsers.add_parser(
         "match",
         help="match two CSVs automatically and emit a JSON p-mapping",

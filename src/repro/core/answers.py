@@ -101,6 +101,13 @@ class RangeAnswer(AggregateAnswer):
         return f"RangeAnswer([{self.low}, {self.high}])"
 
 
+def _format_outcome(value) -> str:
+    """Numbers in ``:g`` form; DATE and TEXT outcomes as ``str``."""
+    if isinstance(value, (int, float)):
+        return f"{value:g}"
+    return str(value)
+
+
 class DistributionAnswer(AggregateAnswer):
     """The full distribution of the aggregate (distribution semantics).
 
@@ -183,7 +190,8 @@ class DistributionAnswer(AggregateAnswer):
         if self.distribution is None:
             return "DistributionAnswer(undefined)"
         body = ", ".join(
-            f"{v:g}: {p:.4g}" for v, p in self.distribution.items()
+            f"{_format_outcome(v)}: {p:.4g}"
+            for v, p in self.distribution.items()
         )
         if self.undefined_probability > 0:
             body += f"; undefined: {self.undefined_probability:.4g}"

@@ -32,7 +32,7 @@ from repro.core.answers import (
 )
 from repro.core.eval import evaluate_certain
 from repro.core.semantics import AggregateSemantics
-from repro.exceptions import EvaluationError
+from repro.exceptions import EvaluationError, UnsupportedQueryError
 from repro.prob.distribution import DiscreteDistribution
 from repro.schema.mapping import PMapping
 from repro.schema.model import AttributeType, Relation
@@ -212,6 +212,13 @@ def combine_scalar_results(
     if semantics is AggregateSemantics.EXPECTED_VALUE:
         if not defined:
             return ExpectedValueAnswer(None)
+        for v, _ in defined:
+            if not isinstance(v, (int, float)):
+                raise UnsupportedQueryError(
+                    "the expected value needs a numeric aggregate, got "
+                    f"{type(v).__name__}; use the range or distribution "
+                    "semantics"
+                )
         defined_mass = math.fsum(p for _, p in defined)
         value = math.fsum(v * p for v, p in defined) / defined_mass
         return ExpectedValueAnswer(value)

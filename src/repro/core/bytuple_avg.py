@@ -60,10 +60,10 @@ def _greedy_extreme_mean_from(
 ) -> float | None:
     """The greedy, starting from an already-reduced forced sum and count.
 
-    The streaming/parallel accumulators keep the forced tuples as an exact
+    The streaming accumulator keeps the forced tuples as an exact
     running sum rather than a list; entering the greedy through the
     reduced form (with ``forced_total`` correctly rounded, as
-    ``math.fsum`` of the forced values would be) keeps their bounds
+    ``math.fsum`` of the forced values would be) keeps its bounds
     bit-for-bit equal to this kernel's.
     """
     if not forced_count and not optional:

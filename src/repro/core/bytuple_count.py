@@ -202,8 +202,7 @@ def expected_count_kernel(prepared: PreparedTupleQuery) -> ExpectedValueAnswer:
     Delegates to the linear route: by linearity of expectation it agrees
     with the paper's DP expectation, costs O(n * m) instead of O(m * n^2),
     and — because it is an ``fsum`` of the per-tuple participation
-    probabilities — matches the streaming/parallel accumulators bit for
-    bit.  The paper-faithful DP remains available through
+    probabilities — matches the streaming accumulator bit for bit.  The paper-faithful DP remains available through
     :func:`by_tuple_expected_count` with ``method="distribution"``.
     """
     return linear_expected_count_kernel(prepared)

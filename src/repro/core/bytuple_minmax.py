@@ -24,8 +24,6 @@ exact polynomial method (beyond the paper) and :mod:`repro.core.naive` /
 
 from __future__ import annotations
 
-import math
-
 from repro.core.answers import AggregateAnswer, RangeAnswer
 from repro.core.common import PreparedTupleQuery, run_possibly_grouped
 from repro.obs import metrics
@@ -44,36 +42,31 @@ def _minmax_range(
         return vectorized.range_minmax_on(
             prepared.columnar_problem, maximize=maximize
         )
-    forced_inner_extreme = -math.inf if maximize else math.inf
-    any_inner_extreme = math.inf if maximize else -math.inf
-    outer_extreme = -math.inf if maximize else math.inf
-    has_forced = False
-    any_satisfiable = False
+    # No float sentinels: the aggregated values may be DATE or TEXT.
+    outward, inward = (max, min) if maximize else (min, max)
+    forced_inner = any_inner = outer = None
     for vector in prepared.contribution_vectors():
         satisfying = [c for c in vector if c is not None]
         if not satisfying:
             continue
-        any_satisfiable = True
         vmin = min(satisfying)
         vmax = max(satisfying)
-        if maximize:
-            outer_extreme = max(outer_extreme, vmax)
-            any_inner_extreme = min(any_inner_extreme, vmin)
-            if len(satisfying) == len(vector):
-                has_forced = True
-                forced_inner_extreme = max(forced_inner_extreme, vmin)
+        high, low = (vmax, vmin) if maximize else (vmin, vmax)
+        if outer is None:
+            outer, any_inner = high, low
         else:
-            outer_extreme = min(outer_extreme, vmin)
-            any_inner_extreme = max(any_inner_extreme, vmax)
-            if len(satisfying) == len(vector):
-                has_forced = True
-                forced_inner_extreme = min(forced_inner_extreme, vmax)
-    if not any_satisfiable:
+            outer = outward(outer, high)
+            any_inner = inward(any_inner, low)
+        if len(satisfying) == len(vector):
+            forced_inner = (
+                low if forced_inner is None else outward(forced_inner, low)
+            )
+    if outer is None:
         return RangeAnswer(None, None)
-    inner = forced_inner_extreme if has_forced else any_inner_extreme
+    inner = any_inner if forced_inner is None else forced_inner
     if maximize:
-        return RangeAnswer(inner, outer_extreme)
-    return RangeAnswer(outer_extreme, inner)
+        return RangeAnswer(inner, outer)
+    return RangeAnswer(outer, inner)
 
 
 def range_max_kernel(prepared: PreparedTupleQuery) -> RangeAnswer:

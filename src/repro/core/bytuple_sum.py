@@ -45,7 +45,7 @@ def range_sum_kernel(
     The bound totals accumulate through
     :class:`~repro.core.exactsum.ExactSum`, so they are correctly rounded
     and independent of association order — the property that lets the
-    sharded parallel lane and the streaming accumulators promise answers
+    vectorized lane and the streaming accumulators promise answers
     bit-for-bit equal to this kernel's.
     """
     metrics.inc("tuples.scanned", len(prepared.rows))
@@ -185,9 +185,9 @@ def expected_sum_kernel(prepared: PreparedTupleQuery) -> ExpectedValueAnswer:
     rather than a running product, and the numerator through
     :class:`~repro.core.exactsum.ExactSum` — the same order-independent
     formulation as :class:`~repro.core.streaming.ExpectedSumAccumulator`,
-    so the streaming and sharded parallel lanes reproduce this kernel's
-    answer bit for bit (the log form is also the numerically stabler one
-    for long streams of small occurrence probabilities).
+    so the streaming accumulator reproduces this kernel's answer bit for
+    bit (the log form is also the numerically stabler one for long
+    streams of small occurrence probabilities).
     """
     metrics.inc("tuples.scanned", len(prepared.rows))
     if prepared.columnar_problem is not None:

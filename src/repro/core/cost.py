@@ -29,24 +29,10 @@ histograms.
 
 **Feedback calibration** closes the loop: when the engine opts in
 (``calibrate=True``), observed ``(rows, cost, seconds)`` triples land in
-a :class:`~repro.obs.feedback.PlanFeedback` store and two things become
-adaptive:
-
-* :meth:`CostModel.predicted_seconds` converts cost units to wall-clock
-  using the observed seconds-per-unit median, so estimates gain a time
-  dimension;
-* :meth:`CostModel.parallel_cutover` replaces the frozen
-  ``min_rows_per_shard`` default with the measured break-even point
-  between the parallel lane's linear fit (``seconds = a + b·rows``) and
-  the cheapest sequential lane's per-row cost.
-
-The parallel-vs-sequential decision itself goes through
-:meth:`CostModel.parallel_beats_sequential` — a cost comparison, not a
-threshold: with the default (uncalibrated) shard overhead the comparison
-provably reduces to the historical ``rows > min_rows_per_shard`` rule,
-and with calibration the break-even moves to where this host actually
-is.  Either way the answer never changes — the parallel lane is
-bit-for-bit equal to the sequential fold by construction.
+a :class:`~repro.obs.feedback.PlanFeedback` store, and
+:meth:`CostModel.predicted_seconds` converts cost units to wall-clock
+using the observed seconds-per-unit median, so estimates gain a time
+dimension.  Calibration never changes an answer.
 """
 
 from __future__ import annotations
@@ -66,8 +52,6 @@ UNIT_COST: dict[str, float] = {
     Lane.BY_TABLE: 0.8,  # per (row x mapping) through the certain executor
     Lane.SCALAR: 1.0,  # per (row x mapping): predicate + fold
     Lane.VECTORIZED: 0.05,  # per (row x mapping) through the array kernels
-    Lane.STREAMING: 1.05,  # scalar fold + per-row guard check
-    Lane.PARALLEL: 1.0,  # per (row x mapping), divided across shards
     Lane.EXTENSION: 1.5,  # order-statistics DP per (row x mapping)
     Lane.NESTED_RANGE: 1.2,  # inner fold + per-group composition
     Lane.NESTED_COMPOSE: 1.5,  # inner DP + independent composition
@@ -82,10 +66,6 @@ DP_UNIT = 0.5
 #: Worlds beyond this are reported as ``inf`` — the estimate only needs
 #: to say "astronomically more than any budget", not the exact power.
 WORLDS_CAP = float(1 << 62)
-
-#: The cutover returned when calibration measured the parallel lane as
-#: never paying off on this host (per-row parallel cost >= sequential).
-NEVER_PARALLEL = 1 << 62
 
 
 def cell_key(op: AggregateOp, mapping_semantics, aggregate_semantics) -> str:
@@ -141,17 +121,16 @@ class PlanEstimate:
     ``rows``/``worlds``/``support``/``cost`` describe the chosen lane;
     ``candidates`` maps every lane in the plan's fallback and degradation
     chains to its own :class:`LaneEstimate` (so EXPLAIN can show the
-    alternatives the planner weighed); ``cutover_rows`` is the effective
-    parallel cutover the decision used (the static default or the
-    calibrated break-even); ``predicted_seconds`` is the calibrated
-    wall-clock prediction (``None`` until feedback exists); ``preempted``
-    records a budget preemption — the planner swapping a lane whose
-    estimate already exceeded the active budget (``None`` otherwise).
+    alternatives the planner weighed); ``predicted_seconds`` is the
+    calibrated wall-clock prediction (``None`` until feedback exists);
+    ``preempted`` records a budget preemption — the planner swapping a
+    lane whose estimate already exceeded the active budget (``None``
+    otherwise).
     """
 
     __slots__ = (
         "lane", "rows", "worlds", "support", "cost", "candidates",
-        "cutover_rows", "predicted_seconds", "preempted",
+        "predicted_seconds", "preempted",
     )
 
     def __init__(
@@ -159,7 +138,6 @@ class PlanEstimate:
         chosen: LaneEstimate,
         candidates: dict[str, LaneEstimate],
         *,
-        cutover_rows: int | None = None,
         predicted_seconds: float | None = None,
         preempted: dict | None = None,
     ) -> None:
@@ -169,7 +147,6 @@ class PlanEstimate:
         self.support = chosen.support
         self.cost = chosen.cost
         self.candidates = candidates
-        self.cutover_rows = cutover_rows
         self.predicted_seconds = predicted_seconds
         self.preempted = preempted
 
@@ -183,7 +160,6 @@ class PlanEstimate:
             "worlds": self.worlds,
             "support": self.support,
             "cost": self.cost,
-            "cutover_rows": self.cutover_rows,
             "predicted_seconds": self.predicted_seconds,
             "preempted": self.preempted,
             "candidates": {
@@ -215,15 +191,8 @@ class CostModel:
         op: AggregateOp,
         aggregate_semantics: AggregateSemantics,
         samples: int,
-        shards: int = 2,
-        cutover_rows: int | None = None,
     ) -> LaneEstimate:
-        """The work one lane would do on ``rows`` source rows.
-
-        ``shards``/``cutover_rows`` only matter for the parallel lane:
-        the shard count divides the row work and the cutover derives the
-        per-shard overhead (see :meth:`parallel_overhead_units`).
-        """
+        """The work one lane would do on ``rows`` source rows."""
         n, m = max(rows, 0), max(mappings, 1)
         unit = UNIT_COST[lane]
         support = self._support(lane, n, m, op, aggregate_semantics, samples)
@@ -245,18 +214,8 @@ class CostModel:
             draws = max(samples, 0)
             return LaneEstimate(lane, float(n * draws), float(draws),
                                 support, unit * n * draws)
-        if lane == Lane.PARALLEL:
-            shards = max(shards, 1)
-            overhead = self.parallel_overhead_units(
-                mappings=m,
-                cutover_rows=(
-                    cutover_rows if cutover_rows is not None else n
-                ),
-            )
-            cost = (unit * n * m + dp_cost) / shards + overhead * shards
-            return LaneEstimate(lane, float(n), 0.0, support, cost)
-        # Sequential single-pass lanes: scalar, vectorized, streaming,
-        # extension, and the nested compositions (whose inner fold is the
+        # Sequential single-pass lanes: scalar, vectorized, extension,
+        # and the nested compositions (whose inner fold is the
         # dominant term).
         return LaneEstimate(lane, float(n), 0.0, support,
                             unit * n * m + dp_cost)
@@ -285,96 +244,6 @@ class CostModel:
             return float(max(samples, 0))
         return float(max(n, 1))
 
-    # -- the parallel decision ---------------------------------------------
-
-    def parallel_overhead_units(
-        self, *, mappings: int, cutover_rows: int
-    ) -> float:
-        """Per-shard overhead, in cost units, implied by a cutover.
-
-        Solving ``cost_parallel(n) = cost_sequential(n)`` for two shards
-        at the cutover row count ``c`` gives ``overhead = c·m·u / 4`` —
-        the overhead for which the cost comparison breaks even exactly
-        where the engine's ``min_rows_per_shard`` contract says it
-        should.  Calibration moves ``c`` (see :meth:`parallel_cutover`),
-        which moves the overhead, which moves the decision.
-        """
-        unit = UNIT_COST[Lane.PARALLEL]
-        return max(cutover_rows, 1) * max(mappings, 1) * unit / 4.0
-
-    def parallel_cutover(self, key: str, default: int) -> int:
-        """Rows above which the parallel lane engages for this cell.
-
-        The calibrated break-even between the parallel lane's linear fit
-        (``seconds = a + b·rows``) and the cheapest sequential lane's
-        per-row seconds, when the feedback store has enough observations
-        of both; the engine's static ``min_rows_per_shard`` otherwise.
-        Returns :data:`NEVER_PARALLEL` when the measurements say the
-        parallel lane never pays off on this host.
-        """
-        feedback = self.feedback
-        if feedback is None:
-            return default
-        fit = feedback.linear_fit(key, Lane.PARALLEL)
-        if fit is None:
-            return default
-        sequential = None
-        for lane in (Lane.VECTORIZED, Lane.STREAMING, Lane.SCALAR):
-            sequential = feedback.per_row_seconds(key, lane)
-            if sequential is not None:
-                break
-        if sequential is None or sequential <= 0:
-            return default
-        intercept, per_row = fit
-        if sequential <= per_row:
-            return NEVER_PARALLEL
-        break_even = intercept / (sequential - per_row)
-        # Engage when rows > cutover, i.e. rows >= ceil(break_even).
-        return max(1, math.ceil(break_even) - 1)
-
-    def parallel_beats_sequential(
-        self,
-        *,
-        rows: int,
-        mappings: int,
-        op: AggregateOp,
-        aggregate_semantics: AggregateSemantics,
-        samples: int,
-        max_workers: int,
-        cutover_rows: int,
-    ) -> bool:
-        """Whether the parallel lane's estimate undercuts the sequential one.
-
-        A pure cost comparison over :meth:`lane_estimate`; with the
-        default overhead derivation it reduces exactly to the historical
-        ``rows > min_rows_per_shard`` rule (and an input that cannot fill
-        two shards never parallelizes).
-        """
-        from repro.core.parallel import shard_count
-
-        shards = shard_count(rows, max_workers, cutover_rows)
-        if shards < 2:
-            return False
-        parallel = self.lane_estimate(
-            Lane.PARALLEL,
-            rows=rows,
-            mappings=mappings,
-            op=op,
-            aggregate_semantics=aggregate_semantics,
-            samples=samples,
-            shards=shards,
-            cutover_rows=cutover_rows,
-        )
-        sequential = self.lane_estimate(
-            Lane.SCALAR,
-            rows=rows,
-            mappings=mappings,
-            op=op,
-            aggregate_semantics=aggregate_semantics,
-            samples=samples,
-        )
-        return parallel.cost < sequential.cost
-
     # -- plan-level estimation ---------------------------------------------
 
     def estimate_plan(self, plan, context) -> PlanEstimate:
@@ -390,9 +259,6 @@ class CostModel:
         samples = getattr(context, "samples", 2000) if context else 2000
         op = compiled.query.aggregate.op
         key = cell_key(op, plan.mapping_semantics, plan.aggregate_semantics)
-        cutover = None
-        if context is not None and getattr(context, "max_workers", None):
-            cutover = context.effective_min_rows_per_shard(key)
         lanes = list(
             dict.fromkeys(
                 plan.fallback_chain + degradation_chain(plan.lane)
@@ -400,18 +266,6 @@ class CostModel:
         )
         candidates: dict[str, LaneEstimate] = {}
         for lane in lanes:
-            shards = 2
-            if lane == Lane.PARALLEL and context is not None:
-                from repro.core.parallel import shard_count
-
-                shards = max(
-                    shard_count(
-                        n,
-                        getattr(context, "max_workers", 0) or 0,
-                        cutover if cutover is not None else n or 1,
-                    ),
-                    1,
-                )
             candidates[lane] = self.lane_estimate(
                 lane,
                 rows=n,
@@ -419,17 +273,10 @@ class CostModel:
                 op=op,
                 aggregate_semantics=plan.aggregate_semantics,
                 samples=samples,
-                shards=shards,
-                cutover_rows=cutover,
             )
         chosen = candidates[plan.lane]
         predicted = self.predicted_seconds(key, plan.lane, chosen.cost)
-        return PlanEstimate(
-            chosen,
-            candidates,
-            cutover_rows=cutover,
-            predicted_seconds=predicted,
-        )
+        return PlanEstimate(chosen, candidates, predicted_seconds=predicted)
 
     def predicted_seconds(
         self, key: str, lane: str, cost: float

@@ -117,18 +117,6 @@ class AggregationEngine:
     samples / seed / max_sequences:
         Defaults for the sampling estimator and the naive-enumeration
         guard; individual :meth:`answer` calls can override them.
-    max_workers:
-        Enable the sharded parallel lane (:mod:`repro.core.parallel`) with
-        this many workers for the PTIME by-tuple cells.  ``None`` (the
-        default) keeps every lane sequential.  The worker pool is created
-        lazily on first use and shut down by :meth:`close`.
-    min_rows_per_shard:
-        Inputs that cannot fill two shards of this size stay on the
-        sequential fast path (the parallel plan falls back at run time).
-    parallel_executor:
-        ``"process"`` (default) shards across a
-        :class:`~concurrent.futures.ProcessPoolExecutor`; ``"thread"``
-        uses threads (useful where processes cannot be spawned).
     budget / timeout_ms / max_rows / max_worlds / max_support:
         Execution guardrails (see :mod:`repro.core.guard` and
         ``docs/robustness.md``): either a full
@@ -140,10 +128,10 @@ class AggregationEngine:
         partial-progress snapshot when one trips.
     degrade:
         When True, a guardrail breach walks the lane's explicit
-        degradation chain instead of raising: parallel work degrades to
-        the streaming then scalar lanes, exact exponential work to the
-        sampling estimator (its accuracy contract is recorded on the
-        context and in EXPLAIN ANALYZE).  The degraded rerun keeps the
+        degradation chain instead of raising: the vectorized lane degrades
+        to the scalar lane, exact exponential work (naive enumeration and
+        nested composition) to the sampling estimator (its accuracy
+        contract is recorded on the context and in EXPLAIN ANALYZE).  The degraded rerun keeps the
         resource budgets but not the already-spent deadline.
     query_log_capacity / slow_query_ms / slow_query_path:
         The always-on structured query log (:mod:`repro.obs.querylog`):
@@ -155,10 +143,8 @@ class AggregationEngine:
         Opt-in cost-model calibration (:mod:`repro.obs.feedback`):
         ``calibrate=True`` records each completed execution's actual
         ``(rows, worlds, cost, seconds)`` in a per-(cell, lane) feedback
-        store, which adapts the cost model's wall-clock predictions and
-        the parallel cutover (unless ``min_rows_per_shard`` was set
-        explicitly — an explicit value stays pinned).  Answers never
-        change, only which bit-identical lane the planner picks.
+        store, which adapts the cost model's wall-clock predictions.
+        Answers never change.
         ``feedback_path`` names a JSON file to load calibration from at
         construction and save to on :meth:`close` (and implies
         ``calibrate=True``); :meth:`feedback_snapshot` inspects the
@@ -179,9 +165,6 @@ class AggregationEngine:
         samples: int = 2000,
         seed: int | None = None,
         max_sequences: int = 1 << 22,
-        max_workers: int | None = None,
-        min_rows_per_shard: int | None = None,
-        parallel_executor: str = "process",
         budget: Budget | None = None,
         timeout_ms: float | None = None,
         max_rows: int | None = None,
@@ -251,9 +234,6 @@ class AggregationEngine:
             samples=samples,
             seed=seed,
             max_sequences=max_sequences,
-            max_workers=max_workers,
-            min_rows_per_shard=min_rows_per_shard,
-            parallel_executor=parallel_executor,
             budget=budget,
             degrade=degrade,
             query_log_capacity=query_log_capacity,
@@ -280,12 +260,11 @@ class AggregationEngine:
         self.context.invalidate()
 
     def close(self) -> None:
-        """Release the SQLite backend (if any) and the worker pool.
+        """Release the SQLite backend (if any).
 
         A SQLite-backed engine refuses further work after ``close()``
         (:class:`EvaluationError` ``"engine is closed"``); a memory-backed
-        engine holds no external resources and keeps answering (lazily
-        recreating the parallel worker pool if it is still asked to).
+        engine holds no external resources and keeps answering.
         """
         self.context.close()
 
@@ -384,11 +363,11 @@ class AggregationEngine:
         planning only once.
 
         With ``parallel=True`` the batch is answered from a thread pool
-        (sized by the engine's ``max_workers``, or the CPU count), in the
-        input order.  The context's caches are lock-protected, so
-        concurrent prepare/plan calls are safe; a SQLite-backed engine
-        answers sequentially regardless, since its connection must stay
-        on one thread.
+        (at most eight threads, the CPU count, or the batch size, whichever
+        is smallest), in the input order.  The context's caches are
+        lock-protected, so concurrent prepare/plan calls are safe; a
+        SQLite-backed engine answers sequentially regardless, since its
+        connection must stay on one thread.
 
         ``return_errors`` controls what a failing query does to the rest
         of the batch: ``True`` records the typed
@@ -435,10 +414,7 @@ class AggregationEngine:
                 with trace.use_sink(sink):
                     return one(query)
 
-            workers = self.context.max_workers or min(
-                8, os.cpu_count() or 1
-            )
-            workers = min(workers, len(queries))
+            workers = min(8, os.cpu_count() or 1, len(queries))
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 return BatchResult(pool.map(traced, queries))
         return BatchResult(one(query) for query in queries)

@@ -1,20 +1,16 @@
-"""Exact floating-point summation with a mergeable carry state.
+"""Exact floating-point summation.
 
-The streaming accumulators (:mod:`repro.core.streaming`) are left-to-right
-folds, and the parallel lane (:mod:`repro.core.parallel`) evaluates them as
-*shard folds followed by a merge*.  Plain ``+=`` float addition is not
-associative, so the two evaluation orders would differ by ULPs and the
-parallel lane could not promise bit-for-bit equality with the sequential
-lanes.
+The by-tuple SUM kernels (:mod:`repro.core.bytuple_sum`) and the streaming
+accumulators (:mod:`repro.core.streaming`) fold their float totals through
+:class:`ExactSum`, and the vectorized kernels reduce the same addends with
+:func:`math.fsum`.  Plain ``+=`` float addition is order dependent, so the
+lanes would differ by ULPs; an exact total makes every lane's answer the
+same correctly-rounded value regardless of the order the addends arrive in.
 
-:class:`ExactSum` removes the order dependence.  It keeps the running total
-as a list of non-overlapping partial sums (Shewchuk's error-free
-transformation, the same technique behind :func:`math.fsum`): ``add``
-folds a value in exactly, ``merge`` folds another instance's partials in
-exactly, and ``value`` rounds the exact total once.  Because the partials
-represent the *exact* real-number sum, any grouping of the same addends —
-one sequential fold, or any shard partition merged in any order — yields
-the same :meth:`value`.
+:class:`ExactSum` keeps the running total as a list of non-overlapping
+partial sums (Shewchuk's error-free transformation, the same technique
+behind :func:`math.fsum`): ``add`` folds a value in exactly and ``value``
+rounds the exact total once.
 
 References: Shewchuk, "Adaptive Precision Floating-Point Arithmetic and
 Fast Robust Geometric Predicates" (1997); Hettinger's recipe used by
@@ -30,21 +26,15 @@ __all__ = ["ExactSum"]
 
 
 class ExactSum:
-    """A float sum that is exact, and therefore partition-invariant.
+    """A float sum that is exact, and therefore order-invariant.
 
     Examples
     --------
-    >>> left, right, whole = ExactSum(), ExactSum(), ExactSum()
-    >>> data = [1e16, 1.0, -1e16, 1.0]
-    >>> for x in data[:2]:
-    ...     left.add(x)
-    >>> for x in data[2:]:
-    ...     right.add(x)
-    >>> for x in data:
-    ...     whole.add(x)
-    >>> left.merge(right)
-    >>> left.value() == whole.value() == 2.0
-    True
+    >>> total = ExactSum()
+    >>> for x in [1e16, 1.0, -1e16, 1.0]:
+    ...     total.add(x)
+    >>> total.value()
+    2.0
     """
 
     __slots__ = ("_partials",)
@@ -69,15 +59,6 @@ class ExactSum:
                 i += 1
             x = high
         partials[i:] = [x]
-
-    def merge(self, other: "ExactSum") -> None:
-        """Fold ``other``'s exact total into this one.
-
-        The partials of ``other`` sum exactly to its total, so adding them
-        one by one preserves exactness; ``other`` is left untouched.
-        """
-        for partial in other._partials:
-            self.add(partial)
 
     def value(self) -> float:
         """The correctly-rounded sum of everything added so far."""

@@ -21,13 +21,11 @@ from __future__ import annotations
 
 import contextvars
 import math
-import pickle
 import sqlite3
 import threading
 import time
 from collections import OrderedDict
 from collections.abc import Mapping
-from concurrent.futures import BrokenExecutor
 
 from repro.core import bytable
 from repro.core import guard as guardmod
@@ -98,9 +96,6 @@ class ExecutionContext:
         seed: int | None = None,
         max_sequences: int = 1 << 22,
         cache_size: int = DEFAULT_CACHE_SIZE,
-        max_workers: int | None = None,
-        min_rows_per_shard: int | None = None,
-        parallel_executor: str = "process",
         budget: guardmod.Budget | None = None,
         degrade: bool = False,
         query_log_capacity: int = querylog.DEFAULT_CAPACITY,
@@ -109,8 +104,6 @@ class ExecutionContext:
         calibrate: bool = False,
         feedback_path: str | None = None,
     ) -> None:
-        from repro.core.parallel import DEFAULT_MIN_ROWS_PER_SHARD
-
         self.tables = dict(tables)
         self.schema_pmapping = schema_pmapping
         self.executor = executor
@@ -128,10 +121,10 @@ class ExecutionContext:
         #: unchanged.
         self._thread_state = threading.local()
         #: Build-once columnar snapshots keyed by source-relation name,
-        #: shared by the vectorized lane, the array-backed prepared
-        #: queries, and the parallel lane's column-slice shards.  Dropped
-        #: by :meth:`invalidate` and :meth:`close` (build-once semantics:
-        #: an entry reflects the table rows at build time).
+        #: shared by the vectorized lane and the array-backed prepared
+        #: queries.  Dropped by :meth:`invalidate` and :meth:`close`
+        #: (build-once semantics: an entry reflects the table rows at
+        #: build time).
         self.columnar_cache: dict[str, ColumnarTable] = {}
         #: The always-on structured query log (``engine.recent_queries()``
         #: and the slow-query JSONL trail); recorded by the outermost
@@ -142,15 +135,6 @@ class ExecutionContext:
             slow_path=slow_query_path,
         )
         self.cache_size = cache_size
-        self.max_workers = max_workers
-        #: An explicitly-configured ``min_rows_per_shard`` pins the
-        #: parallel cutover: calibration only adapts the *default*.
-        self._mrps_pinned = min_rows_per_shard is not None
-        self.min_rows_per_shard = (
-            DEFAULT_MIN_ROWS_PER_SHARD
-            if min_rows_per_shard is None
-            else min_rows_per_shard
-        )
         #: The plan-feedback store (``calibrate=True`` or a
         #: ``feedback_path``); ``None`` keeps the cost model static.
         self.feedback = (
@@ -161,8 +145,6 @@ class ExecutionContext:
         self.feedback_path = feedback_path
         #: The context's cost model — calibrated when feedback is on.
         self.cost_model = costmod.CostModel(self.feedback)
-        self.parallel_executor = parallel_executor
-        self._pool = None
         self.closed = False
         #: Serializes the three LRU caches below (and their metrics): the
         #: engine promises thread-safe prepare/answer, and an OrderedDict
@@ -217,14 +199,11 @@ class ExecutionContext:
     def close(self) -> None:
         """Release the SQLite backend (if any) and refuse further execution.
 
-        Also shuts down the parallel worker pool (a memory-backed engine
-        that keeps answering lazily recreates it), drops the cached
-        columnar snapshots, and resets the per-context metric state: a
-        closed context must not keep reporting the cache traffic of its
-        previous life (the process-wide parent registry retains the
-        cumulative totals).
+        Also drops the cached columnar snapshots and resets the
+        per-context metric state: a closed context must not keep
+        reporting the cache traffic of its previous life (the
+        process-wide parent registry retains the cumulative totals).
         """
-        self.reset_pool()
         self.save_feedback()
         if self.backend is not None:
             self.backend.close()
@@ -243,37 +222,6 @@ class ExecutionContext:
             self.feedback.save(self.feedback_path)
         except OSError:
             self.metrics.inc("feedback.write_error")
-
-    def effective_min_rows_per_shard(self, cell_key: str) -> int:
-        """The parallel cutover the planner should use for one cell.
-
-        The calibrated break-even when feedback has enough observations
-        and the engine did not pin ``min_rows_per_shard`` explicitly; the
-        static value otherwise.
-        """
-        if self._mrps_pinned or self.feedback is None:
-            return self.min_rows_per_shard
-        return self.cost_model.parallel_cutover(
-            cell_key, self.min_rows_per_shard
-        )
-
-    def pool(self):
-        """The lazily-created worker pool of the parallel lane."""
-        from repro.core.parallel import make_pool
-
-        with self._lock:
-            if self._pool is None:
-                self._pool = make_pool(
-                    self.parallel_executor, self.max_workers
-                )
-            return self._pool
-
-    def reset_pool(self) -> None:
-        """Shut down the worker pool; the next :meth:`pool` recreates it."""
-        with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
 
     def invalidate(self) -> None:
         """Drop every cache (compiled, plans, prepared, columnar).
@@ -482,7 +430,7 @@ class PreparedQuery:
 # -- plan execution --------------------------------------------------------
 
 #: Non-library exceptions an execution lane can surface when the machinery
-#: under it (worker pools, pickling, the OS, SQLite) fails.  The outermost
+#: under it (the OS, SQLite) fails.  The outermost
 #: execution frame translates these into a typed, chained
 #: :class:`EvaluationError` so callers always see a
 #: :class:`~repro.exceptions.ReproError` — the invariant the chaos suite
@@ -493,16 +441,14 @@ _INFRA_ERRORS = (
     ValueError,
     MemoryError,
     TimeoutError,
-    BrokenExecutor,
-    pickle.PicklingError,
     sqlite3.Error,
 )
 
 #: The lane that actually produced the answer, written at the terminal
 #: success points of :func:`_dispatch` into a one-slot cell installed by
 #: the outermost frame.  A plan can end up far from where it started —
-#: parallel can decline to its fallback, a guard breach can degrade —
-#: and only the terminal dispatch knows where execution landed.
+#: the vectorized lane can decline to its fallback, a guard breach can
+#: degrade — and only the terminal dispatch knows where execution landed.
 _executed_lane: contextvars.ContextVar[list | None] = contextvars.ContextVar(
     "repro_executed_lane", default=None
 )
@@ -816,22 +762,6 @@ def _dispatch(
                     )
             _note_lane(lane)
             return bytable.combine_results(results, plan.aggregate_semantics)
-        if lane == Lane.PARALLEL:
-            from repro.core import parallel
-
-            answer = parallel.try_parallel(plan)
-            if answer is not None:
-                context.metrics.inc("parallel.hit")
-                _note_lane(lane)
-                return answer
-            context.metrics.inc("parallel.fallback")
-            context.metrics.inc(f"execute.fallback.{lane}")
-            return _dispatch(
-                plan.fallback,
-                samples=samples,
-                seed=seed,
-                max_sequences=max_sequences,
-            )
         if lane == Lane.VECTORIZED:
             answer = _try_vectorized(plan)
             if answer is not None:
@@ -845,23 +775,6 @@ def _dispatch(
                 samples=samples,
                 seed=seed,
                 max_sequences=max_sequences,
-            )
-        if lane == Lane.STREAMING:
-            answer = _execute_streaming(plan)
-            if answer is not None:
-                context.metrics.inc("streaming.hit")
-                _note_lane(lane)
-                return answer
-            if plan.fallback is not None:
-                context.metrics.inc(f"execute.fallback.{lane}")
-                return _dispatch(
-                    plan.fallback,
-                    samples=samples,
-                    seed=seed,
-                    max_sequences=max_sequences,
-                )
-            raise EvaluationError(
-                "streaming lane cannot answer this plan shape"
             )
         if lane in (Lane.SCALAR, Lane.EXTENSION):
             answer = run_prepared(plan.compiled.prepared(), plan.spec.kernel)
@@ -915,36 +828,6 @@ def _by_table_columnar_shape(plan: ExecutionPlan) -> bool:
         and query.group_by is None
         and not query.aggregate.distinct
     )
-
-
-def _execute_streaming(plan: ExecutionPlan) -> AggregateAnswer | None:
-    """The sequential accumulator fold, or ``None`` outside its fragment.
-
-    The degradation target below the parallel lane: same accumulators,
-    no pool — bounded memory, guard-checked row by row.
-    """
-    from repro.core import parallel
-    from repro.core.streaming import TupleStream
-
-    compiled = plan.compiled
-    query = compiled.query
-    if compiled.is_nested or query.group_by is not None:
-        return None
-    cell = (query.aggregate.op, plan.aggregate_semantics)
-    factory = parallel.PARALLEL_CELLS.get(cell)
-    if factory is None:
-        return None
-    guard = guardmod.current_guard()
-    stream = TupleStream.from_compiled(compiled)
-    accumulator = factory(stream)
-    streamed = 0
-    for values in compiled.table.rows:
-        if guard is not None:
-            guard.add_rows(1)
-        accumulator.add_row(values)
-        streamed += 1
-    plan.context.metrics.inc("streaming.rows", streamed)
-    return accumulator.result()
 
 
 def _degrade(
@@ -1021,23 +904,6 @@ def _degraded_plan(
     """Build the plan for one degradation target, or ``None`` if outside
     the target lane's fragment (the walk then tries the next target)."""
     compiled = plan.compiled
-    if target == Lane.STREAMING:
-        from repro.core import parallel
-
-        if compiled.is_nested or compiled.query.group_by is not None:
-            return None
-        cell = (compiled.query.aggregate.op, plan.aggregate_semantics)
-        if cell not in parallel.PARALLEL_CELLS:
-            return None
-        return ExecutionPlan(
-            compiled,
-            plan.mapping_semantics,
-            plan.aggregate_semantics,
-            Lane.STREAMING,
-            plan.complexity,
-            plan.spec,
-            context=plan.context,
-        )
     if target == Lane.SCALAR:
         # Prefer the plan's own fallback chain: it already carries the
         # scalar plan the planner chose for this cell.

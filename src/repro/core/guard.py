@@ -15,10 +15,7 @@ partial-progress snapshot when a limit trips.
 The active guard travels in a :class:`contextvars.ContextVar`, so lanes
 and kernels read it with :func:`current_guard` without any signature
 changes; :func:`activate` installs one for the duration of a plan
-execution.  Parallel shards cannot share the parent's context, so
-:meth:`ExecutionGuard.exportable` produces a picklable budget (deadline
-converted to remaining milliseconds) from which the worker builds its
-own guard; guardrail errors pickle back intact.
+execution.
 
 Checks are stride-based where the loop body is cheap: ``add_rows``
 accumulates locally and consults the clock only every
@@ -295,28 +292,6 @@ class ExecutionGuard:
         limit = self.budget.max_support
         if limit is not None and size > limit:
             raise self._exceeded("support", limit, size)
-
-    # -- crossing process boundaries --------------------------------------
-
-    def exportable(self) -> Budget:
-        """A picklable budget for a worker, deadline re-anchored.
-
-        The remaining (not original) time becomes the worker's
-        ``timeout_ms``, so a shard spawned late still honours the parent
-        deadline.  Row/world budgets export at their configured values —
-        each shard sees a subset of the rows, so the per-shard check is
-        conservative; the parent re-checks the merged totals.
-        """
-        budget = self.budget
-        timeout_ms = None
-        if self.deadline is not None:
-            timeout_ms = max(0.0, self.deadline.remaining_ms())
-        return Budget(
-            timeout_ms=timeout_ms,
-            max_rows=budget.max_rows,
-            max_worlds=budget.max_worlds,
-            max_support=budget.max_support,
-        )
 
 
 #: The guard of the plan execution running on this thread/context.

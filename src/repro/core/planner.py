@@ -56,8 +56,6 @@ class Lane:
     BY_TABLE = "by-table"  # Figure 1 over the certain-query executor
     SCALAR = "scalar"  # pure-Python PTIME by-tuple kernel
     VECTORIZED = "vectorized"  # numpy kernel, scalar fallback at run time
-    PARALLEL = "parallel"  # sharded pool fold + merge, fallback at run time
-    STREAMING = "streaming"  # sequential accumulator fold (degradation target)
     EXTENSION = "extension"  # exact MIN/MAX distributions beyond the paper
     NESTED_RANGE = "nested-range"  # per-group range composition (Q2 shape)
     NESTED_COMPOSE = "nested-compose"  # independent-distribution composition
@@ -67,14 +65,12 @@ class Lane:
 
 #: The explicit degradation chain a guard breach walks when the engine
 #: enables graceful degradation: each lane maps to the lanes tried next,
-#: cheapest-viable first.  Parallel work degrades to the sequential
-#: streaming fold, then the scalar kernel; exact exponential enumeration
-#: degrades to the sampling estimator (an approximate answer with a
-#: recorded accuracy contract beats a typed error when the caller opted
-#: in).  Lanes absent here are terminal: their breach propagates.
+#: cheapest-viable first.  The numpy lane degrades to the scalar kernel;
+#: exact exponential enumeration degrades to the sampling estimator (an
+#: approximate answer with a recorded accuracy contract beats a typed
+#: error when the caller opted in).  Lanes absent here are terminal:
+#: their breach propagates.
 DEGRADATION_CHAIN: dict[str, list[str]] = {
-    Lane.PARALLEL: [Lane.STREAMING, Lane.SCALAR],
-    Lane.STREAMING: [Lane.SCALAR],
     Lane.VECTORIZED: [Lane.SCALAR],
     Lane.NAIVE: [Lane.SAMPLING],
     Lane.NESTED_COMPOSE: [Lane.SAMPLING],
@@ -683,39 +679,6 @@ class Planner:
                     fallback=chosen,
                     context=context,
                 )
-        if (
-            context is not None
-            and getattr(context, "max_workers", None)
-            and compiled.query.group_by is None
-        ):
-            from repro.core import cost, parallel
-
-            if (op, aggregate_semantics) in parallel.PARALLEL_CELLS:
-                model = getattr(context, "cost_model", None)
-                if model is None:
-                    model = cost.DEFAULT_COST_MODEL
-                key = cost.cell_key(
-                    op, mapping_semantics, aggregate_semantics
-                )
-                if model.parallel_beats_sequential(
-                    rows=len(compiled.table),
-                    mappings=len(compiled.pmapping),
-                    op=op,
-                    aggregate_semantics=aggregate_semantics,
-                    samples=getattr(context, "samples", 2000),
-                    max_workers=context.max_workers,
-                    cutover_rows=context.effective_min_rows_per_shard(key),
-                ):
-                    chosen = ExecutionPlan(
-                        compiled,
-                        mapping_semantics,
-                        aggregate_semantics,
-                        Lane.PARALLEL,
-                        complexity,
-                        spec,
-                        fallback=chosen,
-                        context=context,
-                    )
         return self._finalize(chosen, context, preempted=preempted)
 
     def _preempt_naive(self, compiled, context) -> dict | None:

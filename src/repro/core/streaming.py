@@ -29,17 +29,9 @@ Use :func:`answer_stream` for the common case::
     answer = answer_stream(rows, S1_RELATION, pmapping, query,
                            RangeCountAccumulator)
 
-Accumulators form a **commutative monoid**: every class has a
-:meth:`~Accumulator.merge` that combines two partial folds into the fold
-of the concatenated input, and a fresh accumulator is the identity.  Sums
-and counters add, range bounds combine by min/max, and COUNT
-distributions convolve (represented by concatenating their occurrence
-lists, so the Figure 3 dynamic program replays in the sequential order).
-Float totals use :class:`~repro.core.exactsum.ExactSum`, which keeps the
-*exact* running sum — so any shard partition merges to bit-for-bit the
-same answer as the one-pass fold.  That algebra is what the parallel lane
-(:mod:`repro.core.parallel`) exploits: fold each shard independently,
-then :func:`combine_answers`.
+Float totals use :class:`~repro.core.exactsum.ExactSum`, the same exact
+running sum the scalar kernels fold, so a streamed answer is bit-for-bit
+the scalar kernel's answer over the same rows.
 """
 
 from __future__ import annotations
@@ -59,7 +51,7 @@ from repro.core.bytuple_avg import _greedy_extreme_mean_from
 from repro.core.bytuple_count import count_distribution_dp
 from repro.core.compile import CompiledQuery
 from repro.core.exactsum import ExactSum
-from repro.exceptions import EvaluationError, UnsupportedQueryError
+from repro.exceptions import UnsupportedQueryError
 from repro.obs import metrics, trace
 from repro.schema.mapping import PMapping
 from repro.schema.model import Relation
@@ -138,12 +130,7 @@ satisfaction_probability` exactly — snapping to 1.0 when the tuple
 
 
 class Accumulator:
-    """Base class: consume contribution vectors, produce an answer.
-
-    Accumulators of the same class (and configuration) form a monoid
-    under :meth:`merge`, with the freshly-constructed accumulator as the
-    identity — see the module docstring.
-    """
+    """Base class: consume contribution vectors, produce an answer."""
 
     def __init__(self, stream: TupleStream | None) -> None:
         self.stream = stream
@@ -154,33 +141,6 @@ class Accumulator:
     def add_row(self, values: tuple) -> None:
         """Convenience: vectorize one raw row and fold it in."""
         self.add(self.stream.vector(values))
-
-    def merge(self, other: "Accumulator") -> None:
-        """Fold ``other``'s partial state into this accumulator.
-
-        After the call, this accumulator's :meth:`result` equals the one
-        a single accumulator would produce after folding this side's rows
-        followed by ``other``'s rows.  ``other`` is not modified.
-        """
-        raise NotImplementedError
-
-    def detach(self) -> "Accumulator":
-        """Drop the stream reference, keeping only the mergeable state.
-
-        The stream holds compiled predicate closures, which cannot cross
-        a process boundary; a detached accumulator pickles cleanly and
-        still supports :meth:`merge` and :meth:`result` (but not
-        :meth:`add_row`).  Returns ``self`` for chaining.
-        """
-        self.stream = None
-        return self
-
-    def _require_same_kind(self, other: "Accumulator") -> None:
-        if type(other) is not type(self):
-            raise EvaluationError(
-                f"cannot merge {type(other).__name__} into "
-                f"{type(self).__name__}"
-            )
 
     def result(self) -> AggregateAnswer:
         raise NotImplementedError
@@ -201,11 +161,6 @@ class RangeCountAccumulator(Accumulator):
             self.up += 1
         elif participating > 0:
             self.up += 1
-
-    def merge(self, other: "RangeCountAccumulator") -> None:
-        self._require_same_kind(other)
-        self.low += other.low
-        self.up += other.up
 
     def result(self) -> RangeAnswer:
         return RangeAnswer(self.low, self.up)
@@ -248,20 +203,6 @@ class RangeSumAccumulator(Accumulator):
             if up_contribution > 0.0:
                 self.up_world_nonempty = True
 
-    def merge(self, other: "RangeSumAccumulator") -> None:
-        self._require_same_kind(other)
-        self.low.merge(other.low)
-        self.up.merge(other.up)
-        self.any_satisfiable = self.any_satisfiable or other.any_satisfiable
-        self.low_world_nonempty = (
-            self.low_world_nonempty or other.low_world_nonempty
-        )
-        self.up_world_nonempty = (
-            self.up_world_nonempty or other.up_world_nonempty
-        )
-        self.best_single_min = min(self.best_single_min, other.best_single_min)
-        self.best_single_max = max(self.best_single_max, other.best_single_max)
-
     def result(self) -> RangeAnswer:
         if not self.any_satisfiable:
             return RangeAnswer(None, None)
@@ -280,54 +221,37 @@ class RangeMinMaxAccumulator(Accumulator):
     ) -> None:
         super().__init__(stream)
         self.maximize = maximize
-        self.any_satisfiable = False
-        self.has_forced = False
-        self.forced_inner = -math.inf if maximize else math.inf
-        self.any_inner = math.inf if maximize else -math.inf
-        self.outer = -math.inf if maximize else math.inf
+        # No float sentinels: the aggregated values may be DATE or TEXT.
+        self.forced_inner = None
+        self.any_inner = None
+        self.outer = None
 
     def add(self, vector: tuple) -> None:
         satisfying = [c for c in vector if c is not None]
         if not satisfying:
             return
-        self.any_satisfiable = True
         vmin = min(satisfying)
         vmax = max(satisfying)
-        forced = len(satisfying) == len(vector)
-        if self.maximize:
-            self.outer = max(self.outer, vmax)
-            self.any_inner = min(self.any_inner, vmin)
-            if forced:
-                self.has_forced = True
-                self.forced_inner = max(self.forced_inner, vmin)
+        outward, inward = (max, min) if self.maximize else (min, max)
+        high, low = (vmax, vmin) if self.maximize else (vmin, vmax)
+        if self.outer is None:
+            self.outer, self.any_inner = high, low
         else:
-            self.outer = min(self.outer, vmin)
-            self.any_inner = max(self.any_inner, vmax)
-            if forced:
-                self.has_forced = True
-                self.forced_inner = min(self.forced_inner, vmax)
-
-    def merge(self, other: "RangeMinMaxAccumulator") -> None:
-        self._require_same_kind(other)
-        if other.maximize != self.maximize:
-            raise EvaluationError(
-                "cannot merge a MIN accumulator with a MAX accumulator"
+            self.outer = outward(self.outer, high)
+            self.any_inner = inward(self.any_inner, low)
+        if len(satisfying) == len(vector):
+            self.forced_inner = (
+                low
+                if self.forced_inner is None
+                else outward(self.forced_inner, low)
             )
-        self.any_satisfiable = self.any_satisfiable or other.any_satisfiable
-        self.has_forced = self.has_forced or other.has_forced
-        if self.maximize:
-            self.outer = max(self.outer, other.outer)
-            self.any_inner = min(self.any_inner, other.any_inner)
-            self.forced_inner = max(self.forced_inner, other.forced_inner)
-        else:
-            self.outer = min(self.outer, other.outer)
-            self.any_inner = max(self.any_inner, other.any_inner)
-            self.forced_inner = min(self.forced_inner, other.forced_inner)
 
     def result(self) -> RangeAnswer:
-        if not self.any_satisfiable:
+        if self.outer is None:
             return RangeAnswer(None, None)
-        inner = self.forced_inner if self.has_forced else self.any_inner
+        inner = (
+            self.any_inner if self.forced_inner is None else self.forced_inner
+        )
         if self.maximize:
             return RangeAnswer(inner, self.outer)
         return RangeAnswer(self.outer, inner)
@@ -360,14 +284,6 @@ class RangeAvgAccumulator(Accumulator):
             self.optional_min.append(min(satisfying))
             self.optional_max.append(max(satisfying))
 
-    def merge(self, other: "RangeAvgAccumulator") -> None:
-        self._require_same_kind(other)
-        self.forced_min_total.merge(other.forced_min_total)
-        self.forced_max_total.merge(other.forced_max_total)
-        self.forced_count += other.forced_count
-        self.optional_min.extend(other.optional_min)
-        self.optional_max.extend(other.optional_max)
-
     def result(self) -> RangeAnswer:
         low = _greedy_extreme_mean_from(
             self.forced_min_total.value(),
@@ -395,10 +311,6 @@ class ExpectedCountAccumulator(Accumulator):
 
     def add(self, vector: tuple) -> None:
         self.total.add(_occurrence(self.stream.probabilities, vector))
-
-    def merge(self, other: "ExpectedCountAccumulator") -> None:
-        self._require_same_kind(other)
-        self.total.merge(other.total)
 
     def result(self) -> ExpectedValueAnswer:
         return ExpectedValueAnswer(self.total.value())
@@ -428,15 +340,6 @@ class ExpectedSumAccumulator(Accumulator):
         elif occurrence > 0.0:
             self.log_empty.add(math.log1p(-occurrence))
 
-    def merge(self, other: "ExpectedSumAccumulator") -> None:
-        self._require_same_kind(other)
-        self.total.merge(other.total)
-        self.log_empty.merge(other.log_empty)
-        self.certain_empty_impossible = (
-            self.certain_empty_impossible or other.certain_empty_impossible
-        )
-        self.any_satisfiable = self.any_satisfiable or other.any_satisfiable
-
     def result(self) -> ExpectedValueAnswer:
         if not self.any_satisfiable:
             return ExpectedValueAnswer(None)
@@ -451,13 +354,7 @@ class ExpectedSumAccumulator(Accumulator):
 
 
 class DistributionCountAccumulator(Accumulator):
-    """Streaming ByTuplePDCOUNT (the Figure 3 DP folds left to right).
-
-    Merging concatenates the occurrence lists, which is the lazy form of
-    convolving the two partial Poisson-binomial distributions — the DP
-    then replays the same float operations as a sequential fold, keeping
-    shard-merged answers bit-for-bit equal.
-    """
+    """Streaming ByTuplePDCOUNT (the Figure 3 DP folds left to right)."""
 
     def __init__(self, stream: TupleStream | None = None) -> None:
         super().__init__(stream)
@@ -467,10 +364,6 @@ class DistributionCountAccumulator(Accumulator):
         occurrence = _occurrence(self.stream.probabilities, vector)
         if occurrence > 0.0:
             self.occurrences.append(occurrence)
-
-    def merge(self, other: "DistributionCountAccumulator") -> None:
-        self._require_same_kind(other)
-        self.occurrences.extend(other.occurrences)
 
     def result(self) -> DistributionAnswer:
         return DistributionAnswer(count_distribution_dp(self.occurrences))
@@ -502,58 +395,10 @@ class GroupedAccumulator:
             self._groups[key] = accumulator
         accumulator.add(self.stream.vector(values))
 
-    def merge(self, other: "GroupedAccumulator") -> None:
-        """Merge ``other``'s per-group accumulators into this one.
-
-        Keys seen only by ``other`` are adopted in ``other``'s insertion
-        order, so merging contiguous shards left to right reproduces the
-        sequential first-appearance order.
-        """
-        for key, accumulator in other._groups.items():
-            mine = self._groups.get(key)
-            if mine is None:
-                self._groups[key] = accumulator
-            else:
-                mine.merge(accumulator)
-
-    def detach(self) -> "GroupedAccumulator":
-        """Drop stream/factory references so the state pickles cleanly."""
-        self.stream = None
-        self.factory = None
-        for accumulator in self._groups.values():
-            accumulator.detach()
-        return self
-
     def result(self) -> GroupedAnswer:
         return GroupedAnswer(
             {key: acc.result() for key, acc in self._groups.items()}
         )
-
-
-def merge_accumulators(accumulators):
-    """Merge shard accumulators left to right; returns the first one.
-
-    The accumulators must all be of the same class and configuration, in
-    shard (row) order.  The first accumulator is mutated and returned.
-    """
-    iterator = iter(accumulators)
-    try:
-        merged = next(iterator)
-    except StopIteration:
-        raise EvaluationError("cannot merge zero accumulators") from None
-    for accumulator in iterator:
-        merged.merge(accumulator)
-    return merged
-
-
-def combine_answers(accumulators) -> AggregateAnswer:
-    """Merge shard accumulators (in shard order) and return the answer.
-
-    This is the reduce side of the parallel lane: fold each shard through
-    its own accumulator, then ``combine_answers(shard_accumulators)``
-    equals the answer of one accumulator folded over all rows.
-    """
-    return merge_accumulators(accumulators).result()
 
 
 def answer_stream(

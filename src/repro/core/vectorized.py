@@ -42,7 +42,6 @@ from repro.core.answers import (
     RangeAnswer,
 )
 from repro.core.bytuple_avg import _greedy_extreme_mean_from
-from repro.core.exactsum import ExactSum
 from repro.core.semantics import AggregateSemantics
 from repro.exceptions import EvaluationError, UnsupportedQueryError
 from repro.obs import metrics
@@ -81,7 +80,6 @@ __all__ = [
     "VECTORIZED_CELLS",
     "PROBLEM_KERNELS",
     "run_grouped_vectorized",
-    "accumulator_for_problem",
 ]
 
 
@@ -611,7 +609,8 @@ def expected_count_on(problem: VectorizedProblem) -> ExpectedValueAnswer:
 
 def range_sum_on(problem: VectorizedProblem) -> RangeAnswer:
     """The tightened Figure 4 fold; ``fsum`` of the same per-row
-    contributions the scalar kernel feeds its :class:`ExactSum`."""
+    contributions the scalar kernel feeds its
+    :class:`~repro.core.exactsum.ExactSum`."""
     satisfiable, forced, vmin, vmax = _row_stats(problem)
     if not satisfiable.any():
         return RangeAnswer(None, None)
@@ -630,9 +629,9 @@ def range_sum_on(problem: VectorizedProblem) -> RangeAnswer:
 def _expected_sum_terms(problem: VectorizedProblem):
     """The ``P(m_j) * contribution`` addends of the expected-SUM numerator.
 
-    The scalar kernel folds them row-major through an :class:`ExactSum`;
-    ``math.fsum`` over the same multiset (any order) yields the identical
-    correctly-rounded total.
+    The scalar kernel folds them row-major through an
+    :class:`~repro.core.exactsum.ExactSum`; ``math.fsum`` over the same
+    multiset (any order) yields the identical correctly-rounded total.
     """
     for probability, mask, values in zip(
         problem.probability_list, problem.participation, problem.values
@@ -898,117 +897,6 @@ def run_grouped_vectorized(
     if nulls is not None and nulls.any():
         answers[None] = scalar_vectorized(ctable.subset(nulls), pmapping, flat)
     return GroupedAnswer(answers)
-
-
-# -- shard accumulators for the parallel lane -------------------------------
-
-
-def accumulator_for_problem(cell, problem: VectorizedProblem):
-    """Fold one columnar shard into a detached streaming accumulator.
-
-    The parallel lane's column-slice shards land here: the returned
-    accumulator carries exactly the state a
-    :class:`~repro.core.streaming.Accumulator` would hold after folding
-    the shard's rows sequentially — per-row addends enter the
-    :class:`ExactSum` totals individually (exact partials), so merging
-    shard accumulators in shard order reproduces the sequential fold bit
-    for bit.
-    """
-    from repro.core import streaming
-
-    op, semantics = cell
-    satisfiable = problem.participation_matrix().any(axis=0)
-    if op is AggregateOp.COUNT and semantics is AggregateSemantics.RANGE:
-        accumulator = streaming.RangeCountAccumulator(None)
-        answer = range_count_on(problem)
-        accumulator.low = answer.low
-        accumulator.up = answer.high
-        return accumulator
-    if (
-        op is AggregateOp.COUNT
-        and semantics is AggregateSemantics.DISTRIBUTION
-    ):
-        accumulator = streaming.DistributionCountAccumulator(None)
-        occurrence = occurrence_array(problem)
-        accumulator.occurrences = occurrence[occurrence > 0.0].tolist()
-        return accumulator
-    if (
-        op is AggregateOp.COUNT
-        and semantics is AggregateSemantics.EXPECTED_VALUE
-    ):
-        accumulator = streaming.ExpectedCountAccumulator(None)
-        accumulator.total = ExactSum(occurrence_array(problem).tolist())
-        return accumulator
-    if op is AggregateOp.SUM and semantics is AggregateSemantics.RANGE:
-        accumulator = streaming.RangeSumAccumulator(None)
-        if satisfiable.any():
-            _, forced, vmin, vmax = _row_stats(problem)
-            low_contrib = np.where(forced, vmin, np.minimum(vmin, 0.0))[
-                satisfiable
-            ]
-            up_contrib = np.where(forced, vmax, np.maximum(vmax, 0.0))[
-                satisfiable
-            ]
-            accumulator.any_satisfiable = True
-            accumulator.low = ExactSum(low_contrib.tolist())
-            accumulator.up = ExactSum(up_contrib.tolist())
-            has_forced = bool(forced.any())
-            accumulator.low_world_nonempty = has_forced or bool(
-                (low_contrib < 0.0).any()
-            )
-            accumulator.up_world_nonempty = has_forced or bool(
-                (up_contrib > 0.0).any()
-            )
-            accumulator.best_single_min = float(vmin[satisfiable].min())
-            accumulator.best_single_max = float(vmax[satisfiable].max())
-        return accumulator
-    if (
-        op is AggregateOp.SUM
-        and semantics is AggregateSemantics.EXPECTED_VALUE
-    ):
-        accumulator = streaming.ExpectedSumAccumulator(None)
-        accumulator.any_satisfiable = bool(satisfiable.any())
-        accumulator.total = ExactSum(_expected_sum_terms(problem))
-        certain, log_terms = _log_empty_terms(problem)
-        accumulator.certain_empty_impossible = certain
-        accumulator.log_empty = ExactSum(log_terms.tolist())
-        return accumulator
-    if op is AggregateOp.AVG and semantics is AggregateSemantics.RANGE:
-        accumulator = streaming.RangeAvgAccumulator(None)
-        _, forced, vmin, vmax = _row_stats(problem)
-        optional = satisfiable & ~forced
-        accumulator.forced_min_total = ExactSum(vmin[forced].tolist())
-        accumulator.forced_max_total = ExactSum(vmax[forced].tolist())
-        accumulator.forced_count = int(forced.sum())
-        accumulator.optional_min = vmin[optional].tolist()
-        accumulator.optional_max = vmax[optional].tolist()
-        return accumulator
-    if (
-        op in (AggregateOp.MIN, AggregateOp.MAX)
-        and semantics is AggregateSemantics.RANGE
-    ):
-        maximize = op is AggregateOp.MAX
-        accumulator = streaming.RangeMinMaxAccumulator(
-            None, maximize=maximize
-        )
-        if satisfiable.any():
-            _, forced, vmin, vmax = _row_stats(problem)
-            accumulator.any_satisfiable = True
-            accumulator.has_forced = bool(forced.any())
-            if maximize:
-                accumulator.outer = float(vmax[satisfiable].max())
-                accumulator.any_inner = float(vmin[satisfiable].min())
-                if accumulator.has_forced:
-                    accumulator.forced_inner = float(vmin[forced].max())
-            else:
-                accumulator.outer = float(vmin[satisfiable].min())
-                accumulator.any_inner = float(vmax[satisfiable].max())
-                if accumulator.has_forced:
-                    accumulator.forced_inner = float(vmax[forced].min())
-        return accumulator
-    raise VectorizationError(
-        f"no columnar shard accumulator for cell {cell!r}"
-    )
 
 
 #: The flat by-tuple cells with a vectorized implementation, keyed by

@@ -246,8 +246,7 @@ class GuardrailError(EvaluationError):
         self.progress: dict = dict(progress or {})
 
     def __reduce__(self):
-        # Keep the structured payload across process boundaries (the
-        # parallel lane's workers raise these through pickle).
+        # Keep the structured payload across a pickle round trip.
         return (_rebuild_guardrail_error, (type(self), self.args, self.__dict__))
 
 

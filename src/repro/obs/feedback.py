@@ -5,20 +5,19 @@
 units, seconds)`` per completed execution — recorded by the outermost
 frame of :func:`repro.core.execute.execute_plan` when the engine opts in
 with ``calibrate=True``.  The store answers the calibration questions
-the :class:`~repro.core.cost.CostModel` asks:
+the :class:`~repro.core.cost.CostModel` and the ``feedback`` report ask:
 
 * :meth:`per_row_seconds` — the median observed seconds per row visit of
-  a sequential lane;
-* :meth:`linear_fit` — a least-squares ``seconds = a + b·rows`` fit for
-  the parallel lane (the intercept *is* the measured pool overhead);
+  a lane;
+* :meth:`linear_fit` — a least-squares ``seconds = a + b·rows`` fit (the
+  intercept is the lane's measured fixed overhead);
 * :meth:`seconds_per_unit` — the median seconds per cost unit, which
   turns unit-cost estimates into wall-clock predictions.
 
-Everything is observational: the store never changes an answer, only
-*when the planner picks which bit-identical lane*.  JSON persistence
-(:meth:`save`/:meth:`load`) lets calibration survive restarts — the
-engine loads at construction when given a ``feedback_path`` and saves on
-``close()``.
+Everything is observational: the store never changes an answer.  JSON
+persistence (:meth:`save`/:meth:`load`) lets calibration survive
+restarts — the engine loads at construction when given a
+``feedback_path`` and saves on ``close()``.
 
 Like the rest of :mod:`repro.obs`: zero dependencies, bounded memory
 (per-key deques), and cheap on the hot path (one tuple append under a

@@ -11,16 +11,10 @@ forwards every recording to it, so the per-engine registry on
 (``invalidate()``/``close()``) while the process-wide default registry
 keeps the cumulative totals that ``EXPLAIN ANALYZE`` diffs.
 
-Two facilities make metrics survive concurrency and process boundaries:
-
-* :func:`use_registry` swaps the *default* registry for the current
-  context only (a :mod:`contextvars` override), so a pool shard — thread
-  or process — can capture exactly its own recordings into a fresh
-  registry and ship that delta back;
-* :meth:`MetricsRegistry.merge` folds such a shipped registry into
-  another one (propagating up the parent chain), which is how the
-  parallel lane re-integrates per-shard metrics into the engine's
-  registry.
+:func:`use_registry` swaps the *default* registry for the current
+context only (a :mod:`contextvars` override), so one context can capture
+exactly its own recordings into a fresh registry without interleaving
+with other threads.
 
 The metric catalog (names and meanings) is in ``docs/observability.md``.
 """
@@ -116,33 +110,6 @@ class Histogram:
         """The reservoir-estimated ``q``-th percentile (0-100)."""
         return percentile(self._reservoir, q)
 
-    def merge(self, other: "Histogram") -> None:
-        """Fold another histogram's observations into this one.
-
-        ``count``/``sum``/``min``/``max`` combine exactly.  The reservoir
-        absorbs the other side's sampled values through the same
-        Algorithm-R slot rule, so the merged percentiles remain a uniform
-        estimate of the combined stream (exact while both reservoirs
-        together fit; an approximation after, as ever).
-        """
-        if other.count == 0:
-            return
-        self.total += other.total
-        if other.min < self.min:
-            self.min = other.min
-        if other.max > self.max:
-            self.max = other.max
-        for value in other._reservoir:
-            self.count += 1
-            if len(self._reservoir) < self.RESERVOIR_SIZE:
-                self._reservoir.append(value)
-            else:
-                slot = self._rng.randrange(self.count)
-                if slot < self.RESERVOIR_SIZE:
-                    self._reservoir[slot] = value
-        # Observations the other reservoir sampled away still count.
-        self.count += other.count - len(other._reservoir)
-
     def summary(self) -> dict:
         """A JSON-ready summary (empty histogram: all-zero, no min/max)."""
         if self.count == 0:
@@ -208,30 +175,6 @@ class MetricsRegistry:
         self.histogram(name).observe(value)
         if self.parent is not None:
             self.parent.observe(name, value)
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry's state into this one (and its ancestors).
-
-        Counters add, gauges take the other side's last write, histograms
-        merge observation-by-observation (see :meth:`Histogram.merge`).
-        This is how a pool shard's captured delta re-enters the engine
-        registry: the shard recorded into a fresh registry under
-        :func:`use_registry`, shipped it back, and the parent merges it
-        here — so the chained process-wide totals stay complete even when
-        the recording happened in another process.
-        """
-        for name, counter in other._counters.items():
-            if counter.value:
-                self.inc(name, counter.value)
-        for name, gauge in other._gauges.items():
-            self.set_gauge(name, gauge.value)
-        for name, histogram in other._histograms.items():
-            self._merge_histogram(name, histogram)
-
-    def _merge_histogram(self, name: str, histogram: Histogram) -> None:
-        self.histogram(name).merge(histogram)
-        if self.parent is not None:
-            self.parent._merge_histogram(name, histogram)
 
     # -- reading -----------------------------------------------------------
 
@@ -305,9 +248,7 @@ _DEFAULT = MetricsRegistry()
 
 #: A context-local override of the default registry.  While set (see
 #: :func:`use_registry`), every module-level recording in this context —
-#: and only this context — lands on the override instead, which is how a
-#: pool shard captures its own delta without interleaving with sibling
-#: shards on other threads.
+#: and only this context — lands on the override instead.
 _ACTIVE: ContextVar[MetricsRegistry | None] = ContextVar(
     "repro_metrics_registry", default=None
 )
@@ -336,8 +277,8 @@ def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
 def use_registry(registry: MetricsRegistry):
     """Route this context's module-level recordings to ``registry``.
 
-    Context-local (a thread or process pool worker installs its own
-    without touching siblings); restores the previous state on exit.
+    Context-local (a thread installs its own without touching siblings);
+    restores the previous state on exit.
     """
     token = _ACTIVE.set(registry)
     try:

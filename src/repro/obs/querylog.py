@@ -35,6 +35,8 @@ import time
 from collections import deque
 from pathlib import Path
 
+from repro.exceptions import ObservabilityError
+
 #: Default ring-buffer capacity (engine kwarg ``query_log_capacity``).
 DEFAULT_CAPACITY = 256
 
@@ -259,6 +261,34 @@ class QueryLog:
     def __len__(self) -> int:
         with self._lock:
             return len(self._records)
+
+
+def read_slow_log(path: str | Path) -> tuple[list[dict], int]:
+    """Read a slow-query JSONL trail; returns ``(records, torn)``.
+
+    A crash mid-append can leave the *final* line torn: it is skipped and
+    counted in ``torn`` (0 or 1).  An unparsable line anywhere else means
+    the file is corrupt, not torn, and raises
+    :class:`~repro.exceptions.ObservabilityError`.
+    """
+    with open(path) as handle:
+        lines = [line.strip() for line in handle]
+    lines = [(number, line) for number, line in enumerate(lines, 1) if line]
+    records: list[dict] = []
+    for index, (number, line) in enumerate(lines):
+        try:
+            record = json.loads(line)
+        except ValueError:
+            record = None
+        if isinstance(record, dict):
+            records.append(record)
+        elif index == len(lines) - 1:
+            return records, 1
+        else:
+            raise ObservabilityError(
+                f"{path}: line {number} is not a query-log record"
+            )
+    return records, 0
 
 
 def now() -> float:

@@ -28,8 +28,7 @@ context without its own sink falls back to.  A thread starts with a fresh
 context, so a sink installed with :func:`use_sink` does **not** leak into
 threads spawned inside the ``with`` block — callers that fan out (e.g.
 ``answer_many(parallel=True)``) capture :func:`current_sink` and re-enter
-:func:`use_sink` on the worker side; the parallel lane ships whole span
-subtrees back across the pool instead (see :func:`attach`).
+:func:`use_sink` on the worker side.
 
 Sinks are deliberately minimal: anything with a ``handle(span)`` method
 works.  :class:`InMemorySink` keeps the last N root spans in a ring
@@ -121,8 +120,8 @@ class Span:
                 sink.handle(self)
 
     def __getstate__(self) -> dict:
-        # Pickled spans (shard subtrees crossing a pool boundary) travel
-        # closed: the context token is meaningless in another process.
+        # Pickled spans travel closed: the context token is meaningless
+        # in another process.
         return {
             "name": self.name,
             "attributes": self.attributes,
@@ -206,26 +205,6 @@ def add_attribute(key: str, value: object) -> None:
         stack[-1].set(key, value)
 
 
-def attach(root: Span) -> None:
-    """Adopt a completed span tree into the current trace context.
-
-    The re-parenting half of cross-worker stitching: a pool worker records
-    its shard subtree into its own context and ships it back; the parent
-    calls :func:`attach` inside its open lane span, making the shard tree
-    a child of that span (or a root handed to the sink when no span is
-    open).  No-op when the tree is ``None``.
-    """
-    if root is None:
-        return
-    stack = _STACK.get()
-    if stack:
-        stack[-1].children.append(root)
-        return
-    sink = current_sink()
-    if sink is not None:
-        sink.handle(root)
-
-
 def current_sink():
     """The effective sink of this context (context-local, else the
     process-wide default), or ``None``."""
@@ -257,12 +236,8 @@ def capture_into(sink):
 
     Like :func:`use_sink`, but also resets the open-span stack to empty
     for the duration, so the first span entered inside the block is a
-    root handed to ``sink`` — regardless of what the surrounding (or, in
-    a fork-started pool worker, the *inherited*) context had open.  Pool
-    shards record their subtree this way: a forked worker inherits the
-    parent's contextvars, including the parent's open ``parallel.map``
-    stack, and without the reset the shard span would silently attach to
-    a dead copy of the parent tree instead of reaching the local sink.
+    root handed to ``sink`` — regardless of what the surrounding context
+    had open.
     """
     sink_token = _SINK.set(sink)
     stack_token = _STACK.set(())

@@ -40,8 +40,7 @@ class AttributeCorrespondence:
         raise AttributeError("AttributeCorrespondence instances are immutable")
 
     def __reduce__(self):
-        # Immutable __slots__ classes need explicit pickle support; the
-        # parallel lane ships mappings to worker processes.
+        # Immutable __slots__ classes need explicit pickle support.
         return (AttributeCorrespondence, (self.source, self.target))
 
     def reversed(self) -> "AttributeCorrespondence":

@@ -107,8 +107,7 @@ class RelationMapping:
         raise AttributeError("RelationMapping instances are immutable")
 
     def __reduce__(self):
-        # Immutable __slots__ classes need explicit pickle support; the
-        # parallel lane ships mappings to worker processes.
+        # Immutable __slots__ classes need explicit pickle support.
         return (
             RelationMapping,
             (self.source, self.target, self.correspondences, self.name),

@@ -110,8 +110,7 @@ class Attribute:
     def __reduce__(self):
         # __slots__ plus the immutability guard breaks default pickling
         # (unpickling would call __setattr__); reconstruct through the
-        # validating constructor instead.  The parallel execution lane
-        # ships schema objects to worker processes, so this matters.
+        # validating constructor instead.
         return (Attribute, (self.name, self.type))
 
     def __eq__(self, other: object) -> bool:

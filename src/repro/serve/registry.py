@@ -7,8 +7,8 @@ compile/plan/prepared caches and columnar snapshots amortize across the
 whole request stream — the serving payoff of the prepared-plan work.
 Engine construction defaults lean resilient (``degrade=True``,
 ``allow_sampling=True``): a tenant's guardrail breach walks the
-degradation chain (parallel → streaming → scalar, exact → sampling with
-its DKW epsilon recorded) instead of failing the request.
+degradation chain (vectorized → scalar, exact → sampling with its DKW
+epsilon recorded) instead of failing the request.
 
 A :class:`TenantPolicy` attaches a standing
 :class:`~repro.core.guard.Budget` (and optional sampling default) to a

@@ -5,8 +5,7 @@ row-major Python tuples pays interpreter overhead per (tuple, mapping)
 pair.  :class:`ColumnarTable` is the storage-layer answer: a build-once,
 immutable column-major snapshot of a :class:`~repro.storage.table.Table`
 that every fast lane (the numpy kernels of :mod:`repro.core.vectorized`,
-the array-backed prepared queries of :mod:`repro.core.common`, the
-column-slice shards of :mod:`repro.core.parallel`) consumes.
+the array-backed prepared queries of :mod:`repro.core.common`) consumes.
 
 Conversion contract (from ``storage/table.Table``)
 --------------------------------------------------
@@ -141,9 +140,8 @@ class ColumnarTable:
         pure-Python stores; ``"python"`` forces the stdlib fallback (used
         by tests to exercise the no-numpy path with numpy installed).
 
-    Instances are picklable (column slices cross the parallel lane's
-    process boundary) and immutable by convention: no method mutates the
-    arrays after construction.
+    Instances are picklable and immutable by convention: no method
+    mutates the arrays after construction.
     """
 
     __slots__ = (
@@ -299,9 +297,7 @@ class ColumnarTable:
         """Rows ``[start, stop)`` as a zero-copy view (both backends).
 
         On the numpy backend the sliced arrays are views over the parent's
-        buffers — the parallel lane's shards share storage with the cached
-        build (a shard that crosses a process boundary pickles only its
-        slice).
+        buffers, so a slice shares storage with the cached build.
         """
         return self._derived(
             {

@@ -13,13 +13,6 @@ name                seam
 ==================  =====================================================
 execute.dispatch    :func:`repro.core.execute.execute_plan`, before lane
                     dispatch
-parallel.map        :func:`repro.core.parallel.try_parallel`, before the
-                    shard fan-out
-parallel.shard      :func:`repro.core.parallel.fold_shard`, inside each
-                    worker (arm via env for process pools)
-parallel.merge      :func:`repro.core.parallel.try_parallel`, before the
-                    accumulator merge (``corrupt`` swaps in a
-                    wrong-kind accumulator, which merge detects)
 sqlite.cursor       :class:`repro.storage.sqlite_backend.SQLiteBackend`,
                     before every cursor execute (``raise:OperationalError``
                     exercises the retry-with-backoff path)
@@ -39,19 +32,18 @@ Arming
 ------
 Programmatic (preferred in tests)::
 
-    with faults.failpoint("parallel.map", "raise:OSError"):
+    with faults.failpoint("execute.dispatch", "raise:OSError"):
         ...
 
-or via the environment — the only way to reach process-pool workers,
-which inherit ``os.environ`` at spawn::
+or via the environment (for a subprocess, such as the ``serve`` child)::
 
-    REPRO_FAILPOINTS="parallel.shard=raise:OSError@2;sqlite.cursor=delay:0.01"
+    REPRO_FAILPOINTS="execute.dispatch=raise:OSError@2;sqlite.cursor=delay:0.01"
 
 The action grammar is ``kind[:argument][@nth]``:
 
 * ``raise:ExcName`` — raise (``OSError``, ``RuntimeError``, ``MemoryError``,
   ``OperationalError`` (sqlite3), ``EvaluationError``, ``StorageError``,
-  ``BrokenExecutor``, ``PicklingError``, ``TimeoutError``, ``ValueError``);
+  ``TimeoutError``, ``ValueError``);
 * ``delay:seconds`` — sleep, then continue;
 * ``corrupt`` — return :data:`CORRUPT`; the seam applies a site-specific,
   *detectable* corruption (the chaos invariant is "typed error or correct
@@ -64,11 +56,9 @@ hit fires.  Hit counters persist until :func:`reset`.
 from __future__ import annotations
 
 import os
-import pickle
 import sqlite3
 import threading
 import time
-from concurrent.futures import BrokenExecutor
 from contextlib import contextmanager
 
 from repro.exceptions import EvaluationError, StorageError
@@ -78,9 +68,6 @@ from repro.obs import metrics
 #: is an error (it would silently never fire).
 FAILPOINTS = (
     "execute.dispatch",
-    "parallel.map",
-    "parallel.shard",
-    "parallel.merge",
     "sqlite.cursor",
     "plan.cache.evict",
     "serve.accept",
@@ -102,8 +89,6 @@ _EXCEPTIONS = {
     "OperationalError": sqlite3.OperationalError,
     "EvaluationError": EvaluationError,
     "StorageError": StorageError,
-    "BrokenExecutor": BrokenExecutor,
-    "PicklingError": pickle.PicklingError,
 }
 
 #: Message used for injected sqlite3.OperationalError — the transient

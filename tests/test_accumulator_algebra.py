@@ -1,213 +1,16 @@
-"""Property tests: the streaming accumulators form a commutative monoid.
+"""The exact running sum behind the by-tuple SUM folds.
 
-The sharded parallel lane is correct exactly because, for every
-accumulator class,
-
-* :meth:`~repro.core.streaming.Accumulator.merge` is **associative**,
-* a freshly-constructed accumulator is the **identity**, and
-* folding any contiguous **partition** of the rows shard-by-shard and
-  merging equals the one-pass sequential fold — *bit for bit*, thanks to
-  the exact running sums (:class:`~repro.core.exactsum.ExactSum`) and the
-  order-preserving merge of the COUNT-distribution occurrence lists.
-
-Hypothesis drives all three laws over random instances and random
-partitions for every accumulator class, including the GROUP BY fan-out.
+:class:`~repro.core.exactsum.ExactSum` keeps the exact real-number total,
+so the scalar kernels, the streaming accumulators and the vectorized
+``fsum`` reductions round the same addends to the same float.
 """
 
 from __future__ import annotations
 
-import functools
-
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from repro.core.exactsum import ExactSum
-from repro.core.streaming import (
-    DistributionCountAccumulator,
-    ExpectedCountAccumulator,
-    ExpectedSumAccumulator,
-    GroupedAccumulator,
-    RangeAvgAccumulator,
-    RangeCountAccumulator,
-    RangeMinMaxAccumulator,
-    RangeSumAccumulator,
-    TupleStream,
-    combine_answers,
-    merge_accumulators,
-)
-from repro.exceptions import EvaluationError
-from tests.conftest import small_problems
-
-FACTORIES = [
-    RangeCountAccumulator,
-    RangeSumAccumulator,
-    RangeAvgAccumulator,
-    ExpectedCountAccumulator,
-    ExpectedSumAccumulator,
-    DistributionCountAccumulator,
-    functools.partial(RangeMinMaxAccumulator, maximize=False),
-    functools.partial(RangeMinMaxAccumulator, maximize=True),
-]
-
-QUERY = "SELECT SUM(value) FROM {t} WHERE value < {c}"
-
-
-def _vectors(problem):
-    stream = TupleStream(
-        problem.table.relation, problem.pmapping, problem.query(QUERY)
-    )
-    return stream, [stream.vector(values) for values in problem.table.rows]
-
-
-def _fold(factory, stream, vectors):
-    accumulator = factory(stream)
-    for vector in vectors:
-        accumulator.add(vector)
-    return accumulator
-
-
-@st.composite
-def partitioned_problems(draw):
-    """A problem plus a random partition of its rows into contiguous shards."""
-    problem = draw(small_problems(max_tuples=12, min_tuples=1))
-    n = len(problem.table)
-    cut_count = draw(st.integers(min_value=0, max_value=min(4, n)))
-    cuts = sorted(
-        draw(
-            st.lists(
-                st.integers(min_value=0, max_value=n),
-                min_size=cut_count,
-                max_size=cut_count,
-            )
-        )
-    )
-    bounds = [0, *cuts, n]
-    shards = [
-        (bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)
-    ]
-    return problem, shards
-
-
-class TestMonoidLaws:
-    @settings(max_examples=40, deadline=None)
-    @given(partitioned_problems())
-    def test_partition_merges_to_sequential_fold(self, case):
-        problem, shards = case
-        stream, vectors = _vectors(problem)
-        for factory in FACTORIES:
-            sequential = _fold(factory, stream, vectors).result()
-            parts = [
-                _fold(factory, stream, vectors[start:stop])
-                for start, stop in shards
-            ]
-            assert combine_answers(parts) == sequential
-
-    @settings(max_examples=30, deadline=None)
-    @given(small_problems(max_tuples=9, min_tuples=3))
-    def test_merge_is_associative(self, problem):
-        stream, vectors = _vectors(problem)
-        third = len(vectors) // 3
-        splits = (
-            vectors[:third],
-            vectors[third : 2 * third],
-            vectors[2 * third :],
-        )
-        for factory in FACTORIES:
-
-            def fresh(part):
-                return _fold(factory, stream, part)
-
-            a, b, c = (fresh(part) for part in splits)
-            left = merge_accumulators([a, b])
-            left.merge(c)
-            a2, b2, c2 = (fresh(part) for part in splits)
-            b2.merge(c2)
-            a2.merge(b2)
-            assert left.result() == a2.result()
-
-    @settings(max_examples=30, deadline=None)
-    @given(small_problems())
-    def test_fresh_accumulator_is_identity(self, problem):
-        stream, vectors = _vectors(problem)
-        for factory in FACTORIES:
-            folded = _fold(factory, stream, vectors).result()
-            left = factory(stream)
-            left.merge(_fold(factory, stream, vectors))
-            assert left.result() == folded
-            right = _fold(factory, stream, vectors)
-            right.merge(factory(stream))
-            assert right.result() == folded
-
-
-class TestGroupedAccumulator:
-    @settings(max_examples=30, deadline=None)
-    @given(partitioned_problems())
-    def test_grouped_partition_merges_to_sequential_fold(self, case):
-        problem, shards = case
-        stream, _ = _vectors(problem)
-        rows = list(problem.table.rows)
-        group_index = problem.table.relation.index_of("id")
-
-        def fold_rows(part):
-            grouped = GroupedAccumulator(
-                stream, group_index, RangeSumAccumulator
-            )
-            for values in part:
-                grouped.add_row(values)
-            return grouped
-
-        sequential = fold_rows(rows).result()
-        parts = [fold_rows(rows[start:stop]) for start, stop in shards]
-        assert combine_answers(parts) == sequential
-        # Key order must reproduce the sequential first-appearance order.
-        merged = merge_accumulators(
-            [fold_rows(rows[start:stop]) for start, stop in shards]
-        )
-        assert list(merged.result()) == list(sequential)
-
-
-class TestMergeGuards:
-    def test_zero_accumulators_rejected(self):
-        with pytest.raises(EvaluationError):
-            merge_accumulators([])
-
-    def test_kind_mismatch_rejected(self):
-        with pytest.raises(EvaluationError):
-            RangeCountAccumulator().merge(RangeSumAccumulator())
-
-    def test_min_max_polarity_mismatch_rejected(self):
-        with pytest.raises(EvaluationError):
-            RangeMinMaxAccumulator(maximize=True).merge(
-                RangeMinMaxAccumulator(maximize=False)
-            )
 
 
 class TestExactSum:
-    @settings(max_examples=100, deadline=None)
-    @given(
-        st.lists(
-            st.floats(
-                min_value=-1e12, max_value=1e12, allow_nan=False
-            ),
-            max_size=30,
-        ),
-        st.integers(min_value=0, max_value=30),
-    )
-    def test_split_merge_equals_sequential(self, values, cut):
-        cut = min(cut, len(values))
-        sequential = ExactSum()
-        for value in values:
-            sequential.add(value)
-        left = ExactSum()
-        for value in values[:cut]:
-            left.add(value)
-        right = ExactSum()
-        for value in values[cut:]:
-            right.add(value)
-        left.merge(right)
-        assert left.value() == sequential.value()
-
     def test_catastrophic_cancellation_is_exact(self):
         total = ExactSum()
         for value in (1e16, 1.0, -1e16, 1.0):

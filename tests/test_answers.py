@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import datetime
+
 import pytest
 
 from repro.core.answers import (
@@ -108,6 +110,16 @@ class TestDistributionAnswer:
             DiscreteDistribution({1: 1.0}), undefined_probability=0.5
         )
         assert "undefined" in repr(answer)
+
+    def test_repr_formats_date_and_text_outcomes(self):
+        dates = DistributionAnswer(
+            DiscreteDistribution(
+                {datetime.date(2008, 1, 30): 0.6, datetime.date(2008, 2, 15): 0.4}
+            )
+        )
+        assert repr(dates) == "DistributionAnswer(2008-01-30: 0.6, 2008-02-15: 0.4)"
+        text = DistributionAnswer(DiscreteDistribution({"215": 1.0}))
+        assert repr(text) == "DistributionAnswer(215: 1)"
 
 
 class TestExpectedValueAnswer:

@@ -45,6 +45,7 @@ class TestRegistry:
             assert answer is not None, name
 
     def test_vectorized_context_matches_scalar(self):
+        pytest.importorskip("numpy")
         workload = synthetic.generate_workload(40, 6, 3, seed=2)
         scalar_ctx = BenchContext(
             workload.table, workload.pmapping, workload.queries

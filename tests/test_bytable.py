@@ -23,7 +23,7 @@ from repro.core.bytable import (
 )
 from repro.core.semantics import AggregateSemantics
 from repro.data import ebay, realestate
-from repro.exceptions import EvaluationError
+from repro.exceptions import EvaluationError, UnsupportedQueryError
 from repro.schema.mapping import AttributeCorrespondence, PMapping, RelationMapping
 from repro.schema.model import Attribute, AttributeType, Relation
 from repro.sql.parser import parse_query
@@ -37,6 +37,14 @@ class TestCombineScalarResults:
             [(3, 0.6), (1, 0.4)], AggregateSemantics.RANGE
         )
         assert answer == RangeAnswer(1, 3)
+
+    def test_expected_value_of_non_numeric_values_is_unsupported(self):
+        dates = [(datetime.date(2008, 1, 30), 0.6), (datetime.date(2008, 2, 15), 0.4)]
+        for results in (dates, [("215", 1.0)]):
+            with pytest.raises(UnsupportedQueryError, match="numeric"):
+                combine_scalar_results(
+                    results, AggregateSemantics.EXPECTED_VALUE
+                )
 
     def test_distribution_merges_equal_values(self):
         answer = combine_scalar_results(

@@ -114,6 +114,30 @@ class TestRecentCommand:
         assert "d4" in out and "d3" in out
         assert "d2" not in out  # --limit keeps the newest records
 
+    def test_recent_skips_torn_final_line(self, capsys, tmp_path):
+        import json
+
+        path = tmp_path / "slow.jsonl"
+        rows = [
+            {"ts": 0, "digest": f"d{i}", "lane": "scalar", "status": "ok",
+             "seconds": 0.001}
+            for i in range(3)
+        ]
+        text = "".join(json.dumps(r) + "\n" for r in rows)
+        # A crash mid-append truncates the last record.
+        path.write_text(text[: -len(json.dumps(rows[-1])) // 2])
+        assert main(["recent", "--file", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert "d0" in captured.out and "d1" in captured.out
+        assert "d2" not in captured.out
+        assert "skipped 1 torn final line" in captured.err
+
+    def test_recent_corrupt_inner_line_fails(self, capsys, tmp_path):
+        path = tmp_path / "slow.jsonl"
+        path.write_text('{"digest": "d0"}\n{"digest": \n{"digest": "d2"}\n')
+        assert main(["recent", "--file", str(path)]) == 2
+        assert "line 2 is not a query-log record" in capsys.readouterr().err
+
     def test_recent_missing_file_fails(self, capsys, tmp_path):
         assert main([
             "recent", "--file", str(tmp_path / "nope.jsonl"),

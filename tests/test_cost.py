@@ -2,11 +2,8 @@
 
 Covers the plan-time :class:`~repro.core.cost.CostModel`, the
 estimate/actual loop the outermost execution frame closes, the planner's
-budget preemption, the :class:`~repro.obs.feedback.PlanFeedback` store,
-and the headline property of calibration: it can change *which* lane the
-planner picks (the feedback-tuned parallel cutover differs from the
-static default) while the answer stays bit-identical to the sequential
-reference.
+budget preemption, and the :class:`~repro.obs.feedback.PlanFeedback`
+store that calibrates wall-clock predictions.
 """
 
 from __future__ import annotations
@@ -19,7 +16,6 @@ import pytest
 from repro import AggregationEngine
 from repro.core import cost
 from repro.core.cost import (
-    NEVER_PARALLEL,
     CostModel,
     cell_key,
     misestimation,
@@ -50,6 +46,9 @@ def synthetic_engine(
 
 SUM_QUERY = "SELECT SUM(value) FROM MED"
 COUNT_QUERY = "SELECT COUNT(*) FROM MED"
+SUM_KEY = cell_key(
+    AggregateOp.SUM, MappingSemantics.BY_TUPLE, AggregateSemantics.RANGE
+)
 
 
 class TestLaneEstimates:
@@ -87,7 +86,7 @@ class TestLaneEstimates:
         assert est.rows == 100 * 500
 
     def test_sequential_lanes_scan_once(self):
-        for lane in (Lane.SCALAR, Lane.VECTORIZED, Lane.STREAMING):
+        for lane in (Lane.SCALAR, Lane.VECTORIZED):
             est = self.estimate(lane, rows=100)
             assert est.rows == 100
             assert est.worlds == 0
@@ -113,39 +112,6 @@ class TestLaneEstimates:
         scalar = self.estimate(Lane.SCALAR)
         vectorized = self.estimate(Lane.VECTORIZED)
         assert vectorized.cost < scalar.cost
-
-
-class TestParallelDecision:
-    """The cost comparison must reproduce the cutover contract exactly."""
-
-    @pytest.mark.parametrize("cutover", [1, 4, 100, 4096])
-    @pytest.mark.parametrize("workers", [2, 4, 8])
-    def test_reduces_to_threshold_rule(self, cutover, workers):
-        model = CostModel()
-        for rows in (
-            1, cutover - 1, cutover, cutover + 1, 2 * cutover,
-            3 * cutover + 1, 10 * cutover,
-        ):
-            if rows < 1:
-                continue
-            decided = model.parallel_beats_sequential(
-                rows=rows,
-                mappings=3,
-                op=AggregateOp.SUM,
-                aggregate_semantics=AggregateSemantics.RANGE,
-                samples=500,
-                max_workers=workers,
-                cutover_rows=cutover,
-            )
-            assert decided == (rows > cutover), (rows, cutover, workers)
-
-    def test_no_workers_never_parallel(self):
-        model = CostModel()
-        assert not model.parallel_beats_sequential(
-            rows=10_000, mappings=3, op=AggregateOp.SUM,
-            aggregate_semantics=AggregateSemantics.RANGE, samples=500,
-            max_workers=0, cutover_rows=64,
-        )
 
 
 class TestMisestimation:
@@ -192,16 +158,14 @@ class TestPlanEstimateOnPlans:
         ).digest == d["digest"]
 
     def test_estimate_covers_fallback_and_degradation_chains(self):
-        engine = synthetic_engine(
-            64, 3, max_workers=2, min_rows_per_shard=4,
-            parallel_executor="thread",
+        engine = small_engine(allow_exponential=True, allow_sampling=True)
+        plan = engine.plan(
+            "SELECT SUM(listPrice) FROM T1", "by-tuple", "distribution"
         )
-        plan = engine.plan(SUM_QUERY, "by-tuple", "range")
-        assert plan.lane == Lane.PARALLEL
+        assert plan.lane == Lane.NAIVE
         candidates = plan.estimate.candidates
-        for lane in (Lane.PARALLEL, Lane.SCALAR, Lane.STREAMING):
+        for lane in (Lane.NAIVE, Lane.SAMPLING):
             assert lane in candidates
-        assert plan.estimate.cutover_rows == 4
 
     def test_decision_counters(self):
         engine = small_engine()
@@ -251,44 +215,17 @@ class TestEstimateActualLoop:
         assert 1 <= report["actuals"]["support"] <= 5
 
     def test_lane_change_counted_on_runtime_decline(self):
-        # Plan while calibration says parallel pays off, then let newer
-        # observations evict that belief: the cached parallel plan
-        # declines at run time (the recomputed cutover says never), the
-        # scalar fallback answers, and the loop records the lane change.
-        engine = synthetic_engine(
-            3000, 3, max_workers=2, parallel_executor="thread",
-            calibrate=True,
-        )
-        feedback = engine.context.feedback
-        key = cell_key(
-            AggregateOp.SUM, MappingSemantics.BY_TUPLE,
-            AggregateSemantics.RANGE,
-        )
-        for rows in (1000, 2000, 4000):
-            feedback.record(
-                key, Lane.PARALLEL, rows=rows, worlds=0, cost=rows,
-                seconds=0.001 + 1e-6 * rows,
-            )
-            feedback.record(
-                key, Lane.SCALAR, rows=rows, worlds=0, cost=rows,
-                seconds=1e-5 * rows,
-            )
-        plan = engine.plan(SUM_QUERY, "by-tuple", "range")
-        assert plan.lane == Lane.PARALLEL
-        # Evict the cheap-parallel observations with expensive ones.
-        for i in range(feedback.capacity):
-            rows = 1000 + (i % 3) * 1000
-            feedback.record(
-                key, Lane.PARALLEL, rows=rows, worlds=0, cost=rows,
-                seconds=2e-5 * rows,
-            )
-        assert engine.context.effective_min_rows_per_shard(
-            key
-        ) == cost.NEVER_PARALLEL
-        engine.answer(SUM_QUERY, "by-tuple", "range")
+        # The vectorized plan declines at run time on a DATE aggregate
+        # argument, the scalar fallback answers, and the loop records the
+        # lane change.
+        pytest.importorskip("numpy")
+        engine = small_engine(vectorize=True)
+        query = "SELECT MAX(date) FROM T1"
+        assert engine.plan(query, "by-tuple", "range").lane == Lane.VECTORIZED
+        engine.answer(query, "by-tuple", "range")
         snapshot = engine.metrics_snapshot()
         assert snapshot.get("planner.lane_changed", 0) >= 1
-        assert engine.context.last_stats["executed_lane"] != Lane.PARALLEL
+        assert engine.context.last_stats["executed_lane"] == Lane.SCALAR
 
     def test_aborted_run_reports_partial_actuals(self):
         engine = synthetic_engine(64, 3, max_rows=10)
@@ -387,10 +324,10 @@ class TestPlanFeedback:
         store = PlanFeedback()
         for rows in (100, 200, 400):
             store.record(
-                "c", "parallel", rows=rows, worlds=0, cost=rows,
+                "c", "scalar", rows=rows, worlds=0, cost=rows,
                 seconds=0.01 + 2e-5 * rows,
             )
-        intercept, slope = store.linear_fit("c", "parallel")
+        intercept, slope = store.linear_fit("c", "scalar")
         assert intercept == pytest.approx(0.01, rel=1e-6)
         assert slope == pytest.approx(2e-5, rel=1e-6)
 
@@ -398,9 +335,9 @@ class TestPlanFeedback:
         store = PlanFeedback()
         for _ in range(4):
             store.record(
-                "c", "parallel", rows=100, worlds=0, cost=100, seconds=0.1
+                "c", "scalar", rows=100, worlds=0, cost=100, seconds=0.1
             )
-        assert store.linear_fit("c", "parallel") is None
+        assert store.linear_fit("c", "scalar") is None
 
     def test_save_load_round_trip(self, tmp_path):
         store = PlanFeedback()
@@ -432,87 +369,13 @@ class TestPlanFeedback:
         assert "fit" in entry
 
 
-class TestCalibratedCutover:
-    KEY = cell_key(
-        AggregateOp.SUM, MappingSemantics.BY_TUPLE, AggregateSemantics.RANGE
-    )
-
-    def prime(self, feedback, *, parallel_overhead=0.001,
-              parallel_per_row=1e-6, scalar_per_row=1e-5):
-        for rows in (1000, 2000, 4000):
-            feedback.record(
-                self.KEY, Lane.PARALLEL, rows=rows, worlds=0, cost=rows,
-                seconds=parallel_overhead + parallel_per_row * rows,
-            )
-            feedback.record(
-                self.KEY, Lane.SCALAR, rows=rows, worlds=0, cost=rows,
-                seconds=scalar_per_row * rows,
-            )
-
-    def test_cutover_moves_to_measured_break_even(self):
-        feedback = PlanFeedback()
-        self.prime(feedback)
-        model = CostModel(feedback)
-        # break-even = 0.001 / (1e-5 - 1e-6) ~ 111.1 -> engage at >= 112.
-        assert model.parallel_cutover(self.KEY, 4096) == 111
-
-    def test_cutover_never_when_parallel_loses(self):
-        feedback = PlanFeedback()
-        self.prime(feedback, parallel_per_row=2e-5, scalar_per_row=1e-5)
-        model = CostModel(feedback)
-        assert model.parallel_cutover(self.KEY, 4096) == NEVER_PARALLEL
-
-    def test_static_default_without_enough_data(self):
-        model = CostModel(PlanFeedback())
-        assert model.parallel_cutover(self.KEY, 4096) == 4096
-
-    def test_calibration_changes_lane_answer_identical(self):
-        """The acceptance-criterion test: feedback flips the lane
-        decision away from the static default while the answer stays
-        bit-identical to the sequential reference."""
-        # Static default (4096): 3000 rows stay sequential.
-        reference_engine = synthetic_engine(3000, 3)
-        static_engine = synthetic_engine(
-            3000, 3, max_workers=2, parallel_executor="thread"
-        )
-        calibrated = synthetic_engine(
-            3000, 3, max_workers=2, parallel_executor="thread",
-            calibrate=True,
-        )
-        assert static_engine.plan(
-            SUM_QUERY, "by-tuple", "range"
-        ).lane != Lane.PARALLEL
-        self.prime(calibrated.context.feedback)
-        assert calibrated.context.effective_min_rows_per_shard(
-            self.KEY
-        ) == 111
-        plan = calibrated.plan(SUM_QUERY, "by-tuple", "range")
-        assert plan.lane == Lane.PARALLEL
-        assert plan.estimate.cutover_rows == 111
-        assert plan.estimate.predicted_seconds is not None
-        answer = calibrated.answer(SUM_QUERY, "by-tuple", "range")
-        reference = reference_engine.answer(SUM_QUERY, "by-tuple", "range")
-        assert answer == reference
-
-    def test_explicit_min_rows_per_shard_stays_pinned(self):
-        engine = synthetic_engine(
-            3000, 3, max_workers=2, parallel_executor="thread",
-            calibrate=True, min_rows_per_shard=4096,
-        )
-        self.prime(engine.context.feedback)
-        assert engine.context.effective_min_rows_per_shard(self.KEY) == 4096
-        assert engine.plan(
-            SUM_QUERY, "by-tuple", "range"
-        ).lane != Lane.PARALLEL
-
-
 class TestEngineCalibration:
     def test_calibrate_records_observations(self):
         engine = synthetic_engine(64, 3, calibrate=True)
         for _ in range(3):
             engine.answer(SUM_QUERY, "by-tuple", "range")
         snapshot = engine.feedback_snapshot()
-        key = f"{TestCalibratedCutover.KEY}|scalar"
+        key = f"{SUM_KEY}|scalar"
         assert snapshot[key]["observations"] == 3
         assert "seconds_per_unit" in snapshot[key]
 
@@ -532,7 +395,7 @@ class TestEngineCalibration:
         assert document["version"] == 1
         # A fresh engine resumes from the persisted calibration.
         second = synthetic_engine(64, 3, feedback_path=path)
-        key = f"{TestCalibratedCutover.KEY}|scalar"
+        key = f"{SUM_KEY}|scalar"
         assert second.feedback_snapshot()[key]["observations"] == 3
 
     def test_truncated_feedback_file_loads_empty(self, tmp_path):

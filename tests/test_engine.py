@@ -242,6 +242,7 @@ class TestVectorizedEngine:
         assert answer.as_tuple() == (1, 3)
 
     def test_columnar_cache_reused(self, ds2, pm2):
+        pytest.importorskip("numpy")
         engine = AggregationEngine([ds2], pm2, vectorize=True)
         engine.answer("SELECT MAX(price) FROM T2", "by-tuple", "range")
         cached = engine._columnar_cache["S2"]
@@ -320,6 +321,7 @@ class TestPartialCoverageMappings:
         assert fast.approx_equal(naive, 1e-9)
 
     def test_vectorized_matches_scalar(self, ds1, partial_pmapping, q1):
+        pytest.importorskip("numpy")
         from repro.core.vectorized import (
             ColumnarTable,
             by_tuple_range_count_vec,

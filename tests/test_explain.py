@@ -78,6 +78,7 @@ class TestPlanToDict:
         json.dumps(data)  # JSON-ready, by contract
 
     def test_vectorized_plan_exposes_fallback_chain(self, ds1, pm1, q1):
+        pytest.importorskip("numpy")
         with AggregationEngine([ds1], pm1, vectorize=True) as engine:
             data = engine.plan(
                 q1, MappingSemantics.BY_TUPLE, AggregateSemantics.RANGE
@@ -266,6 +267,7 @@ class TestSpanNesting:
     def test_vectorized_fallback_nests_under_declined_lane(
         self, ds1, pm1, q1, monkeypatch
     ):
+        pytest.importorskip("numpy")
         from repro.core import vectorized
 
         def decline(*args, **kwargs):
@@ -287,6 +289,7 @@ class TestSpanNesting:
         assert "vectorized.hit" not in snap
 
     def test_vectorized_hit_has_no_fallback_span(self, ds1, pm1, q1):
+        pytest.importorskip("numpy")
         sink = InMemorySink()
         with AggregationEngine([ds1], pm1, vectorize=True) as engine, \
                 use_sink(sink):

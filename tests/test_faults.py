@@ -5,7 +5,7 @@ to the sequential scalar lane's answer or a typed
 :class:`~repro.exceptions.ReproError` — never silently wrong.**  The
 chaos matrix arms every registered failpoint with both a ``raise`` and a
 ``corrupt`` action and sweeps every PTIME cell of the paper's Figure 6
-matrix through an engine whose parallel lane is active.
+matrix through an engine whose vectorized lane is active.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import pytest
 
 from repro import AggregationEngine, ReproError, StorageError
-from repro.core.planner import Lane
 from repro.data import synthetic
 from repro.exceptions import EvaluationError
 from repro.storage import sqlite_backend
@@ -67,11 +66,9 @@ def problem(num_tuples: int = 16, num_mappings: int = 3):
 
 
 def chaos_engine(**kwargs) -> AggregationEngine:
-    """An engine with the parallel lane active on a 16-row instance."""
+    """An engine with the vectorized lane active on a 16-row instance."""
     table, pmapping = problem()
-    kwargs.setdefault("max_workers", 2)
-    kwargs.setdefault("min_rows_per_shard", 4)
-    kwargs.setdefault("parallel_executor", "thread")
+    kwargs.setdefault("vectorize", True)
     return AggregationEngine([table], pmapping, **kwargs)
 
 
@@ -83,7 +80,7 @@ def answers_equal(a, b) -> bool:
 
 @pytest.fixture(scope="module")
 def baselines():
-    """Scalar-lane ground truth for every PTIME cell (no parallel lane).
+    """Scalar-lane ground truth for every PTIME cell (no vectorized lane).
 
     Keyed by backend: SQLite accumulates SUM in its own order, so its
     float results are its own ground truth, not the memory backend's.
@@ -110,22 +107,22 @@ class TestActionGrammar:
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown fault kind"):
-            faults.parse_action("parallel.map", "explode")
+            faults.parse_action("execute.dispatch", "explode")
 
     def test_unknown_exception_rejected(self):
         with pytest.raises(ValueError, match="unknown exception"):
-            faults.parse_action("parallel.map", "raise:KeyboardInterrupt")
+            faults.parse_action("execute.dispatch", "raise:KeyboardInterrupt")
 
     def test_nth_must_be_positive(self):
         with pytest.raises(ValueError, match="@nth"):
-            faults.parse_action("parallel.map", "corrupt@0")
+            faults.parse_action("execute.dispatch", "corrupt@0")
 
     def test_grammar_fields(self):
         spec = faults.parse_action("sqlite.cursor", "raise:OperationalError@3")
         assert (spec.kind, spec.argument, spec.nth) == (
             "raise", "OperationalError", 3
         )
-        assert faults.parse_action("parallel.map", "delay").argument == "0.01"
+        assert faults.parse_action("execute.dispatch", "delay").argument == "0.01"
 
 
 class TestHarness:
@@ -141,15 +138,15 @@ class TestHarness:
         assert faults.active() == {}
 
     def test_corrupt_returns_sentinel(self):
-        with faults.failpoint("parallel.merge", "corrupt") as spec:
-            assert faults.maybe_fire("parallel.merge") is faults.CORRUPT
+        with faults.failpoint("plan.cache.evict", "corrupt") as spec:
+            assert faults.maybe_fire("plan.cache.evict") is faults.CORRUPT
             assert spec.fired == 1
 
     def test_nth_fires_on_exactly_the_nth_hit(self):
-        with faults.failpoint("parallel.shard", "corrupt@2") as spec:
-            assert faults.maybe_fire("parallel.shard") is None
-            assert faults.maybe_fire("parallel.shard") is faults.CORRUPT
-            assert faults.maybe_fire("parallel.shard") is None
+        with faults.failpoint("plan.cache.evict", "corrupt@2") as spec:
+            assert faults.maybe_fire("plan.cache.evict") is None
+            assert faults.maybe_fire("plan.cache.evict") is faults.CORRUPT
+            assert faults.maybe_fire("plan.cache.evict") is None
             assert (spec.hits, spec.fired) == (3, 1)
 
     def test_env_var_arms_failpoints(self, monkeypatch):
@@ -215,29 +212,6 @@ class TestSqliteRetry:
         assert not sqlite_backend._is_transient(
             sqlite3.DatabaseError("database is locked")
         )
-
-
-class TestParallelPoolFailure:
-    def test_pool_failure_falls_back_logged_and_counted(self, caplog, baselines):
-        engine = chaos_engine()
-        cell = ("COUNT", "by-tuple", "expected-value")
-        query = QUERIES["COUNT"]
-        assert engine.plan(query, cell[1], cell[2]).lane == Lane.PARALLEL
-        with caplog.at_level("WARNING", logger="repro.parallel"):
-            with faults.failpoint("parallel.map", "raise:BrokenExecutor"):
-                answer = engine.answer(query, cell[1], cell[2])
-        assert answers_equal(answer, baselines()[cell])
-        snap = engine.metrics_snapshot()
-        assert snap["parallel.pool_failure"] == 1
-        assert snap["parallel.pool_failure.BrokenExecutor"] == 1
-        assert snap["parallel.fallback"] == 1
-        assert any("falling back" in r.message for r in caplog.records)
-
-    def test_corrupt_shard_surfaces_as_typed_error_not_wrong_answer(self):
-        engine = chaos_engine()
-        with faults.failpoint("parallel.shard", "corrupt@1"):
-            with pytest.raises(ReproError):
-                engine.answer(QUERIES["SUM"], "by-tuple", "range")
 
 
 class TestChaosMatrix:

@@ -3,14 +3,14 @@
 Covers the robustness contract end to end:
 
 * :class:`Budget` / :class:`ExecutionGuard` unit behaviour (limits,
-  stride-throttled deadline checks, progress snapshots, exportable
-  budgets for workers, pickling of guardrail errors);
+  stride-throttled deadline checks, progress snapshots, pickling of
+  guardrail errors);
 * the deadline firing mid-DP (:mod:`repro.core.bytuple_count`) and
   mid-enumeration (:mod:`repro.core.naive`), with structured partial
   progress and no corrupted cache state afterwards;
 * graceful degradation: exponential cells rerun on the sampling lane
-  with a recorded accuracy contract, parallel work degrades to the
-  streaming lane, terminal lanes still raise;
+  with a recorded accuracy contract, the vectorized lane degrades to the
+  scalar lane, terminal lanes still raise;
 * :meth:`AggregationEngine.answer_many` returning a
   :class:`BatchResult` that survives per-query failures.
 """
@@ -35,7 +35,6 @@ from repro import (
 from repro.core import guard as guardmod
 from repro.core.planner import DEGRADATION_CHAIN, Lane, degradation_chain
 from repro.data import realestate, synthetic
-from repro.testing import faults
 
 
 def small_engine(**kwargs) -> AggregationEngine:
@@ -120,12 +119,6 @@ class TestExecutionGuard:
         # ... and the row that completes the stride consults the clock.
         with pytest.raises(QueryTimeoutError):
             guard.add_rows(1)
-
-    def test_exportable_reanchors_deadline(self):
-        guard = guardmod.ExecutionGuard(Budget(timeout_ms=60_000, max_rows=9))
-        exported = guard.exportable()
-        assert exported.max_rows == 9
-        assert 0 < exported.timeout_ms <= 60_000
 
     def test_guarded_noop_for_none_and_unlimited(self):
         with guardmod.guarded(None) as guard:
@@ -252,7 +245,7 @@ class TestEngineGuardrails:
 
 class TestDegradation:
     def test_chain_shape(self):
-        assert degradation_chain(Lane.PARALLEL) == [Lane.STREAMING, Lane.SCALAR]
+        assert degradation_chain(Lane.VECTORIZED) == [Lane.SCALAR]
         assert degradation_chain(Lane.NAIVE) == [Lane.SAMPLING]
         assert degradation_chain(Lane.SCALAR) == []
         # to_dict surfaces the chain for EXPLAIN.
@@ -261,7 +254,7 @@ class TestDegradation:
         assert plan.to_dict()["degradation_chain"] == degradation_chain(
             plan.lane
         )
-        assert Lane.STREAMING in DEGRADATION_CHAIN[Lane.PARALLEL]
+        assert Lane.SCALAR in DEGRADATION_CHAIN[Lane.VECTORIZED]
 
     def test_exponential_degrades_to_sampling(self):
         engine = small_engine(
@@ -304,33 +297,29 @@ class TestDegradation:
         assert report["degradation"]["to"] == Lane.SAMPLING
         assert "epsilon" in report["degradation"]
 
-    def test_parallel_degrades_to_streaming(self, monkeypatch):
-        # Make every row consult the clock, then stall the first shard past
-        # the deadline: the worker's guardrail error surfaces through the
-        # pool and the degradation walk reruns on the streaming lane.
-        monkeypatch.setattr(guardmod, "CHECK_STRIDE", 1)
+    def test_vectorized_degrades_to_scalar(self):
+        # The deadline expires inside the vectorized COUNT DP: the
+        # degradation walk reruns the cell on the scalar lane, without the
+        # already-spent deadline.
+        pytest.importorskip("numpy")
         engine = synthetic_engine(
-            num_tuples=16,
-            max_workers=2,
-            min_rows_per_shard=4,
-            parallel_executor="thread",
-            degrade=True,
-            timeout_ms=25,
+            num_tuples=16, vectorize=True, degrade=True, timeout_ms=0
         )
         query = "SELECT COUNT(*) FROM MED WHERE value < 500"
-        assert engine.plan(query, "by-tuple", "expected-value").lane == Lane.PARALLEL
+        plan = engine.plan(query, "by-tuple", "distribution")
+        assert plan.lane == Lane.VECTORIZED
         baseline = synthetic_engine(num_tuples=16).answer(
-            query, "by-tuple", "expected-value"
+            query, "by-tuple", "distribution"
         )
-        with faults.failpoint("parallel.shard", "delay:0.2@1"):
-            answer = engine.answer(query, "by-tuple", "expected-value")
-        assert answer.approx_equal(baseline)
+        answer = engine.answer(query, "by-tuple", "distribution")
+        assert answer == baseline
         record = engine.context.last_degradation
-        assert record["from"] == Lane.PARALLEL
-        assert record["to"] == Lane.STREAMING
+        assert record["from"] == Lane.VECTORIZED
+        assert record["to"] == Lane.SCALAR
+        assert record["reason"] == "QueryTimeoutError"
         snap = engine.metrics_snapshot()
-        assert snap["degraded.parallel.to.streaming"] == 1
-        assert snap["streaming.hit"] == 1
+        assert snap["degraded.vectorized.to.scalar"] == 1
+        assert snap["planner.executed.scalar"] == 1
 
     def test_terminal_lane_still_raises_with_degrade_on(self):
         # The scalar lane has no degradation target: the breach propagates
@@ -341,8 +330,8 @@ class TestDegradation:
         assert engine.context.last_degradation is None
 
     def test_resource_breach_that_every_target_repeats_propagates(self):
-        # max_support trips the DP on the scalar lane too, so a degraded
-        # parallel plan re-breaches everywhere and the last error surfaces.
+        # max_rows trips the scalar lane too, so a degraded plan
+        # re-breaches everywhere and the last error surfaces.
         engine = small_engine(degrade=True, max_rows=1)
         with pytest.raises(BudgetExceededError):
             engine.answer(realestate.Q1, "by-tuple", "range")

@@ -5,14 +5,10 @@ BETWEEN, IN — exercising the full three-valued-logic surface) run through
 every lane applicable to each PTIME by-tuple cell:
 
 * the scalar kernels (baseline),
-* the sharded **parallel** lane — which promises answers *bit-for-bit
-  equal* to the scalar lane (exact running sums, order-preserving
-  merges), so the comparison is strict ``==``,
 * the columnar vectorized lane — whose float folds are factored through
   the same exact primitives as the scalar kernels (``fsum``-equivalent
   totals, the shared AVG greedy, element-exact DP updates), so the
-  comparison is strict ``==`` as well,
-* the streaming accumulators,
+  comparison is strict ``==``,
 * ``answer_many(parallel=True)``, whose thread pool must return the same
   answers in the same order as the sequential batch.
 
@@ -32,7 +28,7 @@ from repro.schema.correspondence import AttributeCorrespondence
 from repro.schema.mapping import PMapping, RelationMapping
 from repro.storage.table import Table
 
-#: The eight PTIME flat by-tuple cells the parallel lane covers.
+#: The eight PTIME flat by-tuple cells the vectorized lane covers.
 CELLS = [
     ("COUNT(*)", AggregateSemantics.RANGE),
     ("COUNT(*)", AggregateSemantics.DISTRIBUTION),
@@ -118,28 +114,17 @@ def _assert_vectorized_close(baseline, answer, label):
 class TestLanesAgree:
     @settings(max_examples=40, deadline=None)
     @given(lane_problems())
-    def test_parallel_and_vectorized_match_scalar(self, case):
+    def test_vectorized_matches_scalar(self, case):
         table, pmapping, where = case
         scalar = AggregationEngine(table, pmapping)
         vectorized = AggregationEngine(table, pmapping, vectorize=True)
-        parallel = AggregationEngine(
-            table,
-            pmapping,
-            max_workers=3,
-            min_rows_per_shard=1,
-            parallel_executor="thread",
-        )
-        with scalar, vectorized, parallel:
+        with scalar, vectorized:
             for aggregate, semantics in CELLS:
                 query = f"SELECT {aggregate} FROM MED WHERE {where}"
                 baseline = scalar.answer(
                     query, MappingSemantics.BY_TUPLE, semantics
                 )
                 label = f"{aggregate}/{semantics.value} WHERE {where}"
-                assert (
-                    parallel.answer(query, MappingSemantics.BY_TUPLE, semantics)
-                    == baseline
-                ), f"parallel lane diverged: {label}"
                 _assert_vectorized_close(
                     baseline,
                     vectorized.answer(
@@ -151,29 +136,22 @@ class TestLanesAgree:
     @settings(max_examples=15, deadline=None)
     @given(lane_problems())
     def test_grouped_queries_fall_back_identically(self, case):
-        """GROUP BY stays off the parallel lane; the fallback must agree."""
+        """GROUP BY on a vectorizing engine (the columnar partition, or
+        the scalar fallback without numpy) must agree with scalar."""
         table, pmapping, where = case
         query = f"SELECT SUM(value) FROM MED WHERE {where} GROUP BY id"
         scalar = AggregationEngine(table, pmapping)
-        parallel = AggregationEngine(
-            table,
-            pmapping,
-            max_workers=3,
-            min_rows_per_shard=1,
-            parallel_executor="thread",
-        )
-        with scalar, parallel:
+        vectorized = AggregationEngine(table, pmapping, vectorize=True)
+        with scalar, vectorized:
             baseline = scalar.answer(
                 query, MappingSemantics.BY_TUPLE, AggregateSemantics.RANGE
             )
             assert (
-                parallel.answer(
+                vectorized.answer(
                     query, MappingSemantics.BY_TUPLE, AggregateSemantics.RANGE
                 )
                 == baseline
             )
-            # The planner never chose the parallel lane for the grouped query.
-            assert parallel.metrics_snapshot().get("parallel.hit", 0) == 0
 
 
 class TestAnswerMany:
@@ -185,7 +163,7 @@ class TestAnswerMany:
             f"SELECT {aggregate} FROM MED WHERE {where}"
             for aggregate, _ in CELLS
         ]
-        with AggregationEngine(table, pmapping, max_workers=4) as engine:
+        with AggregationEngine(table, pmapping) as engine:
             sequential = engine.answer_many(
                 queries, MappingSemantics.BY_TUPLE, AggregateSemantics.RANGE
             )
@@ -208,9 +186,7 @@ class TestAnswerMany:
             "SELECT COUNT(*) FROM MED WHERE value < 400",
             "SELECT COUNT(*) FROM MED WHERE value < 600",
         ]
-        with AggregationEngine(
-            table, pmapping, backend="sqlite", max_workers=4
-        ) as engine:
+        with AggregationEngine(table, pmapping, backend="sqlite") as engine:
             parallel = engine.answer_many(
                 queries,
                 MappingSemantics.BY_TABLE,
@@ -223,26 +199,3 @@ class TestAnswerMany:
                 AggregateSemantics.EXPECTED_VALUE,
             )
         assert parallel == sequential
-
-
-class TestProcessPool:
-    def test_process_pool_matches_scalar_on_all_cells(self):
-        """The default process executor, end to end, on a non-trivial table."""
-        relation = synthetic.source_relation(3)
-        table = synthetic.generate_source_table(
-            8192, 3, seed=11, relation=relation
-        )
-        pmapping = synthetic.generate_pmapping(relation, 3, seed=11)
-        scalar = AggregationEngine(table, pmapping)
-        parallel = AggregationEngine(table, pmapping, max_workers=4)
-        with scalar, parallel:
-            for aggregate, semantics in CELLS:
-                query = f"SELECT {aggregate} FROM MED WHERE value < 500"
-                assert parallel.answer(
-                    query, MappingSemantics.BY_TUPLE, semantics
-                ) == scalar.answer(
-                    query, MappingSemantics.BY_TUPLE, semantics
-                ), f"{aggregate}/{semantics.value}"
-            snapshot = parallel.metrics_snapshot()
-        assert snapshot.get("parallel.hit", 0) == len(CELLS)
-        assert snapshot.get("parallel.fallback", 0) == 0

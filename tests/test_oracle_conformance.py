@@ -8,8 +8,6 @@ random instances (``m ** n`` worlds, ``n <= 6``):
 * the scalar kernels (the engine's default lanes),
 * the naive sequence enumeration (for the non-PTIME cells),
 * the vectorized numpy lane,
-* the sharded parallel lane (forced onto tiny inputs via
-  ``min_rows_per_shard=1``),
 * the streaming accumulators,
 * the SQLite-backed by-table executor.
 
@@ -21,6 +19,7 @@ different orders, match to 1e-9.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 
 from repro.core.answers import (
@@ -31,6 +30,8 @@ from repro.core.answers import (
 from repro.core.engine import AggregationEngine
 from repro.core.naive import naive_by_tuple_answer
 from repro.core.semantics import AggregateSemantics, MappingSemantics
+from repro.data import realestate
+from repro.sql.parser import parse_query
 from repro.core.streaming import (
     DistributionCountAccumulator,
     ExpectedCountAccumulator,
@@ -93,17 +94,6 @@ def engines_under_test(problem):
                 problem.pmapping,
                 vectorize=True,
                 allow_exponential=True,
-            ),
-        ),
-        (
-            "parallel",
-            AggregationEngine(
-                problem.table,
-                problem.pmapping,
-                allow_exponential=True,
-                max_workers=2,
-                min_rows_per_shard=1,
-                parallel_executor="thread",
             ),
         ),
     ]
@@ -196,6 +186,40 @@ class TestByTupleConformance:
             )
 
 
+class TestNonNumericExtremes:
+    """By-tuple MIN/MAX range over DATE and TEXT values (the paper's T1)."""
+
+    @pytest.mark.parametrize("vectorize", [False, True])
+    @pytest.mark.parametrize(
+        "sql, maximize, bounds",
+        [
+            ("SELECT MAX(date) FROM T1", True, ("2008-01-30", "2008-02-15")),
+            ("SELECT MIN(phone) FROM T1", False, ("215", "215")),
+        ],
+    )
+    def test_engine_and_stream_match_oracle(
+        self, sql, maximize, bounds, vectorize
+    ):
+        table = realestate.paper_instance()
+        pmapping = realestate.paper_pmapping()
+        query = parse_query(sql)
+        oracle = oracle_answer(
+            table,
+            pmapping,
+            query,
+            MappingSemantics.BY_TUPLE,
+            AggregateSemantics.RANGE,
+        )
+        assert tuple(str(bound) for bound in oracle.as_tuple()) == bounds
+        engine = AggregationEngine([table], pmapping, vectorize=vectorize)
+        assert engine.answer(sql, "by-tuple", "range") == oracle
+        stream = TupleStream(table.relation, pmapping, query)
+        accumulator = RangeMinMaxAccumulator(stream, maximize=maximize)
+        for values in table.rows:
+            accumulator.add_row(values)
+        assert accumulator.result() == oracle
+
+
 class TestByTableConformance:
     @settings(max_examples=20, deadline=None)
     @given(small_problems())
@@ -223,26 +247,3 @@ class TestByTableConformance:
                             f"by-table/{backend}/{op}/{semantics.value}",
                         )
 
-
-def test_parallel_lane_actually_engages():
-    """Guard: the 'parallel' engine above runs the parallel lane, not a fallback."""
-    from repro.data import synthetic
-
-    relation = synthetic.source_relation(3)
-    table = synthetic.generate_source_table(64, 3, seed=3, relation=relation)
-    pmapping = synthetic.generate_pmapping(relation, 3, seed=3)
-    with AggregationEngine(
-        table,
-        pmapping,
-        max_workers=2,
-        min_rows_per_shard=1,
-        parallel_executor="thread",
-    ) as engine:
-        engine.answer(
-            "SELECT SUM(value) FROM MED WHERE value < 500",
-            MappingSemantics.BY_TUPLE,
-            AggregateSemantics.RANGE,
-        )
-        counters = engine.metrics_snapshot()
-    assert counters.get("parallel.hit", 0) >= 1
-    assert counters.get("parallel.fallback", 0) == 0

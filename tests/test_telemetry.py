@@ -1,10 +1,10 @@
-"""End-to-end telemetry: concurrent tracing, cross-worker stitching, the
-query log, and the Prometheus exporter.
+"""End-to-end telemetry: concurrent tracing, the query log, and the
+Prometheus exporter.
 
 The :mod:`repro.obs` primitives in isolation are covered by
-``test_obs.py``; this module covers what PR 7 added on top — trace
-context surviving threads and pool workers, the always-on structured
-query log, and metrics exposition.
+``test_obs.py``; this module covers what sits on top — trace context
+surviving threads, the always-on structured query log, and metrics
+exposition.
 """
 
 from __future__ import annotations
@@ -157,80 +157,6 @@ class TestConcurrentTracing:
         assert clone.seconds == sink.roots[0].seconds
 
 
-class TestShardStitching:
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_reparenting_deterministic(self, workload, executor):
-        """Every pool shard's subtree lands under parallel.map, in shard
-        order, with its metrics merged — identically for both pools."""
-        w = workload
-        engine = AggregationEngine(
-            w.table, w.pmapping, max_workers=4, min_rows_per_shard=500,
-            parallel_executor=executor,
-        )
-        with engine, trace.use_sink(InMemorySink()) as sink:
-            engine.answer(w.query(AggregateOp.SUM), "by-tuple", "range")
-            (lane_span,) = sink.find("parallel.map")
-            shard_spans = lane_span.children
-            assert [s.name for s in shard_spans] == ["parallel.shard"] * 4
-            # Deterministic: children arrive in shard order regardless of
-            # which worker finished first.
-            assert [s.attributes["shard"] for s in shard_spans] == [0, 1, 2, 3]
-            assert sum(s.attributes["rows"] for s in shard_spans) == 4000
-            for span in shard_spans:
-                assert span.seconds > 0.0
-                assert span.start_ts is not None
-            snapshot = engine.metrics_snapshot()
-            assert snapshot["parallel.shard.folds"] == 4
-            assert snapshot["parallel.shard.folds"] == (
-                snapshot["parallel.columnar_shards"]
-            )
-            assert snapshot["parallel.shard.rows"] == 4000
-
-    def test_untraced_parallel_run_ships_no_spans(self, workload):
-        """Without a sink the workers skip span capture but still ship
-        their metric deltas."""
-        w = workload
-        engine = AggregationEngine(
-            w.table, w.pmapping, max_workers=2, min_rows_per_shard=500,
-            parallel_executor="thread",
-        )
-        with engine:
-            engine.answer(w.query(AggregateOp.SUM), "by-tuple", "range")
-            assert engine.metrics_snapshot()["parallel.shard.folds"] == 2
-
-    def test_explain_analyze_shows_shard_subtrees(self, workload):
-        """The acceptance criterion: explain_analyze of a parallel-lane
-        query surfaces per-shard spans and merged shard metrics."""
-        w = workload
-        engine = AggregationEngine(
-            w.table, w.pmapping, max_workers=2, min_rows_per_shard=500,
-            parallel_executor="thread",
-        )
-        with engine:
-            report = engine.explain_analyze(
-                w.query(AggregateOp.SUM), "by-tuple", "range"
-            )
-
-        def find(node, name):
-            if node["name"] == name:
-                return node
-            for child in node["children"]:
-                found = find(child, name)
-                if found is not None:
-                    return found
-            return None
-
-        (root,) = report["spans"]
-        lane = find(root, "parallel.map")
-        assert lane is not None
-        shard_names = [c["name"] for c in lane["children"]]
-        assert shard_names == ["parallel.shard"] * 2
-        assert report["metrics"]["parallel.shard.folds"] == 2
-        assert report["metrics"]["parallel.shard.folds"] == (
-            report["metrics"]["parallel.columnar_shards"]
-        )
-
-
 class TestQueryLog:
     def test_success_record(self, small_workload):
         w = small_workload
@@ -380,18 +306,6 @@ class TestExport:
                     f"http://127.0.0.1:{server.port}/nope", timeout=10
                 )
 
-    def test_shard_metrics_reach_exposition(self, workload):
-        w = workload
-        engine = AggregationEngine(
-            w.table, w.pmapping, max_workers=2, min_rows_per_shard=500,
-            parallel_executor="thread",
-        )
-        with engine:
-            engine.answer(w.query(AggregateOp.SUM), "by-tuple", "range")
-            text = export.render_prometheus(engine.context.metrics)
-        assert "repro_parallel_shard_folds_total 2" in text
-
-
 # -- Prometheus 0.0.4 exposition grammar ---------------------------------
 
 import math  # noqa: E402
@@ -516,13 +430,12 @@ class TestExpositionGrammar:
         assert value == 2.0
 
     def test_real_workload_exposition_is_grammatical(self, workload):
-        """A full engine run — parallel, sampling, calibration, budget
+        """A full engine run — scalar, sampling, calibration, budget
         preemption — must export a grammatical exposition carrying the
         planner's decision counters and misestimation histograms."""
         w = workload
         engine = AggregationEngine(
-            w.table, w.pmapping, max_workers=2, min_rows_per_shard=500,
-            parallel_executor="thread", allow_sampling=True, samples=20,
+            w.table, w.pmapping, allow_sampling=True, samples=20,
             calibrate=True,
         )
         with engine:
@@ -541,9 +454,9 @@ class TestExpositionGrammar:
             name for name, family in families.items()
             if family["type"] == "counter"
         }
-        assert "repro_planner_decision_parallel_total" in counters
+        assert "repro_planner_decision_scalar_total" in counters
         assert "repro_planner_decision_sampling_total" in counters
-        assert "repro_planner_executed_parallel_total" in counters
+        assert "repro_planner_executed_scalar_total" in counters
         summaries = {
             name for name, family in families.items()
             if family["type"] == "summary"

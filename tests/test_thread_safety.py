@@ -60,11 +60,9 @@ def test_concurrent_prepare_and_answer_under_eviction():
     assert all(results)
 
 
-def test_concurrent_answers_with_parallel_lane():
-    """Threaded callers sharing one engine whose queries also shard internally."""
-    with _small_engine(
-        max_workers=2, min_rows_per_shard=1, parallel_executor="thread"
-    ) as engine:
+def test_concurrent_answers_with_vectorized_lane():
+    """Threaded callers sharing one engine and its columnar cache."""
+    with _small_engine(vectorize=True) as engine:
         query = "SELECT COUNT(*) FROM MED WHERE value < 500"
         expected = engine.answer(
             query, MappingSemantics.BY_TUPLE, AggregateSemantics.RANGE
