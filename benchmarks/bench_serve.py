@@ -34,7 +34,7 @@ QUEUE_DEPTH = 4
 #: sample count is the workload's latency knob.
 REQUEST = {
     "dataset": "bench",
-    "query": "SELECT SUM(a1) FROM T WHERE a1 < 800",
+    "query": "SELECT SUM(value) FROM T WHERE value < 800",
     "mapping_semantics": "by-tuple",
     "aggregate_semantics": "distribution",
     "samples": 60,

@@ -12,13 +12,14 @@ import pytest
 
 from repro.bench.contexts import make_synthetic_context
 from repro.core.bytuple_sum import by_tuple_range_sum
+from repro.core.semantics import AggregateSemantics
 from repro.core.streaming import (
     RangeCountAccumulator,
     RangeSumAccumulator,
     TupleStream,
     answer_stream,
 )
-from repro.core.vectorized import by_tuple_range_sum_vec
+from repro.core.vectorized import run_grouped_vectorized
 from repro.sql.ast import AggregateOp
 
 
@@ -69,10 +70,11 @@ def bench_streaming_range_count(benchmark, context):
 
 def bench_vectorized_range_sum(benchmark, context):
     answer = benchmark(
-        by_tuple_range_sum_vec,
+        run_grouped_vectorized,
         context.columnar,
         context.pmapping,
         context.query(AggregateOp.SUM),
+        AggregateSemantics.RANGE,
     )
     assert answer.is_defined
 
@@ -88,8 +90,11 @@ def bench_all_styles_agree(context):
         context.query(AggregateOp.SUM),
         RangeSumAccumulator,
     )
-    vectorized = by_tuple_range_sum_vec(
-        context.columnar, context.pmapping, context.query(AggregateOp.SUM)
+    vectorized = run_grouped_vectorized(
+        context.columnar,
+        context.pmapping,
+        context.query(AggregateOp.SUM),
+        AggregateSemantics.RANGE,
     )
     assert streamed.low == pytest.approx(batch.low)
     assert streamed.high == pytest.approx(batch.high)

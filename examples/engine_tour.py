@@ -76,7 +76,7 @@ def show_policies() -> None:
 
 
 def show_fast_paths() -> None:
-    print("3. The numpy fast path is a flag, not an API change:")
+    print("3. The numpy array body is a flag, not an API change:")
     trace = ebay.generate_auctions(2000, mean_bids=30, seed=5)
     import time
 
@@ -90,7 +90,7 @@ def show_fast_paths() -> None:
         start = time.perf_counter()
         answer = engine.answer(query, "by-tuple", "range")
         elapsed = time.perf_counter() - start
-        label = "vectorized" if vectorize else "scalar    "
+        label = "array kernel" if vectorize else "row walk    "
         print(f"  {label}: {answer!r}  ({elapsed * 1000:.1f} ms, "
               f"{len(trace):,} bids)")
     print()

@@ -46,7 +46,7 @@ CAPACITY = MAX_CONCURRENCY + QUEUE_DEPTH
 
 REQUEST = {
     "dataset": "smoke",
-    "query": "SELECT SUM(a1) FROM T WHERE a1 < 800",
+    "query": "SELECT SUM(value) FROM T WHERE value < 800",
     "mapping_semantics": "by-tuple",
     "aggregate_semantics": "distribution",
     "samples": 60,

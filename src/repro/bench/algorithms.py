@@ -128,32 +128,16 @@ class BenchContext:
 Runner = Callable[[BenchContext], AggregateAnswer]
 
 
-def _range(op: AggregateOp, scalar, vector) -> Runner:
+def _ptime(op: AggregateOp, semantics: AggregateSemantics, scalar) -> Runner:
     def run(context: BenchContext) -> AggregateAnswer:
         query = context.query(op)
         if context.use_vectorized:
-            return vector(context.columnar, context.pmapping, query)
+            return vectorized.run_grouped_vectorized(
+                context.columnar, context.pmapping, query, semantics
+            )
         return scalar(context.table, context.pmapping, query)
 
     return run
-
-
-def _pd_count(context: BenchContext) -> AggregateAnswer:
-    query = context.query(AggregateOp.COUNT)
-    if context.use_vectorized:
-        return vectorized.by_tuple_distribution_count_vec(
-            context.columnar, context.pmapping, query
-        )
-    return by_tuple_distribution_count(context.table, context.pmapping, query)
-
-
-def _expval_count(context: BenchContext) -> AggregateAnswer:
-    query = context.query(AggregateOp.COUNT)
-    if context.use_vectorized:
-        return vectorized.by_tuple_expected_count_vec(
-            context.columnar, context.pmapping, query
-        )
-    return by_tuple_expected_count(context.table, context.pmapping, query)
 
 
 def _expval_sum(context: BenchContext) -> AggregateAnswer:
@@ -195,23 +179,31 @@ def _by_table(op: AggregateOp) -> Runner:
 
 _REGISTRY: dict[str, Runner] = {
     # PTIME by-tuple (Section IV-B)
-    "ByTupleRangeCOUNT": _range(
-        AggregateOp.COUNT, by_tuple_range_count, vectorized.by_tuple_range_count_vec
+    "ByTupleRangeCOUNT": _ptime(
+        AggregateOp.COUNT, AggregateSemantics.RANGE, by_tuple_range_count
     ),
-    "ByTuplePDCOUNT": _pd_count,
-    "ByTupleExpValCOUNT": _expval_count,
-    "ByTupleRangeSUM": _range(
-        AggregateOp.SUM, by_tuple_range_sum, vectorized.by_tuple_range_sum_vec
+    "ByTuplePDCOUNT": _ptime(
+        AggregateOp.COUNT,
+        AggregateSemantics.DISTRIBUTION,
+        by_tuple_distribution_count,
+    ),
+    "ByTupleExpValCOUNT": _ptime(
+        AggregateOp.COUNT,
+        AggregateSemantics.EXPECTED_VALUE,
+        by_tuple_expected_count,
+    ),
+    "ByTupleRangeSUM": _ptime(
+        AggregateOp.SUM, AggregateSemantics.RANGE, by_tuple_range_sum
     ),
     "ByTupleExpValSUM": _expval_sum,
-    "ByTupleRangeAVG": _range(
-        AggregateOp.AVG, by_tuple_range_avg, vectorized.by_tuple_range_avg_vec
+    "ByTupleRangeAVG": _ptime(
+        AggregateOp.AVG, AggregateSemantics.RANGE, by_tuple_range_avg
     ),
-    "ByTupleRangeMAX": _range(
-        AggregateOp.MAX, by_tuple_range_max, vectorized.by_tuple_range_max_vec
+    "ByTupleRangeMAX": _ptime(
+        AggregateOp.MAX, AggregateSemantics.RANGE, by_tuple_range_max
     ),
-    "ByTupleRangeMIN": _range(
-        AggregateOp.MIN, by_tuple_range_min, vectorized.by_tuple_range_min_vec
+    "ByTupleRangeMIN": _ptime(
+        AggregateOp.MIN, AggregateSemantics.RANGE, by_tuple_range_min
     ),
     # No-PTIME cells: the naive exponential baseline
     "ByTuplePDSUM": _naive(AggregateOp.SUM, AggregateSemantics.DISTRIBUTION),

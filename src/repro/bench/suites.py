@@ -331,14 +331,18 @@ if _HAVE_NUMPY:
     @streaming_suite.case("vectorized.sum.range")
     def _streaming_vectorized():
         from repro.bench.contexts import make_synthetic_context
-        from repro.core.vectorized import by_tuple_range_sum_vec
+        from repro.core.semantics import AggregateSemantics
+        from repro.core.vectorized import run_grouped_vectorized
         from repro.sql.ast import AggregateOp
 
         context = make_synthetic_context(20000, 10, 5, prebuild_columnar=True)
         query = context.query(AggregateOp.SUM)
         return (
-            lambda: by_tuple_range_sum_vec(
-                context.columnar, context.pmapping, query
+            lambda: run_grouped_vectorized(
+                context.columnar,
+                context.pmapping,
+                query,
+                AggregateSemantics.RANGE,
             )
         ), context.close
 
@@ -443,22 +447,21 @@ _COLUMNAR_TUPLES = 50_000
 _COLUMNAR_ATTRIBUTES = 8
 _COLUMNAR_MAPPINGS = 5
 
-#: ``(case key, scalar one-shot, vectorized one-shot, aggregate op)``.
+#: ``(case key, scalar one-shot, aggregate op, aggregate semantics)``.
 #: The COUNT distribution cell is deliberately absent: its DP is O(n^2)
 #: in the qualifying-row count, so at this size it times the DP, not the
 #: storage layout.  Both expected-COUNT sides use the linear method.
 _COLUMNAR_CELLS = (
-    ("count.range", "by_tuple_range_count", "by_tuple_range_count_vec", "COUNT"),
-    ("count.expected", "by_tuple_expected_count", "by_tuple_expected_count_vec",
-     "COUNT"),
-    ("sum.range", "by_tuple_range_sum", "by_tuple_range_sum_vec", "SUM"),
-    ("sum.expected", "by_tuple_expected_sum", "by_tuple_expected_sum_vec", "SUM"),
-    ("avg.range", "by_tuple_range_avg", "by_tuple_range_avg_vec", "AVG"),
-    ("max.range", "by_tuple_range_max", "by_tuple_range_max_vec", "MAX"),
+    ("count.range", "by_tuple_range_count", "COUNT", "RANGE"),
+    ("count.expected", "by_tuple_expected_count", "COUNT", "EXPECTED_VALUE"),
+    ("sum.range", "by_tuple_range_sum", "SUM", "RANGE"),
+    ("sum.expected", "by_tuple_expected_sum", "SUM", "EXPECTED_VALUE"),
+    ("avg.range", "by_tuple_range_avg", "AVG", "RANGE"),
+    ("max.range", "by_tuple_range_max", "MAX", "RANGE"),
 )
 
 
-def _columnar_pair_case(key: str, scalar_name: str, vec_name: str, op: str,
+def _columnar_pair_case(key: str, scalar_name: str, op: str, semantics: str,
                         *, vectorized: bool):
     def factory():
         import repro.core.bytuple_avg as avg_mod
@@ -474,12 +477,15 @@ def _columnar_pair_case(key: str, scalar_name: str, vec_name: str, op: str,
         )
         query = context.query(AggregateOp[op])
         if vectorized:
-            from repro.core import vectorized as vec_mod
+            from repro.core.semantics import AggregateSemantics
+            from repro.core.vectorized import run_grouped_vectorized
 
-            runner = getattr(vec_mod, vec_name)
             ctable = context.columnar
+            cell_semantics = AggregateSemantics[semantics]
             return (
-                lambda: runner(ctable, context.pmapping, query)
+                lambda: run_grouped_vectorized(
+                    ctable, context.pmapping, query, cell_semantics
+                )
             ), context.close
         scalar = None
         for module in (count_mod, sum_mod, avg_mod, minmax_mod):
@@ -497,13 +503,13 @@ def _columnar_pair_case(key: str, scalar_name: str, vec_name: str, op: str,
     return factory
 
 
-for _key, _scalar, _vec, _op in _COLUMNAR_CELLS:
+for _key, _scalar, _op, _semantics in _COLUMNAR_CELLS:
     columnar_suite.case(f"rowwalk.{_key}")(
-        _columnar_pair_case(_key, _scalar, _vec, _op, vectorized=False)
+        _columnar_pair_case(_key, _scalar, _op, _semantics, vectorized=False)
     )
     if _HAVE_NUMPY:
         columnar_suite.case(f"columnar.{_key}")(
-            _columnar_pair_case(_key, _scalar, _vec, _op, vectorized=True)
+            _columnar_pair_case(_key, _scalar, _op, _semantics, vectorized=True)
         )
 
 
@@ -643,7 +649,7 @@ def _serve_fixture(*, max_concurrency=4, queue_depth=8):
 #: ~10 ms per request — slow enough to saturate, fast enough for CI.
 _SERVE_REQUEST = {
     "dataset": "bench",
-    "query": "SELECT SUM(a1) FROM T WHERE a1 < 800",
+    "query": "SELECT SUM(value) FROM T WHERE value < 800",
     "mapping_semantics": "by-tuple",
     "aggregate_semantics": "distribution",
     "samples": 60,

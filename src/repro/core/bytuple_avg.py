@@ -92,10 +92,6 @@ def _greedy_extreme_mean_from(
 def range_avg_kernel(prepared: PreparedTupleQuery) -> RangeAnswer:
     """The tight AVG range (greedy over optional tuples) for one problem."""
     metrics.inc("tuples.scanned", len(prepared.rows))
-    if prepared.columnar_problem is not None:
-        from repro.core import vectorized
-
-        return vectorized.range_avg_on(prepared.columnar_problem)
     forced_min: list[float] = []
     forced_max: list[float] = []
     optional_min: list[float] = []

@@ -39,10 +39,6 @@ def range_count_kernel(
 ) -> RangeAnswer:
     """The Figure 2 fold over one prepared (ungrouped) problem."""
     metrics.inc("tuples.scanned", len(prepared.rows))
-    if trace is None and prepared.columnar_problem is not None:
-        from repro.core import vectorized
-
-        return vectorized.range_count_on(prepared.columnar_problem)
     low = 0
     up = 0
     for index, vector in enumerate(prepared.contribution_vectors()):
@@ -133,10 +129,6 @@ def distribution_count_kernel(
 ) -> DistributionAnswer:
     """The Figure 3 DP over one prepared (ungrouped) problem."""
     metrics.inc("tuples.scanned", len(prepared.rows))
-    if trace is None and prepared.columnar_problem is not None:
-        from repro.core import vectorized
-
-        return vectorized.distribution_count_on(prepared.columnar_problem)
     occurrence = [
         prepared.satisfaction_probability(vector)
         for vector in prepared.contribution_vectors()
@@ -190,33 +182,23 @@ def by_tuple_expected_count(
         assert isinstance(answer, DistributionAnswer)
         return answer.to_expected_value()
     if method == "linear":
-        return run_possibly_grouped(table, pmapping, query, linear_expected_count_kernel)
+        return run_possibly_grouped(table, pmapping, query, expected_count_kernel)
     raise EvaluationError(
         f"unknown method {method!r}; expected 'distribution' or 'linear'"
     )
 
 
 def expected_count_kernel(prepared: PreparedTupleQuery) -> ExpectedValueAnswer:
-    """Expected COUNT over one prepared problem (planner's scalar kernel).
+    """Expected COUNT over one prepared problem, by linearity of expectation.
 
-    Delegates to the linear route: by linearity of expectation it agrees
-    with the paper's DP expectation, costs O(n * m) instead of O(m * n^2),
-    and — because it is an ``fsum`` of the per-tuple participation
-    probabilities — matches the streaming accumulator bit for bit.  The paper-faithful DP remains available through
-    :func:`by_tuple_expected_count` with ``method="distribution"``.
+    The planner's kernel: it agrees with the paper's DP expectation, costs
+    O(n * m) instead of O(m * n^2), and — because it is an ``fsum`` of the
+    per-tuple participation probabilities — matches the streaming
+    accumulator bit for bit.  The paper-faithful DP remains available
+    through :func:`by_tuple_expected_count` with
+    ``method="distribution"``.
     """
-    return linear_expected_count_kernel(prepared)
-
-
-def linear_expected_count_kernel(
-    prepared: PreparedTupleQuery,
-) -> ExpectedValueAnswer:
-    """Expected COUNT over one prepared problem, by linearity of expectation."""
     metrics.inc("tuples.scanned", len(prepared.rows))
-    if prepared.columnar_problem is not None:
-        from repro.core import vectorized
-
-        return vectorized.expected_count_on(prepared.columnar_problem)
     return ExpectedValueAnswer(
         math.fsum(
             prepared.satisfaction_probability(vector)

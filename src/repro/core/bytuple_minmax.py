@@ -36,12 +36,6 @@ def _minmax_range(
     prepared: PreparedTupleQuery, *, maximize: bool
 ) -> RangeAnswer:
     metrics.inc("tuples.scanned", len(prepared.rows))
-    if prepared.columnar_problem is not None:
-        from repro.core import vectorized
-
-        return vectorized.range_minmax_on(
-            prepared.columnar_problem, maximize=maximize
-        )
     # No float sentinels: the aggregated values may be DATE or TEXT.
     outward, inward = (max, min) if maximize else (min, max)
     forced_inner = any_inner = outer = None

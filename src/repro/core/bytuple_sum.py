@@ -45,14 +45,10 @@ def range_sum_kernel(
     The bound totals accumulate through
     :class:`~repro.core.exactsum.ExactSum`, so they are correctly rounded
     and independent of association order — the property that lets the
-    vectorized lane and the streaming accumulators promise answers
+    array kernels and the streaming accumulators promise answers
     bit-for-bit equal to this kernel's.
     """
     metrics.inc("tuples.scanned", len(prepared.rows))
-    if trace is None and prepared.columnar_problem is not None:
-        from repro.core import vectorized
-
-        return vectorized.range_sum_on(prepared.columnar_problem)
     low = ExactSum()
     up = ExactSum()
     any_satisfiable = False
@@ -190,10 +186,6 @@ def expected_sum_kernel(prepared: PreparedTupleQuery) -> ExpectedValueAnswer:
     streams of small occurrence probabilities).
     """
     metrics.inc("tuples.scanned", len(prepared.rows))
-    if prepared.columnar_problem is not None:
-        from repro.core import vectorized
-
-        return vectorized.expected_sum_on(prepared.columnar_problem)
     total = ExactSum()
     log_empty = ExactSum()
     certain_empty_impossible = False

@@ -226,9 +226,10 @@ class PreparedTupleQuery:
         """The array-backed materialization, or ``None``.
 
         Set by :meth:`materialize` when given a numpy-backed columnar
-        snapshot of the source table; the scalar by-tuple kernels check it
-        first and fold contiguous column arrays instead of per-row Python
-        vectors (bit-identical answers, see :mod:`repro.core.vectorized`).
+        snapshot of the source table; the array bodies (the by-tuple PTIME
+        lane's kernels, the sampler, the by-table folds) read it instead
+        of per-row Python vectors (bit-identical answers, see
+        :mod:`repro.core.vectorized`).
         """
         return self._problem
 
@@ -275,24 +276,25 @@ class PreparedTupleQuery:
     def _columnar_problem_or_none(self, columnar):
         """Build the array-backed problem, or ``None`` outside the fragment.
 
-        Declines — leaving the row-vector path to serve — for grouped
-        queries (the partitioner hands each group its row slice), a
-        pure-Python or stale snapshot, or queries the vectorized fragment
-        cannot express (non-numeric aggregate arguments, conditions the
-        mask compiler rejects).
+        Declines — leaving the row-vector path to serve — for a stale
+        snapshot, grouped queries whose groups average fewer than
+        :data:`~repro.core.vectorized.MIN_MEAN_GROUP_ROWS` rows, or queries
+        the vectorized fragment cannot express (non-numeric aggregate
+        arguments, conditions the mask compiler rejects).  A grouped
+        query pins one problem over all rows; :meth:`partition` cuts it
+        per group.
         """
         from repro.core import vectorized
 
-        if not vectorized.HAVE_NUMPY:
-            return None
-        if self._group_index is not None:
-            return None
-        if (
-            columnar.backend != "numpy"
-            or columnar.row_count != len(self.rows)
-        ):
+        if columnar.row_count != len(self.rows):
             return None
         try:
+            if self._group_index is not None:
+                vectorized.check_group_sizes(
+                    len(self.rows),
+                    len({values[self._group_index] for values in self.rows}),
+                    vectorized.MIN_MEAN_GROUP_ROWS,
+                )
             return vectorized.VectorizedProblem(
                 columnar, self.pmapping, self.query
             )
@@ -308,7 +310,8 @@ class PreparedTupleQuery:
         exists as soon as some row carries its key, and by-tuple algorithms
         then decide per mapping which of its rows participate.  The split is
         computed once and cached; sub-problems share the compiled predicates
-        (and, when materialized, the parent's pinned vectors).
+        (and, when materialized, the parent's pinned vectors, or views of
+        its pinned array-backed problem).
         """
         if self._group_index is None:
             raise UnsupportedQueryError("query has no GROUP BY")
@@ -316,7 +319,13 @@ class PreparedTupleQuery:
             return self._partitioned
         buckets: dict[object, list[tuple]] = {}
         vector_buckets: dict[object, list[ContributionVector]] = {}
-        if self._vectors is None:
+        index_buckets: dict[object, list[int]] = {}
+        if self._problem is not None:
+            for i, values in enumerate(self.rows):
+                key = values[self._group_index]
+                buckets.setdefault(key, []).append(values)
+                index_buckets.setdefault(key, []).append(i)
+        elif self._vectors is None:
             for values in self.rows:
                 buckets.setdefault(values[self._group_index], []).append(values)
         else:
@@ -339,7 +348,11 @@ class PreparedTupleQuery:
             sub._relation = self._relation
             sub._vectors = vector_buckets.get(key)
             sub._partitioned = None
-            sub._problem = None
+            sub._problem = (
+                self._problem.take(index_buckets[key])
+                if self._problem is not None
+                else None
+            )
             out[key] = sub
         self._partitioned = out
         return out

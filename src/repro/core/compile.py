@@ -102,6 +102,11 @@ class CompiledQuery:
             return None
 
     @property
+    def is_materialized(self) -> bool:
+        """True once this (flat) level's contribution state is pinned."""
+        return self._prepared is not None and self._prepared.is_materialized
+
+    @property
     def columnar_problem(self):
         """The pinned array-backed problem of this (flat) level, or ``None``.
 

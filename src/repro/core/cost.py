@@ -51,7 +51,6 @@ from repro.sql.ast import AggregateOp
 UNIT_COST: dict[str, float] = {
     Lane.BY_TABLE: 0.8,  # per (row x mapping) through the certain executor
     Lane.SCALAR: 1.0,  # per (row x mapping): predicate + fold
-    Lane.VECTORIZED: 0.05,  # per (row x mapping) through the array kernels
     Lane.EXTENSION: 1.5,  # order-statistics DP per (row x mapping)
     Lane.NESTED_RANGE: 1.2,  # inner fold + per-group composition
     Lane.NESTED_COMPOSE: 1.5,  # inner DP + independent composition
@@ -214,9 +213,8 @@ class CostModel:
             draws = max(samples, 0)
             return LaneEstimate(lane, float(n * draws), float(draws),
                                 support, unit * n * draws)
-        # Sequential single-pass lanes: scalar, vectorized, extension,
-        # and the nested compositions (whose inner fold is the
-        # dominant term).
+        # Sequential single-pass lanes: by-tuple PTIME, extension, and
+        # the nested compositions (whose inner fold is the dominant term).
         return LaneEstimate(lane, float(n), 0.0, support,
                             unit * n * m + dp_cost)
 

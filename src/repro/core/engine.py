@@ -105,15 +105,16 @@ class AggregationEngine:
     allow_exponential / allow_sampling / use_extensions:
         Convenience flags forwarded to the default planner.
     vectorize:
-        Route the PTIME by-tuple algorithms (including GROUP BY over a
-        certain grouping attribute) through the columnar numpy fast path
-        (:mod:`repro.core.vectorized`) when the query and data allow it,
-        falling back to the scalar implementations otherwise — including
-        when numpy is not installed (``pip install repro[fast]`` declares
-        the optional dependency).  The columnar snapshot of each table
-        (:class:`~repro.storage.columnar.ColumnarTable`) is built lazily
-        and cached until :meth:`invalidate`/:meth:`close`, so repeated
-        queries amortize it.
+        With ``True`` (the default) and numpy importable, the engine keeps
+        a columnar snapshot of each table
+        (:class:`~repro.storage.columnar.ColumnarTable`, built lazily and
+        cached until :meth:`invalidate`/:meth:`close`), and the by-tuple
+        PTIME, sampling and by-table lanes run their array bodies over it
+        (:mod:`repro.core.vectorized`) where the query and data allow,
+        with bit-identical answers.  With ``False`` no snapshot is built
+        and every lane runs its pure-Python body, exactly as on an
+        install without numpy (``pip install repro[fast]`` declares the
+        optional dependency).
     samples / seed / max_sequences:
         Defaults for the sampling estimator and the naive-enumeration
         guard; individual :meth:`answer` calls can override them.
@@ -128,11 +129,13 @@ class AggregationEngine:
         partial-progress snapshot when one trips.
     degrade:
         When True, a guardrail breach walks the lane's explicit
-        degradation chain instead of raising: the vectorized lane degrades
-        to the scalar lane, exact exponential work (naive enumeration and
-        nested composition) to the sampling estimator (its accuracy
-        contract is recorded on the context and in EXPLAIN ANALYZE).  The degraded rerun keeps the
-        resource budgets but not the already-spent deadline.
+        degradation chain instead of raising: exact exponential work
+        (naive enumeration and nested composition) degrades to the
+        sampling estimator (its accuracy contract is recorded on the
+        context and in EXPLAIN ANALYZE).  The degraded rerun keeps the
+        resource budgets but not the already-spent deadline.  Other
+        lanes, the by-tuple PTIME lane among them, are terminal: their
+        breach propagates.
     query_log_capacity / slow_query_ms / slow_query_path:
         The always-on structured query log (:mod:`repro.obs.querylog`):
         ring-buffer capacity behind :meth:`recent_queries`, and the
@@ -161,7 +164,7 @@ class AggregationEngine:
         allow_exponential: bool = False,
         allow_sampling: bool = False,
         use_extensions: bool = False,
-        vectorize: bool = False,
+        vectorize: bool = True,
         samples: int = 2000,
         seed: int | None = None,
         max_sequences: int = 1 << 22,

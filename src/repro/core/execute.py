@@ -2,8 +2,8 @@
 
 :class:`ExecutionContext` is the per-engine home for everything execution
 needs that outlives a single call: the source tables, the certain-query
-executor (in-memory or SQLite), the lazily-built columnar cache for the
-vectorized lane, the sampling/enumeration defaults, and the LRU caches —
+executor (in-memory or SQLite), the lazily-built columnar snapshots the
+array bodies read, the sampling/enumeration defaults, and the LRU caches —
 compiled queries keyed by query text, execution plans keyed by
 ``(query text, mapping semantics, aggregate semantics)``, and prepared
 query handles keyed by query text.
@@ -67,6 +67,7 @@ from repro.obs import metrics, querylog, trace
 from repro.testing import faults
 from repro.schema.mapping import SchemaPMapping
 from repro.sql.ast import AggregateOp, AggregateQuery
+from repro.storage import columnar as columnarmod
 from repro.storage.columnar import ColumnarTable
 from repro.storage.sqlite_backend import SQLiteBackend
 from repro.storage.table import Table
@@ -91,7 +92,7 @@ class ExecutionContext:
         executor: bytable.CertainExecutor,
         *,
         backend: SQLiteBackend | None = None,
-        vectorize: bool = False,
+        vectorize: bool = True,
         samples: int = 2000,
         seed: int | None = None,
         max_sequences: int = 1 << 22,
@@ -121,10 +122,9 @@ class ExecutionContext:
         #: unchanged.
         self._thread_state = threading.local()
         #: Build-once columnar snapshots keyed by source-relation name,
-        #: shared by the vectorized lane and the array-backed prepared
-        #: queries.  Dropped by :meth:`invalidate` and :meth:`close`
-        #: (build-once semantics: an entry reflects the table rows at
-        #: build time).
+        #: shared by every array body (see :meth:`columnar_for`).  Dropped
+        #: by :meth:`invalidate` and :meth:`close` (build-once semantics:
+        #: an entry reflects the table rows at build time).
         self.columnar_cache: dict[str, ColumnarTable] = {}
         #: The always-on structured query log (``engine.recent_queries()``
         #: and the slow-query JSONL trail); recorded by the outermost
@@ -238,14 +238,19 @@ class ExecutionContext:
             self.columnar_cache.clear()
             self.metrics.reset()
 
-    def columnar_for(self, compiled: CompiledQuery) -> ColumnarTable:
+    def columnar_for(self, compiled: CompiledQuery) -> ColumnarTable | None:
         """The cached columnar snapshot of one compiled query's table.
 
-        Built once per source relation and shared across lanes.  A cached
-        entry whose row count no longer matches the table is rebuilt (a
-        defensive guard; :meth:`invalidate` after mutating a table remains
-        the contract — a same-length data swap is only caught there).
+        The one switch for every array body: ``None`` (every lane runs its
+        pure-Python body) unless numpy is importable and the engine was
+        built with ``vectorize=True``.  Built once per source relation and
+        shared across lanes.  A cached entry whose row count no longer
+        matches the table is rebuilt (a defensive guard; :meth:`invalidate`
+        after mutating a table remains the contract — a same-length data
+        swap is only caught there).
         """
+        if not (self.vectorize and columnarmod.HAVE_NUMPY):
+            return None
         name = compiled.pmapping.source.name
         with self._lock:
             columnar = self.columnar_cache.get(name)
@@ -385,22 +390,17 @@ class PreparedQuery:
             coerce_mapping_semantics(mapping_semantics),
             coerce_aggregate_semantics(aggregate_semantics),
         )
-        from repro.storage.columnar import HAVE_NUMPY
-
         # By-table plans pin the array-backed problem only (see
         # _by_table_columnar_shape); by-tuple lanes fall back to vectors.
         arrays_only = (
-            HAVE_NUMPY
-            and plan.lane == Lane.BY_TABLE
-            and _by_table_columnar_shape(plan)
+            plan.lane == Lane.BY_TABLE and _by_table_columnar_shape(plan)
         )
         if plan.uses_prepared_tuples or arrays_only:
-            columnar = (
-                self._context.columnar_for(self.compiled)
-                if HAVE_NUMPY
-                else None
-            )
-            self.compiled.materialize(columnar=columnar, vectors=not arrays_only)
+            columnar = self._context.columnar_for(self.compiled)
+            if columnar is not None or not arrays_only:
+                self.compiled.materialize(
+                    columnar=columnar, vectors=not arrays_only
+                )
         return plan
 
     def answer(
@@ -447,7 +447,7 @@ _INFRA_ERRORS = (
 #: The lane that actually produced the answer, written at the terminal
 #: success points of :func:`_dispatch` into a one-slot cell installed by
 #: the outermost frame.  A plan can end up far from where it started —
-#: the vectorized lane can decline to its fallback, a guard breach can
+#: nested composition can decline to its fallback, a guard breach can
 #: degrade — and only the terminal dispatch knows where execution landed.
 _executed_lane: contextvars.ContextVar[list | None] = contextvars.ContextVar(
     "repro_executed_lane", default=None
@@ -762,21 +762,11 @@ def _dispatch(
                     )
             _note_lane(lane)
             return bytable.combine_results(results, plan.aggregate_semantics)
-        if lane == Lane.VECTORIZED:
-            answer = _try_vectorized(plan)
-            if answer is not None:
-                context.metrics.inc("vectorized.hit")
-                _note_lane(lane)
-                return answer
-            context.metrics.inc("vectorized.fallback")
-            context.metrics.inc(f"execute.fallback.{lane}")
-            return _dispatch(
-                plan.fallback,
-                samples=samples,
-                seed=seed,
-                max_sequences=max_sequences,
-            )
-        if lane in (Lane.SCALAR, Lane.EXTENSION):
+        if lane == Lane.SCALAR:
+            answer = _ptime_answer(plan)
+            _note_lane(lane)
+            return answer
+        if lane == Lane.EXTENSION:
             answer = run_prepared(plan.compiled.prepared(), plan.spec.kernel)
             _note_lane(lane)
             return answer
@@ -841,13 +831,15 @@ def _degrade(
 ) -> AggregateAnswer:
     """Walk the lane's degradation chain after a guard breach.
 
-    Each degraded rerun keeps the resource budgets but drops the
-    wall-clock deadline (the original already spent it; re-arming would
-    trip instantly and make degradation unreachable).  A sampling-lane
-    rerun clamps its draw count to the worlds budget and records its
-    accuracy contract (the DKW epsilon for the recorded sample size) on
-    the context's ``last_degradation``.  When no chain target applies, or
-    every target breaches again, the last guardrail error propagates.
+    Every chain target is the sampling estimator (see
+    :data:`~repro.core.planner.DEGRADATION_CHAIN`).  Each degraded rerun
+    keeps the resource budgets but drops the wall-clock deadline (the
+    original already spent it; re-arming would trip instantly and make
+    degradation unreachable), clamps its draw count to the worlds budget,
+    and records its accuracy contract (the DKW epsilon for the recorded
+    sample size) on the context's ``last_degradation``.  When the lane has
+    no chain, or every target breaches again, the last guardrail error
+    propagates.
     """
     from repro.core import sampling
 
@@ -855,16 +847,20 @@ def _degrade(
     relaxed = budget.without_deadline() if budget is not None else None
     last_error: GuardrailError = error
     for target in degradation_chain(plan.lane):
-        degraded = _degraded_plan(plan, target)
-        if degraded is None:
-            continue
+        degraded = ExecutionPlan(
+            plan.compiled,
+            plan.mapping_semantics,
+            plan.aggregate_semantics,
+            target,
+            plan.complexity,
+            _sampling_spec(plan.aggregate_semantics),
+            context=context,
+        )
         context.metrics.inc("degraded.total")
         context.metrics.inc(f"degraded.{plan.lane}.to.{target}")
-        degraded_samples = samples
-        if target == Lane.SAMPLING:
-            base = context.samples if samples is None else samples
-            limit = relaxed.max_worlds if relaxed is not None else None
-            degraded_samples = base if limit is None else min(base, limit)
+        base = context.samples if samples is None else samples
+        limit = relaxed.max_worlds if relaxed is not None else None
+        degraded_samples = base if limit is None else min(base, limit)
         with trace.span(
             "execute.degrade",
             from_lane=plan.lane,
@@ -883,59 +879,17 @@ def _degrade(
                 context.metrics.inc(f"guard.breach.{target}")
                 last_error = breach
                 continue
-        record = {
+        context.metrics.inc("degraded.sampling")
+        context.last_degradation = {
             "from": plan.lane,
             "to": target,
             "reason": type(error).__name__,
             "progress": dict(error.progress),
+            "samples": degraded_samples,
+            "epsilon": sampling.dkw_epsilon(degraded_samples),
         }
-        if target == Lane.SAMPLING:
-            record["samples"] = degraded_samples
-            record["epsilon"] = sampling.dkw_epsilon(degraded_samples)
-            context.metrics.inc("degraded.sampling")
-        context.last_degradation = record
         return answer
     raise last_error
-
-
-def _degraded_plan(
-    plan: ExecutionPlan, target: str
-) -> ExecutionPlan | None:
-    """Build the plan for one degradation target, or ``None`` if outside
-    the target lane's fragment (the walk then tries the next target)."""
-    compiled = plan.compiled
-    if target == Lane.SCALAR:
-        # Prefer the plan's own fallback chain: it already carries the
-        # scalar plan the planner chose for this cell.
-        node = plan.fallback
-        while node is not None:
-            if node.lane in (Lane.SCALAR, Lane.EXTENSION):
-                return node
-            node = node.fallback
-        spec = plan.spec
-        if spec is None or spec.kernel is None or compiled.is_nested:
-            return None
-        return ExecutionPlan(
-            compiled,
-            plan.mapping_semantics,
-            plan.aggregate_semantics,
-            Lane.SCALAR,
-            plan.complexity,
-            spec,
-            context=plan.context,
-        )
-    if target == Lane.SAMPLING:
-        spec = _sampling_spec(plan.aggregate_semantics)
-        return ExecutionPlan(
-            compiled,
-            plan.mapping_semantics,
-            plan.aggregate_semantics,
-            Lane.SAMPLING,
-            plan.complexity,
-            spec,
-            context=plan.context,
-        )
-    return None
 
 
 def _request(
@@ -963,29 +917,58 @@ def _request(
     )
 
 
-def _try_vectorized(plan: ExecutionPlan) -> AggregateAnswer | None:
-    """The numpy lane, or ``None`` when the query/data falls outside it."""
+def _ptime_answer(plan: ExecutionPlan) -> AggregateAnswer:
+    """Run the by-tuple PTIME lane: the one place its body is chosen.
+
+    With a columnar snapshot, the cell's array kernel runs over the
+    prepared query's pinned problem (cut per group for GROUP BY), else
+    over a problem built for this call.  The Figure 2-5 row walk answers
+    without a snapshot, for data outside the array fragment (TEXT/DATE
+    arguments, integers beyond 2**53), and for GROUP BY queries whose
+    groups average fewer than
+    :data:`~repro.core.vectorized.MIN_MEAN_GROUP_ROWS` rows.  A prepared
+    query that pinned row vectors has already seen the array body decline,
+    so it goes straight to the row walk.
+    """
     from repro.core import vectorized
 
-    if not vectorized.HAVE_NUMPY:
-        return None
     compiled = plan.compiled
-    cell = (compiled.query.aggregate.op, plan.aggregate_semantics)
-    scalar_vectorized = vectorized.VECTORIZED_CELLS.get(cell)
-    if scalar_vectorized is None:
-        return None
-    try:
-        columnar = plan.context.columnar_for(compiled)
-        problem = compiled.columnar_problem
-        if problem is not None and problem.ctable is columnar:
-            # A prepared query pinned the masks over this very snapshot.
-            metrics.inc("tuples.scanned", problem.row_count)
-            return vectorized.PROBLEM_KERNELS[cell](problem)
-        return vectorized.run_grouped_vectorized(
-            columnar, compiled.pmapping, compiled.query, scalar_vectorized
-        )
-    except vectorized.ColumnarError:
-        return None
+    context = plan.context
+    columnar = context.columnar_for(compiled)
+    problem = compiled.columnar_problem
+    if columnar is not None and (
+        problem is not None or not compiled.is_materialized
+    ):
+        kernel = vectorized.PROBLEM_KERNELS[
+            (compiled.query.aggregate.op, plan.aggregate_semantics)
+        ]
+        try:
+            if problem is not None and problem.ctable is columnar:
+                metrics.inc("tuples.scanned", problem.row_count)
+                answer = run_prepared(
+                    compiled.prepared(), lambda sub: kernel(sub.columnar_problem)
+                )
+            else:
+                answer = vectorized.run_grouped_vectorized(
+                    columnar,
+                    compiled.pmapping,
+                    compiled.query,
+                    plan.aggregate_semantics,
+                    min_mean_group_rows=vectorized.MIN_MEAN_GROUP_ROWS,
+                )
+        except vectorized.ColumnarError:
+            context.metrics.inc("vectorized.fallback")
+        else:
+            # Counted once the body succeeded: a declined array body must
+            # not charge the row budget before the row walk charges it.
+            guard = guardmod.current_guard()
+            if guard is not None:
+                guard.add_rows(columnar.row_count)
+            context.metrics.inc("vectorized.hit")
+            return answer
+    elif columnar is not None:
+        context.metrics.inc("vectorized.fallback")
+    return run_prepared(compiled.prepared(), plan.spec.kernel)
 
 
 def _execute_nested_range(plan: ExecutionPlan) -> RangeAnswer:

@@ -18,8 +18,8 @@ of :mod:`repro.core.extensions` (disabled in strict paper-faithful mode).
 The planner is also the single owner of *execution-lane* dispatch:
 :meth:`Planner.plan` binds a :class:`~repro.core.compile.CompiledQuery` and
 a cell to an :class:`ExecutionPlan` recording the chosen :class:`Lane`
-(by-table, scalar, vectorized, extension, nested composition, naive,
-sampling), the cell's Figure 6 complexity, and the fallback chain —
+(by-table, by-tuple PTIME, extension, nested range, nested composition,
+naive, sampling), the cell's Figure 6 complexity, and the fallback chain —
 stage 2 of the compile/plan/execute pipeline (see
 :mod:`repro.core.compile` and :mod:`repro.core.execute`).
 """
@@ -33,9 +33,15 @@ from repro.core import extensions, naive, sampling
 from repro.core.answers import AggregateAnswer
 from repro.core.common import PreparedTupleQuery
 from repro.core.semantics import AggregateSemantics, MappingSemantics
-from repro.exceptions import EvaluationError, IntractableError
+from repro.exceptions import (
+    EvaluationError,
+    IntractableError,
+    SchemaError,
+    UnsupportedQueryError,
+)
 from repro.schema.mapping import PMapping
-from repro.sql.ast import AggregateOp, AggregateQuery
+from repro.schema.model import AttributeType
+from repro.sql.ast import AggregateOp, AggregateQuery, SubquerySource
 from repro.storage.table import Table
 
 
@@ -51,11 +57,14 @@ class Lane:
 
     Every way this library can evaluate a cell is one of these lanes, and
     lane selection happens in exactly one place: :meth:`Planner.plan`.
+
+    ``SCALAR`` is the one by-tuple PTIME lane (Figures 2-5, Theorem 4); it
+    picks its body, array kernel or row walk, at run time in
+    :mod:`repro.core.execute`.
     """
 
     BY_TABLE = "by-table"  # Figure 1 over the certain-query executor
-    SCALAR = "scalar"  # pure-Python PTIME by-tuple kernel
-    VECTORIZED = "vectorized"  # numpy kernel, scalar fallback at run time
+    SCALAR = "scalar"  # by-tuple PTIME: array kernel or row walk
     EXTENSION = "extension"  # exact MIN/MAX distributions beyond the paper
     NESTED_RANGE = "nested-range"  # per-group range composition (Q2 shape)
     NESTED_COMPOSE = "nested-compose"  # independent-distribution composition
@@ -65,13 +74,12 @@ class Lane:
 
 #: The explicit degradation chain a guard breach walks when the engine
 #: enables graceful degradation: each lane maps to the lanes tried next,
-#: cheapest-viable first.  The numpy lane degrades to the scalar kernel;
-#: exact exponential enumeration degrades to the sampling estimator (an
-#: approximate answer with a recorded accuracy contract beats a typed
-#: error when the caller opted in).  Lanes absent here are terminal:
-#: their breach propagates.
+#: cheapest-viable first.  Exact exponential work degrades to the sampling
+#: estimator (an approximate answer with a recorded accuracy contract
+#: beats a typed error when the caller opted in).  Lanes absent here —
+#: the by-tuple PTIME lane among them — are terminal: their breach
+#: propagates.
 DEGRADATION_CHAIN: dict[str, list[str]] = {
-    Lane.VECTORIZED: [Lane.SCALAR],
     Lane.NAIVE: [Lane.SAMPLING],
     Lane.NESTED_COMPOSE: [Lane.SAMPLING],
 }
@@ -376,14 +384,57 @@ def _extension_minmax_spec(
     )
 
 
+def _check_numeric_argument(
+    compiled, aggregate_semantics: AggregateSemantics
+) -> None:
+    """Reject a non-numeric aggregate argument before any lane runs.
+
+    SUM and AVG add their argument's values, and the expected value
+    weights the aggregate's values by probability, so each needs numbers
+    under every candidate mapping, whichever mapping semantics runs.  The
+    outer level of a nested query aggregates the inner level's values.
+    """
+    op = compiled.query.aggregate.op
+    additive = op in (AggregateOp.SUM, AggregateOp.AVG)
+    expected = aggregate_semantics is AggregateSemantics.EXPECTED_VALUE
+    if not (additive or expected):
+        return
+    query, pmapping = compiled.query, compiled.pmapping
+    while query.aggregate.op is not AggregateOp.COUNT and isinstance(
+        query.source, SubquerySource
+    ):
+        query = query.source.query
+    if query.aggregate.op is AggregateOp.COUNT:
+        return
+    name = query.aggregate.argument.name
+    if name not in pmapping.target:
+        raise SchemaError(
+            f"relation {pmapping.target.name!r} has no attribute {name!r}"
+        )
+    kinds = {
+        pmapping.source.attribute(mapping.source_for(name)).type
+        for mapping, _ in pmapping
+        if mapping.maps_target(name)
+    } - {AttributeType.INT, AttributeType.REAL}
+    if not kinds:
+        return
+    got = "/".join(sorted(kind.value.upper() for kind in kinds))
+    need = (
+        f"{op.value} needs a numeric argument"
+        if additive
+        else "the expected value needs a numeric aggregate"
+    )
+    raise UnsupportedQueryError(f"{need}, got {got} under some candidate mapping")
+
+
 class ExecutionPlan:
     """A compiled query bound to one semantics cell, lane, and engine state.
 
     Produced by :meth:`Planner.plan` (stage 2 of the pipeline) and run by
     :func:`repro.core.execute.execute_plan` (stage 3).  ``lane`` is the
     chosen :class:`Lane`; ``fallback`` is the plan to run when a
-    conditional lane declines at run time (vectorization outside the numpy
-    fragment, nested composition outside the exact-polynomial fragment);
+    conditional lane declines at run time (nested composition outside the
+    exact-polynomial fragment);
     ``inner_plan`` is the plan for the flat inner query of a nested shape.
     """
 
@@ -602,17 +653,7 @@ class Planner:
         """Bind a compiled query and a cell to an execution lane.
 
         The single place lane selection happens.  ``context`` is the
-        engine's :class:`~repro.core.execute.ExecutionContext`; its
-        ``vectorize`` flag gates the columnar numpy lane.  Columnar
-        availability is a storage-layer property: the lane is only
-        planned when :data:`repro.storage.columnar.HAVE_NUMPY` holds (a
-        no-numpy install keeps the scalar plan), and its vectorizable
-        fragment now includes GROUP BY over a certain grouping attribute
-        (column-array partitioning in
-        :func:`repro.core.vectorized.run_grouped_vectorized`); queries
-        outside the fragment — nested shapes, non-numeric aggregate
-        arguments, conditions the mask compiler cannot express — decline
-        at run time to the scalar fallback plan.
+        engine's :class:`~repro.core.execute.ExecutionContext`.
 
         Raises
         ------
@@ -620,8 +661,12 @@ class Planner:
             For an open cell when the planner's policy forbids every
             applicable route, with the same messages as
             :meth:`algorithm_for`.
+        UnsupportedQueryError
+            For SUM/AVG, or any expected value, over an argument that is
+            TEXT or DATE under some candidate mapping.
         """
         op = compiled.query.aggregate.op
+        _check_numeric_argument(compiled, aggregate_semantics)
         complexity = self.complexity_of(
             op, mapping_semantics, aggregate_semantics
         )
@@ -662,23 +707,6 @@ class Planner:
             spec,
             context=context,
         )
-        if context is not None and context.vectorize:
-            from repro.core import vectorized
-
-            if (
-                vectorized.HAVE_NUMPY
-                and (op, aggregate_semantics) in vectorized.VECTORIZED_CELLS
-            ):
-                chosen = ExecutionPlan(
-                    compiled,
-                    mapping_semantics,
-                    aggregate_semantics,
-                    Lane.VECTORIZED,
-                    complexity,
-                    spec,
-                    fallback=chosen,
-                    context=context,
-                )
         return self._finalize(chosen, context, preempted=preempted)
 
     def _preempt_naive(self, compiled, context) -> dict | None:

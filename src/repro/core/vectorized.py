@@ -24,9 +24,10 @@ share one exactly-computed occurrence probability).
 Queries or data outside the vectorizable fragment — non-numeric or DATE
 aggregate arguments, nested queries, a missing numpy — raise
 :class:`VectorizationError` (a :class:`~repro.storage.columnar.ColumnarError`);
-callers fall back to the scalar path.  NULLs and GROUP BY are *inside*
-the fragment: null masks feed the three-valued compiler, and grouped
-queries partition the column arrays per group key.
+the by-tuple PTIME lane (:mod:`repro.core.execute`) then runs the row
+walk instead.  NULLs and GROUP BY are *inside* the fragment: null masks
+feed the three-valued compiler, and grouped queries partition the column
+arrays per group key.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from repro.exceptions import EvaluationError, UnsupportedQueryError
 from repro.obs import metrics
 from repro.prob.distribution import DiscreteDistribution
 from repro.schema.mapping import PMapping
+from repro.schema.model import AttributeType
 from repro.sql.ast import (
     AggregateOp,
     AggregateQuery,
@@ -77,8 +79,10 @@ __all__ = [
     "HAVE_NUMPY",
     "VectorizationError",
     "VectorizedProblem",
-    "VECTORIZED_CELLS",
+    "MIN_MEAN_GROUP_ROWS",
     "PROBLEM_KERNELS",
+    "check_group_sizes",
+    "group_problems",
     "run_grouped_vectorized",
 ]
 
@@ -378,7 +382,6 @@ class VectorizedProblem:
         self.op = query.aggregate.op
         self.ctable = ctable
         self.row_count = ctable.row_count
-        metrics.inc("tuples.scanned", ctable.row_count)
         self.probability_list: list[float] = list(pmapping.probabilities)
         self.probabilities = np.asarray(self.probability_list)
         self.participation: list = []
@@ -414,6 +417,25 @@ class VectorizedProblem:
                 raise VectorizationError(
                     f"aggregate over non-numeric column {argument.name!r}"
                 )
+        # Counted once the problem is built: a declined build scans nothing.
+        metrics.inc("tuples.scanned", ctable.row_count)
+
+    def take(self, rows) -> "VectorizedProblem":
+        """The sub-problem over ``rows`` (an index array or a slice).
+
+        Shares ``ctable`` (and so its relation) with this problem; only
+        the masks and value columns are cut.
+        """
+        sub = object.__new__(VectorizedProblem)
+        sub.op = self.op
+        sub.ctable = self.ctable
+        sub.probability_list = self.probability_list
+        sub.probabilities = self.probabilities
+        sub.arguments = self.arguments
+        sub.participation = [mask[rows] for mask in self.participation]
+        sub.values = [None if v is None else v[rows] for v in self.values]
+        sub.row_count = int(sub.participation[0].size)
+        return sub
 
     @property
     def mapping_count(self) -> int:
@@ -525,8 +547,8 @@ def occurrence_array(problem: VectorizedProblem, *, sequential: bool = False):
 # -- kernels over a prepared problem ----------------------------------------
 #
 # Each ``*_on`` kernel consumes a built :class:`VectorizedProblem` and
-# reproduces its scalar counterpart's float arithmetic exactly; the
-# ``by_tuple_*_vec`` wrappers below build the problem (and fan out over
+# reproduces its scalar counterpart's float arithmetic exactly;
+# :func:`run_grouped_vectorized` builds the problem (and fans out over
 # GROUP BY groups) for one-shot callers.
 
 
@@ -699,229 +721,34 @@ def range_avg_on(problem: VectorizedProblem) -> RangeAnswer:
 def range_minmax_on(
     problem: VectorizedProblem, *, maximize: bool
 ) -> RangeAnswer:
-    """The tightened Figure 5 fold (exact comparisons only)."""
+    """The tightened Figure 5 fold (exact comparisons only).
+
+    Bounds over INT arguments come back as Python ints, as the row walk
+    returns them (INT columns past 2**53 never reach here).
+    """
     satisfiable, forced, vmin, vmax = _row_stats(problem)
     if not satisfiable.any():
         return RangeAnswer(None, None)
+    types = {problem.ctable.relation.attribute(a).type for a in problem.arguments}
+    cast = int if types == {AttributeType.INT} else float
     if maximize:
-        outer = float(vmax[satisfiable].max())
+        outer = cast(vmax[satisfiable].max())
         if forced.any():
-            inner = float(vmin[forced].max())
+            inner = cast(vmin[forced].max())
         else:
-            inner = float(vmin[satisfiable].min())
+            inner = cast(vmin[satisfiable].min())
         return RangeAnswer(inner, outer)
-    outer = float(vmin[satisfiable].min())
+    outer = cast(vmin[satisfiable].min())
     if forced.any():
-        inner = float(vmax[forced].min())
+        inner = cast(vmax[forced].min())
     else:
-        inner = float(vmax[satisfiable].max())
+        inner = cast(vmax[satisfiable].max())
     return RangeAnswer(outer, inner)
 
 
-# -- one-shot algorithm entry points ----------------------------------------
-
-
-def by_tuple_range_count_vec(
-    ctable: ColumnarTable, pmapping: PMapping, query: AggregateQuery
-):
-    """Vectorized ByTupleRangeCOUNT (Figure 2)."""
-    if query.group_by is not None:
-        return run_grouped_vectorized(
-            ctable, pmapping, query, by_tuple_range_count_vec
-        )
-    return range_count_on(VectorizedProblem(ctable, pmapping, query))
-
-
-def occurrence_probabilities_vec(
-    ctable: ColumnarTable, pmapping: PMapping, query: AggregateQuery
-):
-    """Per-tuple participation probabilities (the Figure 3 DP input)."""
-    return occurrence_array(VectorizedProblem(ctable, pmapping, query))
-
-
-def by_tuple_distribution_count_vec(
-    ctable: ColumnarTable, pmapping: PMapping, query: AggregateQuery
-):
-    """Vectorized ByTuplePDCOUNT: columnar masks + the Figure 3 DP.
-
-    The DP itself stays O(n^2) — that quadratic growth is precisely the
-    behaviour Figure 9 demonstrates — but each fold is one vector operation
-    instead of a Python loop.
-    """
-    if query.group_by is not None:
-        return run_grouped_vectorized(
-            ctable, pmapping, query, by_tuple_distribution_count_vec
-        )
-    return distribution_count_on(VectorizedProblem(ctable, pmapping, query))
-
-
-def by_tuple_expected_count_vec(
-    ctable: ColumnarTable,
-    pmapping: PMapping,
-    query: AggregateQuery,
-    *,
-    method: str = "linear",
-):
-    """Vectorized ByTupleExpValCOUNT.
-
-    ``method="linear"`` (default) sums the per-tuple participation
-    probabilities — the same ``fsum`` the engine's scalar kernel computes,
-    so the two lanes agree bit for bit.  ``method="distribution"`` takes
-    the expectation of the full Figure 3 DP (the paper's route; provably
-    equal, numerically within an ulp).
-    """
-    if query.group_by is not None:
-        return run_grouped_vectorized(
-            ctable, pmapping, query, by_tuple_expected_count_vec
-        )
-    if method == "linear":
-        return expected_count_on(VectorizedProblem(ctable, pmapping, query))
-    answer = by_tuple_distribution_count_vec(ctable, pmapping, query)
-    return answer.to_expected_value()
-
-
-def by_tuple_range_sum_vec(
-    ctable: ColumnarTable, pmapping: PMapping, query: AggregateQuery
-):
-    """Vectorized ByTupleRangeSUM (Figure 4, tight version)."""
-    if query.group_by is not None:
-        return run_grouped_vectorized(
-            ctable, pmapping, query, by_tuple_range_sum_vec
-        )
-    return range_sum_on(VectorizedProblem(ctable, pmapping, query))
-
-
-def by_tuple_expected_sum_vec(
-    ctable: ColumnarTable, pmapping: PMapping, query: AggregateQuery
-):
-    """Vectorized conditional-exact ByTupleExpValSUM.
-
-    Computes the same quantity as
-    :func:`repro.core.bytuple_sum.by_tuple_expected_sum` with
-    ``method="exact"`` — bit-identically: the numerator is an ``fsum``
-    over the scalar kernel's addend multiset and the empty-world factor
-    reuses its ``log1p`` formulation.
-    """
-    if query.group_by is not None:
-        return run_grouped_vectorized(
-            ctable, pmapping, query, by_tuple_expected_sum_vec
-        )
-    return expected_sum_on(VectorizedProblem(ctable, pmapping, query))
-
-
-def by_tuple_range_avg_vec(
-    ctable: ColumnarTable, pmapping: PMapping, query: AggregateQuery
-):
-    """Vectorized ByTupleRangeAVG (tight greedy over sorted candidates)."""
-    if query.group_by is not None:
-        return run_grouped_vectorized(
-            ctable, pmapping, query, by_tuple_range_avg_vec
-        )
-    return range_avg_on(VectorizedProblem(ctable, pmapping, query))
-
-
-def by_tuple_range_max_vec(
-    ctable: ColumnarTable, pmapping: PMapping, query: AggregateQuery
-):
-    """Vectorized ByTupleRangeMAX (Figure 5, tight version)."""
-    if query.group_by is not None:
-        return run_grouped_vectorized(
-            ctable, pmapping, query, by_tuple_range_max_vec
-        )
-    return range_minmax_on(
-        VectorizedProblem(ctable, pmapping, query), maximize=True
-    )
-
-
-def by_tuple_range_min_vec(
-    ctable: ColumnarTable, pmapping: PMapping, query: AggregateQuery
-):
-    """Vectorized ByTupleRangeMIN."""
-    if query.group_by is not None:
-        return run_grouped_vectorized(
-            ctable, pmapping, query, by_tuple_range_min_vec
-        )
-    return range_minmax_on(
-        VectorizedProblem(ctable, pmapping, query), maximize=False
-    )
-
-
-def run_grouped_vectorized(
-    ctable: ColumnarTable,
-    pmapping: PMapping,
-    query: AggregateQuery,
-    scalar_vectorized,
-):
-    """Run a vectorized scalar algorithm, fanning out over GROUP BY groups.
-
-    The vectorized counterpart of
-    :func:`repro.core.common.run_possibly_grouped`: the grouping attribute
-    must be *certain* (mapped to the same source column by every candidate
-    mapping); rows are partitioned with one ``numpy.unique`` pass over the
-    group-key column array and the scalar algorithm runs on a zero-row-copy
-    columnar subset per group.  Rows whose group key is NULL form their own
-    ``None`` group, exactly like the scalar partitioner.
-
-    Examples
-    --------
-    >>> run_grouped_vectorized(ctable, pm,
-    ...     parse_query("SELECT MAX(price) FROM T2 GROUP BY auctionID"),
-    ...     by_tuple_range_max_vec)                        # doctest: +SKIP
-    GroupedAnswer({34: RangeAnswer(...), 38: RangeAnswer(...)})
-    """
-    if query.group_by is None:
-        return scalar_vectorized(ctable, pmapping, query)
-    group_sources = {
-        reformulate_query(query, mapping, unmapped="null").group_by.name
-        for mapping, _ in pmapping
-    }
-    if len(group_sources) > 1:
-        raise UnsupportedQueryError(
-            "GROUP BY attribute maps to different source attributes "
-            f"under different mappings ({sorted(group_sources)}); "
-            "by-tuple grouping requires a certain grouping attribute"
-        )
-    group_column_name = next(iter(group_sources))
-    column = ctable.column(group_column_name)
-    nulls = ctable.nulls(group_column_name)
-    flat = AggregateQuery(query.aggregate, query.source, query.where, None)
-    answers = {}
-    keys = np.unique(column if nulls is None else column[~nulls])
-    for key in keys:
-        mask = column == key
-        if nulls is not None:
-            mask = mask & ~nulls
-        answers[ctable.python_value(group_column_name, key)] = (
-            scalar_vectorized(ctable.subset(mask), pmapping, flat)
-        )
-    if nulls is not None and nulls.any():
-        answers[None] = scalar_vectorized(ctable.subset(nulls), pmapping, flat)
-    return GroupedAnswer(answers)
-
-
-#: The flat by-tuple cells with a vectorized implementation, keyed by
-#: ``(aggregate operator, aggregate semantics)``.  The planner consults this
-#: registry (together with :data:`HAVE_NUMPY`) when an engine enables
-#: ``vectorize=True``; cells outside it — and queries/data outside the
-#: vectorizable fragment, which raise :class:`VectorizationError` at run
-#: time — fall back to the scalar lane.
-VECTORIZED_CELLS = {
-    (AggregateOp.COUNT, AggregateSemantics.RANGE): by_tuple_range_count_vec,
-    (AggregateOp.COUNT, AggregateSemantics.DISTRIBUTION):
-        by_tuple_distribution_count_vec,
-    (AggregateOp.COUNT, AggregateSemantics.EXPECTED_VALUE):
-        by_tuple_expected_count_vec,
-    (AggregateOp.SUM, AggregateSemantics.RANGE): by_tuple_range_sum_vec,
-    (AggregateOp.SUM, AggregateSemantics.EXPECTED_VALUE):
-        by_tuple_expected_sum_vec,
-    (AggregateOp.AVG, AggregateSemantics.RANGE): by_tuple_range_avg_vec,
-    (AggregateOp.MIN, AggregateSemantics.RANGE): by_tuple_range_min_vec,
-    (AggregateOp.MAX, AggregateSemantics.RANGE): by_tuple_range_max_vec,
-}
-
-#: The same cells' kernels over an already-built :class:`VectorizedProblem`.
-#: The vectorized lane calls these directly when the prepared query has
-#: pinned one, instead of rebuilding the masks per execution.
+#: The array kernel of each flat by-tuple PTIME cell, keyed by
+#: ``(aggregate operator, aggregate semantics)``: the one table from cell
+#: to kernel.  Each consumes a built :class:`VectorizedProblem`.
 PROBLEM_KERNELS = {
     (AggregateOp.COUNT, AggregateSemantics.RANGE): range_count_on,
     (AggregateOp.COUNT, AggregateSemantics.DISTRIBUTION):
@@ -935,3 +762,112 @@ PROBLEM_KERNELS = {
     (AggregateOp.MAX, AggregateSemantics.RANGE):
         functools.partial(range_minmax_on, maximize=True),
 }
+
+
+def run_grouped_vectorized(
+    ctable: ColumnarTable,
+    pmapping: PMapping,
+    query: AggregateQuery,
+    aggregate_semantics: AggregateSemantics,
+    *,
+    min_mean_group_rows: int = 0,
+):
+    """Answer one by-tuple PTIME cell over a columnar snapshot.
+
+    The cell is the query's aggregate operator under
+    ``aggregate_semantics``; its :data:`PROBLEM_KERNELS` entry runs over a
+    :class:`VectorizedProblem` built for the call.  GROUP BY fans out like
+    :func:`repro.core.common.run_possibly_grouped`: the kernel runs once per
+    :func:`group_problems` view (``min_mean_group_rows`` is passed on).
+
+    Raises :class:`VectorizationError` for a cell without an array kernel
+    and for queries or data outside the vectorizable fragment.
+
+    Examples
+    --------
+    >>> run_grouped_vectorized(ctable, pm,
+    ...     parse_query("SELECT MAX(price) FROM T2 GROUP BY auctionID"),
+    ...     AggregateSemantics.RANGE)                      # doctest: +SKIP
+    GroupedAnswer({34: RangeAnswer(...), 38: RangeAnswer(...)})
+    """
+    kernel = PROBLEM_KERNELS.get((query.aggregate.op, aggregate_semantics))
+    if kernel is None:
+        raise VectorizationError(
+            f"no array kernel for by-tuple {query.aggregate.op.value} under "
+            f"{aggregate_semantics.value}"
+        )
+    if query.group_by is None:
+        return kernel(VectorizedProblem(ctable, pmapping, query))
+    groups = group_problems(
+        ctable, pmapping, query, min_mean_group_rows=min_mean_group_rows
+    )
+    return GroupedAnswer({key: kernel(group) for key, group in groups})
+
+
+#: The smallest mean GROUP BY group size at which the by-tuple PTIME lane
+#: runs the array kernels per group.  Each kernel call costs tens of
+#: microseconds of numpy overhead whatever the group size, so many tiny
+#: groups fold faster through the row walk (the measurements are in
+#: docs/columnar.md).
+MIN_MEAN_GROUP_ROWS = 32
+
+
+def check_group_sizes(rows: int, groups: int, min_mean_group_rows: int) -> None:
+    """Raise :class:`VectorizationError` when groups average too few rows."""
+    if rows < min_mean_group_rows * groups:
+        raise VectorizationError(
+            f"{groups} groups over {rows} rows average fewer than "
+            f"{min_mean_group_rows} rows"
+        )
+
+
+def group_problems(
+    ctable: ColumnarTable,
+    pmapping: PMapping,
+    query: AggregateQuery,
+    *,
+    min_mean_group_rows: int = 0,
+) -> list[tuple[object, VectorizedProblem]]:
+    """``(group key, sub-problem)`` per GROUP BY group, in key order.
+
+    The grouping attribute must be *certain* (mapped to the same source
+    column by every candidate mapping).  One :class:`VectorizedProblem` is
+    built over the whole snapshot; a stable sort on the group-key column
+    then cuts it into per-group views, so each group keeps its rows in
+    table order.  Rows whose group key is NULL form a trailing ``None``
+    group, exactly like the scalar partitioner.  Raises
+    :class:`VectorizationError`, before building anything, when the groups
+    average fewer than ``min_mean_group_rows`` rows.
+    """
+    group_sources = {
+        reformulate_query(query, mapping, unmapped="null").group_by.name
+        for mapping, _ in pmapping
+    }
+    if len(group_sources) > 1:
+        raise UnsupportedQueryError(
+            "GROUP BY attribute maps to different source attributes "
+            f"under different mappings ({sorted(group_sources)}); "
+            "by-tuple grouping requires a certain grouping attribute"
+        )
+    name = next(iter(group_sources))
+    column = ctable.column(name)
+    nulls = ctable.nulls(name)
+    has_null_group = nulls is not None and bool(nulls.any())
+    rows = (
+        np.arange(ctable.row_count) if nulls is None else np.flatnonzero(~nulls)
+    )
+    order = rows[np.argsort(column[rows], kind="stable")]
+    keys, starts = np.unique(column[order], return_index=True)
+    check_group_sizes(
+        ctable.row_count, keys.size + has_null_group, min_mean_group_rows
+    )
+    problem = VectorizedProblem(ctable, pmapping, query)
+    ordered = problem.take(order)
+    bounds = starts.tolist() + [order.size]
+    groups = [
+        (ctable.python_value(name, key), ordered.take(slice(start, stop)))
+        for key, start, stop in zip(keys.tolist(), bounds, bounds[1:])
+    ]
+    if has_null_group:
+        groups.append((None, problem.take(np.flatnonzero(nulls))))
+    return groups

@@ -6,8 +6,8 @@ built once and shared by every request that names the dataset, so the
 compile/plan/prepared caches and columnar snapshots amortize across the
 whole request stream — the serving payoff of the prepared-plan work.
 Engine construction defaults lean resilient (``degrade=True``,
-``allow_sampling=True``): a tenant's guardrail breach walks the
-degradation chain (vectorized → scalar, exact → sampling with its DKW
+``allow_sampling=True``): a tenant's guardrail breach on exact
+exponential work walks the degradation chain to sampling (its DKW
 epsilon recorded) instead of failing the request.
 
 A :class:`TenantPolicy` attaches a standing
@@ -34,7 +34,6 @@ from repro.storage.table import Table
 SERVING_ENGINE_DEFAULTS: dict = {
     "degrade": True,
     "allow_sampling": True,
-    "vectorize": True,
 }
 
 

@@ -20,12 +20,14 @@ to target attributes the mapping does *not* cover are controlled by the
 
 The aggregate argument and the GROUP BY attribute must be covered by the
 mapping in every mode; aggregating a nonexistent column has no useful
-reading in the algorithms downstream.
+reading in the algorithms downstream.  A flat query level that names an
+attribute the target relation lacks raises
+:class:`~repro.exceptions.SchemaError` in every mode.
 """
 
 from __future__ import annotations
 
-from repro.exceptions import ReformulationError
+from repro.exceptions import ReformulationError, SchemaError
 from repro.schema.mapping import PMapping, RelationMapping
 from repro.sql.ast import (
     AggregateQuery,
@@ -57,8 +59,15 @@ def _rename_mapped(mapping: RelationMapping, ref: ColumnRef) -> ColumnRef:
     return ColumnRef(new_name, qualifier)
 
 
-def _column_renamer(mapping: RelationMapping, unmapped: str):
-    """Build the column rewriting function for condition references."""
+def _column_renamer(
+    mapping: RelationMapping, unmapped: str, *, strict: bool = True
+):
+    """Build the column rewriting function for condition references.
+
+    ``strict`` rejects a name the target relation lacks, which would
+    otherwise resolve against the source and bypass the mapping; only a
+    nested query's outer level, which names subquery outputs, is lenient.
+    """
     target_relation = mapping.target
 
     def rename(ref: ColumnRef):
@@ -72,8 +81,11 @@ def _column_renamer(mapping: RelationMapping, unmapped: str):
                     f"mapping {mapping.describe()} has no correspondence for "
                     f"attribute {ref.name!r} referenced by the query"
                 )
-        # Not a target attribute at all (e.g. a name introduced by a
-        # subquery alias), or "keep" mode; leave it untouched.
+        elif strict:
+            raise SchemaError(
+                f"relation {target_relation.name!r} has no attribute "
+                f"{ref.name!r}"
+            )
         return ref
 
     return rename
@@ -138,7 +150,7 @@ def reformulate_query(
         # The outer level's references name the subquery's output, resolved
         # positionally; rename them when they happen to use the target
         # attribute's name (the paper's loose convention), leniently.
-        rename = _column_renamer(mapping, "keep")
+        rename = _column_renamer(mapping, "keep", strict=False)
         return query.map_columns(rename).with_source(new_source)
     if source.name != mapping.target.name:
         raise ReformulationError(

@@ -4,7 +4,7 @@ The by-tuple algorithms are per-tuple folds; evaluating them over
 row-major Python tuples pays interpreter overhead per (tuple, mapping)
 pair.  :class:`ColumnarTable` is the storage-layer answer: a build-once,
 immutable column-major snapshot of a :class:`~repro.storage.table.Table`
-that every fast lane (the numpy kernels of :mod:`repro.core.vectorized`,
+that every array body (the numpy kernels of :mod:`repro.core.vectorized`,
 the array-backed prepared queries of :mod:`repro.core.common`) consumes.
 
 Conversion contract (from ``storage/table.Table``)
@@ -27,8 +27,8 @@ the arrays dense, and consumers must mask them out.  ``nulls(name)``
 returns ``None`` for a column with no NULLs, so the common all-certain
 case costs nothing.  INT columns ride in float64, which is exact for
 integers up to 2**53; a column holding a larger magnitude is flagged
-(:meth:`ColumnarTable.exact`) and the fast lanes decline it, keeping the
-scalar lane the exact reference.
+(:meth:`ColumnarTable.exact`) and the array kernels decline it, leaving
+such data to the exact row walks.
 
 The numpy import is guarded: without numpy (``pip install repro[fast]``
 declares the optional dependency) the pure-Python backend — stdlib

@@ -95,7 +95,7 @@ def assert_lanes_bit_identical(table, pmapping, where, *, group_by=None):
     suffix = f" WHERE {where}" if where else ""
     if group_by is not None:
         suffix += f" GROUP BY {group_by}"
-    scalar = AggregationEngine(table, pmapping)
+    scalar = AggregationEngine(table, pmapping, vectorize=False)
     vectorized = AggregationEngine(table, pmapping, vectorize=True)
     with scalar, vectorized:
         for aggregate, semantics in CELLS:
@@ -309,7 +309,7 @@ class TestEdgeDtypeDifferential:
         ]
         table = self._table(rows)
         pm = mixed_pmapping()
-        scalar = AggregationEngine(table, pm)
+        scalar = AggregationEngine(table, pm, vectorize=False)
         vectorized = AggregationEngine(table, pm, vectorize=True)
         query = f"SELECT SUM(value) FROM {MIXED_TARGET.name} WHERE value < 9 GROUP BY id"
         with scalar, vectorized:
@@ -321,6 +321,21 @@ class TestEdgeDtypeDifferential:
             )
         assert None in dict(baseline.groups.items())
         assert answer == baseline
+
+    def test_int_extremes_come_back_as_ints(self):
+        rows = [(i, f"t{i}", None, float(i), float(-i)) for i in range(1, 9)]
+        table = self._table(rows)
+        pm = mixed_pmapping()
+        for aggregate in ("MIN(id)", "MAX(id)"):
+            query = f"SELECT {aggregate} FROM {MIXED_TARGET.name} WHERE value > 2"
+            answers = [
+                AggregationEngine(table, pm, vectorize=vectorize).answer(
+                    query, MappingSemantics.BY_TUPLE, AggregateSemantics.RANGE
+                )
+                for vectorize in (False, True)
+            ]
+            assert repr(answers[0]) == repr(answers[1])
+            assert type(answers[1].low) is int, aggregate
 
 
 @requires_numpy
@@ -375,8 +390,8 @@ class TestCacheLifecycle:
 
 @requires_numpy
 class TestPinnedProblemReuse:
-    """A prepared query's pinned array-backed problem serves the vectorized
-    lane directly; unprepared answers never pin one."""
+    """A prepared query's pinned array-backed problem serves the by-tuple
+    PTIME lane directly; unprepared answers never pin one."""
 
     QUERY = "SELECT {aggregate} FROM MED WHERE value < 500"
 
@@ -395,14 +410,14 @@ class TestPinnedProblemReuse:
 
     def test_prepared_cells_build_the_problem_once(self, monkeypatch):
         table, pmapping = TestCacheLifecycle()._workload()
-        scalar = AggregationEngine(table, pmapping)
+        scalar = AggregationEngine(table, pmapping, vectorize=False)
         built = self._counting(monkeypatch)
         with AggregationEngine(table, pmapping, vectorize=True) as engine:
             for aggregate in dict(CELLS):
                 handle = engine.prepare(self.QUERY.format(aggregate=aggregate))
                 del built[:]
-                # The by-table cell pins the arrays; the by-tuple cells
-                # (all on the vectorized lane) reuse them.
+                # The by-table cell pins the arrays; the by-tuple PTIME
+                # cells reuse them.
                 handle.answer(MappingSemantics.BY_TABLE, AggregateSemantics.RANGE)
                 for cell_aggregate, semantics in CELLS:
                     if cell_aggregate != aggregate:
@@ -413,6 +428,126 @@ class TestPinnedProblemReuse:
                     )
                 assert len(built) == 1, aggregate
             assert engine.metrics_snapshot()["vectorized.hit"] == len(CELLS)
+
+    def test_repeated_prepared_answers_build_one_problem(self, monkeypatch):
+        # Ten answers per PTIME cell, each cell on a fresh prepared query
+        # (no by-table cell runs first to pin the arrays).
+        table, pmapping = TestCacheLifecycle()._workload()
+        built = self._counting(monkeypatch)
+        with AggregationEngine(table, pmapping) as engine:
+            for aggregate, semantics in CELLS:
+                engine.invalidate()
+                handle = engine.prepare(self.QUERY.format(aggregate=aggregate))
+                del built[:]
+                answers = [
+                    handle.answer(MappingSemantics.BY_TUPLE, semantics)
+                    for _ in range(10)
+                ]
+                assert len(built) == 1, (aggregate, semantics)
+                assert all(answer == answers[0] for answer in answers)
+                snapshot = engine.metrics_snapshot()
+                assert snapshot["vectorized.hit"] == 10
+                assert "vectorized.fallback" not in snapshot
+
+    GROUPED = "SELECT {aggregate} FROM T2 WHERE price > 100 GROUP BY auctionID"
+
+    def _grouped_answers(self, monkeypatch, table, prepared):
+        """(array answers, built, metrics, row-walk answers) per PTIME cell."""
+        from repro.data import ebay
+
+        pmapping = ebay.paper_pmapping()
+        row_walk = AggregationEngine([table], pmapping, vectorize=False)
+        built = self._counting(monkeypatch)
+        out = []
+        for aggregate, semantics in CELLS:
+            aggregate = aggregate.replace("value", "price")
+            text = self.GROUPED.format(aggregate=aggregate)
+            with AggregationEngine([table], pmapping) as engine:
+                handle = engine.prepare(text)
+                del built[:]
+                answers = [
+                    handle.answer(MappingSemantics.BY_TUPLE, semantics)
+                    if prepared
+                    else engine.answer(text, MappingSemantics.BY_TUPLE, semantics)
+                    for _ in range(10)
+                ]
+                expected = row_walk.answer(
+                    text, MappingSemantics.BY_TUPLE, semantics
+                )
+                out.append(
+                    (answers, len(built), engine.metrics_snapshot(), expected)
+                )
+        return out
+
+    def test_grouped_prepared_answers_build_one_problem(self, monkeypatch):
+        from repro.data import ebay
+
+        table = ebay.generate_auctions(4, mean_bids=80, seed=2)
+        cells = self._grouped_answers(monkeypatch, table, prepared=True)
+        for answers, built, snapshot, expected in cells:
+            assert built == 1
+            assert all(answer == expected for answer in answers)
+            assert snapshot["vectorized.hit"] == 10
+            assert "vectorized.fallback" not in snapshot
+
+    @pytest.mark.parametrize("prepared", [True, False])
+    def test_small_groups_take_the_row_walk(self, monkeypatch, prepared):
+        # Table II: two auctions of four bids each, far below the array
+        # body's mean group size; nothing is built, every call row-walks.
+        from repro.data import ebay
+
+        table = ebay.paper_instance()
+        cells = self._grouped_answers(monkeypatch, table, prepared)
+        for answers, built, snapshot, expected in cells:
+            assert built == 0
+            assert all(answer == expected for answer in answers)
+            assert snapshot["vectorized.fallback"] == 10
+            assert "vectorized.hit" not in snapshot
+
+    def test_out_of_fragment_prepared_query_tries_arrays_once(self, monkeypatch):
+        # MAX over a DATE column: materialization tries the array problem
+        # once, pins row vectors, and every call then goes straight to the
+        # row walk, scanning the rows once per call.
+        from repro.data import realestate
+        from repro.obs import metrics
+
+        table = realestate.paper_instance()
+        built = self._counting(monkeypatch)
+        with AggregationEngine([table], realestate.paper_pmapping()) as engine:
+            handle = engine.prepare("SELECT MAX(date) FROM T1")
+            handle.answer(MappingSemantics.BY_TUPLE, AggregateSemantics.RANGE)
+            assert len(built) == 1
+            registry = metrics.MetricsRegistry()
+            with metrics.use_registry(registry):
+                for _ in range(5):
+                    handle.answer(
+                        MappingSemantics.BY_TUPLE, AggregateSemantics.RANGE
+                    )
+            assert len(built) == 1
+            assert registry.snapshot()["tuples.scanned"] == 5 * len(table)
+            assert engine.metrics_snapshot()["vectorized.fallback"] == 6
+
+    def test_vectorize_false_builds_no_arrays(self, monkeypatch):
+        table, pmapping = TestCacheLifecycle()._workload()
+        with AggregationEngine(table, pmapping) as engine:
+            expected = {
+                cell: engine.prepare(
+                    self.QUERY.format(aggregate=cell[0])
+                ).answer(MappingSemantics.BY_TUPLE, cell[1])
+                for cell in CELLS
+            }
+        built = self._counting(monkeypatch)
+        with AggregationEngine(table, pmapping, vectorize=False) as engine:
+            for aggregate, semantics in CELLS:
+                handle = engine.prepare(self.QUERY.format(aggregate=aggregate))
+                for _ in range(3):
+                    answer = handle.answer(MappingSemantics.BY_TUPLE, semantics)
+                    assert answer == expected[(aggregate, semantics)]
+            assert engine.context.columnar_cache == {}
+            snapshot = engine.metrics_snapshot()
+        assert built == []
+        assert "vectorized.hit" not in snapshot
+        assert "vectorized.fallback" not in snapshot
 
     def test_unprepared_answers_pin_nothing(self, monkeypatch):
         table, pmapping = TestCacheLifecycle()._workload()
@@ -436,7 +571,7 @@ class TestNoNumpyDegradation:
         table = synthetic.generate_source_table(40, 2, seed=3, relation=relation)
         pmapping = synthetic.generate_pmapping(relation, 2, seed=3)
         query = "SELECT SUM(value) FROM MED WHERE value < 600"
-        with AggregationEngine(table, pmapping) as scalar:
+        with AggregationEngine(table, pmapping, vectorize=False) as scalar:
             baseline = scalar.answer(
                 query, MappingSemantics.BY_TUPLE, AggregateSemantics.RANGE
             )

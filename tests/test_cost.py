@@ -86,7 +86,7 @@ class TestLaneEstimates:
         assert est.rows == 100 * 500
 
     def test_sequential_lanes_scan_once(self):
-        for lane in (Lane.SCALAR, Lane.VECTORIZED):
+        for lane in (Lane.SCALAR, Lane.EXTENSION):
             est = self.estimate(lane, rows=100)
             assert est.rows == 100
             assert est.worlds == 0
@@ -107,11 +107,6 @@ class TestLaneEstimates:
         assert self.estimate(
             Lane.SCALAR, asem=AggregateSemantics.EXPECTED_VALUE
         ).support == 1
-
-    def test_vectorized_cheaper_than_scalar(self):
-        scalar = self.estimate(Lane.SCALAR)
-        vectorized = self.estimate(Lane.VECTORIZED)
-        assert vectorized.cost < scalar.cost
 
 
 class TestMisestimation:
@@ -215,17 +210,22 @@ class TestEstimateActualLoop:
         assert 1 <= report["actuals"]["support"] <= 5
 
     def test_lane_change_counted_on_runtime_decline(self):
-        # The vectorized plan declines at run time on a DATE aggregate
-        # argument, the scalar fallback answers, and the loop records the
-        # lane change.
-        pytest.importorskip("numpy")
-        engine = small_engine(vectorize=True)
-        query = "SELECT MAX(date) FROM T1"
-        assert engine.plan(query, "by-tuple", "range").lane == Lane.VECTORIZED
-        engine.answer(query, "by-tuple", "range")
+        # Nested composition declines at run time on an inner SUM (no
+        # exact polynomial route), the sampling fallback answers, and the
+        # loop records the lane change.
+        engine = small_engine(
+            use_extensions=True, allow_sampling=True, samples=50, seed=1
+        )
+        query = (
+            "SELECT AVG(R.listPrice) FROM (SELECT SUM(R2.listPrice) "
+            "FROM T1 AS R2 GROUP BY R2.propertyID) AS R"
+        )
+        plan = engine.plan(query, "by-tuple", "distribution")
+        assert plan.lane == Lane.NESTED_COMPOSE
+        engine.answer(query, "by-tuple", "distribution")
         snapshot = engine.metrics_snapshot()
         assert snapshot.get("planner.lane_changed", 0) >= 1
-        assert engine.context.last_stats["executed_lane"] == Lane.SCALAR
+        assert engine.context.last_stats["executed_lane"] == Lane.SAMPLING
 
     def test_aborted_run_reports_partial_actuals(self):
         engine = synthetic_engine(64, 3, max_rows=10)

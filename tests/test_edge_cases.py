@@ -45,7 +45,7 @@ class TestEmptyTables:
 
     def test_grouped_over_empty_table(self, empty_engine):
         answer = empty_engine.answer(
-            "SELECT MAX(price) FROM T1 GROUP BY propertyID",
+            "SELECT MAX(listPrice) FROM T1 GROUP BY propertyID",
             "by-table",
             "range",
         )

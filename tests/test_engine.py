@@ -200,7 +200,7 @@ class TestVectorizedEngine:
     ]
 
     def test_all_ops_match_scalar_engine(self, ds2, pm2):
-        scalar_engine = AggregationEngine([ds2], pm2)
+        scalar_engine = AggregationEngine([ds2], pm2, vectorize=False)
         vector_engine = AggregationEngine([ds2], pm2, vectorize=True)
         queries = [
             "SELECT COUNT(*) FROM T2 WHERE price < 300",
@@ -220,7 +220,7 @@ class TestVectorizedEngine:
                 _assert_same_answer(a, b)
 
     def test_expected_sum_matches(self, ds2, pm2, q2_prime):
-        scalar_engine = AggregationEngine([ds2], pm2)
+        scalar_engine = AggregationEngine([ds2], pm2, vectorize=False)
         vector_engine = AggregationEngine([ds2], pm2, vectorize=True)
         a = scalar_engine.answer(q2_prime, "by-tuple", "expected-value")
         b = vector_engine.answer(q2_prime, "by-tuple", "expected-value")
@@ -250,7 +250,7 @@ class TestVectorizedEngine:
         assert engine._columnar_cache["S2"] is cached
 
     def test_by_table_unaffected(self, ds2, pm2):
-        scalar_engine = AggregationEngine([ds2], pm2)
+        scalar_engine = AggregationEngine([ds2], pm2, vectorize=False)
         vector_engine = AggregationEngine([ds2], pm2, vectorize=True)
         a = scalar_engine.answer(ebay.Q2_PRIME, "by-table", "distribution")
         b = vector_engine.answer(ebay.Q2_PRIME, "by-table", "distribution")
@@ -324,13 +324,13 @@ class TestPartialCoverageMappings:
         pytest.importorskip("numpy")
         from repro.core.vectorized import (
             ColumnarTable,
-            by_tuple_range_count_vec,
+            run_grouped_vectorized,
         )
         from repro.core.bytuple_count import by_tuple_range_count
 
         scalar = by_tuple_range_count(ds1, partial_pmapping, q1)
-        vector = by_tuple_range_count_vec(
-            ColumnarTable(ds1), partial_pmapping, q1
+        vector = run_grouped_vectorized(
+            ColumnarTable(ds1), partial_pmapping, q1, AggregateSemantics.RANGE
         )
         assert scalar == vector
 

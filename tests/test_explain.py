@@ -2,15 +2,15 @@
 
 Covers the observability *contract* of the answering pipeline:
 
-* :meth:`ExecutionPlan.to_dict` for flat, vectorized (fallback chain),
-  and nested plans;
+* :meth:`ExecutionPlan.to_dict` for flat and nested plans;
 * ``engine.explain`` / ``engine.explain_analyze`` across all six
   semantics cells — executed lane, per-span timings, non-empty metric
   deltas, and plan-cache miss-then-hit convergence under ``repeat``;
 * cache hit/miss accounting across ``prepare()`` and ``answer_many()``;
 * the ``invalidate()``/``close()`` regression: per-context metric state
   resets while the process-wide registry keeps its totals;
-* span nesting under the nested and fallback lanes;
+* span nesting under the nested lanes, and the PTIME lane's array body
+  declining to its row walk inside one span;
 * golden ``--explain`` CLI output per aggregate and an
   ``--explain-analyze`` CLI smoke test.
 """
@@ -76,17 +76,6 @@ class TestPlanToDict:
         assert data["fallback"] is None
         assert data["inner"] is None
         json.dumps(data)  # JSON-ready, by contract
-
-    def test_vectorized_plan_exposes_fallback_chain(self, ds1, pm1, q1):
-        pytest.importorskip("numpy")
-        with AggregationEngine([ds1], pm1, vectorize=True) as engine:
-            data = engine.plan(
-                q1, MappingSemantics.BY_TUPLE, AggregateSemantics.RANGE
-            ).to_dict()
-        assert data["lane"] == Lane.VECTORIZED
-        assert data["fallback_chain"] == [Lane.VECTORIZED, Lane.SCALAR]
-        assert data["fallback"]["lane"] == Lane.SCALAR
-        assert data["fallback"]["algorithm"] == "ByTupleRangeCOUNT"
 
     def test_nested_plan_exposes_inner(self, ds2, pm2, q2):
         with AggregationEngine([ds2], pm2) as engine:
@@ -264,7 +253,7 @@ class TestSpanNesting:
         # The nested lane's work happened inside the answer span.
         assert nested in list(root.walk())
 
-    def test_vectorized_fallback_nests_under_declined_lane(
+    def test_array_decline_runs_row_walk_inside_the_lane_span(
         self, ds1, pm1, q1, monkeypatch
     ):
         pytest.importorskip("numpy")
@@ -277,16 +266,15 @@ class TestSpanNesting:
         sink = InMemorySink()
         with AggregationEngine([ds1], pm1, vectorize=True) as engine, \
                 use_sink(sink):
-            engine.answer(
+            answer = engine.answer(
                 q1, MappingSemantics.BY_TUPLE, AggregateSemantics.RANGE
             )
             snap = engine.metrics_snapshot()
-        (declined,) = sink.find("execute.vectorized")
-        (fallback,) = sink.find("execute.scalar")
-        assert fallback in declined.children
+        assert answer.as_tuple() == (1, 3)
+        assert len(sink.find("execute.scalar")) == 1
         assert snap["vectorized.fallback"] == 1
-        assert snap["execute.fallback.vectorized"] == 1
         assert "vectorized.hit" not in snap
+        assert not any(key.startswith("execute.fallback.") for key in snap)
 
     def test_vectorized_hit_has_no_fallback_span(self, ds1, pm1, q1):
         pytest.importorskip("numpy")
@@ -297,9 +285,10 @@ class TestSpanNesting:
                 q1, MappingSemantics.BY_TUPLE, AggregateSemantics.RANGE
             )
             snap = engine.metrics_snapshot()
-        assert sink.find("execute.scalar") == []
+        (span,) = sink.find("execute.scalar")
+        assert not [c for c in span.children if c.name.startswith("execute.")]
         assert snap["vectorized.hit"] == 1
-
+        assert "vectorized.fallback" not in snap
 
 GOLDEN_EXPLAIN = {
     AggregateOp.COUNT: (

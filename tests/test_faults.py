@@ -90,7 +90,9 @@ def baselines():
     def get(backend: str = "memory") -> dict:
         if backend not in cache:
             table, pmapping = problem()
-            engine = AggregationEngine([table], pmapping, backend=backend)
+            engine = AggregationEngine(
+                [table], pmapping, backend=backend, vectorize=False
+            )
             cache[backend] = {
                 (op, msem, asem): engine.answer(QUERIES[op], msem, asem)
                 for op, msem, asem in PTIME_CELLS

@@ -14,15 +14,8 @@ from repro.core.bytuple_avg import by_tuple_range_avg
 from repro.core.bytuple_count import by_tuple_range_count
 from repro.core.bytuple_minmax import by_tuple_range_max, by_tuple_range_min
 from repro.core.bytuple_sum import by_tuple_range_sum
-from repro.core.vectorized import (
-    ColumnarTable,
-    by_tuple_range_avg_vec,
-    by_tuple_range_count_vec,
-    by_tuple_range_max_vec,
-    by_tuple_range_min_vec,
-    by_tuple_range_sum_vec,
-    run_grouped_vectorized,
-)
+from repro.core.semantics import AggregateSemantics
+from repro.core.vectorized import ColumnarTable, run_grouped_vectorized
 from repro.schema.correspondence import AttributeCorrespondence
 from repro.schema.mapping import PMapping, RelationMapping
 from repro.schema.model import Attribute, AttributeType, Relation
@@ -50,15 +43,15 @@ TARGET = Relation(
 
 PAIRS = [
     ("COUNT", "SELECT COUNT(*) FROM MED WHERE value < {c} GROUP BY g",
-     by_tuple_range_count, by_tuple_range_count_vec),
+     by_tuple_range_count),
     ("SUM", "SELECT SUM(value) FROM MED WHERE value < {c} GROUP BY g",
-     by_tuple_range_sum, by_tuple_range_sum_vec),
+     by_tuple_range_sum),
     ("AVG", "SELECT AVG(value) FROM MED WHERE value < {c} GROUP BY g",
-     by_tuple_range_avg, by_tuple_range_avg_vec),
+     by_tuple_range_avg),
     ("MAX", "SELECT MAX(value) FROM MED WHERE value < {c} GROUP BY g",
-     by_tuple_range_max, by_tuple_range_max_vec),
+     by_tuple_range_max),
     ("MIN", "SELECT MIN(value) FROM MED WHERE value < {c} GROUP BY g",
-     by_tuple_range_min, by_tuple_range_min_vec),
+     by_tuple_range_min),
 ]
 
 _VALUES = st.integers(min_value=-5, max_value=9).map(float)
@@ -104,11 +97,11 @@ class TestGroupedPaths:
     def test_scalar_and_vectorized_grouped_agree(self, problem):
         table, pmapping, threshold = problem
         columnar = ColumnarTable(table)
-        for name, template, scalar_fn, vector_fn in PAIRS:
+        for name, template, scalar_fn in PAIRS:
             query = parse_query(template.format(c=threshold))
             scalar = scalar_fn(table, pmapping, query)
             vector = run_grouped_vectorized(
-                columnar, pmapping, query, vector_fn
+                columnar, pmapping, query, AggregateSemantics.RANGE
             )
             assert set(scalar.groups) == set(vector.groups), name
             for key, answer in scalar:

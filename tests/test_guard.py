@@ -9,8 +9,8 @@ Covers the robustness contract end to end:
   mid-enumeration (:mod:`repro.core.naive`), with structured partial
   progress and no corrupted cache state afterwards;
 * graceful degradation: exponential cells rerun on the sampling lane
-  with a recorded accuracy contract, the vectorized lane degrades to the
-  scalar lane, terminal lanes still raise;
+  with a recorded accuracy contract, terminal lanes (the by-tuple PTIME
+  lane among them) still raise;
 * :meth:`AggregationEngine.answer_many` returning a
   :class:`BatchResult` that survives per-query failures.
 """
@@ -245,8 +245,8 @@ class TestEngineGuardrails:
 
 class TestDegradation:
     def test_chain_shape(self):
-        assert degradation_chain(Lane.VECTORIZED) == [Lane.SCALAR]
         assert degradation_chain(Lane.NAIVE) == [Lane.SAMPLING]
+        assert degradation_chain(Lane.NESTED_COMPOSE) == [Lane.SAMPLING]
         assert degradation_chain(Lane.SCALAR) == []
         # to_dict surfaces the chain for EXPLAIN.
         engine = small_engine()
@@ -254,7 +254,7 @@ class TestDegradation:
         assert plan.to_dict()["degradation_chain"] == degradation_chain(
             plan.lane
         )
-        assert Lane.SCALAR in DEGRADATION_CHAIN[Lane.VECTORIZED]
+        assert set(DEGRADATION_CHAIN) == {Lane.NAIVE, Lane.NESTED_COMPOSE}
 
     def test_exponential_degrades_to_sampling(self):
         engine = small_engine(
@@ -297,36 +297,28 @@ class TestDegradation:
         assert report["degradation"]["to"] == Lane.SAMPLING
         assert "epsilon" in report["degradation"]
 
-    def test_vectorized_degrades_to_scalar(self):
-        # The deadline expires inside the vectorized COUNT DP: the
-        # degradation walk reruns the cell on the scalar lane, without the
-        # already-spent deadline.
-        pytest.importorskip("numpy")
-        engine = synthetic_engine(
-            num_tuples=16, vectorize=True, degrade=True, timeout_ms=0
-        )
-        query = "SELECT COUNT(*) FROM MED WHERE value < 500"
-        plan = engine.plan(query, "by-tuple", "distribution")
-        assert plan.lane == Lane.VECTORIZED
-        baseline = synthetic_engine(num_tuples=16).answer(
-            query, "by-tuple", "distribution"
-        )
-        answer = engine.answer(query, "by-tuple", "distribution")
-        assert answer == baseline
-        record = engine.context.last_degradation
-        assert record["from"] == Lane.VECTORIZED
-        assert record["to"] == Lane.SCALAR
-        assert record["reason"] == "QueryTimeoutError"
-        snap = engine.metrics_snapshot()
-        assert snap["degraded.vectorized.to.scalar"] == 1
-        assert snap["planner.executed.scalar"] == 1
-
     def test_terminal_lane_still_raises_with_degrade_on(self):
         # The scalar lane has no degradation target: the breach propagates
         # even when degradation is enabled.
         engine = small_engine(degrade=True, timeout_ms=0)
         with pytest.raises(QueryTimeoutError):
             engine.answer(realestate.Q1, "by-tuple", "distribution")
+        assert engine.context.last_degradation is None
+
+    def test_array_body_deadline_propagates_with_degrade_on(self):
+        # The deadline expires inside the array-backed COUNT DP, which
+        # checks it per row. The array body runs inside the scalar lane,
+        # so there is no lane to degrade to: the breach propagates.
+        pytest.importorskip("numpy")
+        engine = synthetic_engine(
+            num_tuples=16, vectorize=True, degrade=True, timeout_ms=0
+        )
+        query = "SELECT COUNT(*) FROM MED WHERE value < 500"
+        assert engine.plan(query, "by-tuple", "distribution").lane == (
+            Lane.SCALAR
+        )
+        with pytest.raises(QueryTimeoutError):
+            engine.answer(query, "by-tuple", "distribution")
         assert engine.context.last_degradation is None
 
     def test_resource_breach_that_every_target_repeats_propagates(self):

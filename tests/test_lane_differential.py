@@ -4,11 +4,11 @@ Random relations, p-mappings, and WHERE clauses (comparisons, AND/OR/NOT,
 BETWEEN, IN — exercising the full three-valued-logic surface) run through
 every lane applicable to each PTIME by-tuple cell:
 
-* the scalar kernels (baseline),
-* the columnar vectorized lane — whose float folds are factored through
-  the same exact primitives as the scalar kernels (``fsum``-equivalent
-  totals, the shared AVG greedy, element-exact DP updates), so the
-  comparison is strict ``==``,
+* the Figure 2-5 row walks (baseline, ``vectorize=False``),
+* the by-tuple PTIME lane's array body (``vectorize=True``) — whose
+  float folds are factored through the same exact primitives as the row
+  walks (``fsum``-equivalent totals, the shared AVG greedy,
+  element-exact DP updates), so the comparison is strict ``==``,
 * ``answer_many(parallel=True)``, whose thread pool must return the same
   answers in the same order as the sequential batch.
 
@@ -28,7 +28,7 @@ from repro.schema.correspondence import AttributeCorrespondence
 from repro.schema.mapping import PMapping, RelationMapping
 from repro.storage.table import Table
 
-#: The eight PTIME flat by-tuple cells the vectorized lane covers.
+#: The eight PTIME flat by-tuple cells, each with an array kernel.
 CELLS = [
     ("COUNT(*)", AggregateSemantics.RANGE),
     ("COUNT(*)", AggregateSemantics.DISTRIBUTION),
@@ -116,7 +116,7 @@ class TestLanesAgree:
     @given(lane_problems())
     def test_vectorized_matches_scalar(self, case):
         table, pmapping, where = case
-        scalar = AggregationEngine(table, pmapping)
+        scalar = AggregationEngine(table, pmapping, vectorize=False)
         vectorized = AggregationEngine(table, pmapping, vectorize=True)
         with scalar, vectorized:
             for aggregate, semantics in CELLS:
@@ -140,7 +140,7 @@ class TestLanesAgree:
         the scalar fallback without numpy) must agree with scalar."""
         table, pmapping, where = case
         query = f"SELECT SUM(value) FROM MED WHERE {where} GROUP BY id"
-        scalar = AggregationEngine(table, pmapping)
+        scalar = AggregationEngine(table, pmapping, vectorize=False)
         vectorized = AggregationEngine(table, pmapping, vectorize=True)
         with scalar, vectorized:
             baseline = scalar.answer(

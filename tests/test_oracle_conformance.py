@@ -84,7 +84,10 @@ def engines_under_test(problem):
         (
             "scalar",
             AggregationEngine(
-                problem.table, problem.pmapping, allow_exponential=True
+                problem.table,
+                problem.pmapping,
+                vectorize=False,
+                allow_exponential=True,
             ),
         ),
         (

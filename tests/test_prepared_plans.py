@@ -203,13 +203,13 @@ class TestLanes:
         assert plan.lane == Lane.SCALAR
         assert plan.fallback_chain == [Lane.SCALAR]
 
-    def test_vectorized_lane_with_scalar_fallback(self, ds1, pm1):
-        pytest.importorskip("numpy")
-        engine = AggregationEngine([ds1], pm1, vectorize=True)
-        plan = engine.plan(realestate.Q1, "by-tuple", "range")
-        assert plan.lane == Lane.VECTORIZED
-        assert plan.fallback_chain == [Lane.VECTORIZED, Lane.SCALAR]
-        assert plan.answer() == RangeAnswer(1, 3)
+    def test_one_ptime_lane_with_or_without_columnar(self, ds1, pm1):
+        for vectorize in (False, True):
+            engine = AggregationEngine([ds1], pm1, vectorize=vectorize)
+            plan = engine.plan(realestate.Q1, "by-tuple", "range")
+            assert plan.lane == Lane.SCALAR
+            assert plan.fallback_chain == [Lane.SCALAR]
+            assert plan.answer() == RangeAnswer(1, 3)
 
     def test_sampling_lane_for_open_cell(self, ds1, pm1):
         engine = AggregationEngine([ds1], pm1, allow_sampling=True)
@@ -248,7 +248,6 @@ class TestLanes:
 
     def test_engine_dispatch_dict_is_gone(self):
         # Lane selection lives only in Planner.plan now.
-        assert not hasattr(AggregationEngine, "_try_vectorized")
         assert not hasattr(AggregationEngine, "_answer_nested_by_tuple")
 
 

@@ -57,7 +57,7 @@ from repro.testing import faults
 #: The sampling lane costs ~0.3 ms per sample on the 2k-tuple dataset:
 #: ``samples`` is the latency knob the load tests turn.
 HEAVY = {
-    "query": "SELECT SUM(a1) FROM T WHERE a1 < 800",
+    "query": "SELECT SUM(value) FROM T WHERE value < 800",
     "mapping_semantics": "by-tuple",
     "aggregate_semantics": "distribution",
 }
@@ -391,10 +391,10 @@ def test_admission_drain_sheds_new_and_queued():
 
 CELLS = [
     ("SELECT COUNT(*) FROM T", "by-table", "range"),
-    ("SELECT COUNT(*) FROM T WHERE a1 < 500", "by-table", "distribution"),
-    ("SELECT SUM(a1) FROM T", "by-table", "expected-value"),
-    ("SELECT COUNT(*) FROM T WHERE a1 < 500", "by-tuple", "distribution"),
-    ("SELECT AVG(a2) FROM T WHERE a1 < 500", "by-table", "range"),
+    ("SELECT COUNT(*) FROM T WHERE value < 500", "by-table", "distribution"),
+    ("SELECT SUM(value) FROM T", "by-table", "expected-value"),
+    ("SELECT COUNT(*) FROM T WHERE value < 500", "by-tuple", "distribution"),
+    ("SELECT AVG(value) FROM T WHERE value < 500", "by-table", "range"),
 ]
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.data import ebay, realestate
-from repro.exceptions import ReformulationError
+from repro.exceptions import ReformulationError, SchemaError
 from repro.sql.parser import parse_condition, parse_query
 from repro.sql.reformulate import (
     reformulate_condition,
@@ -99,10 +99,30 @@ class TestErrors:
         assert "comments" in rewritten.to_sql()
 
     def test_unknown_name_passes_through(self):
-        # Names outside the target relation (e.g. subquery outputs) survive.
-        cond = parse_condition("mystery < 3")
-        rewritten = reformulate_condition(cond, realestate.mapping_m11())
-        assert rewritten.to_sql() == "mystery < 3"
+        # The outer level of a nested query names the subquery's outputs,
+        # which the target relation lacks: they survive.
+        q = parse_query(
+            "SELECT AVG(R.mystery) FROM (SELECT MAX(listPrice) FROM T1 "
+            "GROUP BY propertyID) AS R WHERE R.mystery < 3"
+        )
+        rewritten = reformulate_query(q, realestate.mapping_m11())
+        assert rewritten.to_sql().startswith("SELECT AVG(R.mystery) FROM (")
+        assert rewritten.to_sql().endswith("WHERE R.mystery < 3")
+
+    def test_unknown_name_in_flat_query_is_a_schema_error(self):
+        # A name the target relation lacks would otherwise resolve against
+        # the source relation and skip the mapping uncertainty.
+        for unmapped in ("error", "null", "keep"):
+            with pytest.raises(SchemaError, match="no attribute 'price'"):
+                reformulate_query(
+                    parse_query("SELECT SUM(price) FROM T1"),
+                    realestate.mapping_m11(),
+                    unmapped=unmapped,
+                )
+        with pytest.raises(SchemaError, match="no attribute 'mystery'"):
+            reformulate_condition(
+                parse_condition("mystery < 3"), realestate.mapping_m11()
+            )
 
     def test_unmapped_attribute_null_mode(self):
         # Possible-worlds reading: an unmapped attribute is NULL-valued.

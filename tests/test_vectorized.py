@@ -20,6 +20,7 @@ from repro.core.bytuple_count import (
 )
 from repro.core.bytuple_minmax import by_tuple_range_max, by_tuple_range_min
 from repro.core.bytuple_sum import by_tuple_range_sum
+from repro.core.semantics import AggregateSemantics
 from repro.data import realestate, synthetic
 from repro.sql.ast import AggregateOp
 from repro.sql.parser import parse_query
@@ -28,17 +29,18 @@ from tests.conftest import small_problems
 
 pytest.importorskip("numpy")
 
+
+def _vec(ctable, pmapping, query, semantics=AggregateSemantics.RANGE):
+    """The array kernel of the query's by-tuple cell over ``ctable``."""
+    return V.run_grouped_vectorized(ctable, pmapping, query, semantics)
+
+
 PAIRS = [
-    ("SELECT COUNT(*) FROM {t} WHERE value < {c}",
-     by_tuple_range_count, V.by_tuple_range_count_vec),
-    ("SELECT SUM(value) FROM {t} WHERE value < {c}",
-     by_tuple_range_sum, V.by_tuple_range_sum_vec),
-    ("SELECT AVG(value) FROM {t} WHERE value < {c}",
-     by_tuple_range_avg, V.by_tuple_range_avg_vec),
-    ("SELECT MAX(value) FROM {t} WHERE value < {c}",
-     by_tuple_range_max, V.by_tuple_range_max_vec),
-    ("SELECT MIN(value) FROM {t} WHERE value < {c}",
-     by_tuple_range_min, V.by_tuple_range_min_vec),
+    ("SELECT COUNT(*) FROM {t} WHERE value < {c}", by_tuple_range_count),
+    ("SELECT SUM(value) FROM {t} WHERE value < {c}", by_tuple_range_sum),
+    ("SELECT AVG(value) FROM {t} WHERE value < {c}", by_tuple_range_avg),
+    ("SELECT MAX(value) FROM {t} WHERE value < {c}", by_tuple_range_max),
+    ("SELECT MIN(value) FROM {t} WHERE value < {c}", by_tuple_range_min),
 ]
 
 
@@ -47,10 +49,10 @@ class TestScalarVectorAgreement:
     @given(small_problems())
     def test_all_range_algorithms(self, problem):
         columnar = V.ColumnarTable(problem.table)
-        for template, scalar_fn, vector_fn in PAIRS:
+        for template, scalar_fn in PAIRS:
             query = problem.query(template)
             scalar = scalar_fn(problem.table, problem.pmapping, query)
-            vector = vector_fn(columnar, problem.pmapping, query)
+            vector = _vec(columnar, problem.pmapping, query)
             if scalar.is_defined:
                 assert vector.low == pytest.approx(scalar.low), template
                 assert vector.high == pytest.approx(scalar.high), template
@@ -64,19 +66,22 @@ class TestScalarVectorAgreement:
         scalar = by_tuple_distribution_count(
             problem.table, problem.pmapping, query
         )
-        vector = V.by_tuple_distribution_count_vec(
-            V.ColumnarTable(problem.table), problem.pmapping, query
+        vector = _vec(
+            V.ColumnarTable(problem.table),
+            problem.pmapping,
+            query,
+            AggregateSemantics.DISTRIBUTION,
         )
         assert vector.distribution.approx_equal(scalar.distribution, 1e-9)
 
     def test_medium_workload(self):
         workload = synthetic.generate_workload(2000, 8, 4, seed=11)
         columnar = V.ColumnarTable(workload.table)
-        for template, scalar_fn, vector_fn in PAIRS:
+        for template, scalar_fn in PAIRS:
             op = template.split("(")[0].split()[-1]
             query = parse_query(workload.query(AggregateOp(op)))
             scalar = scalar_fn(workload.table, workload.pmapping, query)
-            vector = vector_fn(columnar, workload.pmapping, query)
+            vector = _vec(columnar, workload.pmapping, query)
             assert vector.low == pytest.approx(scalar.low)
             assert vector.high == pytest.approx(scalar.high)
 
@@ -84,15 +89,19 @@ class TestScalarVectorAgreement:
         workload = synthetic.generate_workload(500, 6, 3, seed=5)
         columnar = V.ColumnarTable(workload.table)
         q = parse_query(workload.query(AggregateOp.COUNT))
-        dp = V.by_tuple_expected_count_vec(columnar, workload.pmapping, q)
-        linear = V.by_tuple_expected_count_vec(
-            columnar, workload.pmapping, q, method="linear"
+        dp = _vec(
+            columnar, workload.pmapping, q, AggregateSemantics.DISTRIBUTION
+        ).to_expected_value()
+        linear = _vec(
+            columnar, workload.pmapping, q, AggregateSemantics.EXPECTED_VALUE
         )
         assert dp.value == pytest.approx(linear.value)
         q_sum = parse_query(workload.query(AggregateOp.SUM))
         from repro.core.bytuple_sum import by_tuple_expected_sum
 
-        vec = V.by_tuple_expected_sum_vec(columnar, workload.pmapping, q_sum)
+        vec = _vec(
+            columnar, workload.pmapping, q_sum, AggregateSemantics.EXPECTED_VALUE
+        )
         scalar = by_tuple_expected_sum(
             workload.table, workload.pmapping, q_sum, method="exact"
         )
@@ -110,7 +119,7 @@ class TestColumnarTable:
         table = realestate.paper_instance()
         pm = realestate.paper_pmapping()
         q = parse_query(realestate.Q1)
-        answer = V.by_tuple_range_count_vec(V.ColumnarTable(table), pm, q)
+        answer = _vec(V.ColumnarTable(table), pm, q)
         assert answer.as_tuple() == (1, 3)
 
     def test_nulls_build_with_masks(self):
@@ -137,7 +146,7 @@ class TestGroupedVectorized:
         )
         scalar = by_tuple_range_max(ds2, pm2, q)
         vector = run_grouped_vectorized(
-            V.ColumnarTable(ds2), pm2, q, V.by_tuple_range_max_vec
+            V.ColumnarTable(ds2), pm2, q, AggregateSemantics.RANGE
         )
         assert set(scalar.groups) == set(vector.groups)
         for key, answer in scalar:
@@ -149,7 +158,7 @@ class TestGroupedVectorized:
 
         q = parse_query("SELECT SUM(price) FROM T2 GROUP BY auctionID")
         grouped = run_grouped_vectorized(
-            V.ColumnarTable(ds2), pm2, q, V.by_tuple_range_sum_vec
+            V.ColumnarTable(ds2), pm2, q, AggregateSemantics.RANGE
         )
         assert all(isinstance(key, int) for key in grouped.groups)
 
@@ -157,9 +166,11 @@ class TestGroupedVectorized:
         from repro.core.vectorized import run_grouped_vectorized
 
         q = parse_query("SELECT MAX(price) FROM T2")
-        direct = V.by_tuple_range_max_vec(V.ColumnarTable(ds2), pm2, q)
+        direct = V.PROBLEM_KERNELS[(AggregateOp.MAX, AggregateSemantics.RANGE)](
+            V.VectorizedProblem(V.ColumnarTable(ds2), pm2, q)
+        )
         routed = run_grouped_vectorized(
-            V.ColumnarTable(ds2), pm2, q, V.by_tuple_range_max_vec
+            V.ColumnarTable(ds2), pm2, q, AggregateSemantics.RANGE
         )
         assert direct == routed
 
@@ -208,7 +219,7 @@ class TestGroupedVectorized:
 
         scalar = by_tuple_range_sum(table, pm, q)
         vector = run_grouped_vectorized(
-            V.ColumnarTable(table), pm, q, V.by_tuple_range_sum_vec
+            V.ColumnarTable(table), pm, q, AggregateSemantics.RANGE
         )
         assert set(scalar.groups) == set(vector.groups)
         for key, answer in scalar:
@@ -223,12 +234,12 @@ class TestVectorizationLimits:
         columnar = V.ColumnarTable(ds2)
         q = parse_query(ebay.Q2)
         with pytest.raises(V.VectorizationError, match="nested"):
-            V.by_tuple_range_max_vec(columnar, pm2, q)
+            _vec(columnar, pm2, q)
 
     def test_group_by_vectorizes_via_column_partition(self, ds2, pm2):
         columnar = V.ColumnarTable(ds2)
         q = parse_query("SELECT MAX(price) FROM T2 GROUP BY auctionID")
-        vector = V.by_tuple_range_max_vec(columnar, pm2, q)
+        vector = _vec(columnar, pm2, q)
         scalar = by_tuple_range_max(ds2, pm2, q)
         assert vector == scalar
 
@@ -238,7 +249,7 @@ class TestVectorizationLimits:
             "SELECT COUNT(*) FROM T2 WHERE (price > 200 AND price < 400) "
             "OR NOT price >= 195"
         )
-        vector = V.by_tuple_range_count_vec(columnar, pm2, q)
+        vector = _vec(columnar, pm2, q)
         scalar = by_tuple_range_count(ds2, pm2, q)
         assert vector == scalar
 
@@ -248,6 +259,6 @@ class TestVectorizationLimits:
             "SELECT COUNT(*) FROM T2 WHERE price BETWEEN 195 AND 340 "
             "AND auctionID IN (34, 38)"
         )
-        vector = V.by_tuple_range_count_vec(columnar, pm2, q)
+        vector = _vec(columnar, pm2, q)
         scalar = by_tuple_range_count(ds2, pm2, q)
         assert vector == scalar
