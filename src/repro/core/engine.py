@@ -66,7 +66,6 @@ from repro.core.semantics import (
 )
 from repro.exceptions import (
     EvaluationError,
-    IntractableError,
     MappingError,
     ReproError,
 )
@@ -608,25 +607,11 @@ class AggregationEngine:
     ) -> dict[tuple[MappingSemantics, AggregateSemantics], AggregateAnswer]:
         """All six semantics cells for one query (the paper's Table III).
 
-        The query is parsed and compiled exactly once; each cell then only
-        plans and executes.  Cells whose evaluation is intractable under
-        the engine's policy are reported as the raised
-        :class:`IntractableError` instance rather than aborting the whole
-        table.
+        The query is parsed and compiled exactly once; see
+        :meth:`PreparedQuery.answer_six` for what the cells share and how
+        intractable cells are reported.
         """
-        prepared = self.prepare(query)
-        results: dict[
-            tuple[MappingSemantics, AggregateSemantics], AggregateAnswer
-        ] = {}
-        for mapping_sem in MappingSemantics:
-            for aggregate_sem in AggregateSemantics:
-                try:
-                    results[(mapping_sem, aggregate_sem)] = prepared.answer(
-                        mapping_sem, aggregate_sem, **options
-                    )
-                except IntractableError as error:
-                    results[(mapping_sem, aggregate_sem)] = error
-        return results
+        return self.prepare(query).answer_six(**options)
 
 
 __all__: Sequence[str] = ["AggregationEngine"]

@@ -423,6 +423,32 @@ class PreparedQuery:
                 budget=budget,
             )
 
+    def answer_six(
+        self, **options: object
+    ) -> dict[tuple[MappingSemantics, AggregateSemantics], AggregateAnswer]:
+        """All six semantics cells (the paper's Table III) as one request.
+
+        Each cell plans and executes as :meth:`answer` does (its own guard,
+        lane and query-log record); a cell that is intractable under the
+        engine's policy is reported as the raised
+        :class:`IntractableError`.  Within the request, nodes several cells
+        project run once (:func:`~repro.core.guard.sharing`): the sampled
+        draw per ``(samples, seed)`` and the by-table per-mapping answers.
+        A seeded cell is therefore ``==`` to answering it alone.
+        """
+        results: dict[
+            tuple[MappingSemantics, AggregateSemantics], AggregateAnswer
+        ] = {}
+        with guardmod.sharing():
+            for mapping_sem in MappingSemantics:
+                for aggregate_sem in AggregateSemantics:
+                    try:
+                        answer = self.answer(mapping_sem, aggregate_sem, **options)
+                    except IntractableError as error:
+                        answer = error
+                    results[(mapping_sem, aggregate_sem)] = answer
+        return results
+
     def __repr__(self) -> str:
         return f"PreparedQuery({self.text!r})"
 
@@ -741,25 +767,10 @@ def _dispatch(
         algorithm=plan.spec.name if plan.spec is not None else None,
     ):
         if lane == Lane.BY_TABLE:
-            guard = guardmod.current_guard()
-            reformulated_pairs = plan.compiled.reformulations()
-            context.metrics.inc(
-                "bytable.reformulations", len(reformulated_pairs)
+            results = guardmod.shared(
+                ("by-table", id(plan.compiled)),
+                lambda: _by_table_results(plan),
             )
-            problem = plan.compiled.columnar_problem
-            results = None
-            if problem is not None and _by_table_columnar_shape(plan):
-                results = bytable.columnar_results(problem)
-            if results is not None:
-                context.metrics.inc("bytable.columnar")
-            else:
-                results = []
-                for reformulated, probability in reformulated_pairs:
-                    if guard is not None:
-                        guard.check_deadline()
-                    results.append(
-                        (context.executor(reformulated), probability)
-                    )
             _note_lane(lane)
             return bytable.combine_results(results, plan.aggregate_semantics)
         if lane == Lane.SCALAR:
@@ -801,6 +812,26 @@ def _dispatch(
             _note_lane(lane)
             return answer
     raise EvaluationError(f"unknown execution lane {lane!r}")
+
+
+def _by_table_results(plan: ExecutionPlan) -> list[tuple[object, float]]:
+    """The per-mapping ``(answer, probability)`` pairs of paper Figure 1."""
+    context = plan.context
+    guard = guardmod.current_guard()
+    reformulated_pairs = plan.compiled.reformulations()
+    context.metrics.inc("bytable.reformulations", len(reformulated_pairs))
+    problem = plan.compiled.columnar_problem
+    if problem is not None and _by_table_columnar_shape(plan):
+        results = bytable.columnar_results(problem)
+        if results is not None:
+            context.metrics.inc("bytable.columnar")
+            return results
+    results = []
+    for reformulated, probability in reformulated_pairs:
+        if guard is not None:
+            guard.check_deadline()
+        results.append((context.executor(reformulated), probability))
+    return results
 
 
 def _by_table_columnar_shape(plan: ExecutionPlan) -> bool:

@@ -15,7 +15,8 @@ partial-progress snapshot when a limit trips.
 The active guard travels in a :class:`contextvars.ContextVar`, so lanes
 and kernels read it with :func:`current_guard` without any signature
 changes; :func:`activate` installs one for the duration of a plan
-execution.
+execution.  :func:`sharing` opens the wider scope of one ``answer_six``
+request, whose cells compute their :func:`shared` nodes once.
 
 Checks are stride-based where the loop body is cheap: ``add_rows``
 accumulates locally and consults the clock only every
@@ -327,3 +328,45 @@ def guarded(budget: Budget | None):
         yield guard
     finally:
         _current.reset(token)
+
+
+#: The memo of one ``answer_six`` request, whose cells share nodes (see
+#: :func:`shared`); ``None`` outside one, where nothing is cached.
+_shared: ContextVar[dict | None] = ContextVar("repro_shared_nodes", default=None)
+
+
+@contextmanager
+def sharing():
+    """Let the cells answered in the ``with`` body share :func:`shared` nodes.
+
+    Keys may hold ``id()`` of objects that outlive the scope (the prepared
+    query's compiled state), so an identity is never reused inside it.
+    """
+    token = _shared.set({})
+    try:
+        yield
+    finally:
+        _shared.reset(token)
+
+
+def shared(key: tuple, compute, *, worlds: int = 0):
+    """``compute()``, run at most once per ``key`` inside :func:`sharing`.
+
+    A hit skips the work but not its accounting: the active guard is
+    charged the ``worlds`` that ``compute`` drew, one at a time, and its
+    deadline checked, so a budget trips exactly where recomputing would
+    have tripped.  A ``compute`` that raises leaves nothing behind.
+    """
+    memo = _shared.get()
+    if memo is None:
+        return compute()
+    if key not in memo:
+        memo[key] = compute()
+        return memo[key]
+    guard = _current.get()
+    if guard is not None:
+        for _ in range(worlds):
+            guard.add_worlds(1)
+        guard.check_deadline()
+    metrics.inc("six.shared.hit")
+    return memo[key]

@@ -78,8 +78,12 @@ def _empirical_answer(
 
 
 def _project(
-    answer: DistributionAnswer, semantics: AggregateSemantics
+    answer: DistributionAnswer | GroupedAnswer, semantics: AggregateSemantics
 ) -> AggregateAnswer:
+    if isinstance(answer, GroupedAnswer):
+        return GroupedAnswer(
+            {key: _project(group, semantics) for key, group in answer}
+        )
     if semantics is AggregateSemantics.DISTRIBUTION:
         return answer
     if semantics is AggregateSemantics.RANGE:
@@ -199,27 +203,35 @@ def sample_by_tuple(
     Note that under the *range* semantics the estimate is the range of the
     sampled worlds, a subset of the true range; prefer the exact PTIME
     range algorithms, which exist for every aggregate.
+
+    Inside one ``answer_six`` request the empirical answer of a
+    ``(query, samples, seed)`` draw is computed once and projected per
+    cell (see :func:`repro.core.guard.shared`).
     """
     if samples <= 0:
         raise EvaluationError("need at least one sample")
-    rng = random.Random(seed)
-    if isinstance(query.source, SubquerySource) or query.group_by is not None:
-        return _sample_worlds(table, pmapping, query, semantics, samples, rng)
-    return _sample_flat(
-        table, pmapping, query, semantics, samples, rng, prepared=prepared
+
+    def draw() -> DistributionAnswer | GroupedAnswer:
+        rng = random.Random(seed)
+        if isinstance(query.source, SubquerySource) or query.group_by is not None:
+            return _sample_worlds(table, pmapping, query, samples, rng)
+        return _sample_flat(table, pmapping, query, samples, rng, prepared=prepared)
+
+    answer = guardmod.shared(
+        ("sampled", id(query), samples, seed), draw, worlds=samples
     )
+    return _project(answer, semantics)
 
 
 def _sample_flat(
     table: Table,
     pmapping: PMapping,
     query: AggregateQuery,
-    semantics: AggregateSemantics,
     samples: int,
     rng: random.Random,
     *,
     prepared: PreparedTupleQuery | None = None,
-) -> AggregateAnswer:
+) -> DistributionAnswer:
     if prepared is None:
         prepared = PreparedTupleQuery(table, pmapping, query)
     metrics.inc("sampling.iterations", samples)
@@ -239,7 +251,7 @@ def _sample_flat(
             undefined += 1
         else:
             outcomes[value] = outcomes.get(value, 0) + 1
-    return _project(_empirical_answer(outcomes, undefined, samples), semantics)
+    return _empirical_answer(outcomes, undefined, samples)
 
 
 def _sample_rows(
@@ -364,10 +376,9 @@ def _sample_worlds(
     table: Table,
     pmapping: PMapping,
     query: AggregateQuery,
-    semantics: AggregateSemantics,
     samples: int,
     rng: random.Random,
-) -> AggregateAnswer:
+) -> DistributionAnswer | GroupedAnswer:
     target = pmapping.target
     if _target_relation_name(query) != target.name:
         raise UnsupportedQueryError(
@@ -410,15 +421,10 @@ def _sample_worlds(
     if saw_grouped or query.group_by is not None:
         return GroupedAnswer(
             {
-                key: _project(
-                    _empirical_answer(
-                        bucket, samples - grouped_defined.get(key, 0), samples
-                    ),
-                    semantics,
+                key: _empirical_answer(
+                    bucket, samples - grouped_defined.get(key, 0), samples
                 )
                 for key, bucket in grouped_outcomes.items()
             }
         )
-    return _project(
-        _empirical_answer(scalar_outcomes, scalar_undefined, samples), semantics
-    )
+    return _empirical_answer(scalar_outcomes, scalar_undefined, samples)

@@ -269,45 +269,6 @@ class ColumnarTable:
             return datetime.date.fromordinal(int(value))
         return str(value)
 
-    # -- derived views -----------------------------------------------------
-
-    def _derived(self, columns, nulls, row_count: int) -> "ColumnarTable":
-        view = object.__new__(ColumnarTable)
-        view.relation = self.relation
-        view.row_count = row_count
-        view.backend = self.backend
-        view._columns = columns
-        view._nulls = nulls
-        view._inexact = self._inexact
-        return view
-
-    def subset(self, mask) -> "ColumnarTable":
-        """The rows selected by a boolean mask (numpy backend only)."""
-        if self.backend != "numpy":
-            raise ColumnarError(
-                "boolean-mask subsets require the numpy backend"
-            )
-        return self._derived(
-            {name: column[mask] for name, column in self._columns.items()},
-            {name: nulls[mask] for name, nulls in self._nulls.items()},
-            int(mask.sum()),
-        )
-
-    def slice_rows(self, start: int, stop: int) -> "ColumnarTable":
-        """Rows ``[start, stop)`` as a zero-copy view (both backends).
-
-        On the numpy backend the sliced arrays are views over the parent's
-        buffers, so a slice shares storage with the cached build.
-        """
-        return self._derived(
-            {
-                name: column[start:stop]
-                for name, column in self._columns.items()
-            },
-            {name: nulls[start:stop] for name, nulls in self._nulls.items()},
-            max(0, min(stop, self.row_count) - max(start, 0)),
-        )
-
     # -- pickling (slots) --------------------------------------------------
 
     def __getstate__(self):

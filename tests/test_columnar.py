@@ -127,19 +127,6 @@ class TestLayerContract:
         assert columnar.nulls("label") == [False, True]
         assert columnar.nulls("v2") == [True, False]
         assert columnar.nulls("v1") is None
-        with pytest.raises(ColumnarError, match="numpy backend"):
-            columnar.subset([True, False])
-
-    def test_python_backend_slices_rows(self):
-        table = Table(MIXED_RELATION, [
-            (i, f"t{i}", datetime.date(2020, 1, 1 + i), float(i), None)
-            for i in range(5)
-        ])
-        columnar = ColumnarTable(table, backend="python")
-        view = columnar.slice_rows(1, 4)
-        assert view.row_count == 3
-        assert list(view.column("v1")) == [1.0, 2.0, 3.0]
-        assert view.nulls("v2") == [True, True, True]
 
     def test_unknown_backend_rejected(self):
         table = Table(MIXED_RELATION, [])
@@ -175,7 +162,6 @@ class TestLayerContract:
             Table(relation, [(2**53 + 1,)]), backend="python"
         )
         assert not inexact.exact("n")
-        assert not inexact.slice_rows(0, 1).exact("n")
 
     @requires_numpy
     def test_numpy_backend_pickles(self):
@@ -204,22 +190,6 @@ class TestLayerContract:
             assert (lhs is None) == (rhs is None)
             if lhs is not None:
                 assert list(lhs) == list(rhs)
-
-    @requires_numpy
-    def test_subset_and_slices_are_consistent(self):
-        import numpy as np
-
-        rows = [(i, f"t{i}", None, float(i), None) for i in range(10)]
-        columnar = ColumnarTable(Table(MIXED_RELATION, rows))
-        mask = np.asarray([i % 2 == 0 for i in range(10)])
-        evens = columnar.subset(mask)
-        assert evens.row_count == 5
-        assert list(evens.column("v1")) == [0.0, 2.0, 4.0, 6.0, 8.0]
-        assert bool(evens.nulls("posted").all())
-        view = columnar.slice_rows(3, 7)
-        assert list(view.column("v1")) == [3.0, 4.0, 5.0, 6.0]
-        # Zero-copy: the slice shares the parent's buffers.
-        assert view.column("v1").base is columnar.column("v1")
 
     @requires_numpy
     def test_empty_table_builds(self):
