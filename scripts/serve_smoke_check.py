@@ -170,7 +170,7 @@ def main() -> int:
                 report["abandoned_requests"] == 0,
                 "zero in-flight requests abandoned",
             )
-            check("flushed" in report, "query log / feedback flushed")
+            check("flushed" in report, "query-log record counts reported")
         if err.strip():
             print(f"  stderr: {err.strip()[:500]}")
     finally:

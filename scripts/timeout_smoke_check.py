@@ -11,7 +11,9 @@ robustness contract instead of waiting:
    :class:`~repro.exceptions.QueryTimeoutError` in well under 2 s,
    reporting structured partial progress;
 2. with degradation enabled, the same breach reruns on the sampling
-   lane and returns an answer with a recorded accuracy contract;
+   lane and returns an answer with a recorded accuracy contract; the
+   execution record is the query log's last entry, with status
+   ``degraded`` and the degradation's epsilon;
 3. the CLI surfaces the timeout as exit code 10 with a one-line error.
 
 Run from the repository root::
@@ -82,14 +84,25 @@ def check_degrade(table, pmapping) -> bool:
     started = time.perf_counter()
     answer = engine.answer(QUERY, "by-tuple", "distribution")
     elapsed = time.perf_counter() - started
-    record = engine.context.last_degradation
-    if record is None or record.get("to") != "sampling":
+    record = engine.context.last_record
+    event = record.degraded if record is not None else None
+    if event is None or event.get("to") != "sampling":
         print(f"FAIL degrade: no sampling degradation recorded ({record})")
         return False
+    if engine.recent_queries()[-1] is not record:
+        print("FAIL degrade: last_record is not the query log's last record")
+        return False
+    if record.status != "degraded" or record.epsilon != event["epsilon"]:
+        print(
+            f"FAIL degrade: query-log record has status {record.status!r} "
+            f"and epsilon {record.epsilon} (expected 'degraded' and "
+            f"{event['epsilon']})"
+        )
+        return False
     print(
-        f"ok   degrade: {record['from']} -> {record['to']} in "
-        f"{elapsed * 1e3:.0f} ms, {record['samples']} samples "
-        f"(epsilon={record['epsilon']:.3f}), answer {answer!r:.60}"
+        f"ok   degrade: {event['from']} -> {event['to']} in "
+        f"{elapsed * 1e3:.0f} ms, {event['samples']} samples "
+        f"(epsilon={event['epsilon']:.3f}), answer {answer!r:.60}"
     )
     return True
 

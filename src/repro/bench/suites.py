@@ -557,29 +557,6 @@ obs_overhead.case("answer50.sink_on", repeats=5, warmup=1)(
 )
 
 
-@obs_overhead.case("answer50.calibrate_on", repeats=5, warmup=1)
-def _obs_calibrate():
-    # The cost-model feedback loop on top of the plain answer loop: each
-    # execution estimates, measures, and records into the feedback store.
-    # Comparing against answer50.sink_off bounds the calibration overhead.
-    from repro.core.engine import AggregationEngine
-    from repro.data import synthetic
-    from repro.sql.ast import AggregateOp
-
-    workload = synthetic.generate_workload(1000, 8, 5, seed=0)
-    engine = AggregationEngine(
-        [workload.table], workload.pmapping, calibrate=True
-    )
-    prepared = engine.prepare(workload.query(AggregateOp.SUM))
-    prepared.answer("by-tuple", "range")  # pin vectors untimed
-
-    def run():
-        for _ in range(50):
-            prepared.answer("by-tuple", "range")
-
-    return run, engine.close
-
-
 @obs_overhead.case("querylog.record_x1000", repeats=5, warmup=1)
 def _obs_querylog():
     from repro.obs import querylog

@@ -40,15 +40,13 @@ invocation's full span trees to a JSONL file.
 deadline), ``--max-worlds`` (cap on enumerated/sampled possible worlds),
 and ``--degrade`` (fall back to a cheaper lane instead of failing).
 
-Two more observability subcommands read the telemetry back::
+One more observability subcommand reads the telemetry back::
 
     repro-bench recent --file slow.jsonl      # query-log records as a table
-    repro-bench feedback --collect --query "SELECT COUNT(*) FROM T"
 
 ``recent`` renders structured query-log records (a slow-query JSONL
-trail, or a fresh synthetic run) as an aligned table or ``--json``;
-``feedback`` inspects — or, with ``--collect``, populates — the
-cost-model calibration store (see ``docs/observability.md``).
+trail, or a fresh synthetic run) as an aligned table or ``--json`` (see
+``docs/observability.md``).
 
 Errors never print a traceback: they emit one ``error: ...`` line on
 stderr and exit with a code naming the failure class — 2 generic/usage,
@@ -401,11 +399,6 @@ def _render_plan(plan: dict, indent: int = 0) -> list[str]:
             f"worlds={estimate['worlds']:g} "
             f"support={estimate['support']:g} cost={estimate['cost']:g}"
         )
-        if estimate.get("predicted_seconds") is not None:
-            lines.append(
-                f"{pad}  predicted: "
-                f"{estimate['predicted_seconds'] * 1e3:.3f} ms (calibrated)"
-            )
         preempted = estimate.get("preempted")
         if preempted:
             lines.append(
@@ -457,9 +450,6 @@ def _estimate_vs_actual_lines(report: dict) -> list[str]:
         if kind in ratios:
             rendered += f" (x{ratios[kind]:.2f})"
         lines.append(rendered)
-    predicted = estimates.get("predicted_seconds")
-    if predicted is not None:
-        lines.append(f"  predicted seconds={predicted:g} (calibrated)")
     return lines
 
 
@@ -844,98 +834,6 @@ def _run_recent(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_feedback(args: argparse.Namespace) -> int:
-    """The ``feedback`` subcommand: inspect or collect plan-feedback
-    calibration.
-
-    ``--file`` alone renders a previously-saved store;  ``--collect``
-    answers a synthetic workload on a ``calibrate=True`` engine first
-    (persisting to ``--file`` when given) and renders what it learned.
-    """
-    import json
-
-    from repro.exceptions import ReproError
-
-    try:
-        if args.collect:
-            from repro.core.engine import AggregationEngine
-            from repro.data import synthetic
-            from repro.sql.parser import parse_query
-
-            target = synthetic.mediated_relation(
-                parse_query(args.query).source.name
-            )
-            source = synthetic.source_relation(args.attributes)
-            table = synthetic.generate_source_table(
-                args.tuples, args.attributes, seed=args.seed, relation=source
-            )
-            pmapping = synthetic.generate_pmapping(
-                source, args.mappings, seed=args.seed, target=target
-            )
-            engine = AggregationEngine(
-                [table],
-                pmapping,
-                calibrate=True,
-                feedback_path=args.file,
-            )
-            with engine:
-                for _ in range(args.repeat):
-                    engine.answer(
-                        args.query,
-                        args.mapping_semantics,
-                        args.aggregate_semantics,
-                    )
-                snapshot = engine.feedback_snapshot()
-            if args.file is not None:
-                print(f"saved feedback to {args.file}", file=sys.stderr)
-        elif args.file is not None:
-            from repro.obs.feedback import PlanFeedback
-
-            store = PlanFeedback()
-            loaded = store.load(args.file)
-            if loaded == 0:
-                print(
-                    f"error: no observations in {args.file}",
-                    file=sys.stderr,
-                )
-                return 2
-            snapshot = store.snapshot()
-        else:
-            print(
-                "error: pass --file to inspect a saved store, or --collect "
-                "to record a fresh workload",
-                file=sys.stderr,
-            )
-            return 2
-    except (ReproError, OSError, ValueError) as error:
-        return _fail(error)
-    if args.json:
-        print(json.dumps(snapshot, indent=1))
-        return 0
-    if not snapshot:
-        print("no feedback observations")
-        return 0
-    headers = ["cell|lane", "obs", "s/row", "s/unit", "fit a", "fit b"]
-    rows = []
-    for key, entry in snapshot.items():
-        fit = entry.get("fit") or {}
-
-        def num(value) -> str:
-            return "-" if value is None else f"{value:.3g}"
-
-        rows.append([
-            key,
-            str(entry["observations"]),
-            num(entry.get("per_row_seconds")),
-            num(entry.get("seconds_per_unit")),
-            num(fit.get("intercept")),
-            num(fit.get("per_row")),
-        ])
-    for line in _render_table(headers, rows):
-        print(line)
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
     if argv is None:
@@ -1162,42 +1060,6 @@ def main(argv: list[str] | None = None) -> int:
     recent_parser.add_argument("--attributes", type=int, default=8)
     recent_parser.add_argument("--mappings", type=int, default=5)
     recent_parser.add_argument("--seed", type=int, default=0)
-    feedback_parser = subparsers.add_parser(
-        "feedback",
-        help="inspect (or, with --collect, record) the cost-model "
-        "calibration store",
-    )
-    feedback_parser.add_argument(
-        "--file", default=None, metavar="PATH",
-        help="feedback JSON store to inspect (or to save --collect into)",
-    )
-    feedback_parser.add_argument(
-        "--collect", action="store_true",
-        help="answer a synthetic workload on a calibrate=True engine and "
-        "render what it learned",
-    )
-    feedback_parser.add_argument(
-        "--json", action="store_true",
-        help="emit the calibration snapshot as JSON instead of the table",
-    )
-    feedback_parser.add_argument(
-        "--query", default="SELECT COUNT(*) FROM T",
-        help="synthetic-workload query (with --collect)",
-    )
-    feedback_parser.add_argument(
-        "--mapping-semantics", "--msem", dest="mapping_semantics",
-        default="by-tuple", choices=["by-table", "by-tuple"],
-    )
-    feedback_parser.add_argument(
-        "--aggregate-semantics", "--asem", dest="aggregate_semantics",
-        default="range",
-        choices=["range", "distribution", "expected-value"],
-    )
-    feedback_parser.add_argument("--repeat", type=int, default=5, metavar="N")
-    feedback_parser.add_argument("--tuples", type=int, default=500)
-    feedback_parser.add_argument("--attributes", type=int, default=8)
-    feedback_parser.add_argument("--mappings", type=int, default=5)
-    feedback_parser.add_argument("--seed", type=int, default=0)
     match_parser = subparsers.add_parser(
         "match",
         help="match two CSVs automatically and emit a JSON p-mapping",
@@ -1278,8 +1140,6 @@ def main(argv: list[str] | None = None) -> int:
         return _run_stats(args)
     if args.command == "recent":
         return _run_recent(args)
-    if args.command == "feedback":
-        return _run_feedback(args)
     if args.command == "match":
         return _run_match(args)
     if args.command == "serve":

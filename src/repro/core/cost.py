@@ -1,4 +1,4 @@
-"""Plan-time cost estimation and the estimate/actual/feedback loop.
+"""Plan-time cost estimation and the estimate/actual loop.
 
 The planner (:meth:`repro.core.planner.Planner.plan`) has always *chosen*
 a lane; this module makes it *predict* what the lane will do.  At plan
@@ -25,14 +25,8 @@ outermost frame of :func:`repro.core.execute.execute_plan` calls
 :meth:`CostModel.actuals` with what actually ran — the executed lane,
 the real draw count, the real answer support — computes misestimation
 ratios (``actual / estimate``), and feeds ``planner.misestimate.*``
-histograms.
-
-**Feedback calibration** closes the loop: when the engine opts in
-(``calibrate=True``), observed ``(rows, cost, seconds)`` triples land in
-a :class:`~repro.obs.feedback.PlanFeedback` store, and
-:meth:`CostModel.predicted_seconds` converts cost units to wall-clock
-using the observed seconds-per-unit median, so estimates gain a time
-dimension.  Calibration never changes an answer.
+histograms.  The estimate, the actuals and the ratios land on the
+execution's :class:`~repro.obs.querylog.QueryRecord`.
 """
 
 from __future__ import annotations
@@ -45,9 +39,8 @@ from repro.sql.ast import AggregateOp
 
 #: Cost units per elementary work item, by lane.  One unit is roughly one
 #: scalar row-fold step (predicate evaluation + accumulator update); the
-#: other weights are relative to that.  Absolute scale is irrelevant —
-#: only ratios between lanes drive decisions — and the feedback store
-#: calibrates units to wall-clock per host.
+#: other weights are relative to that.  Absolute scale is irrelevant:
+#: only ratios between lanes drive decisions.
 UNIT_COST: dict[str, float] = {
     Lane.BY_TABLE: 0.8,  # per (row x mapping) through the certain executor
     Lane.SCALAR: 1.0,  # per (row x mapping): predicate + fold
@@ -65,13 +58,6 @@ DP_UNIT = 0.5
 #: Worlds beyond this are reported as ``inf`` — the estimate only needs
 #: to say "astronomically more than any budget", not the exact power.
 WORLDS_CAP = float(1 << 62)
-
-
-def cell_key(op: AggregateOp, mapping_semantics, aggregate_semantics) -> str:
-    """The dotted cell key used by metrics and the feedback store."""
-    return (
-        f"{op.value}.{mapping_semantics.value}.{aggregate_semantics.value}"
-    )
 
 
 def naive_worlds(rows: int, mappings: int) -> float:
@@ -120,16 +106,14 @@ class PlanEstimate:
     ``rows``/``worlds``/``support``/``cost`` describe the chosen lane;
     ``candidates`` maps every lane in the plan's fallback and degradation
     chains to its own :class:`LaneEstimate` (so EXPLAIN can show the
-    alternatives the planner weighed); ``predicted_seconds`` is the
-    calibrated wall-clock prediction (``None`` until feedback exists);
-    ``preempted`` records a budget preemption — the planner swapping a
-    lane whose estimate already exceeded the active budget (``None``
-    otherwise).
+    alternatives the planner weighed); ``preempted`` records a budget
+    preemption — the planner swapping a lane whose estimate already
+    exceeded the active budget (``None`` otherwise).
     """
 
     __slots__ = (
         "lane", "rows", "worlds", "support", "cost", "candidates",
-        "predicted_seconds", "preempted",
+        "preempted",
     )
 
     def __init__(
@@ -137,7 +121,6 @@ class PlanEstimate:
         chosen: LaneEstimate,
         candidates: dict[str, LaneEstimate],
         *,
-        predicted_seconds: float | None = None,
         preempted: dict | None = None,
     ) -> None:
         self.lane = chosen.lane
@@ -146,7 +129,6 @@ class PlanEstimate:
         self.support = chosen.support
         self.cost = chosen.cost
         self.candidates = candidates
-        self.predicted_seconds = predicted_seconds
         self.preempted = preempted
 
     def candidate(self, lane: str) -> LaneEstimate | None:
@@ -159,7 +141,6 @@ class PlanEstimate:
             "worlds": self.worlds,
             "support": self.support,
             "cost": self.cost,
-            "predicted_seconds": self.predicted_seconds,
             "preempted": self.preempted,
             "candidates": {
                 lane: estimate.to_dict()
@@ -169,15 +150,11 @@ class PlanEstimate:
 
 
 class CostModel:
-    """Per-lane work estimation, optionally calibrated by feedback.
+    """Per-lane work estimation.
 
-    Stateless apart from the optional
-    :class:`~repro.obs.feedback.PlanFeedback` reference; one instance
-    lives on each :class:`~repro.core.execute.ExecutionContext`.
+    Stateless: the planner and the execution frame share the one
+    module-level :data:`COST_MODEL`.
     """
-
-    def __init__(self, feedback=None) -> None:
-        self.feedback = feedback
 
     # -- per-lane formulas -------------------------------------------------
 
@@ -256,7 +233,6 @@ class CostModel:
         m = len(compiled.pmapping)
         samples = getattr(context, "samples", 2000) if context else 2000
         op = compiled.query.aggregate.op
-        key = cell_key(op, plan.mapping_semantics, plan.aggregate_semantics)
         lanes = list(
             dict.fromkeys(
                 plan.fallback_chain + degradation_chain(plan.lane)
@@ -272,21 +248,7 @@ class CostModel:
                 aggregate_semantics=plan.aggregate_semantics,
                 samples=samples,
             )
-        chosen = candidates[plan.lane]
-        predicted = self.predicted_seconds(key, plan.lane, chosen.cost)
-        return PlanEstimate(chosen, candidates, predicted_seconds=predicted)
-
-    def predicted_seconds(
-        self, key: str, lane: str, cost: float
-    ) -> float | None:
-        """Calibrated wall-clock prediction for ``cost`` units, or ``None``."""
-        feedback = self.feedback
-        if feedback is None or not math.isfinite(cost) or cost <= 0:
-            return None
-        per_unit = feedback.seconds_per_unit(key, lane)
-        if per_unit is None:
-            return None
-        return cost * per_unit
+        return PlanEstimate(candidates[plan.lane], candidates)
 
     # -- actuals -------------------------------------------------------------
 
@@ -332,8 +294,9 @@ class CostModel:
         return actual
 
 
-#: The shared default model for contexts that never opt into calibration.
-DEFAULT_COST_MODEL = CostModel()
+#: The one cost model: the planner estimates with it, the outermost
+#: execution frame computes actuals with it.
+COST_MODEL = CostModel()
 
 
 def misestimation(estimates: dict, actuals: dict) -> dict:

@@ -131,26 +131,16 @@ class AggregationEngine:
         degradation chain instead of raising: exact exponential work
         (naive enumeration and nested composition) degrades to the
         sampling estimator (its accuracy contract is recorded on the
-        context and in EXPLAIN ANALYZE).  The degraded rerun keeps the
-        resource budgets but not the already-spent deadline.  Other
-        lanes, the by-tuple PTIME lane among them, are terminal: their
-        breach propagates.
+        execution record and in EXPLAIN ANALYZE).  The degraded rerun
+        keeps the resource budgets but not the already-spent deadline.
+        Other lanes, the by-tuple PTIME lane among them, are terminal:
+        their breach propagates.
     query_log_capacity / slow_query_ms / slow_query_path:
         The always-on structured query log (:mod:`repro.obs.querylog`):
         ring-buffer capacity behind :meth:`recent_queries`, and the
         optional slow-query threshold (milliseconds) at or above which a
         record is also appended, one JSON object per line, to
         ``slow_query_path``.
-    calibrate / feedback_path:
-        Opt-in cost-model calibration (:mod:`repro.obs.feedback`):
-        ``calibrate=True`` records each completed execution's actual
-        ``(rows, worlds, cost, seconds)`` in a per-(cell, lane) feedback
-        store, which adapts the cost model's wall-clock predictions.
-        Answers never change.
-        ``feedback_path`` names a JSON file to load calibration from at
-        construction and save to on :meth:`close` (and implies
-        ``calibrate=True``); :meth:`feedback_snapshot` inspects the
-        store.
     """
 
     def __init__(
@@ -176,8 +166,6 @@ class AggregationEngine:
         query_log_capacity: int = 256,
         slow_query_ms: float | None = None,
         slow_query_path: str | None = None,
-        calibrate: bool = False,
-        feedback_path: str | None = None,
     ) -> None:
         if isinstance(tables, Table):
             tables = [tables]
@@ -241,8 +229,6 @@ class AggregationEngine:
             query_log_capacity=query_log_capacity,
             slow_query_ms=slow_query_ms,
             slow_query_path=slow_query_path,
-            calibrate=calibrate,
-            feedback_path=feedback_path,
         )
 
     # -- lifecycle ---------------------------------------------------------
@@ -460,11 +446,14 @@ class AggregationEngine:
         ``plan.cache.miss`` on a cold engine, ``repeat - 1`` hits after.
 
         The report also carries the cost-model loop of the last
-        execution: ``estimates`` (the plan-time
+        execution, read from its
+        :class:`~repro.obs.querylog.QueryRecord`: ``executed_lane``,
+        ``estimates`` (the plan-time
         :class:`~repro.core.cost.PlanEstimate`), ``actuals`` (what the
         executed lane really did, in the same units), and
         ``misestimation`` (the ``actual / estimate`` ratios) — the
-        Postgres-style ``est rows=... actual rows=...`` comparison.
+        Postgres-style ``est rows=... actual rows=...`` comparison — and
+        its ``degradation`` event, if any.
         """
         self.context.ensure_open()
         if repeat < 1:
@@ -494,14 +483,14 @@ class AggregationEngine:
             "spans": [root.to_dict() for root in sink.roots],
             "metrics": deltas,
         }
-        if self.context.last_degradation is not None:
-            report["degradation"] = dict(self.context.last_degradation)
-        stats = self.context.last_stats
-        if stats is not None:
-            report["executed_lane"] = stats["executed_lane"]
-            report["estimates"] = stats["estimates"]
-            report["actuals"] = stats["actuals"]
-            report["misestimation"] = stats["misestimation"]
+        record = self.context.last_record
+        if record.degraded is not None:
+            report["degradation"] = dict(record.degraded)
+        if record.estimates is not None:
+            report["executed_lane"] = record.executed_lane
+            report["estimates"] = record.estimates
+            report["actuals"] = record.actuals
+            report["misestimation"] = record.misestimation
         return report
 
     def profile(
@@ -556,23 +545,6 @@ class AggregationEngine:
     def metrics_snapshot(self) -> dict:
         """The per-engine metric state (see ``docs/observability.md``)."""
         return self.context.metrics.snapshot()
-
-    def feedback_snapshot(self) -> dict:
-        """The plan-feedback store's calibration summary per (cell, lane).
-
-        Empty when the engine was not constructed with ``calibrate=True``
-        or a ``feedback_path``; see
-        :meth:`repro.obs.feedback.PlanFeedback.snapshot` for the shape.
-        """
-        if self.context.feedback is None:
-            return {}
-        return self.context.feedback.snapshot()
-
-    def save_feedback(self) -> None:
-        """Persist the feedback store to the engine's ``feedback_path`` now
-        (also happens automatically on :meth:`close`); a no-op without
-        one."""
-        self.context.save_feedback()
 
     def recent_queries(self, n: int | None = None) -> list["QueryRecord"]:
         """The last ``n`` structured query records, oldest first.

@@ -62,7 +62,6 @@ from repro.exceptions import (
     UnsupportedQueryError,
 )
 from repro.core import cost as costmod
-from repro.obs import feedback as feedbackmod
 from repro.obs import metrics, querylog, trace
 from repro.testing import faults
 from repro.schema.mapping import SchemaPMapping
@@ -102,8 +101,6 @@ class ExecutionContext:
         query_log_capacity: int = querylog.DEFAULT_CAPACITY,
         slow_query_ms: float | None = None,
         slow_query_path: str | None = None,
-        calibrate: bool = False,
-        feedback_path: str | None = None,
     ) -> None:
         self.tables = dict(tables)
         self.schema_pmapping = schema_pmapping
@@ -115,11 +112,9 @@ class ExecutionContext:
         self.max_sequences = max_sequences
         self.budget = budget
         self.degrade = degrade
-        #: Thread-local home of ``last_degradation``/``last_stats``: the
-        #: serving tier answers one context from many worker threads
-        #: concurrently, and per-request telemetry must not race across
-        #: requests.  Same-thread semantics (answer, then read) are
-        #: unchanged.
+        #: Thread-local home of :attr:`last_record`: the serving tier
+        #: answers one context from many worker threads concurrently, and
+        #: one request must never read another's record.
         self._thread_state = threading.local()
         #: Build-once columnar snapshots keyed by source-relation name,
         #: shared by every array body (see :meth:`columnar_for`).  Dropped
@@ -135,16 +130,6 @@ class ExecutionContext:
             slow_path=slow_query_path,
         )
         self.cache_size = cache_size
-        #: The plan-feedback store (``calibrate=True`` or a
-        #: ``feedback_path``); ``None`` keeps the cost model static.
-        self.feedback = (
-            feedbackmod.PlanFeedback()
-            if (calibrate or feedback_path is not None)
-            else None
-        )
-        self.feedback_path = feedback_path
-        #: The context's cost model — calibrated when feedback is on.
-        self.cost_model = costmod.CostModel(self.feedback)
         self.closed = False
         #: Serializes the three LRU caches below (and their metrics): the
         #: engine promises thread-safe prepare/answer, and an OrderedDict
@@ -154,40 +139,18 @@ class ExecutionContext:
         #: to the process-wide registry so EXPLAIN ANALYZE sees the same
         #: numbers.  Reset by :meth:`invalidate` and :meth:`close`.
         self.metrics = metrics.MetricsRegistry(parent=metrics.get_registry())
-        if self.feedback is not None and feedback_path is not None:
-            # A corrupt file loads empty; its load-error count lands here.
-            with metrics.use_registry(self.metrics):
-                self.feedback.load(feedback_path)
         self._compiled: OrderedDict[str, CompiledQuery] = OrderedDict()
         self._plans: OrderedDict[
             tuple[str, MappingSemantics, AggregateSemantics], ExecutionPlan
         ] = OrderedDict()
         self._prepared: OrderedDict[str, PreparedQuery] = OrderedDict()
 
-    # -- per-request telemetry (thread-local) ------------------------------
-
     @property
-    def last_degradation(self) -> dict | None:
-        """The calling thread's most recent degradation event
-        (``{"from", "to", "reason", ...}``), consumed by EXPLAIN ANALYZE;
-        ``None`` until a guard breach successfully degraded.  Thread-local
-        so concurrent requests on one engine never see each other's."""
-        return getattr(self._thread_state, "degradation", None)
-
-    @last_degradation.setter
-    def last_degradation(self, value: dict | None) -> None:
-        self._thread_state.degradation = value
-
-    @property
-    def last_stats(self) -> dict | None:
-        """The estimate/actual/misestimation block of the calling thread's
-        most recent outermost execution (thread-local, like
-        :attr:`last_degradation`)."""
-        return getattr(self._thread_state, "stats", None)
-
-    @last_stats.setter
-    def last_stats(self, value: dict | None) -> None:
-        self._thread_state.stats = value
+    def last_record(self) -> querylog.QueryRecord | None:
+        """The calling thread's most recent outermost execution, as the
+        :class:`~repro.obs.querylog.QueryRecord` the query log holds
+        (the same object); ``None`` before the thread's first one."""
+        return getattr(self._thread_state, "record", None)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -204,24 +167,12 @@ class ExecutionContext:
         reporting the cache traffic of its previous life (the
         process-wide parent registry retains the cumulative totals).
         """
-        self.save_feedback()
         if self.backend is not None:
             self.backend.close()
             self.backend = None
             self.closed = True
         self.columnar_cache.clear()
         self.metrics.reset()
-
-    def save_feedback(self) -> None:
-        """Persist the feedback store to ``feedback_path`` (no-op without
-        one).  Persistence failures downgrade to a metric — calibration
-        is advisory and must never fail a shutdown."""
-        if self.feedback is None or self.feedback_path is None:
-            return
-        try:
-            self.feedback.save(self.feedback_path)
-        except OSError:
-            self.metrics.inc("feedback.write_error")
 
     def invalidate(self) -> None:
         """Drop every cache (compiled, plans, prepared, columnar).
@@ -501,26 +452,26 @@ def execute_plan(
     (the ``budget`` override, else the context's), translates
     infrastructure failures into typed errors, and — when the context
     enables graceful degradation — walks the lane's degradation chain
-    after a guard breach.  It also writes the query-log record: exactly
+    after a guard breach.  It also builds the execution record: exactly
     one per outermost execution, on the success, degraded, and error
-    paths alike.  Nested frames (inner plans, fallback re-entry) detect
-    the already-active guard and dispatch directly.
+    paths alike (see :func:`_record_execution`).  Nested frames (inner
+    plans, fallback re-entry) detect the already-active guard and
+    dispatch directly.
     """
     context = plan.context
     context.ensure_open()
     if guardmod.current_guard() is not None:
         # An enclosing execute_plan frame already owns the guard,
-        # translation, degradation, and query-log record; this is an
+        # translation, degradation, and execution record; this is an
         # inner plan.
         return _dispatch(
             plan, samples=samples, seed=seed, max_sequences=max_sequences
         )
-    context.last_degradation = None
-    context.last_stats = None
     effective = budget if budget is not None else context.budget
     started_ts = time.time()
     started = time.perf_counter()
     breach: GuardrailError | None = None
+    degraded: dict | None = None
     progress: dict | None = None
     caught: BaseException | None = None
     answered: AggregateAnswer | None = None
@@ -545,7 +496,7 @@ def execute_plan(
             context.metrics.inc(f"guard.breach.{plan.lane}")
             if not context.degrade:
                 raise
-            answer = _degrade(
+            answer, degraded = _degrade(
                 plan,
                 error,
                 effective,
@@ -568,159 +519,92 @@ def execute_plan(
         raise
     finally:
         _executed_lane.reset(lane_token)
-        seconds = time.perf_counter() - started
-        stats = _finish_stats(
-            plan,
-            executed_lane=lane_cell[0],
-            samples=samples,
-            seconds=seconds,
-            error=caught,
-            progress=progress,
-            answer=answered,
-        )
-        _log_query(
+        _record_execution(
             plan,
             ts=started_ts,
-            seconds=seconds,
+            seconds=time.perf_counter() - started,
+            executed_lane=lane_cell[0],
             samples=samples,
             error=caught,
             breach=breach,
+            degraded=degraded,
             progress=progress,
-            stats=stats,
+            answer=answered,
         )
 
 
-def _finish_stats(
-    plan: ExecutionPlan,
-    *,
-    executed_lane: str,
-    samples: int | None,
-    seconds: float,
-    error: BaseException | None,
-    progress: dict | None,
-    answer: AggregateAnswer | None,
-) -> dict | None:
-    """Close the estimate/actual loop for one outermost execution.
-
-    Computes the executed lane's actual work in the estimate's units,
-    derives misestimation ratios, publishes them as
-    ``planner.misestimate.*`` histograms and per-lane execution
-    counters, stores the whole block on ``context.last_stats`` (the
-    EXPLAIN ANALYZE source), and — when the engine opted into
-    calibration — records the observation in the feedback store.
-    Returns the stats block, or ``None`` for plans without an estimate
-    (hand-built plans bypass the planner).
-    """
-    context = plan.context
-    estimate = plan.estimate
-    if estimate is None:
-        return None
-    effective_samples = context.samples if samples is None else samples
-    degraded = context.last_degradation
-    if (
-        degraded is not None
-        and degraded.get("to") == Lane.SAMPLING
-        and degraded.get("samples") is not None
-    ):
-        effective_samples = degraded["samples"]
-    support = None
-    if (
-        isinstance(answer, DistributionAnswer)
-        and answer.distribution is not None
-    ):
-        support = float(len(answer.distribution))
-    model = context.cost_model
-    actuals = model.actuals(
-        plan,
-        executed_lane,
-        samples=effective_samples,
-        support=support,
-        progress=progress if error is not None else None,
-    )
-    estimates = estimate.to_dict()
-    ratios = costmod.misestimation(estimates, actuals)
-    registry = context.metrics
-    registry.inc(f"planner.executed.{executed_lane}")
-    if executed_lane != plan.lane:
-        registry.inc("planner.lane_changed")
-    for kind, ratio in ratios.items():
-        registry.observe(f"planner.misestimate.{kind}", ratio)
-    stats = {
-        "executed_lane": executed_lane,
-        "seconds": seconds,
-        "estimates": estimates,
-        "actuals": actuals,
-        "misestimation": ratios,
-    }
-    context.last_stats = stats
-    feedback = context.feedback
-    actual_cost = actuals.get("cost")
-    if (
-        feedback is not None
-        and error is None
-        and isinstance(actual_cost, (int, float))
-        and math.isfinite(actual_cost)
-    ):
-        feedback.record(
-            costmod.cell_key(
-                plan.compiled.query.aggregate.op,
-                plan.mapping_semantics,
-                plan.aggregate_semantics,
-            ),
-            executed_lane,
-            rows=actuals.get("rows") or 0.0,
-            worlds=actuals.get("worlds") or 0.0,
-            cost=actual_cost,
-            seconds=seconds,
-        )
-    return stats
-
-
-def _log_query(
+def _record_execution(
     plan: ExecutionPlan,
     *,
     ts: float,
     seconds: float,
+    executed_lane: str,
     samples: int | None,
     error: BaseException | None,
     breach: GuardrailError | None,
+    degraded: dict | None,
     progress: dict | None,
-    stats: dict | None = None,
+    answer: AggregateAnswer | None,
 ) -> None:
-    """Record one outermost execution in the context's query log.
+    """Build the one record of an outermost execution and publish it.
 
-    A recovered guard breach logs as ``degraded`` with the breach class
-    kept alongside; an unrecovered error logs as ``error``.  The DKW
-    epsilon is recorded whenever a sampling estimator produced the answer
-    — directly planned or degraded-to.  Query-log persistence failures
-    (the slow-query file) must never fail the query: they downgrade to a
-    metric.
+    The record closes the estimate/actual loop: the executed lane's
+    actual work in the estimate's units and the misestimation ratios,
+    published as ``planner.misestimate.*`` histograms and per-lane
+    execution counters (plans without an estimate, i.e. hand-built ones
+    that bypass the planner, skip this block).  A recovered guard breach
+    records as ``degraded`` with the breach class kept alongside; an
+    unrecovered error as ``error``.  The DKW epsilon is recorded whenever
+    a sampling estimator produced the answer: planned, fallen back to, or
+    degraded to.  The record becomes the calling thread's
+    :attr:`ExecutionContext.last_record` and is appended to the query
+    log; query-log persistence failures (the slow-query file) never fail
+    the query, they downgrade to a metric.
     """
-    context = plan.context
-    degraded = context.last_degradation
-    if error is not None:
-        status = "error"
-    elif degraded is not None:
-        status = "degraded"
-    else:
-        status = "ok"
-    epsilon = None
-    if degraded is not None and "epsilon" in degraded:
-        epsilon = degraded["epsilon"]
-    elif error is None and plan.lane == Lane.SAMPLING:
-        from repro.core import sampling
+    from repro.core import sampling
 
-        epsilon = sampling.dkw_epsilon(
-            context.samples if samples is None else samples
+    context = plan.context
+    effective_samples = context.samples if samples is None else samples
+    if degraded is not None:
+        status = querylog.STATUS_DEGRADED
+        effective_samples = degraded["samples"]
+    else:
+        status = querylog.STATUS_OK if error is None else querylog.STATUS_ERROR
+    epsilon = None
+    if error is None and executed_lane == Lane.SAMPLING:
+        epsilon = sampling.dkw_epsilon(effective_samples)
+    estimates = actuals = ratios = None
+    if plan.estimate is not None:
+        support = None
+        if (
+            isinstance(answer, DistributionAnswer)
+            and answer.distribution is not None
+        ):
+            support = float(len(answer.distribution))
+        actuals = costmod.COST_MODEL.actuals(
+            plan,
+            executed_lane,
+            samples=effective_samples,
+            support=support,
+            progress=progress if error is not None else None,
         )
+        estimates = plan.estimate.to_dict()
+        ratios = costmod.misestimation(estimates, actuals)
+        registry = context.metrics
+        registry.inc(f"planner.executed.{executed_lane}")
+        if executed_lane != plan.lane:
+            registry.inc("planner.lane_changed")
+        for kind, ratio in ratios.items():
+            registry.observe(f"planner.misestimate.{kind}", ratio)
     record = querylog.QueryRecord(
         ts=ts,
         query=plan.compiled.text,
         mapping_semantics=plan.mapping_semantics.value,
         aggregate_semantics=plan.aggregate_semantics.value,
         lane=plan.lane,
+        executed_lane=executed_lane,
         status=status,
-        degraded=dict(degraded) if degraded is not None else None,
+        degraded=degraded,
         breach=type(breach).__name__ if breach is not None else None,
         error=type(error).__name__ if error is not None else None,
         seconds=seconds,
@@ -729,13 +613,13 @@ def _log_query(
         guard=progress,
         epsilon=epsilon,
         plan_digest=plan.digest,
-        est_cost=(
-            plan.estimate.cost if plan.estimate is not None else None
-        ),
-        actual_cost=(
-            stats["actuals"].get("cost") if stats is not None else None
-        ),
+        est_cost=plan.estimate.cost if plan.estimate is not None else None,
+        actual_cost=actuals.get("cost") if actuals is not None else None,
+        estimates=estimates,
+        actuals=actuals,
+        misestimation=ratios,
     )
+    context._thread_state.record = record
     try:
         context.query_log.record(record)
     except OSError:
@@ -859,7 +743,7 @@ def _degrade(
     samples: int | None,
     seed: int | None,
     max_sequences: int | None,
-) -> AggregateAnswer:
+) -> tuple[AggregateAnswer, dict]:
     """Walk the lane's degradation chain after a guard breach.
 
     Every chain target is the sampling estimator (see
@@ -867,10 +751,10 @@ def _degrade(
     keeps the resource budgets but drops the wall-clock deadline (the
     original already spent it; re-arming would trip instantly and make
     degradation unreachable), clamps its draw count to the worlds budget,
-    and records its accuracy contract (the DKW epsilon for the recorded
-    sample size) on the context's ``last_degradation``.  When the lane has
-    no chain, or every target breaches again, the last guardrail error
-    propagates.
+    and returns the answer with its degradation event, which carries the
+    accuracy contract (the DKW epsilon for the recorded sample size).
+    When the lane has no chain, or every target breaches again, the last
+    guardrail error propagates.
     """
     from repro.core import sampling
 
@@ -911,7 +795,7 @@ def _degrade(
                 last_error = breach
                 continue
         context.metrics.inc("degraded.sampling")
-        context.last_degradation = {
+        return answer, {
             "from": plan.lane,
             "to": target,
             "reason": type(error).__name__,
@@ -919,7 +803,6 @@ def _degrade(
             "samples": degraded_samples,
             "epsilon": sampling.dkw_epsilon(degraded_samples),
         }
-        return answer
     raise last_error
 
 

@@ -70,7 +70,7 @@ class Budget:
             ("max_worlds", max_worlds),
             ("max_support", max_support),
         ):
-            if value is not None and value < 0:
+            if value is not None and not value >= 0:  # rejects NaN too
                 raise ValueError(f"{name} must be >= 0, got {value!r}")
         self.timeout_ms = timeout_ms
         self.max_rows = max_rows

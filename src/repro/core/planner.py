@@ -477,7 +477,7 @@ class ExecutionPlan:
         """Short stable digest of the plan identity (query + cell + lanes).
 
         Groups query-log records by *plan*: the same query replanned onto
-        a different lane chain (data growth, calibration, policy change)
+        a different lane chain (data growth, policy change)
         gets a new digest.
         """
         if self._digest is None:
@@ -751,10 +751,7 @@ class Planner:
         """Attach the cost estimate and count the lane decision."""
         from repro.core import cost
 
-        model = getattr(context, "cost_model", None)
-        if model is None:
-            model = cost.DEFAULT_COST_MODEL
-        estimate = model.estimate_plan(plan, context)
+        estimate = cost.COST_MODEL.estimate_plan(plan, context)
         estimate.preempted = preempted
         plan.estimate = estimate
         if context is not None:

@@ -5,10 +5,14 @@ execution; metrics (:mod:`repro.obs.metrics`) answer *how much of
 everything happened* cumulatively.  The query log answers the operational
 question in between: *which queries ran, what did each one cost, and what
 did it get* — one :class:`QueryRecord` per outermost execution, capturing
-the wall-clock timestamp, the query digest, the chosen (and, after a
-guard breach, degraded) lane, the guard's partial-progress counters, the
-DKW epsilon whenever a sampling estimator produced the answer, the error
-class on failure, and the duration.
+the wall-clock timestamp, the query digest, the planned lane and the lane
+that actually answered, the cost estimate against the actual work, the
+guard's partial-progress counters, the degradation event, the DKW epsilon
+whenever a sampling estimator produced the answer, the error class on
+failure, and the duration.  The record is the only per-execution fact
+store: EXPLAIN ANALYZE, the serving tier and the slow-query trail all
+read it (the executing thread finds it as
+:attr:`~repro.core.execute.ExecutionContext.last_record`).
 
 The log is a bounded ring buffer on the engine's
 :class:`~repro.core.execute.ExecutionContext`, recorded from the
@@ -79,6 +83,11 @@ class QueryRecord:
         The semantics cell, as the enum string values.
     lane:
         The planner-chosen execution lane.
+    executed_lane:
+        The lane that produced the answer: differs from ``lane`` after a
+        runtime fallback (nested composition declining to sampling) or a
+        degradation.  Error records and records that never executed
+        repeat ``lane``.
     status:
         ``"ok"`` | ``"degraded"`` | ``"error"`` | ``"shed"`` (the last
         written only by the serving tier's admission controller).
@@ -105,7 +114,7 @@ class QueryRecord:
         processed), or ``None`` when no budget was active.
     epsilon:
         The DKW accuracy contract when a sampling estimator produced the
-        answer (directly planned or degraded-to), else ``None``.
+        answer (planned, fallen back to, or degraded to), else ``None``.
     plan_digest:
         Short digest of the plan identity (query text + cell + lane
         chain), so log consumers can group records by *plan*, not just by
@@ -116,6 +125,12 @@ class QueryRecord:
         aborted before completing).  Their ratio is the per-query
         misestimation the ``planner.misestimate.cost`` histogram
         aggregates.
+    estimates / actuals / misestimation:
+        The whole estimate/actual loop: the plan-time
+        :class:`~repro.core.cost.PlanEstimate` as a dict, what the
+        executed lane really did in the same units, and the
+        ``actual / estimate`` ratios (all ``None`` for plans built
+        without an estimate and for records that never executed).
     """
 
     __slots__ = (
@@ -125,6 +140,7 @@ class QueryRecord:
         "mapping_semantics",
         "aggregate_semantics",
         "lane",
+        "executed_lane",
         "status",
         "degraded",
         "breach",
@@ -137,6 +153,9 @@ class QueryRecord:
         "plan_digest",
         "est_cost",
         "actual_cost",
+        "estimates",
+        "actuals",
+        "misestimation",
     )
 
     def __init__(
@@ -150,6 +169,7 @@ class QueryRecord:
         status: str,
         seconds: float,
         rows: int,
+        executed_lane: str | None = None,
         degraded: dict | None = None,
         breach: str | None = None,
         error: str | None = None,
@@ -159,6 +179,9 @@ class QueryRecord:
         plan_digest: str | None = None,
         est_cost: float | None = None,
         actual_cost: float | None = None,
+        estimates: dict | None = None,
+        actuals: dict | None = None,
+        misestimation: dict | None = None,
     ) -> None:
         self.ts = ts
         self.query = query
@@ -166,6 +189,7 @@ class QueryRecord:
         self.mapping_semantics = mapping_semantics
         self.aggregate_semantics = aggregate_semantics
         self.lane = lane
+        self.executed_lane = lane if executed_lane is None else executed_lane
         self.status = status
         self.degraded = degraded
         self.breach = breach
@@ -178,6 +202,9 @@ class QueryRecord:
         self.plan_digest = plan_digest
         self.est_cost = est_cost
         self.actual_cost = actual_cost
+        self.estimates = estimates
+        self.actuals = actuals
+        self.misestimation = misestimation
 
     def to_dict(self) -> dict:
         """A JSON-ready form (the JSONL slow-log line shape)."""
@@ -188,6 +215,7 @@ class QueryRecord:
             "mapping_semantics": self.mapping_semantics,
             "aggregate_semantics": self.aggregate_semantics,
             "lane": self.lane,
+            "executed_lane": self.executed_lane,
             "status": self.status,
             "degraded": self.degraded,
             "breach": self.breach,
@@ -200,6 +228,9 @@ class QueryRecord:
             "plan_digest": self.plan_digest,
             "est_cost": self.est_cost,
             "actual_cost": self.actual_cost,
+            "estimates": self.estimates,
+            "actuals": self.actuals,
+            "misestimation": self.misestimation,
         }
 
     def __repr__(self) -> str:

@@ -8,8 +8,8 @@ columnar caches amortize across requests), an
 typed 429/503-style JSON rejections instead of queueing unboundedly,
 per-tenant :class:`~repro.core.guard.Budget` policies riding the existing
 guardrail/degradation machinery, and graceful drain on SIGTERM — stop
-accepting, finish in-flight work under a drain deadline, flush the query
-log and feedback stores.
+accepting, finish in-flight work under a drain deadline, close every
+engine and report its query-log record count.
 
 Layers (socket to kernel):
 

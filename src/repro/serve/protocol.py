@@ -28,6 +28,7 @@ from __future__ import annotations
 import asyncio
 import datetime
 import json
+import math
 
 from repro.core.answers import (
     AggregateAnswer,
@@ -138,7 +139,7 @@ class HttpRequest:
             raise ProtocolError("request body is empty (expected JSON)")
         try:
             payload = json.loads(self.body)
-        except ValueError as error:
+        except (ValueError, RecursionError) as error:  # too deeply nested
             raise ProtocolError(f"request body is not valid JSON: {error}")
         if not isinstance(payload, dict):
             raise ProtocolError("request body must be a JSON object")
@@ -285,7 +286,10 @@ def _field(payload: dict, name: str, kind: type, *, default=None, required=False
             raise ProtocolError(f"missing required field {name!r}")
         return None
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ProtocolError(f"field {name!r} is out of range")
     if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
         raise ProtocolError(
             f"field {name!r} must be {kind.__name__}, got "
@@ -319,8 +323,11 @@ def parse_query_request(payload: dict) -> QueryRequest:
     if samples is not None and samples < 1:
         raise ProtocolError(f"samples must be >= 1, got {samples}")
     timeout_ms = _field(payload, "timeout_ms", float)
-    if timeout_ms is not None and timeout_ms < 0:
-        raise ProtocolError(f"timeout_ms must be >= 0, got {timeout_ms}")
+    if timeout_ms is not None and not 0 <= timeout_ms < math.inf:
+        # json.loads accepts NaN and Infinity; a NaN deadline never expires.
+        raise ProtocolError(
+            f"timeout_ms must be finite and >= 0, got {timeout_ms}"
+        )
     return QueryRequest(
         dataset=_field(payload, "dataset", str, required=True),
         query=_field(payload, "query", str, required=True),

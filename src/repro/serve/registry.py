@@ -83,9 +83,8 @@ class DatasetRegistry:
 
     Thread-safe: the service's worker threads resolve engines while the
     event loop registers/drops datasets.  Closing the registry closes
-    every engine — flushing feedback stores to their ``feedback_path`` —
-    and reports per-dataset query-log sizes, so a drain can account for
-    what it flushed.
+    every engine and reports per-dataset query-log sizes, so a drain can
+    account for the work it saw.
     """
 
     def __init__(self, *, engine_defaults: Mapping[str, object] | None = None) -> None:
@@ -212,8 +211,7 @@ class DatasetRegistry:
     def close(self) -> dict:
         """Close every engine; returns a per-dataset flush report.
 
-        Closing an engine persists its feedback store (when configured
-        with a ``feedback_path``) and releases pools/backends; the report
+        Closing an engine releases its backend and caches; the report
         carries each dataset's buffered query-log record count at close,
         so the drain log can state what was flushed.
         """

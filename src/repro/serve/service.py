@@ -18,8 +18,8 @@ Robustness contract (tested by the serve chaos matrix and
   and predictably-over-budget queries are rejected at admission using
   the plan-time cost estimate;
 * SIGTERM (or :meth:`QueryService.request_drain`) stops accepting,
-  finishes in-flight requests under the drain deadline, then flushes
-  the query log and feedback stores before exiting.
+  finishes in-flight requests under the drain deadline, then closes
+  every engine and reports each dataset's query-log record count.
 
 Per-request telemetry: a ``serve.request`` span per executed query,
 ``serve.*`` metrics on the existing registry (scrapeable at
@@ -421,10 +421,10 @@ class QueryService:
     ) -> dict:
         """Worker-thread body: plan, admission cost check, execute, shape.
 
-        Runs on the service's thread pool; ``last_stats`` and
-        ``last_degradation`` are thread-local on the context, so the
-        telemetry read back here belongs to *this* request even with the
-        engine shared across concurrent workers.
+        Runs on the service's thread pool; the context's ``last_record``
+        is thread-local, so the execution record read back here belongs
+        to *this* request even with the engine shared across concurrent
+        workers.
         """
         with trace.span(
             "serve.request",
@@ -446,17 +446,8 @@ class QueryService:
                 # The seam's detectable corruption: a payload that cannot
                 # be an answer, caught by serialization below.
                 answer = faults.CORRUPT  # type: ignore[assignment]
-            degradation = engine.context.last_degradation
-            stats = engine.context.last_stats
+            record = engine.context.last_record
             payload = protocol.answer_to_json(answer)
-        executed_lane = (
-            stats["executed_lane"] if stats is not None else plan.lane
-        )
-        status = (
-            querylog.STATUS_DEGRADED
-            if degradation is not None
-            else querylog.STATUS_OK
-        )
         result: dict = {
             "protocol": protocol.PROTOCOL_VERSION,
             "dataset": qr.dataset,
@@ -464,16 +455,15 @@ class QueryService:
             "digest": querylog.query_digest(qr.query),
             "mapping_semantics": qr.mapping_semantics,
             "aggregate_semantics": qr.aggregate_semantics,
-            "status": status,
-            "lane": executed_lane,
+            "status": record.status,
+            "lane": record.executed_lane,
             "answer": payload,
             "seconds": watch.elapsed,
             "_seconds": watch.elapsed,
         }
-        if degradation is not None:
-            result["degradation"] = dict(degradation)
-            if "epsilon" in degradation:
-                result["epsilon"] = degradation["epsilon"]
+        if record.degraded is not None:
+            result["degradation"] = dict(record.degraded)
+            result["epsilon"] = record.epsilon
         return result
 
     def _admission_cost_check(

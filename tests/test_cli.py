@@ -145,44 +145,6 @@ class TestRecentCommand:
         assert "error:" in capsys.readouterr().err
 
 
-class TestFeedbackCommand:
-    def test_collect_and_inspect_round_trip(self, capsys, tmp_path):
-        path = tmp_path / "feedback.json"
-        assert main([
-            "feedback", "--collect", "--file", str(path),
-            "--tuples", "50", "--attributes", "4", "--mappings", "3",
-            "--repeat", "3",
-        ]) == 0
-        captured = capsys.readouterr()
-        assert "COUNT.by-tuple.range|scalar" in captured.out
-        assert f"saved feedback to {path}" in captured.err
-        # Inspect the saved store without collecting again.
-        assert main(["feedback", "--file", str(path)]) == 0
-        assert "COUNT.by-tuple.range|scalar" in capsys.readouterr().out
-
-    def test_collect_json_snapshot(self, capsys):
-        import json
-
-        assert main([
-            "feedback", "--collect", "--json", "--tuples", "50",
-            "--attributes", "4", "--mappings", "3", "--repeat", "3",
-        ]) == 0
-        snapshot = json.loads(capsys.readouterr().out)
-        entry = snapshot["COUNT.by-tuple.range|scalar"]
-        assert entry["observations"] == 3
-        assert "seconds_per_unit" in entry
-
-    def test_requires_file_or_collect(self, capsys):
-        assert main(["feedback"]) == 2
-        assert "error:" in capsys.readouterr().err
-
-    def test_empty_store_fails(self, capsys, tmp_path):
-        path = tmp_path / "empty.json"
-        path.write_text('{"version": 1, "observations": {}}\n')
-        assert main(["feedback", "--file", str(path)]) == 2
-        assert "no observations" in capsys.readouterr().err
-
-
 class TestStatsServeExitCode:
     def test_bind_failure_exits_14(self, capsys):
         import socket

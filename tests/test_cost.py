@@ -1,14 +1,12 @@
-"""Cost-model telemetry: estimates, actuals, preemption, calibration.
+"""Cost-model telemetry: estimates, actuals, preemption.
 
 Covers the plan-time :class:`~repro.core.cost.CostModel`, the
-estimate/actual loop the outermost execution frame closes, the planner's
-budget preemption, and the :class:`~repro.obs.feedback.PlanFeedback`
-store that calibrates wall-clock predictions.
+estimate/actual loop the outermost execution frame closes (on the
+execution record), and the planner's budget preemption.
 """
 
 from __future__ import annotations
 
-import json
 import math
 
 import pytest
@@ -17,14 +15,12 @@ from repro import AggregationEngine
 from repro.core import cost
 from repro.core.cost import (
     CostModel,
-    cell_key,
     misestimation,
     naive_worlds,
 )
 from repro.core.planner import Lane
-from repro.core.semantics import AggregateSemantics, MappingSemantics
+from repro.core.semantics import AggregateSemantics
 from repro.data import realestate, synthetic
-from repro.obs.feedback import PlanFeedback
 from repro.sql.ast import AggregateOp
 
 
@@ -46,9 +42,6 @@ def synthetic_engine(
 
 SUM_QUERY = "SELECT SUM(value) FROM MED"
 COUNT_QUERY = "SELECT COUNT(*) FROM MED"
-SUM_KEY = cell_key(
-    AggregateOp.SUM, MappingSemantics.BY_TUPLE, AggregateSemantics.RANGE
-)
 
 
 class TestLaneEstimates:
@@ -225,18 +218,18 @@ class TestEstimateActualLoop:
         engine.answer(query, "by-tuple", "distribution")
         snapshot = engine.metrics_snapshot()
         assert snapshot.get("planner.lane_changed", 0) >= 1
-        assert engine.context.last_stats["executed_lane"] == Lane.SAMPLING
+        assert engine.context.last_record.executed_lane == Lane.SAMPLING
 
     def test_aborted_run_reports_partial_actuals(self):
         engine = synthetic_engine(64, 3, max_rows=10)
         with pytest.raises(Exception):
             engine.answer(SUM_QUERY, "by-tuple", "range")
-        stats = engine.context.last_stats
-        assert stats is not None
-        assert stats["actuals"]["cost"] is None
+        record = engine.context.last_record
+        assert record.status == "error"
+        assert record.actuals["cost"] is None
         # No cost ratio for an aborted run — every reported ratio finite.
         assert all(
-            math.isfinite(v) for v in stats["misestimation"].values()
+            math.isfinite(v) for v in record.misestimation.values()
         )
 
 
@@ -291,140 +284,3 @@ class TestPreemption:
         )
         assert plan.lane == Lane.NAIVE  # 16 worlds fit in 100
         assert plan.estimate.preempted is None
-
-
-class TestPlanFeedback:
-    def test_record_and_bounded_eviction(self):
-        store = PlanFeedback(capacity=3)
-        for i in range(5):
-            store.record("c", "scalar", rows=i, worlds=0, cost=i, seconds=i)
-        observations = store.observations("c", "scalar")
-        assert len(observations) == 3
-        assert [o[0] for o in observations] == [2.0, 3.0, 4.0]
-        assert len(store) == 3
-
-    def test_rejects_bad_seconds(self):
-        store = PlanFeedback()
-        store.record("c", "scalar", rows=1, worlds=0, cost=1, seconds=-1)
-        store.record(
-            "c", "scalar", rows=1, worlds=0, cost=1, seconds=math.nan
-        )
-        assert store.count("c", "scalar") == 0
-
-    def test_per_row_and_per_unit_need_min_observations(self):
-        store = PlanFeedback()
-        store.record("c", "scalar", rows=10, worlds=0, cost=20, seconds=1.0)
-        store.record("c", "scalar", rows=10, worlds=0, cost=20, seconds=1.0)
-        assert store.per_row_seconds("c", "scalar") is None
-        store.record("c", "scalar", rows=10, worlds=0, cost=20, seconds=3.0)
-        assert store.per_row_seconds("c", "scalar") == pytest.approx(0.1)
-        assert store.seconds_per_unit("c", "scalar") == pytest.approx(0.05)
-
-    def test_linear_fit_recovers_overhead_and_slope(self):
-        store = PlanFeedback()
-        for rows in (100, 200, 400):
-            store.record(
-                "c", "scalar", rows=rows, worlds=0, cost=rows,
-                seconds=0.01 + 2e-5 * rows,
-            )
-        intercept, slope = store.linear_fit("c", "scalar")
-        assert intercept == pytest.approx(0.01, rel=1e-6)
-        assert slope == pytest.approx(2e-5, rel=1e-6)
-
-    def test_fit_needs_distinct_row_counts(self):
-        store = PlanFeedback()
-        for _ in range(4):
-            store.record(
-                "c", "scalar", rows=100, worlds=0, cost=100, seconds=0.1
-            )
-        assert store.linear_fit("c", "scalar") is None
-
-    def test_save_load_round_trip(self, tmp_path):
-        store = PlanFeedback()
-        for rows in (10, 20, 30):
-            store.record(
-                "c", "scalar", rows=rows, worlds=0, cost=rows,
-                seconds=rows * 1e-4,
-            )
-        path = tmp_path / "feedback.json"
-        store.save(path)
-        loaded = PlanFeedback()
-        assert loaded.load(path) == 3
-        assert loaded.observations("c", "scalar") == store.observations(
-            "c", "scalar"
-        )
-        assert PlanFeedback().load(tmp_path / "missing.json") == 0
-
-    def test_snapshot_shape(self):
-        store = PlanFeedback()
-        for rows in (10, 20, 30):
-            store.record(
-                "c", "scalar", rows=rows, worlds=0, cost=rows,
-                seconds=rows * 1e-4,
-            )
-        snapshot = store.snapshot()
-        entry = snapshot["c|scalar"]
-        assert entry["observations"] == 3
-        assert entry["per_row_seconds"] == pytest.approx(1e-4)
-        assert "fit" in entry
-
-
-class TestEngineCalibration:
-    def test_calibrate_records_observations(self):
-        engine = synthetic_engine(64, 3, calibrate=True)
-        for _ in range(3):
-            engine.answer(SUM_QUERY, "by-tuple", "range")
-        snapshot = engine.feedback_snapshot()
-        key = f"{SUM_KEY}|scalar"
-        assert snapshot[key]["observations"] == 3
-        assert "seconds_per_unit" in snapshot[key]
-
-    def test_snapshot_empty_without_calibration(self):
-        engine = synthetic_engine(16, 3)
-        engine.answer(SUM_QUERY, "by-tuple", "range")
-        assert engine.feedback_snapshot() == {}
-        assert engine.context.feedback is None
-
-    def test_feedback_path_round_trip(self, tmp_path):
-        path = str(tmp_path / "feedback.json")
-        first = synthetic_engine(64, 3, feedback_path=path)
-        for _ in range(3):
-            first.answer(SUM_QUERY, "by-tuple", "range")
-        first.close()
-        document = json.loads((tmp_path / "feedback.json").read_text())
-        assert document["version"] == 1
-        # A fresh engine resumes from the persisted calibration.
-        second = synthetic_engine(64, 3, feedback_path=path)
-        key = f"{SUM_KEY}|scalar"
-        assert second.feedback_snapshot()[key]["observations"] == 3
-
-    def test_truncated_feedback_file_loads_empty(self, tmp_path):
-        path = tmp_path / "feedback.json"
-        first = synthetic_engine(64, 3, feedback_path=str(path))
-        for _ in range(3):
-            first.answer(SUM_QUERY, "by-tuple", "range")
-        first.close()
-        text = path.read_text()
-        # A crash mid-write of a non-atomic save would leave this.
-        path.write_text(text[: len(text) // 2])
-        assert PlanFeedback().load(path) == 0
-        second = synthetic_engine(64, 3, feedback_path=str(path))
-        assert second.feedback_snapshot() == {}
-        assert second.metrics_snapshot()["feedback.load_error"] == 1
-        # The next save replaces the corrupt file with a whole document.
-        second.answer(SUM_QUERY, "by-tuple", "range")
-        second.close()
-        assert json.loads(path.read_text())["version"] == 1
-
-    def test_save_leaves_no_temporary_files(self, tmp_path):
-        store = PlanFeedback()
-        store.record("c", "scalar", rows=1, worlds=0, cost=1, seconds=1e-4)
-        store.save(tmp_path / "feedback.json")
-        store.save(tmp_path / "feedback.json")
-        assert [p.name for p in tmp_path.iterdir()] == ["feedback.json"]
-
-    def test_failed_runs_not_recorded(self):
-        engine = synthetic_engine(64, 3, calibrate=True, max_rows=10)
-        with pytest.raises(Exception):
-            engine.answer(SUM_QUERY, "by-tuple", "range")
-        assert len(engine.context.feedback) == 0

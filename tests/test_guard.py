@@ -64,6 +64,11 @@ class TestBudget:
         with pytest.raises(ValueError, match="max_worlds"):
             Budget(max_worlds=-1)
 
+    def test_nan_limit_rejected(self):
+        # A NaN deadline would never expire (clock() >= nan is False).
+        with pytest.raises(ValueError, match="timeout_ms"):
+            Budget(timeout_ms=float("nan"))
+
     def test_without_deadline_keeps_resource_limits(self):
         budget = Budget(timeout_ms=5, max_rows=10, max_worlds=20, max_support=30)
         relaxed = budget.without_deadline()
@@ -266,7 +271,7 @@ class TestDegradation:
         )
         answer = engine.answer("SELECT SUM(listPrice) FROM T1 WHERE date < '2008-1-20'", "by-tuple", "distribution")
         assert answer.is_defined
-        record = engine.context.last_degradation
+        record = engine.context.last_record.degraded
         assert record["from"] == Lane.NAIVE
         assert record["to"] == Lane.SAMPLING
         assert record["reason"] == "QueryTimeoutError"
@@ -285,7 +290,7 @@ class TestDegradation:
             seed=3,
         )
         engine.answer("SELECT SUM(listPrice) FROM T1 WHERE date < '2008-1-20'", "by-tuple", "distribution")
-        assert engine.context.last_degradation["samples"] == 100
+        assert engine.context.last_record.degraded["samples"] == 100
 
     def test_explain_analyze_reports_degradation(self):
         engine = small_engine(
@@ -303,7 +308,7 @@ class TestDegradation:
         engine = small_engine(degrade=True, timeout_ms=0)
         with pytest.raises(QueryTimeoutError):
             engine.answer(realestate.Q1, "by-tuple", "distribution")
-        assert engine.context.last_degradation is None
+        assert engine.context.last_record.degraded is None
 
     def test_array_body_deadline_propagates_with_degrade_on(self):
         # The deadline expires inside the array-backed COUNT DP, which
@@ -319,7 +324,7 @@ class TestDegradation:
         )
         with pytest.raises(QueryTimeoutError):
             engine.answer(query, "by-tuple", "distribution")
-        assert engine.context.last_degradation is None
+        assert engine.context.last_record.degraded is None
 
     def test_resource_breach_that_every_target_repeats_propagates(self):
         # max_rows trips the scalar lane too, so a degraded plan

@@ -16,10 +16,13 @@ from __future__ import annotations
 import asyncio
 import datetime
 import json
+import math
 import socket
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.answers import (
     DistributionAnswer,
@@ -161,6 +164,63 @@ def test_parse_query_request_rejects(payload):
         protocol.parse_query_request(payload)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"dataset": "d", "query": "q", "timeout_ms": NaN}',
+        '{"dataset": "d", "query": "q", "timeout_ms": Infinity}',
+        '{"dataset": "d", "query": "q", "timeout_ms": 1' + "0" * 400 + "}",
+    ],
+)
+def test_parse_query_request_rejects_unusable_deadlines(text):
+    # json.loads accepts NaN/Infinity and integers too large for a float;
+    # a NaN deadline would never expire.
+    with pytest.raises(ProtocolError):
+        protocol.parse_query_request(json.loads(text))
+
+
+REQUEST_FIELDS = (
+    "dataset", "query", "mapping_semantics", "aggregate_semantics",
+    "tenant", "samples", "seed", "timeout_ms",
+)
+
+_HUGE = 10 ** 400
+
+json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=_HUGE, max_value=_HUGE * 10),
+    st.integers(min_value=-_HUGE * 10, max_value=-_HUGE),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=12),
+    st.sampled_from(
+        ["d", "by-tuple", "by-table", "range", "distribution",
+         "expected-value", "default", "SELECT COUNT(*) FROM T"]
+    ),
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(payload=st.dictionaries(st.sampled_from(REQUEST_FIELDS), json_values))
+def test_parse_query_request_fuzz(payload):
+    # Through real JSON text, as the wire carries it.
+    payload = json.loads(json.dumps(payload))
+    try:
+        qr = protocol.parse_query_request(payload)
+    except ProtocolError:
+        return
+    assert isinstance(qr, protocol.QueryRequest)
+    if qr.timeout_ms is not None:
+        assert math.isfinite(qr.timeout_ms) and qr.timeout_ms >= 0
+
+
 # -- protocol: typed errors ---------------------------------------------------
 
 
@@ -249,6 +309,53 @@ def test_read_request_clean_eof_is_none():
 def test_read_request_rejects_malformed(raw):
     with pytest.raises(ProtocolError):
         parse_bytes(raw)
+
+
+def test_deeply_nested_body_is_a_protocol_error():
+    body = b"[" * 200_000
+    raw = b"POST /query HTTP/1.1\r\ncontent-length: %d\r\n\r\n" % len(body)
+    request = parse_bytes(raw + body)
+    with pytest.raises(ProtocolError):
+        request.json()
+
+
+_LINE_PIECES = st.sampled_from([
+    b"GET / HTTP/1.1", b"POST /query HTTP/1.1", b"POST /query HTTP/1.0",
+    b"GET", b"GET / SPDY/3", b"content-length: 5", b"Content-Length: -1",
+    b"content-length: 99999999999", b"content-length: x",
+    b"connection: close", b"no-colon", b"", b"\xff\xfe", b"x" * 9000,
+    b'{"dataset": "d"}', b"[[[[", b"\x00",
+])
+http_bytes = st.one_of(
+    st.binary(max_size=300),
+    st.lists(
+        st.one_of(_LINE_PIECES, st.binary(max_size=20)), max_size=6
+    ).map(lambda lines: b"\r\n".join(lines)),
+    st.tuples(
+        _LINE_PIECES, st.lists(_LINE_PIECES, max_size=3),
+        st.binary(max_size=40),
+    ).map(
+        lambda parts: parts[0] + b"\r\n" + b"".join(
+            line + b"\r\n" for line in parts[1]
+        ) + b"\r\n" + parts[2]
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw=http_bytes)
+def test_read_request_fuzz(raw):
+    try:
+        request = parse_bytes(raw)
+    except ProtocolError:
+        return
+    assert request is None or isinstance(request, protocol.HttpRequest)
+    if request is not None and request.body:
+        try:
+            payload = request.json()
+        except ProtocolError:
+            return
+        assert isinstance(payload, dict)
 
 
 def test_render_response_is_complete():

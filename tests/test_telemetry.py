@@ -430,13 +430,12 @@ class TestExpositionGrammar:
         assert value == 2.0
 
     def test_real_workload_exposition_is_grammatical(self, workload):
-        """A full engine run — scalar, sampling, calibration, budget
-        preemption — must export a grammatical exposition carrying the
-        planner's decision counters and misestimation histograms."""
+        """A full engine run — scalar and sampling lanes — must export a
+        grammatical exposition carrying the planner's decision counters
+        and misestimation histograms."""
         w = workload
         engine = AggregationEngine(
             w.table, w.pmapping, allow_sampling=True, samples=20,
-            calibrate=True,
         )
         with engine:
             engine.answer(w.query(AggregateOp.SUM), "by-tuple", "range")
