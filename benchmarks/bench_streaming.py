@@ -1,9 +1,10 @@
-"""Streaming accumulators versus batch algorithms versus vectorized.
+"""Single-pass streaming versus batch algorithms versus vectorized.
 
 Same workload, three execution styles: the batch scalar algorithms (what
-the figure sweeps time), the single-pass streaming accumulators (bounded
-memory), and the numpy fast path.  Streaming should track batch closely —
-it does the same work row by row — while vectorized wins outright.
+the figure sweeps time), the same row-walk kernels folded over a one-shot
+row iterator (``answer_stream``, bounded memory), and the numpy fast
+path.  Streaming should track batch closely — it runs the same kernel row
+by row — while vectorized wins outright.
 """
 
 from __future__ import annotations
@@ -13,12 +14,9 @@ import pytest
 from repro.bench.contexts import make_synthetic_context
 from repro.core.bytuple_sum import by_tuple_range_sum
 from repro.core.semantics import AggregateSemantics
-from repro.core.streaming import (
-    RangeCountAccumulator,
-    RangeSumAccumulator,
-    TupleStream,
-    answer_stream,
-)
+from repro.core.common import PreparedTupleQuery
+from repro.core.streaming import answer_stream
+from repro.storage.table import Table
 from repro.core.vectorized import run_grouped_vectorized
 from repro.sql.ast import AggregateOp
 
@@ -44,10 +42,9 @@ def bench_streaming_range_sum(benchmark, context):
     def run():
         return answer_stream(
             iter(context.table.rows),
-            context.table.relation,
             context.pmapping,
             context.query(AggregateOp.SUM),
-            RangeSumAccumulator,
+            AggregateSemantics.RANGE,
         )
 
     answer = benchmark(run)
@@ -58,10 +55,9 @@ def bench_streaming_range_count(benchmark, context):
     def run():
         return answer_stream(
             iter(context.table.rows),
-            context.table.relation,
             context.pmapping,
             context.query(AggregateOp.COUNT),
-            RangeCountAccumulator,
+            AggregateSemantics.RANGE,
         )
 
     answer = benchmark(run)
@@ -85,10 +81,9 @@ def bench_all_styles_agree(context):
     )
     streamed = answer_stream(
         iter(context.table.rows),
-        context.table.relation,
         context.pmapping,
         context.query(AggregateOp.SUM),
-        RangeSumAccumulator,
+        AggregateSemantics.RANGE,
     )
     vectorized = run_grouped_vectorized(
         context.columnar,
@@ -96,22 +91,23 @@ def bench_all_styles_agree(context):
         context.query(AggregateOp.SUM),
         AggregateSemantics.RANGE,
     )
-    assert streamed.low == pytest.approx(batch.low)
-    assert streamed.high == pytest.approx(batch.high)
+    assert streamed == batch
     assert vectorized.low == pytest.approx(batch.low)
     assert vectorized.high == pytest.approx(batch.high)
 
 
 def bench_stream_compilation_overhead(benchmark, context):
-    # Building a TupleStream compiles predicates once per mapping — the
-    # fixed cost a caller pays before the first row.
-    stream = benchmark(
-        TupleStream,
-        context.table.relation,
-        context.pmapping,
-        context.query(AggregateOp.SUM),
+    # Preparing a query over a row stream compiles predicates once per
+    # mapping — the fixed cost a caller pays before the first row.
+    prepared = benchmark(
+        lambda: PreparedTupleQuery(
+            Table.from_prepared_rows(context.pmapping.source, []),
+            context.pmapping,
+            context.query(AggregateOp.SUM),
+            rows=iter(()),
+        )
     )
-    assert stream.mapping_count == 5
+    assert prepared.mapping_count == 5
 
 
 #: Harness suite carrying this script's cases (``--harness`` runs it).

@@ -4,7 +4,7 @@ The PTIME by-tuple algorithms fold tuples left to right, so they run in a
 single pass with bounded state.  This example writes 200,000 synthetic
 real-estate listings to disk, then answers the paper's Q1 and a SUM query
 by *streaming* the file: rows are parsed, classified under every candidate
-mapping, folded into accumulators, and dropped.
+mapping, folded by the same row-walk kernel the engine runs, and dropped.
 
 Run with::
 
@@ -18,13 +18,8 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.core.streaming import (
-    ExpectedCountAccumulator,
-    ExpectedSumAccumulator,
-    RangeCountAccumulator,
-    RangeSumAccumulator,
-    answer_stream,
-)
+from repro.core.semantics import AggregateSemantics
+from repro.core.streaming import answer_stream
 from repro.data import realestate
 from repro.sql.parser import parse_query
 from repro.storage.csv_io import iter_csv_rows, save_table_csv
@@ -40,30 +35,29 @@ def write_big_csv(path: Path, listings: int) -> None:
 
 
 def stream_answers(path: Path) -> None:
-    relation = realestate.S1_RELATION
     pmapping = realestate.paper_pmapping()
+    total_price = "SELECT SUM(listPrice) FROM T1 WHERE date < '2008-1-20'"
     cases = [
-        (realestate.Q1, RangeCountAccumulator,
+        (realestate.Q1, AggregateSemantics.RANGE,
          "how many long-listed properties (range)"),
-        (realestate.Q1, ExpectedCountAccumulator,
+        (realestate.Q1, AggregateSemantics.EXPECTED_VALUE,
          "... their expected count"),
-        ("SELECT SUM(listPrice) FROM T1 WHERE date < '2008-1-20'",
-         RangeSumAccumulator, "total price of long-listed stock (range)"),
-        ("SELECT SUM(listPrice) FROM T1 WHERE date < '2008-1-20'",
-         ExpectedSumAccumulator, "... its expected value"),
+        (total_price, AggregateSemantics.RANGE,
+         "total price of long-listed stock (range)"),
+        (total_price, AggregateSemantics.EXPECTED_VALUE,
+         "... its expected value"),
     ]
-    # (The full count *distribution* is also streamable —
-    # DistributionCountAccumulator — but its closing dynamic program is
-    # O(n^2), the very cost the paper's Figure 9 demonstrates; run it on
-    # tens of thousands of qualifying rows, not hundreds of thousands.)
-    for text, factory, label in cases:
+    # (The full count *distribution* is also streamable, but its dynamic
+    # program is O(n^2) in the qualifying rows, the very cost the paper's
+    # Figure 9 demonstrates; run it on tens of thousands of qualifying
+    # rows, not hundreds of thousands.)
+    for text, semantics, label in cases:
         start = time.perf_counter()
         answer = answer_stream(
-            iter_csv_rows(relation, path),
-            relation,
+            iter_csv_rows(pmapping.source, path),
             pmapping,
             parse_query(text),
-            factory,
+            semantics,
         )
         elapsed = time.perf_counter() - start
         if hasattr(answer, "distribution") and answer.distribution is not None:

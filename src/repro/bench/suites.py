@@ -15,7 +15,8 @@ exponential     the naive enumeration algorithms at tiny sizes (figs 7-8)
 kernels         the PTIME scalar and vectorized kernels at medium size
                 (figs 9-12, ablation_vectorized)
 matcher         similarity, assignment, and top-K ranking (bench_matcher)
-streaming       batch vs streaming vs vectorized (bench_streaming)
+streaming       batch vs single-pass row walk vs vectorized
+                (bench_streaming)
 prepared-reuse  one-shot answer() vs prepared plans (bench_prepared_reuse)
 columnar        row-walk scalar kernels vs the columnar array kernels on
                 the same cells (baseline: ``BENCH_columnar.json``)
@@ -144,7 +145,8 @@ def _quick_matcher():
 @quick.case("streaming.sum.range")
 def _quick_streaming():
     from repro.bench.contexts import make_synthetic_context
-    from repro.core.streaming import RangeSumAccumulator, answer_stream
+    from repro.core.semantics import AggregateSemantics
+    from repro.core.streaming import answer_stream
     from repro.sql.ast import AggregateOp
 
     context = make_synthetic_context(1000, 8, 5)
@@ -152,10 +154,9 @@ def _quick_streaming():
     def run():
         return answer_stream(
             iter(context.table.rows),
-            context.table.relation,
             context.pmapping,
             context.query(AggregateOp.SUM),
-            RangeSumAccumulator,
+            AggregateSemantics.RANGE,
         )
 
     return run, context.close
@@ -310,7 +311,8 @@ def _streaming_batch():
 @streaming_suite.case("stream.sum.range")
 def _streaming_stream():
     from repro.bench.contexts import make_synthetic_context
-    from repro.core.streaming import RangeSumAccumulator, answer_stream
+    from repro.core.semantics import AggregateSemantics
+    from repro.core.streaming import answer_stream
     from repro.sql.ast import AggregateOp
 
     context = make_synthetic_context(20000, 10, 5)
@@ -318,10 +320,9 @@ def _streaming_stream():
     def run():
         return answer_stream(
             iter(context.table.rows),
-            context.table.relation,
             context.pmapping,
             context.query(AggregateOp.SUM),
-            RangeSumAccumulator,
+            AggregateSemantics.RANGE,
         )
 
     return run, context.close

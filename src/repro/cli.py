@@ -152,35 +152,13 @@ def _run_figure(name: str, args: argparse.Namespace) -> bool:
 
 
 def _run_streamed_query(args: argparse.Namespace) -> int:
-    """``query --stream``: fold the CSV through an accumulator, O(1) rows."""
+    """``query --stream``: fold the CSV through the row walk, O(1) rows."""
     from repro.core import guard, streaming
-    from repro.core.semantics import AggregateSemantics
     from repro.exceptions import ReproError, UnsupportedQueryError
     from repro.schema.serialize import load_pmapping
-    from repro.sql.ast import AggregateOp
     from repro.sql.parser import parse_query
     from repro.storage.csv_io import iter_csv_rows
 
-    factories = {
-        (AggregateOp.COUNT, AggregateSemantics.RANGE):
-            streaming.RangeCountAccumulator,
-        (AggregateOp.COUNT, AggregateSemantics.DISTRIBUTION):
-            streaming.DistributionCountAccumulator,
-        (AggregateOp.COUNT, AggregateSemantics.EXPECTED_VALUE):
-            streaming.ExpectedCountAccumulator,
-        (AggregateOp.SUM, AggregateSemantics.RANGE):
-            streaming.RangeSumAccumulator,
-        (AggregateOp.SUM, AggregateSemantics.EXPECTED_VALUE):
-            streaming.ExpectedSumAccumulator,
-        (AggregateOp.AVG, AggregateSemantics.RANGE):
-            streaming.RangeAvgAccumulator,
-        (AggregateOp.MIN, AggregateSemantics.RANGE):
-            lambda stream: streaming.RangeMinMaxAccumulator(
-                stream, maximize=False),
-        (AggregateOp.MAX, AggregateSemantics.RANGE):
-            lambda stream: streaming.RangeMinMaxAccumulator(
-                stream, maximize=True),
-    }
     try:
         if args.mapping_semantics != "by-tuple":
             raise UnsupportedQueryError(
@@ -188,24 +166,15 @@ def _run_streamed_query(args: argparse.Namespace) -> int:
                 "for by-table queries"
             )
         pmapping = load_pmapping(args.mapping)
-        query = parse_query(args.query)
-        cell = (query.aggregate.op, AggregateSemantics(args.aggregate_semantics))
-        factory = factories.get(cell)
-        if factory is None:
-            raise UnsupportedQueryError(
-                f"no streaming accumulator for {cell[0].value} under the "
-                f"{cell[1].value} semantics"
-            )
         budget = guard.Budget(
             timeout_ms=args.timeout_ms, max_worlds=args.max_worlds
         )
         with guard.guarded(budget):
             answer = streaming.answer_stream(
                 iter_csv_rows(pmapping.source, args.data),
-                pmapping.source,
                 pmapping,
-                query,
-                factory,
+                parse_query(args.query),
+                args.aggregate_semantics,
             )
     except (ReproError, OSError) as error:
         return _fail(error)

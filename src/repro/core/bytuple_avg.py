@@ -19,7 +19,8 @@ classic greedy for optimizing a mean over optional elements:
 The greedy is optimal because adding an element below the current mean
 always lowers it and the optimal optional set is a prefix of the sorted
 order; it coincides with the paper's counter method whenever no tuple is
-optional.  Complexity O(n * m + n log n).
+optional.  Complexity O(n * m + k log k) time and O(k) state for ``k``
+optional tuples.
 
 The by-tuple distribution and expected value of AVG have no known PTIME
 algorithm (AVG is non-monotonic, defeating the Theorem 4 argument — see
@@ -29,42 +30,27 @@ the remark after Example 5); use :mod:`repro.core.naive` or
 
 from __future__ import annotations
 
-import math
-
 from repro.core.answers import AggregateAnswer, RangeAnswer
 from repro.core.common import PreparedTupleQuery, run_possibly_grouped
-from repro.obs import metrics
+from repro.core.exactsum import ExactSum
 from repro.schema.mapping import PMapping
 from repro.sql.ast import AggregateQuery
 from repro.storage.table import Table
 
 
 def _greedy_extreme_mean(
-    forced: list[float], optional: list[float], *, minimize: bool
-) -> float | None:
-    """The extreme achievable mean of ``forced`` plus a subset of ``optional``.
-
-    ``None`` when no element can participate at all.
-    """
-    return _greedy_extreme_mean_from(
-        math.fsum(forced), len(forced), optional, minimize=minimize
-    )
-
-
-def _greedy_extreme_mean_from(
     forced_total: float,
     forced_count: int,
     optional: list[float],
     *,
     minimize: bool,
 ) -> float | None:
-    """The greedy, starting from an already-reduced forced sum and count.
+    """The extreme achievable mean of the forced tuples plus a subset of
+    ``optional``.
 
-    The streaming accumulator keeps the forced tuples as an exact
-    running sum rather than a list; entering the greedy through the
-    reduced form (with ``forced_total`` correctly rounded, as
-    ``math.fsum`` of the forced values would be) keeps its bounds
-    bit-for-bit equal to this kernel's.
+    The forced tuples enter already reduced to their correctly rounded
+    sum ``forced_total`` and their count, so the kernel keeps O(1) state
+    for them.  ``None`` when no element can participate at all.
     """
     if not forced_count and not optional:
         return None
@@ -90,10 +76,15 @@ def _greedy_extreme_mean_from(
 
 
 def range_avg_kernel(prepared: PreparedTupleQuery) -> RangeAnswer:
-    """The tight AVG range (greedy over optional tuples) for one problem."""
-    metrics.inc("tuples.scanned", len(prepared.rows))
-    forced_min: list[float] = []
-    forced_max: list[float] = []
+    """The tight AVG range (greedy over optional tuples) for one problem.
+
+    Forced tuples fold into exact running sums and a count; only the
+    optional tuples' extreme values are kept for the greedy, so the
+    state is O(#optional).
+    """
+    forced_min = ExactSum()
+    forced_max = ExactSum()
+    forced_count = 0
     optional_min: list[float] = []
     optional_max: list[float] = []
     for vector in prepared.contribution_vectors():
@@ -101,13 +92,18 @@ def range_avg_kernel(prepared: PreparedTupleQuery) -> RangeAnswer:
         if not satisfying:
             continue
         if len(satisfying) == len(vector):
-            forced_min.append(min(satisfying))
-            forced_max.append(max(satisfying))
+            forced_min.add(min(satisfying))
+            forced_max.add(max(satisfying))
+            forced_count += 1
         else:
             optional_min.append(min(satisfying))
             optional_max.append(max(satisfying))
-    low = _greedy_extreme_mean(forced_min, optional_min, minimize=True)
-    high = _greedy_extreme_mean(forced_max, optional_max, minimize=False)
+    low = _greedy_extreme_mean(
+        forced_min.value(), forced_count, optional_min, minimize=True
+    )
+    high = _greedy_extreme_mean(
+        forced_max.value(), forced_count, optional_max, minimize=False
+    )
     if low is None:
         return RangeAnswer(None, None)
     return RangeAnswer(low, high)

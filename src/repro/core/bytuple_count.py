@@ -16,6 +16,7 @@ All three handle GROUP BY over a certain grouping attribute.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 
 from repro.core import guard as guardmod
 from repro.core.answers import (
@@ -38,7 +39,6 @@ def range_count_kernel(
     prepared: PreparedTupleQuery, trace: list[dict] | None = None
 ) -> RangeAnswer:
     """The Figure 2 fold over one prepared (ungrouped) problem."""
-    metrics.inc("tuples.scanned", len(prepared.rows))
     low = 0
     up = 0
     for index, vector in enumerate(prepared.contribution_vectors()):
@@ -77,46 +77,55 @@ def by_tuple_range_count(
 
 
 def count_distribution_dp(
-    occurrence_probabilities: list[float],
+    occurrence_probabilities: Iterable[float],
     trace: list[dict] | None = None,
 ) -> DiscreteDistribution:
     """The Figure 3 dynamic program over per-tuple participation probabilities.
 
-    ``occurrence_probabilities[i]`` is the probability that tuple ``i``
-    contributes 1 to the count (the sum of the probabilities of the
-    mappings under which it satisfies the condition).  The result is the
-    Poisson-binomial distribution of the count.
+    ``occurrence_probabilities`` yields, per tuple, the probability that
+    it contributes 1 to the count (the sum of the probabilities of the
+    mappings under which it satisfies the condition); it is consumed in
+    one pass.  The result is the Poisson-binomial distribution of the
+    count.  A tuple that can never qualify (occurrence exactly 0) leaves
+    the distribution as it is, so the table widens only on tuples that
+    can: its width is #qualifying + 1.
     """
     probabilities = [1.0]  # P(count = 0) before any tuple
+    rows = 0
     dp_cells = 0
     guard = guardmod.current_guard()
     for index, occ in enumerate(occurrence_probabilities):
+        rows += 1
         if guard is not None:
             # Each DP row is O(width) float work; a deadline must be able
-            # to stop a wide DP mid-table, and the support budget bounds
-            # the table's width.
+            # to stop a wide DP mid-table.
             guard.check_deadline()
-            guard.note_support(len(probabilities) + 1)
         if not -1e-12 <= occ <= 1.0 + 1e-12:
             raise EvaluationError(
                 f"occurrence probability {occ} outside [0, 1]"
             )
         occ = min(1.0, max(0.0, occ))
-        not_occ = 1.0 - occ
-        # P'(j) = P(j) * notOcc + P(j-1) * occ  (paper Figure 3, lines 6-9)
-        previous = probabilities
-        probabilities = [previous[0] * not_occ]
-        for j in range(1, len(previous)):
-            probabilities.append(previous[j] * not_occ + previous[j - 1] * occ)
-        probabilities.append(previous[-1] * occ)
-        dp_cells += len(probabilities)
+        if occ > 0.0:
+            if guard is not None:
+                # The support budget bounds the table's width.
+                guard.note_support(len(probabilities) + 1)
+            not_occ = 1.0 - occ
+            # P'(j) = P(j) * notOcc + P(j-1) * occ  (paper Figure 3, lines 6-9)
+            previous = probabilities
+            probabilities = [previous[0] * not_occ]
+            for j in range(1, len(previous)):
+                probabilities.append(
+                    previous[j] * not_occ + previous[j - 1] * occ
+                )
+            probabilities.append(previous[-1] * occ)
+            dp_cells += len(probabilities)
         if trace is not None:
             trace.append(
                 {"tuple_index": index, "probabilities": list(probabilities)}
             )
-    # The Figure 3 table: one row per tuple, widening by one column each
-    # row — rows x cols is what the O(m * n^2) bound counts.
-    metrics.inc("count_dp.rows", len(occurrence_probabilities))
+    # The Figure 3 table: one row per tuple, widening by one column per
+    # qualifying tuple — rows x cols is what the O(m * n^2) bound counts.
+    metrics.inc("count_dp.rows", rows)
     metrics.inc("count_dp.cells", dp_cells)
     metrics.observe("count_dp.width", len(probabilities))
     return DiscreteDistribution(
@@ -128,11 +137,10 @@ def distribution_count_kernel(
     prepared: PreparedTupleQuery, trace: list[dict] | None = None
 ) -> DistributionAnswer:
     """The Figure 3 DP over one prepared (ungrouped) problem."""
-    metrics.inc("tuples.scanned", len(prepared.rows))
-    occurrence = [
+    occurrence = (
         prepared.satisfaction_probability(vector)
         for vector in prepared.contribution_vectors()
-    ]
+    )
     return DistributionAnswer(count_distribution_dp(occurrence, trace))
 
 
@@ -193,12 +201,11 @@ def expected_count_kernel(prepared: PreparedTupleQuery) -> ExpectedValueAnswer:
 
     The planner's kernel: it agrees with the paper's DP expectation, costs
     O(n * m) instead of O(m * n^2), and — because it is an ``fsum`` of the
-    per-tuple participation probabilities — matches the streaming
-    accumulator bit for bit.  The paper-faithful DP remains available
+    per-tuple participation probabilities — matches the array kernel
+    bit for bit.  The paper-faithful DP remains available
     through :func:`by_tuple_expected_count` with
     ``method="distribution"``.
     """
-    metrics.inc("tuples.scanned", len(prepared.rows))
     return ExpectedValueAnswer(
         math.fsum(
             prepared.satisfaction_probability(vector)

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from repro.core.answers import AggregateAnswer, RangeAnswer
 from repro.core.common import PreparedTupleQuery, run_possibly_grouped
-from repro.obs import metrics
 from repro.schema.mapping import PMapping
 from repro.sql.ast import AggregateQuery
 from repro.storage.table import Table
@@ -35,7 +34,6 @@ from repro.storage.table import Table
 def _minmax_range(
     prepared: PreparedTupleQuery, *, maximize: bool
 ) -> RangeAnswer:
-    metrics.inc("tuples.scanned", len(prepared.rows))
     # No float sentinels: the aggregated values may be DATE or TEXT.
     outward, inward = (max, min) if maximize else (min, max)
     forced_inner = any_inner = outer = None

@@ -31,7 +31,6 @@ from repro.core.common import PreparedTupleQuery, run_possibly_grouped
 from repro.core.exactsum import ExactSum
 from repro.core.semantics import AggregateSemantics
 from repro.exceptions import EvaluationError
-from repro.obs import metrics
 from repro.schema.mapping import PMapping
 from repro.sql.ast import AggregateQuery
 from repro.storage.table import Table
@@ -45,10 +44,8 @@ def range_sum_kernel(
     The bound totals accumulate through
     :class:`~repro.core.exactsum.ExactSum`, so they are correctly rounded
     and independent of association order — the property that lets the
-    array kernels and the streaming accumulators promise answers
-    bit-for-bit equal to this kernel's.
+    array kernels promise answers bit-for-bit equal to this kernel's.
     """
-    metrics.inc("tuples.scanned", len(prepared.rows))
     low = ExactSum()
     up = ExactSum()
     any_satisfiable = False
@@ -179,13 +176,11 @@ def expected_sum_kernel(prepared: PreparedTupleQuery) -> ExpectedValueAnswer:
 
     The empty-world probability accumulates as a sum of ``log1p`` terms
     rather than a running product, and the numerator through
-    :class:`~repro.core.exactsum.ExactSum` — the same order-independent
-    formulation as :class:`~repro.core.streaming.ExpectedSumAccumulator`,
-    so the streaming accumulator reproduces this kernel's answer bit for
-    bit (the log form is also the numerically stabler one for long
+    :class:`~repro.core.exactsum.ExactSum` — an order-independent
+    formulation, so the array kernel reproduces this kernel's answer bit
+    for bit (the log form is also the numerically stabler one for long
     streams of small occurrence probabilities).
     """
-    metrics.inc("tuples.scanned", len(prepared.rows))
     total = ExactSum()
     log_empty = ExactSum()
     certain_empty_impossible = False
@@ -215,7 +210,6 @@ def linear_expected_sum_kernel(
     prepared: PreparedTupleQuery,
 ) -> ExpectedValueAnswer:
     """Unconditional expected SUM over one prepared problem."""
-    metrics.inc("tuples.scanned", len(prepared.rows))
     total = 0.0
     any_satisfiable = False
     for vector in prepared.contribution_vectors():

@@ -24,16 +24,22 @@ vectors (and the GROUP BY partition) so that re-executing an algorithm over
 the same data skips per-row predicate evaluation entirely.  The prepared
 plans of :mod:`repro.core.execute` rely on this for their execute-many
 amortization; one-shot callers never pay the extra memory.
+
+A flat query may instead be prepared over a one-shot row iterator (e.g.
+:func:`repro.storage.csv_io.iter_csv_rows`): each kernel then folds the
+rows as they arrive, in one pass and without materializing the relation
+(:func:`repro.core.streaming.answer_stream`).
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 from repro.core import guard as guardmod
 from repro.core.answers import AggregateAnswer, GroupedAnswer
 from repro.exceptions import UnsupportedQueryError
+from repro.obs import metrics
 from repro.schema.mapping import PMapping
 from repro.sql.ast import AggregateOp, AggregateQuery, SubquerySource
 from repro.sql.conditions import compile_condition
@@ -62,7 +68,9 @@ class PreparedTupleQuery:
         their value).
     rows:
         Optionally restrict evaluation to these row tuples (used by the
-        GROUP BY partitioner); defaults to all rows of ``table``.
+        GROUP BY partitioner); defaults to all rows of ``table``.  Any
+        other iterable is a one-shot stream, walked once by the first
+        kernel that folds the problem; GROUP BY rejects it.
     """
 
     def __init__(
@@ -70,7 +78,7 @@ class PreparedTupleQuery:
         table: Table,
         pmapping: PMapping,
         query: AggregateQuery,
-        rows: list[tuple] | None = None,
+        rows: Iterable[tuple] | None = None,
     ) -> None:
         if isinstance(query.source, SubquerySource):
             raise UnsupportedQueryError(
@@ -94,7 +102,14 @@ class PreparedTupleQuery:
         self.pmapping = pmapping
         self.query = query
         self.op = query.aggregate.op
-        self.rows: list[tuple] = list(table.rows) if rows is None else rows
+        if rows is None:
+            rows = list(table.rows)
+        elif not isinstance(rows, list) and query.group_by is not None:
+            raise UnsupportedQueryError(
+                "Grouped queries need their rows partitioned per group; "
+                "a one-shot row stream answers flat queries only"
+            )
+        self.rows: Iterable[tuple] = rows
 
         relation = table.relation
         self.probabilities: list[float] = []
@@ -142,32 +157,21 @@ class PreparedTupleQuery:
 
     # -- contribution vectors ---------------------------------------------
 
-    def contribution(self, values: tuple, mapping_index: int) -> object | None:
-        """The value tuple ``values`` contributes under one mapping."""
-        row = Row(self._relation, values)
-        if not self._predicates[mapping_index](row):
-            return None
-        argument_index = self._argument_indexes[mapping_index]
-        if argument_index is None:
-            return 1
-        value = values[argument_index]
-        if value is None:
-            return None
-        if self.op is AggregateOp.COUNT:
-            return 1
-        return value
-
     def contribution_vectors(self) -> Iterator[ContributionVector]:
         """Per-tuple contribution vectors, one per row, in row order.
 
         Served from the pinned list after :meth:`materialize`; otherwise
         generated on the fly (one Row + ``m`` predicate calls per tuple).
+        Every row served is charged to the ``tuples.scanned`` counter,
+        the one place the row-walk kernels count their scan.
         """
         if self._vectors is not None:
-            return iter(self._vectors)
-        if self._problem is not None:
-            return self._problem.iter_vectors()
-        return self._generate_vectors()
+            vectors = iter(self._vectors)
+        elif self._problem is not None:
+            vectors = self._problem.iter_vectors()
+        else:
+            vectors = self._generate_vectors()
+        return _scanned(vectors)
 
     def _generate_vectors(self) -> Iterator[ContributionVector]:
         relation = self._relation
@@ -356,6 +360,18 @@ class PreparedTupleQuery:
             out[key] = sub
         self._partitioned = out
         return out
+
+
+def _scanned(
+    vectors: Iterator[ContributionVector],
+) -> Iterator[ContributionVector]:
+    scanned = 0
+    try:
+        for vector in vectors:
+            scanned += 1
+            yield vector
+    finally:
+        metrics.inc("tuples.scanned", scanned)
 
 
 def run_prepared(

@@ -1,7 +1,7 @@
 """Exact floating-point summation.
 
-The by-tuple SUM kernels (:mod:`repro.core.bytuple_sum`) and the streaming
-accumulators (:mod:`repro.core.streaming`) fold their float totals through
+The by-tuple SUM and AVG row walks (:mod:`repro.core.bytuple_sum`,
+:mod:`repro.core.bytuple_avg`) fold their float totals through
 :class:`ExactSum`, and the vectorized kernels reduce the same addends with
 :func:`math.fsum`.  Plain ``+=`` float addition is order dependent, so the
 lanes would differ by ULPs; an exact total makes every lane's answer the

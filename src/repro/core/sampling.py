@@ -264,7 +264,6 @@ def _sample_rows(
 ) -> Iterator[float | None]:
     """Per-sample aggregate values, drawn one tuple at a time."""
     vectors = list(prepared.contribution_vectors())
-    metrics.inc("tuples.scanned", len(vectors))
     for _ in range(samples):
         if guard is not None:
             guard.add_worlds(1)

@@ -17,7 +17,7 @@ It is an *optimization*, not a semantic variant: every kernel here is
 suites).  The probability-weighted folds reach bit-identity by factoring
 every per-row float reduction through the same primitives as the scalar
 lane — ``math.fsum`` over identical addend multisets, the shared
-:func:`~repro.core.bytuple_avg._greedy_extreme_mean_from` greedy, and a
+:func:`~repro.core.bytuple_avg._greedy_extreme_mean` greedy, and a
 participation-pattern dedup (rows with the same qualification pattern
 share one exactly-computed occurrence probability).
 
@@ -42,7 +42,7 @@ from repro.core.answers import (
     GroupedAnswer,
     RangeAnswer,
 )
-from repro.core.bytuple_avg import _greedy_extreme_mean_from
+from repro.core.bytuple_avg import _greedy_extreme_mean
 from repro.core.semantics import AggregateSemantics
 from repro.exceptions import EvaluationError, UnsupportedQueryError
 from repro.obs import metrics
@@ -580,19 +580,22 @@ def _count_distribution_dp_arrays(occurrence) -> DiscreteDistribution:
     """
     guard = guardmod.current_guard()
     n = int(occurrence.size)
-    probabilities = np.zeros(n + 1)
+    probabilities = np.zeros(int(np.count_nonzero(occurrence)) + 1)
     probabilities[0] = 1.0
     filled = 1
     dp_cells = 0
     for occ in occurrence.tolist():
         if guard is not None:
             guard.check_deadline()
-            guard.note_support(filled + 1)
         if not -1e-12 <= occ <= 1.0 + 1e-12:
             raise EvaluationError(
                 f"occurrence probability {occ} outside [0, 1]"
             )
         occ = min(1.0, max(0.0, occ))
+        if occ == 0.0:
+            continue
+        if guard is not None:
+            guard.note_support(filled + 1)
         not_occ = 1.0 - occ
         segment = probabilities[: filled + 1]
         shifted = np.empty_like(segment)
@@ -615,8 +618,9 @@ def _count_distribution_dp_arrays(occurrence) -> DiscreteDistribution:
 
 
 def distribution_count_on(problem: VectorizedProblem) -> DistributionAnswer:
-    """ByTuplePDCOUNT over a prepared problem (all rows, zeros included,
-    exactly like the scalar :func:`distribution_count_kernel`)."""
+    """ByTuplePDCOUNT over a prepared problem (every row; one that can
+    never qualify leaves the DP as it is, exactly as in the scalar
+    :func:`distribution_count_kernel`)."""
     return DistributionAnswer(
         _count_distribution_dp_arrays(occurrence_array(problem))
     )
@@ -701,13 +705,13 @@ def range_avg_on(problem: VectorizedProblem) -> RangeAnswer:
     satisfiable, forced, vmin, vmax = _row_stats(problem)
     optional = satisfiable & ~forced
     forced_count = int(forced.sum())
-    low = _greedy_extreme_mean_from(
+    low = _greedy_extreme_mean(
         math.fsum(vmin[forced].tolist()),
         forced_count,
         vmin[optional].tolist(),
         minimize=True,
     )
-    high = _greedy_extreme_mean_from(
+    high = _greedy_extreme_mean(
         math.fsum(vmax[forced].tolist()),
         forced_count,
         vmax[optional].tolist(),

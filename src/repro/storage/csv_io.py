@@ -116,8 +116,8 @@ def iter_csv_rows(
     """Stream typed row tuples from a CSV written by :func:`save_table_csv`.
 
     Constant memory: rows are validated, coerced through the relation's
-    attribute types, and yielded one at a time — feed them to the
-    accumulators in :mod:`repro.core.streaming` to aggregate files larger
+    attribute types, and yielded one at a time — feed them to
+    :func:`repro.core.streaming.answer_stream` to aggregate files larger
     than RAM.
     """
     path = Path(path)

@@ -1,8 +1,8 @@
 """The exact running sum behind the by-tuple SUM folds.
 
 :class:`~repro.core.exactsum.ExactSum` keeps the exact real-number total,
-so the scalar kernels, the streaming accumulators and the vectorized
-``fsum`` reductions round the same addends to the same float.
+so the row-walk kernels (in memory or over a row stream) and the
+vectorized ``fsum`` reductions round the same addends to the same float.
 """
 
 from __future__ import annotations

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 
@@ -19,31 +21,38 @@ from tests.test_bytuple_sum import _two_column_problem
 AVG_WHERE = "SELECT AVG(value) FROM {t} WHERE value < {c}"
 
 
+def _greedy(forced, optional, *, minimize):
+    """The greedy over a forced list, reduced as the kernel reduces it."""
+    return _greedy_extreme_mean(
+        math.fsum(forced), len(forced), optional, minimize=minimize
+    )
+
+
 class TestGreedyExtremeMean:
     def test_forced_only(self):
-        assert _greedy_extreme_mean([2.0, 4.0], [], minimize=True) == 3.0
+        assert _greedy([2.0, 4.0], [], minimize=True) == 3.0
 
     def test_optional_below_mean_included(self):
         # forced mean 10; optional 4 pulls it to 7; optional 8 pulls to 7.33
         # so it is excluded when minimizing.
-        assert _greedy_extreme_mean([10.0], [4.0, 8.0], minimize=True) == 7.0
+        assert _greedy([10.0], [4.0, 8.0], minimize=True) == 7.0
 
     def test_optional_chain(self):
         # 10, then 1 -> 5.5, then 2 < 5.5 -> (13/3) = 4.33...
-        value = _greedy_extreme_mean([10.0], [1.0, 2.0], minimize=True)
+        value = _greedy([10.0], [1.0, 2.0], minimize=True)
         assert value == pytest.approx(13.0 / 3.0)
 
     def test_no_forced_min_is_smallest_single(self):
-        assert _greedy_extreme_mean([], [3.0, 9.0], minimize=True) == 3.0
+        assert _greedy([], [3.0, 9.0], minimize=True) == 3.0
 
     def test_no_forced_max_is_largest_single(self):
-        assert _greedy_extreme_mean([], [3.0, 9.0], minimize=False) == 9.0
+        assert _greedy([], [3.0, 9.0], minimize=False) == 9.0
 
     def test_maximize_mirror(self):
-        assert _greedy_extreme_mean([2.0], [8.0, 5.0], minimize=False) == 5.0
+        assert _greedy([2.0], [8.0, 5.0], minimize=False) == 5.0
 
     def test_nothing_available(self):
-        assert _greedy_extreme_mean([], [], minimize=True) is None
+        assert _greedy([], [], minimize=True) is None
 
 
 class TestRangeAvg:

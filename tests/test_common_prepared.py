@@ -85,10 +85,8 @@ class TestContributionVectors:
         assert vectors[4] == (None, None)    # auction 38 rows excluded
 
     def test_single_row_contribution_api(self, ds2, pm2, q2_prime):
-        prepared = PreparedTupleQuery(ds2, pm2, q2_prime)
-        row = ds2.rows[3]
-        assert prepared.contribution(row, 0) == 349.99
-        assert prepared.contribution(row, 1) == 336.94
+        prepared = PreparedTupleQuery(ds2, pm2, q2_prime, rows=[ds2.rows[3]])
+        assert list(prepared.contribution_vectors()) == [(349.99, 336.94)]
 
     def test_count_of_nullable_column(self, pm1, ds1):
         from repro.storage.table import Table

@@ -1,9 +1,9 @@
 """Guard the runnable examples against rot (the fast ones run in CI).
 
 The two heavyweight examples (`realestate_count`, `streaming_csv`) scale to
-hundreds of thousands of rows and are exercised manually / by the
-benchmark harness; here we run the quick ones end to end and check their
-headline numbers appear in the output.
+hundreds of thousands of rows; the CI "Examples smoke check" step runs
+them, like every `examples/*.py`, end to end.  Here we run the quick ones
+and check their headline numbers appear in the output.
 """
 
 from __future__ import annotations

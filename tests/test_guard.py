@@ -218,6 +218,14 @@ class TestEngineGuardrails:
             engine.answer(realestate.Q1, "by-tuple", "distribution")
         assert info.value.resource == "support"
 
+    @pytest.mark.parametrize("vectorize", [False, True])
+    def test_max_support_skips_tuples_that_never_qualify(self, vectorize):
+        # Q1 has three tuples that can qualify and one that never does;
+        # the DP widens only on the three, to 4 columns.
+        engine = small_engine(max_support=4, vectorize=vectorize)
+        answer = engine.answer(realestate.Q1, "by-tuple", "distribution")
+        assert len(answer.distribution) == 3
+
     def test_max_rows_caps_row_scans(self):
         engine = small_engine(max_rows=2)
         with pytest.raises(BudgetExceededError) as info:

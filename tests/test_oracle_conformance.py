@@ -8,7 +8,7 @@ random instances (``m ** n`` worlds, ``n <= 6``):
 * the scalar kernels (the engine's default lanes),
 * the naive sequence enumeration (for the non-PTIME cells),
 * the vectorized numpy lane,
-* the streaming accumulators,
+* the single-pass stream (``answer_stream``),
 * the SQLite-backed by-table executor.
 
 Range answers must match *exactly* (the instances carry integer-valued
@@ -32,16 +32,7 @@ from repro.core.naive import naive_by_tuple_answer
 from repro.core.semantics import AggregateSemantics, MappingSemantics
 from repro.data import realestate
 from repro.sql.parser import parse_query
-from repro.core.streaming import (
-    DistributionCountAccumulator,
-    ExpectedCountAccumulator,
-    ExpectedSumAccumulator,
-    RangeAvgAccumulator,
-    RangeCountAccumulator,
-    RangeSumAccumulator,
-    RangeMinMaxAccumulator,
-    TupleStream,
-)
+from repro.core.streaming import answer_stream
 from tests.conftest import small_problems
 from tests.oracle import oracle_answer
 
@@ -133,41 +124,16 @@ class TestByTupleConformance:
     @given(small_problems(min_tuples=2))
     def test_streaming_accumulators(self, problem):
         cells = [
-            ("COUNT", AggregateSemantics.RANGE, RangeCountAccumulator, {}),
-            (
-                "COUNT",
-                AggregateSemantics.DISTRIBUTION,
-                DistributionCountAccumulator,
-                {},
-            ),
-            (
-                "COUNT",
-                AggregateSemantics.EXPECTED_VALUE,
-                ExpectedCountAccumulator,
-                {},
-            ),
-            ("SUM", AggregateSemantics.RANGE, RangeSumAccumulator, {}),
-            (
-                "SUM",
-                AggregateSemantics.EXPECTED_VALUE,
-                ExpectedSumAccumulator,
-                {},
-            ),
-            ("AVG", AggregateSemantics.RANGE, RangeAvgAccumulator, {}),
-            (
-                "MIN",
-                AggregateSemantics.RANGE,
-                RangeMinMaxAccumulator,
-                {"maximize": False},
-            ),
-            (
-                "MAX",
-                AggregateSemantics.RANGE,
-                RangeMinMaxAccumulator,
-                {"maximize": True},
-            ),
+            ("COUNT", AggregateSemantics.RANGE),
+            ("COUNT", AggregateSemantics.DISTRIBUTION),
+            ("COUNT", AggregateSemantics.EXPECTED_VALUE),
+            ("SUM", AggregateSemantics.RANGE),
+            ("SUM", AggregateSemantics.EXPECTED_VALUE),
+            ("AVG", AggregateSemantics.RANGE),
+            ("MIN", AggregateSemantics.RANGE),
+            ("MAX", AggregateSemantics.RANGE),
         ]
-        for op, semantics, factory, kwargs in cells:
+        for op, semantics in cells:
             query = problem.query(QUERIES[op])
             oracle = oracle_answer(
                 problem.table,
@@ -176,16 +142,11 @@ class TestByTupleConformance:
                 MappingSemantics.BY_TUPLE,
                 semantics,
             )
-            stream = TupleStream(
-                problem.table.relation, problem.pmapping, query
+            streamed = answer_stream(
+                iter(problem.table.rows), problem.pmapping, query, semantics
             )
-            accumulator = factory(stream, **kwargs)
-            for values in problem.table.rows:
-                accumulator.add_row(values)
             assert_conforms(
-                accumulator.result(),
-                oracle,
-                f"streaming/{op}/{semantics.value}",
+                streamed, oracle, f"streaming/{op}/{semantics.value}"
             )
 
 
@@ -194,15 +155,13 @@ class TestNonNumericExtremes:
 
     @pytest.mark.parametrize("vectorize", [False, True])
     @pytest.mark.parametrize(
-        "sql, maximize, bounds",
+        "sql, bounds",
         [
-            ("SELECT MAX(date) FROM T1", True, ("2008-01-30", "2008-02-15")),
-            ("SELECT MIN(phone) FROM T1", False, ("215", "215")),
+            ("SELECT MAX(date) FROM T1", ("2008-01-30", "2008-02-15")),
+            ("SELECT MIN(phone) FROM T1", ("215", "215")),
         ],
     )
-    def test_engine_and_stream_match_oracle(
-        self, sql, maximize, bounds, vectorize
-    ):
+    def test_engine_and_stream_match_oracle(self, sql, bounds, vectorize):
         table = realestate.paper_instance()
         pmapping = realestate.paper_pmapping()
         query = parse_query(sql)
@@ -216,11 +175,10 @@ class TestNonNumericExtremes:
         assert tuple(str(bound) for bound in oracle.as_tuple()) == bounds
         engine = AggregationEngine([table], pmapping, vectorize=vectorize)
         assert engine.answer(sql, "by-tuple", "range") == oracle
-        stream = TupleStream(table.relation, pmapping, query)
-        accumulator = RangeMinMaxAccumulator(stream, maximize=maximize)
-        for values in table.rows:
-            accumulator.add_row(values)
-        assert accumulator.result() == oracle
+        streamed = answer_stream(
+            iter(table.rows), pmapping, query, AggregateSemantics.RANGE
+        )
+        assert streamed == oracle
 
 
 class TestByTableConformance:

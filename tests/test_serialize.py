@@ -84,6 +84,20 @@ class TestPMappingRoundTrip:
         assert answer.as_tuple() == (1, 3)
 
 
+_LONG_LISTED = "FROM T1 WHERE date < '2008-1-20'"
+
+
+def _query_args(tmp_path, table) -> list[str]:
+    """``query`` arguments over the paper's T1 data and p-mapping."""
+    from repro.storage.csv_io import save_table_csv
+
+    data_path = tmp_path / "s1.csv"
+    mapping_path = tmp_path / "pm.json"
+    save_table_csv(table, data_path)
+    save_pmapping(realestate.paper_pmapping(), mapping_path)
+    return ["query", "--data", str(data_path), "--mapping", str(mapping_path)]
+
+
 class TestQueryCli:
     def test_end_to_end(self, tmp_path, capsys, ds1):
         from repro.cli import main
@@ -125,27 +139,86 @@ class TestQueryCli:
         assert code == 0
         assert "ExpectedValueAnswer" in capsys.readouterr().out
 
-    def test_stream_flag_matches_in_memory(self, tmp_path, capsys, ds1):
+    @pytest.mark.parametrize(
+        "sql, semantics",
+        [
+            (realestate.Q1, "range"),
+            (realestate.Q1, "distribution"),
+            (realestate.Q1, "expected-value"),
+            (f"SELECT SUM(listPrice) {_LONG_LISTED}", "range"),
+            (f"SELECT SUM(listPrice) {_LONG_LISTED}", "expected-value"),
+            (f"SELECT AVG(listPrice) {_LONG_LISTED}", "range"),
+            (f"SELECT MIN(listPrice) {_LONG_LISTED}", "range"),
+            (f"SELECT MAX(listPrice) {_LONG_LISTED}", "range"),
+        ],
+        ids=[
+            "count-range", "count-distribution", "count-expected",
+            "sum-range", "sum-expected", "avg-range", "min-range",
+            "max-range",
+        ],
+    )
+    def test_stream_flag_matches_in_memory(
+        self, tmp_path, capsys, ds1, sql, semantics
+    ):
         from repro.cli import main
-        from repro.storage.csv_io import save_table_csv
 
-        data_path = tmp_path / "s1.csv"
-        mapping_path = tmp_path / "pm.json"
-        save_table_csv(ds1, data_path)
-        save_pmapping(realestate.paper_pmapping(), mapping_path)
-        common = [
-            "query",
-            "--data", str(data_path),
-            "--mapping", str(mapping_path),
-            "--query", realestate.Q1,
+        common = _query_args(tmp_path, ds1) + [
+            "--query", sql,
             "--mapping-semantics", "by-tuple",
-            "--aggregate-semantics", "range",
+            "--aggregate-semantics", semantics,
         ]
         assert main(common) == 0
         in_memory = capsys.readouterr().out
         assert main(common + ["--stream"]) == 0
         streamed = capsys.readouterr().out
         assert streamed == in_memory
+
+    @pytest.mark.parametrize(
+        "sql, semantics, message",
+        [
+            ("SELECT SUM(date) FROM T1", "range", "SUM needs a numeric"),
+            ("SELECT AVG(listPrice) FROM T1", "distribution", "AVG"),
+            (
+                "SELECT MAX(listPrice) FROM T1 GROUP BY propertyID",
+                "range",
+                "Grouped",
+            ),
+        ],
+        ids=["sum-of-date", "avg-distribution", "group-by"],
+    )
+    def test_stream_flag_rejects_unsupported_query(
+        self, tmp_path, capsys, ds1, sql, semantics, message
+    ):
+        from repro.cli import main
+
+        code = main(_query_args(tmp_path, ds1) + [
+            "--query", sql,
+            "--mapping-semantics", "by-tuple",
+            "--aggregate-semantics", semantics,
+            "--stream",
+        ])
+        assert code == 4  # UnsupportedQueryError
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    def test_stream_flag_reports_malformed_row(self, tmp_path, capsys, ds1):
+        from repro.cli import main
+
+        args = _query_args(tmp_path, ds1)
+        data_path = tmp_path / "s1.csv"
+        lines = data_path.read_text().splitlines(keepends=True)
+        lines.insert(3, "101,only-two-fields\n")
+        data_path.write_text("".join(lines))
+        code = main(args + [
+            "--query", realestate.Q1,
+            "--mapping-semantics", "by-tuple",
+            "--stream",
+        ])
+        assert code == 8  # StorageError
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "s1.csv:4: expected 5 fields" in captured.err
 
     def test_stream_flag_rejects_by_table(self, tmp_path, capsys, ds1):
         from repro.cli import main
