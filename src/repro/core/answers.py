@@ -245,9 +245,9 @@ class GroupedAnswer(AggregateAnswer):
     """Per-group answers for a GROUP BY aggregate query.
 
     Maps each group key (the value of the grouping attribute) to one of the
-    scalar answer types above.  Iteration order is group-key order of first
-    appearance in the data, matching SQL engines' typical behaviour closely
-    enough for reporting.
+    scalar answer types above.  Iteration order is the order in which each
+    key first appears in the source rows (a NULL key at its first NULL
+    row), whichever body answered.
     """
 
     __slots__ = ("groups",)

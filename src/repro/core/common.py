@@ -129,14 +129,10 @@ class PreparedTupleQuery:
             )
             if reformulated.group_by is not None:
                 group_sources.add(reformulated.group_by.name)
-        if query.group_by is not None and len(group_sources) > 1:
-            raise UnsupportedQueryError(
-                "GROUP BY attribute maps to different source attributes "
-                f"under different mappings ({sorted(group_sources)}); "
-                "by-tuple grouping requires a certain grouping attribute"
-            )
         self._group_index = (
-            relation.index_of(next(iter(group_sources))) if group_sources else None
+            relation.index_of(certain_group_source(group_sources))
+            if group_sources
+            else None
         )
         self._relation = relation
         self._vectors: list[ContributionVector] | None = None
@@ -273,32 +269,24 @@ class PreparedTupleQuery:
             # Any partition built before pinning lacks the vectors; the
             # next partition() call rebuilds the subs over the pinned list.
             self._partitioned = None
-        if self._group_index is not None:
-            self.partition()
+        if self._group_index is not None and self._problem is None:
+            self.partition()  # the array kernels need no partition
         return self
 
     def _columnar_problem_or_none(self, columnar):
         """Build the array-backed problem, or ``None`` outside the fragment.
 
         Declines — leaving the row-vector path to serve — for a stale
-        snapshot, grouped queries whose groups average fewer than
-        :data:`~repro.core.vectorized.MIN_MEAN_GROUP_ROWS` rows, or queries
-        the vectorized fragment cannot express (non-numeric aggregate
-        arguments, conditions the mask compiler rejects).  A grouped
-        query pins one problem over all rows; :meth:`partition` cuts it
-        per group.
+        snapshot, or queries the vectorized fragment cannot express
+        (non-numeric aggregate arguments, conditions the mask compiler
+        rejects).  A grouped query pins one problem over all rows, sorted
+        by the group key into one segment per group.
         """
         from repro.core import vectorized
 
         if columnar.row_count != len(self.rows):
             return None
         try:
-            if self._group_index is not None:
-                vectorized.check_group_sizes(
-                    len(self.rows),
-                    len({values[self._group_index] for values in self.rows}),
-                    vectorized.MIN_MEAN_GROUP_ROWS,
-                )
             return vectorized.VectorizedProblem(
                 columnar, self.pmapping, self.query
             )
@@ -313,9 +301,10 @@ class PreparedTupleQuery:
         Group membership does not depend on the WHERE condition: a group
         exists as soon as some row carries its key, and by-tuple algorithms
         then decide per mapping which of its rows participate.  The split is
-        computed once and cached; sub-problems share the compiled predicates
-        (and, when materialized, the parent's pinned vectors, or views of
-        its pinned array-backed problem).
+        computed once and cached, in order of each group's first row;
+        sub-problems share the compiled predicates and, when materialized,
+        the parent's pinned vectors (read back from its pinned array-backed
+        problem, if that is what it pinned).
         """
         if self._group_index is None:
             raise UnsupportedQueryError("query has no GROUP BY")
@@ -323,43 +312,40 @@ class PreparedTupleQuery:
             return self._partitioned
         buckets: dict[object, list[tuple]] = {}
         vector_buckets: dict[object, list[ContributionVector]] = {}
-        index_buckets: dict[object, list[int]] = {}
-        if self._problem is not None:
-            for i, values in enumerate(self.rows):
-                key = values[self._group_index]
-                buckets.setdefault(key, []).append(values)
-                index_buckets.setdefault(key, []).append(i)
-        elif self._vectors is None:
+        problem = self._problem
+        vectors = self._vectors if problem is None else list(problem.iter_vectors())
+        if vectors is None:
             for values in self.rows:
                 buckets.setdefault(values[self._group_index], []).append(values)
         else:
-            for values, vector in zip(self.rows, self._vectors):
+            for values, vector in zip(self.rows, vectors):
                 key = values[self._group_index]
                 buckets.setdefault(key, []).append(values)
                 vector_buckets.setdefault(key, []).append(vector)
         out: dict[object, PreparedTupleQuery] = {}
         for key, rows in buckets.items():
             sub = object.__new__(PreparedTupleQuery)
-            sub.table = self.table
-            sub.pmapping = self.pmapping
-            sub.query = self.query
-            sub.op = self.op
+            sub.__dict__.update(self.__dict__)
             sub.rows = rows
-            sub.probabilities = self.probabilities
-            sub._predicates = self._predicates
-            sub._argument_indexes = self._argument_indexes
-            sub._group_index = self._group_index
-            sub._relation = self._relation
             sub._vectors = vector_buckets.get(key)
             sub._partitioned = None
-            sub._problem = (
-                self._problem.take(index_buckets[key])
-                if self._problem is not None
-                else None
-            )
+            sub._problem = None
             out[key] = sub
         self._partitioned = out
         return out
+
+
+def certain_group_source(group_sources: set[str]) -> str:
+    """The one source attribute all candidate mappings group by (raises
+    :class:`~repro.exceptions.UnsupportedQueryError` when they differ)."""
+    if len(group_sources) > 1:
+        raise UnsupportedQueryError(
+            "GROUP BY attribute maps to different source attributes "
+            f"under different mappings ({sorted(group_sources)}); "
+            "by-tuple grouping requires a certain grouping attribute"
+        )
+    (name,) = group_sources
+    return name
 
 
 def _scanned(

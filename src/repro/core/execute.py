@@ -834,15 +834,13 @@ def _request(
 def _ptime_answer(plan: ExecutionPlan) -> AggregateAnswer:
     """Run the by-tuple PTIME lane: the one place its body is chosen.
 
-    With a columnar snapshot, the cell's array kernel runs over the
-    prepared query's pinned problem (cut per group for GROUP BY), else
-    over a problem built for this call.  The Figure 2-5 row walk answers
-    without a snapshot, for data outside the array fragment (TEXT/DATE
-    arguments, integers beyond 2**53), and for GROUP BY queries whose
-    groups average fewer than
-    :data:`~repro.core.vectorized.MIN_MEAN_GROUP_ROWS` rows.  A prepared
-    query that pinned row vectors has already seen the array body decline,
-    so it goes straight to the row walk.
+    With a columnar snapshot, the cell's array kernel runs once over the
+    prepared query's pinned problem, else over a problem built for this
+    call; a GROUP BY query's groups are the problem's segments.  The
+    Figure 2-5 row walk answers without a snapshot, and for data outside
+    the array fragment (TEXT/DATE arguments, integers beyond 2**53).  A
+    prepared query that pinned row vectors has already seen the array
+    body decline, so it goes straight to the row walk.
     """
     from repro.core import vectorized
 
@@ -853,23 +851,14 @@ def _ptime_answer(plan: ExecutionPlan) -> AggregateAnswer:
     if columnar is not None and (
         problem is not None or not compiled.is_materialized
     ):
-        kernel = vectorized.PROBLEM_KERNELS[
-            (compiled.query.aggregate.op, plan.aggregate_semantics)
-        ]
         try:
             if problem is not None and problem.ctable is columnar:
                 metrics.inc("tuples.scanned", problem.row_count)
-                answer = run_prepared(
-                    compiled.prepared(), lambda sub: kernel(sub.columnar_problem)
-                )
             else:
-                answer = vectorized.run_grouped_vectorized(
-                    columnar,
-                    compiled.pmapping,
-                    compiled.query,
-                    plan.aggregate_semantics,
-                    min_mean_group_rows=vectorized.MIN_MEAN_GROUP_ROWS,
+                problem = vectorized.VectorizedProblem(
+                    columnar, compiled.pmapping, compiled.query
                 )
+            answer = vectorized.answer_problem(problem, plan.aggregate_semantics)
         except vectorized.ColumnarError:
             context.metrics.inc("vectorized.fallback")
         else:

@@ -26,13 +26,15 @@ aggregate arguments, nested queries, a missing numpy — raise
 :class:`VectorizationError` (a :class:`~repro.storage.columnar.ColumnarError`);
 the by-tuple PTIME lane (:mod:`repro.core.execute`) then runs the row
 walk instead.  NULLs and GROUP BY are *inside* the fragment: null masks
-feed the three-valued compiler, and grouped queries partition the column
-arrays per group key.
+feed the three-valued compiler, and a grouped query sorts its arrays once
+by the group key, so that each kernel answers every group in one call
+over contiguous segments.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 from repro.core import guard as guardmod
@@ -43,6 +45,7 @@ from repro.core.answers import (
     RangeAnswer,
 )
 from repro.core.bytuple_avg import _greedy_extreme_mean
+from repro.core.common import certain_group_source
 from repro.core.semantics import AggregateSemantics
 from repro.exceptions import EvaluationError, UnsupportedQueryError
 from repro.obs import metrics
@@ -79,10 +82,8 @@ __all__ = [
     "HAVE_NUMPY",
     "VectorizationError",
     "VectorizedProblem",
-    "MIN_MEAN_GROUP_ROWS",
     "PROBLEM_KERNELS",
-    "check_group_sizes",
-    "group_problems",
+    "answer_problem",
     "run_grouped_vectorized",
 ]
 
@@ -346,7 +347,7 @@ def _truth(condition: Condition | None, ctable: ColumnarTable, binding: str):
 
 
 class VectorizedProblem:
-    """Masks, values, and probabilities for one flat by-tuple query.
+    """Masks, values, and probabilities for one by-tuple query.
 
     ``participation[j]`` is the boolean row mask under mapping ``j`` —
     WHERE-condition true *and* aggregate argument non-NULL (SQL aggregates
@@ -354,6 +355,12 @@ class VectorizedProblem:
     ``values[j]`` the aggregate argument column under mapping ``j``
     (``None`` for COUNT, whose contribution is 1); ``arguments[j]`` the
     source column it reads (``None`` for ``COUNT(*)``).
+
+    The rows fall into *segments*, one per answer, starting at ``starts``.
+    A flat query is the one segment ``[0]`` (``order`` and ``groups`` are
+    ``None``).  A GROUP BY query's arrays are permuted by ``order``, one
+    stable sort on the group key, so each group is a contiguous segment;
+    ``groups`` lists ``(key, segment)`` in the row walk's key order.
     """
 
     def __init__(
@@ -387,9 +394,14 @@ class VectorizedProblem:
         self.participation: list = []
         self.values: list = []
         self.arguments: list[str | None] = []
+        self.order = self.groups = None
+        self.starts = np.zeros(1, dtype=np.intp)
+        group_sources = set()
         for mapping, _ in pmapping:
             reformulated = reformulate_query(query, mapping, unmapped="null")
             binding = reformulated.source.binding_name
+            if reformulated.group_by is not None:
+                group_sources.add(reformulated.group_by.name)
             true_mask, _ = _truth(reformulated.where, ctable, binding)
             argument = reformulated.aggregate.argument
             self.arguments.append(None if argument is None else argument.name)
@@ -417,25 +429,14 @@ class VectorizedProblem:
                 raise VectorizationError(
                     f"aggregate over non-numeric column {argument.name!r}"
                 )
+        if group_sources:
+            self.order, self.starts, self.groups = _group_segments(
+                ctable, group_sources
+            )
+            self.participation = [m[self.order] for m in self.participation]
+            self.values = [v if v is None else v[self.order] for v in self.values]
         # Counted once the problem is built: a declined build scans nothing.
         metrics.inc("tuples.scanned", ctable.row_count)
-
-    def take(self, rows) -> "VectorizedProblem":
-        """The sub-problem over ``rows`` (an index array or a slice).
-
-        Shares ``ctable`` (and so its relation) with this problem; only
-        the masks and value columns are cut.
-        """
-        sub = object.__new__(VectorizedProblem)
-        sub.op = self.op
-        sub.ctable = self.ctable
-        sub.probability_list = self.probability_list
-        sub.probabilities = self.probabilities
-        sub.arguments = self.arguments
-        sub.participation = [mask[rows] for mask in self.participation]
-        sub.values = [None if v is None else v[rows] for v in self.values]
-        sub.row_count = int(sub.participation[0].size)
-        return sub
 
     @property
     def mapping_count(self) -> int:
@@ -460,14 +461,14 @@ class VectorizedProblem:
         """Reconstruct scalar contribution vectors from the arrays.
 
         Serves consumers outside the array kernels (naive enumeration,
-        the extension lanes) from an array-backed prepared query.  Numeric values come back as Python floats; ``int == float``
-        equality keeps them interchangeable with the scalar lane's.
+        the extension lanes) from an array-backed prepared query, in table
+        row order (undoing a group-key sort).  Numeric values come back as
+        Python floats; ``int == float`` equality keeps them interchangeable
+        with the scalar lane's.
         """
-        masks = [mask.tolist() for mask in self.participation]
-        value_lists = [
-            None if values is None else values.tolist()
-            for values in self.values
-        ]
+        rows = slice(None) if self.order is None else np.argsort(self.order)
+        masks = [mask[rows].tolist() for mask in self.participation]
+        value_lists = [None if v is None else v[rows].tolist() for v in self.values]
         for i in range(self.row_count):
             yield tuple(
                 (1 if value_lists[j] is None else value_lists[j][i])
@@ -477,18 +478,37 @@ class VectorizedProblem:
             )
 
 
+def _group_segments(ctable: ColumnarTable, group_sources: set[str]):
+    """``(order, starts, groups)`` of one stable sort on the group key.
+
+    Rows whose key is NULL sort last and form one ``None`` group;
+    ``groups`` pairs each key with its segment, in order of the group's
+    first row.
+    """
+    name = certain_group_source(group_sources)
+    if not ctable.exact(name):
+        raise VectorizationError(
+            f"group key {name!r} holds integers beyond the float64 "
+            "exactness limit"
+        )
+    column = ctable.column(name)
+    nulls = ctable.nulls(name)
+    if nulls is None:
+        nulls = np.zeros(ctable.row_count, dtype=bool)
+    order = np.lexsort((column, nulls))
+    ordered = column[order]
+    change = (ordered[1:] != ordered[:-1]) | np.diff(nulls[order])
+    starts = np.flatnonzero(np.concatenate(([ctable.row_count > 0], change)))
+    first_rows = order[starts]
+    keys = [
+        None if nulls[row] else ctable.python_value(name, column[row])
+        for row in first_rows.tolist()
+    ]
+    groups = [(keys[s], s) for s in np.argsort(first_rows).tolist()]
+    return order, starts, groups
+
+
 # -- exact per-row occurrence probabilities ---------------------------------
-
-
-def _pattern_codes(problem: VectorizedProblem):
-    """Per-row participation patterns as int64 bit codes, or None (m > 62)."""
-    masks = problem.participation
-    if len(masks) > 62:
-        return None
-    codes = np.zeros(problem.row_count, dtype=np.int64)
-    for j, mask in enumerate(masks):
-        codes |= mask.astype(np.int64) << j
-    return codes
 
 
 def occurrence_array(problem: VectorizedProblem, *, sequential: bool = False):
@@ -507,37 +527,26 @@ def occurrence_array(problem: VectorizedProblem, *, sequential: bool = False):
     so the whole column costs one ``numpy.unique`` plus a tiny Python loop.
     """
     masks = problem.participation
-    probabilities = problem.probability_list
-    codes = _pattern_codes(problem)
-    if codes is None:  # pragma: no cover - more than 62 candidate mappings
-        out = np.empty(problem.row_count, dtype=np.float64)
-        for i in range(problem.row_count):
-            selected = [
-                p for p, mask in zip(probabilities, masks) if mask[i]
-            ]
-            if sequential:
-                occurrence = 0.0
-                for p in selected:
-                    occurrence += p
-                out[i] = occurrence
-            elif len(selected) == len(masks):
-                out[i] = 1.0
-            else:
-                out[i] = math.fsum(selected)
-        return out
-    uniques, inverse = np.unique(codes, return_inverse=True)
-    full_pattern = (1 << len(masks)) - 1
-    per_pattern = np.empty(len(uniques), dtype=np.float64)
-    for k, code in enumerate(uniques.tolist()):
-        selected = [
-            p for j, p in enumerate(probabilities) if (code >> j) & 1
+    if len(masks) > 62:  # pragma: no cover - no int64 code: one pattern per row
+        patterns = problem.participation_matrix().T.tolist()
+        inverse = np.arange(problem.row_count)
+    else:
+        codes = np.zeros(problem.row_count, dtype=np.int64)
+        for j, mask in enumerate(masks):
+            codes |= mask.astype(np.int64) << j
+        uniques, inverse = np.unique(codes, return_inverse=True)
+        patterns = [
+            [code >> j & 1 for j in range(len(masks))] for code in uniques.tolist()
         ]
+    per_pattern = np.empty(len(patterns), dtype=np.float64)
+    for k, pattern in enumerate(patterns):
+        selected = [p for p, bit in zip(problem.probability_list, pattern) if bit]
         if sequential:
             occurrence = 0.0
             for p in selected:
                 occurrence += p
             per_pattern[k] = occurrence
-        elif code == full_pattern:
+        elif all(pattern):
             per_pattern[k] = 1.0
         else:
             per_pattern[k] = math.fsum(selected)
@@ -546,10 +555,34 @@ def occurrence_array(problem: VectorizedProblem, *, sequential: bool = False):
 
 # -- kernels over a prepared problem ----------------------------------------
 #
-# Each ``*_on`` kernel consumes a built :class:`VectorizedProblem` and
-# reproduces its scalar counterpart's float arithmetic exactly;
-# :func:`run_grouped_vectorized` builds the problem (and fans out over
-# GROUP BY groups) for one-shot callers.
+# Each ``*_on`` kernel takes a built :class:`VectorizedProblem` and its
+# segment starts, and returns one answer per segment, equal to the row
+# walk's: ``ufunc.reduceat`` reductions and per-segment ``math.fsum`` sums.
+
+
+def _reduce(ufunc, array, starts, identity):
+    """``ufunc`` folded over each segment of ``array`` (``identity``
+    answers a flat problem with no rows, which ``reduceat`` rejects)."""
+    if len(starts) == 1:
+        return np.array([ufunc.reduce(array, initial=identity)])
+    return ufunc.reduceat(array, starts)
+
+
+def _counts(mask, starts):
+    """How many rows of each segment ``mask`` selects."""
+    if len(starts) == 1:
+        return np.array([np.count_nonzero(mask)])
+    return np.add.reduceat(mask, starts, dtype=np.intp)
+
+
+def _segment_lists(array, counts) -> list[list]:
+    """Per-segment Python lists of ``array``, which holds ``counts[s]``
+    consecutive items for segment ``s`` (a boolean-indexed row array)."""
+    items = array.tolist()
+    if len(counts) == 1:
+        return [items]
+    stops = np.cumsum(counts).tolist()
+    return [items[a:b] for a, b in zip([0] + stops[:-1], stops)]
 
 
 def _row_stats(problem: VectorizedProblem):
@@ -563,196 +596,249 @@ def _row_stats(problem: VectorizedProblem):
     return satisfiable, forced, vmin, vmax
 
 
-def range_count_on(problem: VectorizedProblem) -> RangeAnswer:
+def range_count_on(problem: VectorizedProblem, starts) -> list[RangeAnswer]:
     """The Figure 2 fold over a prepared problem (exact integers)."""
-    participation = problem.participation_matrix()
-    per_tuple = participation.sum(axis=0)
-    low = int((per_tuple == problem.mapping_count).sum())
-    up = int((per_tuple > 0).sum())
-    return RangeAnswer(low, up)
+    per_tuple = problem.participation_matrix().sum(axis=0)
+    lows = _counts(per_tuple == problem.mapping_count, starts).tolist()
+    ups = _counts(per_tuple > 0, starts).tolist()
+    return [RangeAnswer(low, up) for low, up in zip(lows, ups)]
 
 
-def _count_distribution_dp_arrays(occurrence) -> DiscreteDistribution:
-    """The Figure 3 DP over an occurrence array, matching
-    :func:`~repro.core.bytuple_count.count_distribution_dp` bit for bit —
-    including its guardrail checks, validation, and ``count_dp.*``
-    metric accounting — while folding each row as one vector operation.
+def _count_distribution_dp_arrays(
+    occurrence, starts
+) -> list[DiscreteDistribution]:
+    """The Figure 3 DP over every segment of an occurrence array at once.
+
+    Per segment, bit for bit :func:`~repro.core.bytuple_count.count_distribution_dp`,
+    with its validation, guardrail checks and ``count_dp.*`` accounting.
+    Step ``k`` folds the ``k``-th qualifying row of each segment that has
+    one, in three in-place operations on a (segments x width) block.
+    Segments are ranked by qualifying count, so the live ones are a prefix
+    of the block; when the block doubles its width it keeps only the live
+    segments, so memory stays linear in the rows.  The last live segment
+    (a flat query's only one) folds on as a 1-D row.
     """
     guard = guardmod.current_guard()
-    n = int(occurrence.size)
-    probabilities = np.zeros(int(np.count_nonzero(occurrence)) + 1)
-    probabilities[0] = 1.0
-    filled = 1
-    dp_cells = 0
-    for occ in occurrence.tolist():
+    outside = (occurrence < -1e-12) | (occurrence > 1.0 + 1e-12)
+    if outside.any():
+        raise EvaluationError(
+            f"occurrence probability {float(occurrence[outside][0])} "
+            "outside [0, 1]"
+        )
+    occurrence = np.clip(occurrence, 0.0, 1.0)
+    qualifying = occurrence > 0.0
+    counts = _counts(qualifying, starts)
+    rank = np.argsort(-counts, kind="stable")
+    position = np.argsort(rank)
+    # Step-major order: step k's run holds the k-th qualifying row of
+    # each live segment, in rank order.
+    step = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    order = np.argsort(step * rank.size + np.repeat(position, counts), kind="stable")
+    values = occurrence[qualifying][order]
+    # live[k]: the segments with at least k qualifying rows.
+    live = np.cumsum(np.bincount(counts)[::-1])[::-1].tolist() + [0]
+    rank = rank.tolist()
+    rows: list = [None] * len(rank)
+    block = np.zeros((len(rank), 2))
+    block[:, 0] = 1.0
+    head = np.empty_like(block)
+    done, offset, cells, k, n = len(rank), 0, 0, 0, 0
+    for k, n in enumerate(live[1:], 1):
+        if n < done:  # segments with k - 1 qualifying rows are complete
+            for r, row in zip(rank[n:done], block[n:done, :k].tolist()):
+                rows[r] = row
+            done = n
+        if n < 2:
+            break
         if guard is not None:
             guard.check_deadline()
-        if not -1e-12 <= occ <= 1.0 + 1e-12:
-            raise EvaluationError(
-                f"occurrence probability {occ} outside [0, 1]"
-            )
-        occ = min(1.0, max(0.0, occ))
-        if occ == 0.0:
-            continue
-        if guard is not None:
-            guard.note_support(filled + 1)
-        not_occ = 1.0 - occ
-        segment = probabilities[: filled + 1]
-        shifted = np.empty_like(segment)
-        shifted[0] = 0.0
-        shifted[1:] = probabilities[:filled]
-        np.multiply(segment, not_occ, out=segment)
-        segment += shifted * occ
-        filled += 1
-        dp_cells += filled
-    metrics.inc("count_dp.rows", n)
-    metrics.inc("count_dp.cells", dp_cells)
-    metrics.observe("count_dp.width", filled)
-    return DiscreteDistribution(
-        (
-            (count, float(p))
-            for count, p in enumerate(probabilities[:filled].tolist())
-            if p > 0.0
-        )
-    )
+            guard.note_support(k + 1)
+        if k >= block.shape[1]:  # double the width
+            grown = np.zeros((n, 2 * k + 1))
+            grown[:, :k] = block[:n, :k]
+            block, head = grown, np.empty_like(grown)
+        q = values[offset : offset + n, None]
+        offset += n
+        # P'(j) = P(j) * notOcc + P(j-1) * occ  (paper Figure 3, lines 6-9)
+        np.multiply(block[:n, :k], q, out=head[:n, :k])
+        block[:n, :k] *= 1.0 - q
+        block[:n, 1 : k + 1] += head[:n, :k]
+        cells += n * (k + 1)
+    if n == 1:  # the last live segment folds on alone, as a 1-D row
+        row = np.zeros(len(live) - 1)
+        row[:k] = block[0, :k]
+        carry = np.empty_like(row)
+        for q in values[offset:].tolist():
+            if guard is not None:
+                guard.check_deadline()
+                guard.note_support(k + 1)
+            np.multiply(row[:k], q, out=carry[:k])
+            row[:k] *= 1.0 - q
+            row[1 : k + 1] += carry[:k]
+            k += 1
+            cells += k
+        rows[rank[0]] = row.tolist()
+    metrics.inc("count_dp.rows", int(occurrence.size))
+    metrics.inc("count_dp.cells", cells)
+    for count in counts.tolist():
+        metrics.observe("count_dp.width", count + 1)
+    return [
+        DiscreteDistribution((count, p) for count, p in enumerate(row) if p > 0.0)
+        for row in rows
+    ]
 
 
-def distribution_count_on(problem: VectorizedProblem) -> DistributionAnswer:
+def distribution_count_on(
+    problem: VectorizedProblem, starts
+) -> list[DistributionAnswer]:
     """ByTuplePDCOUNT over a prepared problem (every row; one that can
     never qualify leaves the DP as it is, exactly as in the scalar
     :func:`distribution_count_kernel`)."""
-    return DistributionAnswer(
-        _count_distribution_dp_arrays(occurrence_array(problem))
-    )
+    distributions = _count_distribution_dp_arrays(occurrence_array(problem), starts)
+    return [DistributionAnswer(distribution) for distribution in distributions]
 
 
-def expected_count_on(problem: VectorizedProblem) -> ExpectedValueAnswer:
+def expected_count_on(
+    problem: VectorizedProblem, starts
+) -> list[ExpectedValueAnswer]:
     """Expected COUNT by linearity (the engine's scalar-kernel route)."""
-    return ExpectedValueAnswer(
-        math.fsum(occurrence_array(problem).tolist())
-    )
+    rows = np.diff(starts, append=problem.row_count)
+    return [
+        ExpectedValueAnswer(math.fsum(occurrence))
+        for occurrence in _segment_lists(occurrence_array(problem), rows)
+    ]
 
 
-def range_sum_on(problem: VectorizedProblem) -> RangeAnswer:
+def range_sum_on(problem: VectorizedProblem, starts) -> list[RangeAnswer]:
     """The tightened Figure 4 fold; ``fsum`` of the same per-row
     contributions the scalar kernel feeds its
     :class:`~repro.core.exactsum.ExactSum`."""
     satisfiable, forced, vmin, vmax = _row_stats(problem)
-    if not satisfiable.any():
-        return RangeAnswer(None, None)
-    low_contrib = np.where(forced, vmin, np.minimum(vmin, 0.0))[satisfiable]
-    up_contrib = np.where(forced, vmax, np.maximum(vmax, 0.0))[satisfiable]
-    low = math.fsum(low_contrib.tolist())
-    up = math.fsum(up_contrib.tolist())
-    has_forced = bool(forced.any())
-    low_world_nonempty = has_forced or bool((low_contrib < 0.0).any())
-    up_world_nonempty = has_forced or bool((up_contrib > 0.0).any())
-    final_low = low if low_world_nonempty else float(vmin[satisfiable].min())
-    final_up = up if up_world_nonempty else float(vmax[satisfiable].max())
-    return RangeAnswer(final_low, final_up)
+    low_contrib = np.where(forced, vmin, np.minimum(vmin, 0.0))
+    up_contrib = np.where(forced, vmax, np.maximum(vmax, 0.0))
+    # Whether the world realizing each bound keeps a qualifying tuple.
+    low_nonempty = _reduce(np.logical_or, forced | (low_contrib < 0.0), starts, False)
+    up_nonempty = _reduce(np.logical_or, forced | (up_contrib > 0.0), starts, False)
+    defined = _counts(satisfiable, starts)
+    return [
+        RangeAnswer(
+            math.fsum(lows) if low_ok else single_low,
+            math.fsum(ups) if up_ok else single_up,
+        )
+        if lows
+        else RangeAnswer(None, None)
+        for lows, ups, low_ok, up_ok, single_low, single_up in zip(
+            _segment_lists(low_contrib[satisfiable], defined),
+            _segment_lists(up_contrib[satisfiable], defined),
+            low_nonempty.tolist(),
+            up_nonempty.tolist(),
+            _reduce(np.minimum, vmin, starts, math.inf).tolist(),
+            _reduce(np.maximum, vmax, starts, -math.inf).tolist(),
+        )
+    ]
 
 
-def _expected_sum_terms(problem: VectorizedProblem):
-    """The ``P(m_j) * contribution`` addends of the expected-SUM numerator.
-
-    The scalar kernel folds them row-major through an
-    :class:`~repro.core.exactsum.ExactSum`; ``math.fsum`` over the same
-    multiset (any order) yields the identical correctly-rounded total.
-    """
-    for probability, mask, values in zip(
-        problem.probability_list, problem.participation, problem.values
-    ):
-        if values is None:
-            for _ in range(int(mask.sum())):
-                yield probability
-        else:
-            for value in values[mask].tolist():
-                yield probability * value
-
-
-def _log_empty_terms(problem: VectorizedProblem):
-    """(certain_empty_impossible, per-row log1p terms) of the empty world."""
-    occurrence = occurrence_array(problem, sequential=True)
-    certain = bool((occurrence >= 1.0).any())
-    partial = occurrence[(occurrence > 0.0) & (occurrence < 1.0)]
-    uniques, inverse = np.unique(partial, return_inverse=True)
-    logs = np.array(
-        [math.log1p(-value) for value in uniques.tolist()], dtype=np.float64
-    )
-    terms = logs[inverse] if uniques.size else partial
-    return certain, terms
-
-
-def expected_sum_on(problem: VectorizedProblem) -> ExpectedValueAnswer:
-    """Exact conditional expected SUM, matching
-    :func:`~repro.core.bytuple_sum.expected_sum_kernel` bit for bit."""
-    if not any(bool(mask.any()) for mask in problem.participation):
-        return ExpectedValueAnswer(None)
-    total = math.fsum(_expected_sum_terms(problem))
-    certain_empty_impossible, log_terms = _log_empty_terms(problem)
-    empty_world_probability = (
-        0.0
-        if certain_empty_impossible
-        else math.exp(math.fsum(log_terms.tolist()))
-    )
+def _expected_sum(terms: tuple, log_terms: list, certain: bool):
+    """One segment's conditional expected SUM from its addend lists."""
+    if not any(terms):
+        return None
+    empty_world_probability = 0.0 if certain else math.exp(math.fsum(log_terms))
     if empty_world_probability >= 1.0:
-        return ExpectedValueAnswer(None)
-    return ExpectedValueAnswer(total / (1.0 - empty_world_probability))
+        return None
+    return math.fsum(itertools.chain(*terms)) / (1.0 - empty_world_probability)
 
 
-def range_avg_on(problem: VectorizedProblem) -> RangeAnswer:
+def expected_sum_on(
+    problem: VectorizedProblem, starts
+) -> list[ExpectedValueAnswer]:
+    """Exact conditional expected SUM, matching
+    :func:`~repro.core.bytuple_sum.expected_sum_kernel` bit for bit.
+
+    The numerator's ``P(m_j) * contribution`` addends and the empty
+    world's ``log1p`` terms are ``fsum``-ed per segment: the scalar
+    kernel folds the same multisets through
+    :class:`~repro.core.exactsum.ExactSum`, so any order gives the
+    identical correctly rounded totals.
+    """
+    addends = [  # per mapping, per segment
+        _segment_lists((probability * values)[mask], _counts(mask, starts))
+        for probability, mask, values in zip(
+            problem.probability_list, problem.participation, problem.value_matrix()
+        )
+    ]
+    occurrence = occurrence_array(problem, sequential=True)
+    partial = (occurrence > 0.0) & (occurrence < 1.0)
+    uniques, inverse = np.unique(occurrence[partial], return_inverse=True)
+    logs = np.array([math.log1p(-value) for value in uniques.tolist()])
+    return [
+        ExpectedValueAnswer(_expected_sum(*segment))
+        for segment in zip(
+            zip(*addends),
+            _segment_lists(logs[inverse], _counts(partial, starts)),
+            _reduce(np.logical_or, occurrence >= 1.0, starts, False).tolist(),
+        )
+    ]
+
+
+def range_avg_on(problem: VectorizedProblem, starts) -> list[RangeAnswer]:
     """The tight AVG range through the shared scalar greedy."""
     satisfiable, forced, vmin, vmax = _row_stats(problem)
     optional = satisfiable & ~forced
-    forced_count = int(forced.sum())
-    low = _greedy_extreme_mean(
-        math.fsum(vmin[forced].tolist()),
-        forced_count,
-        vmin[optional].tolist(),
-        minimize=True,
-    )
-    high = _greedy_extreme_mean(
-        math.fsum(vmax[forced].tolist()),
-        forced_count,
-        vmax[optional].tolist(),
-        minimize=False,
-    )
-    if low is None:
-        return RangeAnswer(None, None)
-    return RangeAnswer(low, high)
+    forced_counts = _counts(forced, starts)
+    optional_counts = _counts(optional, starts)
+    answers = []
+    for forced_min, forced_max, optional_min, optional_max in zip(
+        _segment_lists(vmin[forced], forced_counts),
+        _segment_lists(vmax[forced], forced_counts),
+        _segment_lists(vmin[optional], optional_counts),
+        _segment_lists(vmax[optional], optional_counts),
+    ):
+        count = len(forced_min)
+        low = _greedy_extreme_mean(
+            math.fsum(forced_min), count, optional_min, minimize=True
+        )
+        high = _greedy_extreme_mean(
+            math.fsum(forced_max), count, optional_max, minimize=False
+        )
+        answers.append(RangeAnswer(low, high))
+    return answers
 
 
 def range_minmax_on(
-    problem: VectorizedProblem, *, maximize: bool
-) -> RangeAnswer:
+    problem: VectorizedProblem, starts, *, maximize: bool
+) -> list[RangeAnswer]:
     """The tightened Figure 5 fold (exact comparisons only).
 
     Bounds over INT arguments come back as Python ints, as the row walk
     returns them (INT columns past 2**53 never reach here).
     """
     satisfiable, forced, vmin, vmax = _row_stats(problem)
-    if not satisfiable.any():
-        return RangeAnswer(None, None)
     types = {problem.ctable.relation.attribute(a).type for a in problem.arguments}
     cast = int if types == {AttributeType.INT} else float
+    lowest = _reduce(np.minimum, vmin, starts, math.inf)
+    highest = _reduce(np.maximum, vmax, starts, -math.inf)
+    # Inner bound: the extreme forced value, else the least extreme value.
     if maximize:
-        outer = cast(vmax[satisfiable].max())
-        if forced.any():
-            inner = cast(vmin[forced].max())
-        else:
-            inner = cast(vmin[satisfiable].min())
-        return RangeAnswer(inner, outer)
-    outer = cast(vmin[satisfiable].min())
-    if forced.any():
-        inner = cast(vmax[forced].min())
+        inner = _reduce(np.maximum, np.where(forced, vmin, -np.inf), starts, -math.inf)
+        outer, unforced = highest, lowest
     else:
-        inner = cast(vmax[satisfiable].max())
-    return RangeAnswer(outer, inner)
+        inner = _reduce(np.minimum, np.where(forced, vmax, np.inf), starts, math.inf)
+        outer, unforced = lowest, highest
+    inner = np.where(_reduce(np.logical_or, forced, starts, False), inner, unforced)
+    answers = []
+    for defined, bound, extreme in zip(
+        _reduce(np.logical_or, satisfiable, starts, False).tolist(),
+        outer.tolist(),
+        inner.tolist(),
+    ):
+        bounds = (cast(extreme), cast(bound)) if defined else (None, None)
+        answers.append(RangeAnswer(*(bounds if maximize else bounds[::-1])))
+    return answers
 
 
-#: The array kernel of each flat by-tuple PTIME cell, keyed by
-#: ``(aggregate operator, aggregate semantics)``: the one table from cell
-#: to kernel.  Each consumes a built :class:`VectorizedProblem`.
+#: The array kernel of each by-tuple PTIME cell, keyed by ``(aggregate
+#: operator, aggregate semantics)``: the one table from cell to kernel.
+#: Each consumes a built :class:`VectorizedProblem` and its segment starts.
 PROBLEM_KERNELS = {
     (AggregateOp.COUNT, AggregateSemantics.RANGE): range_count_on,
     (AggregateOp.COUNT, AggregateSemantics.DISTRIBUTION):
@@ -768,110 +854,43 @@ PROBLEM_KERNELS = {
 }
 
 
+def answer_problem(
+    problem: VectorizedProblem, aggregate_semantics: AggregateSemantics
+):
+    """Answer one by-tuple PTIME cell with one kernel call over a problem
+    (a GROUP BY query's answers in first-appearance key order).
+
+    Raises :class:`VectorizationError` for a cell without an array kernel.
+    """
+    kernel = PROBLEM_KERNELS.get((problem.op, aggregate_semantics))
+    if kernel is None:
+        raise VectorizationError(
+            f"no array kernel for by-tuple {problem.op.value} under "
+            f"{aggregate_semantics.value}"
+        )
+    answers = kernel(problem, problem.starts)
+    if problem.groups is None:
+        return answers[0]
+    return GroupedAnswer({key: answers[s] for key, s in problem.groups})
+
+
 def run_grouped_vectorized(
     ctable: ColumnarTable,
     pmapping: PMapping,
     query: AggregateQuery,
     aggregate_semantics: AggregateSemantics,
-    *,
-    min_mean_group_rows: int = 0,
 ):
     """Answer one by-tuple PTIME cell over a columnar snapshot.
 
     The cell is the query's aggregate operator under
-    ``aggregate_semantics``; its :data:`PROBLEM_KERNELS` entry runs over a
-    :class:`VectorizedProblem` built for the call.  GROUP BY fans out like
-    :func:`repro.core.common.run_possibly_grouped`: the kernel runs once per
-    :func:`group_problems` view (``min_mean_group_rows`` is passed on).
+    ``aggregate_semantics``; :func:`answer_problem` runs its
+    :data:`PROBLEM_KERNELS` entry once over a :class:`VectorizedProblem`
+    built for the call, whose segments are the GROUP BY groups (one
+    segment for a flat query).
 
     Raises :class:`VectorizationError` for a cell without an array kernel
     and for queries or data outside the vectorizable fragment.
-
-    Examples
-    --------
-    >>> run_grouped_vectorized(ctable, pm,
-    ...     parse_query("SELECT MAX(price) FROM T2 GROUP BY auctionID"),
-    ...     AggregateSemantics.RANGE)                      # doctest: +SKIP
-    GroupedAnswer({34: RangeAnswer(...), 38: RangeAnswer(...)})
     """
-    kernel = PROBLEM_KERNELS.get((query.aggregate.op, aggregate_semantics))
-    if kernel is None:
-        raise VectorizationError(
-            f"no array kernel for by-tuple {query.aggregate.op.value} under "
-            f"{aggregate_semantics.value}"
-        )
-    if query.group_by is None:
-        return kernel(VectorizedProblem(ctable, pmapping, query))
-    groups = group_problems(
-        ctable, pmapping, query, min_mean_group_rows=min_mean_group_rows
+    return answer_problem(
+        VectorizedProblem(ctable, pmapping, query), aggregate_semantics
     )
-    return GroupedAnswer({key: kernel(group) for key, group in groups})
-
-
-#: The smallest mean GROUP BY group size at which the by-tuple PTIME lane
-#: runs the array kernels per group.  Each kernel call costs tens of
-#: microseconds of numpy overhead whatever the group size, so many tiny
-#: groups fold faster through the row walk (the measurements are in
-#: docs/columnar.md).
-MIN_MEAN_GROUP_ROWS = 32
-
-
-def check_group_sizes(rows: int, groups: int, min_mean_group_rows: int) -> None:
-    """Raise :class:`VectorizationError` when groups average too few rows."""
-    if rows < min_mean_group_rows * groups:
-        raise VectorizationError(
-            f"{groups} groups over {rows} rows average fewer than "
-            f"{min_mean_group_rows} rows"
-        )
-
-
-def group_problems(
-    ctable: ColumnarTable,
-    pmapping: PMapping,
-    query: AggregateQuery,
-    *,
-    min_mean_group_rows: int = 0,
-) -> list[tuple[object, VectorizedProblem]]:
-    """``(group key, sub-problem)`` per GROUP BY group, in key order.
-
-    The grouping attribute must be *certain* (mapped to the same source
-    column by every candidate mapping).  One :class:`VectorizedProblem` is
-    built over the whole snapshot; a stable sort on the group-key column
-    then cuts it into per-group views, so each group keeps its rows in
-    table order.  Rows whose group key is NULL form a trailing ``None``
-    group, exactly like the scalar partitioner.  Raises
-    :class:`VectorizationError`, before building anything, when the groups
-    average fewer than ``min_mean_group_rows`` rows.
-    """
-    group_sources = {
-        reformulate_query(query, mapping, unmapped="null").group_by.name
-        for mapping, _ in pmapping
-    }
-    if len(group_sources) > 1:
-        raise UnsupportedQueryError(
-            "GROUP BY attribute maps to different source attributes "
-            f"under different mappings ({sorted(group_sources)}); "
-            "by-tuple grouping requires a certain grouping attribute"
-        )
-    name = next(iter(group_sources))
-    column = ctable.column(name)
-    nulls = ctable.nulls(name)
-    has_null_group = nulls is not None and bool(nulls.any())
-    rows = (
-        np.arange(ctable.row_count) if nulls is None else np.flatnonzero(~nulls)
-    )
-    order = rows[np.argsort(column[rows], kind="stable")]
-    keys, starts = np.unique(column[order], return_index=True)
-    check_group_sizes(
-        ctable.row_count, keys.size + has_null_group, min_mean_group_rows
-    )
-    problem = VectorizedProblem(ctable, pmapping, query)
-    ordered = problem.take(order)
-    bounds = starts.tolist() + [order.size]
-    groups = [
-        (ctable.python_value(name, key), ordered.take(slice(start, stop)))
-        for key, start, stop in zip(keys.tolist(), bounds, bounds[1:])
-    ]
-    if has_null_group:
-        groups.append((None, problem.take(np.flatnonzero(nulls))))
-    return groups

@@ -273,24 +273,37 @@ class TestEdgeDtypeDifferential:
             assert_lanes_bit_identical(table, pm, where)
 
     def test_grouped_with_null_group_keys(self):
+        # INT, TEXT and DATE keys, each with a NULL group.
         rows = [
-            (None if i % 4 == 0 else i % 3, f"t{i}", None, float(i), float(-i))
+            (
+                None if i % 4 == 0 else i % 3,
+                None if i % 5 == 0 else f"t{i % 4}",
+                None if i % 6 == 0 else datetime.date(2020, 1, 1 + i % 3),
+                float(i),
+                float(-i),
+            )
             for i in range(18)
         ]
         table = self._table(rows)
         pm = mixed_pmapping()
         scalar = AggregationEngine(table, pm, vectorize=False)
         vectorized = AggregationEngine(table, pm, vectorize=True)
-        query = f"SELECT SUM(value) FROM {MIXED_TARGET.name} WHERE value < 9 GROUP BY id"
         with scalar, vectorized:
-            baseline = scalar.answer(
-                query, MappingSemantics.BY_TUPLE, AggregateSemantics.RANGE
-            )
-            answer = vectorized.answer(
-                query, MappingSemantics.BY_TUPLE, AggregateSemantics.RANGE
-            )
-        assert None in dict(baseline.groups.items())
-        assert answer == baseline
+            for key in ("id", "label", "posted"):
+                query = (
+                    f"SELECT SUM(value) FROM {MIXED_TARGET.name} "
+                    f"WHERE value < 9 GROUP BY {key}"
+                )
+                baseline = scalar.answer(
+                    query, MappingSemantics.BY_TUPLE, AggregateSemantics.RANGE
+                )
+                answer = vectorized.answer(
+                    query, MappingSemantics.BY_TUPLE, AggregateSemantics.RANGE
+                )
+                assert None in dict(baseline.groups.items())
+                assert answer == baseline
+                assert list(answer.groups) == list(baseline.groups)
+            assert vectorized.metrics_snapshot()["vectorized.hit"] == 3
 
     def test_int_extremes_come_back_as_ints(self):
         rows = [(i, f"t{i}", None, float(i), float(-i)) for i in range(1, 9)]
@@ -461,18 +474,20 @@ class TestPinnedProblemReuse:
             assert "vectorized.fallback" not in snapshot
 
     @pytest.mark.parametrize("prepared", [True, False])
-    def test_small_groups_take_the_row_walk(self, monkeypatch, prepared):
-        # Table II: two auctions of four bids each, far below the array
-        # body's mean group size; nothing is built, every call row-walks.
+    def test_small_groups_take_the_array_body(self, monkeypatch, prepared):
+        # Table II: two auctions of four bids each.  Every call answers
+        # both groups with one array-kernel call; a prepared query builds
+        # its problem once, an unprepared one once per call.
         from repro.data import ebay
 
         table = ebay.paper_instance()
         cells = self._grouped_answers(monkeypatch, table, prepared)
         for answers, built, snapshot, expected in cells:
-            assert built == 0
+            assert built == (1 if prepared else 10)
             assert all(answer == expected for answer in answers)
-            assert snapshot["vectorized.fallback"] == 10
-            assert "vectorized.hit" not in snapshot
+            assert all(list(a.groups) == list(expected.groups) for a in answers)
+            assert snapshot["vectorized.hit"] == 10
+            assert "vectorized.fallback" not in snapshot
 
     def test_out_of_fragment_prepared_query_tries_arrays_once(self, monkeypatch):
         # MAX over a DATE column: materialization tries the array problem

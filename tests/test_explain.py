@@ -262,7 +262,7 @@ class TestSpanNesting:
         def decline(*args, **kwargs):
             raise vectorized.VectorizationError("forced decline")
 
-        monkeypatch.setattr(vectorized, "run_grouped_vectorized", decline)
+        monkeypatch.setattr(vectorized, "answer_problem", decline)
         sink = InMemorySink()
         with AggregationEngine([ds1], pm1, vectorize=True) as engine, \
                 use_sink(sink):

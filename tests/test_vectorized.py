@@ -166,13 +166,15 @@ class TestGroupedVectorized:
         from repro.core.vectorized import run_grouped_vectorized
 
         q = parse_query("SELECT MAX(price) FROM T2")
+        problem = V.VectorizedProblem(V.ColumnarTable(ds2), pm2, q)
+        assert problem.starts.tolist() == [0] and problem.groups is None
         direct = V.PROBLEM_KERNELS[(AggregateOp.MAX, AggregateSemantics.RANGE)](
-            V.VectorizedProblem(V.ColumnarTable(ds2), pm2, q)
+            problem, problem.starts
         )
         routed = run_grouped_vectorized(
             V.ColumnarTable(ds2), pm2, q, AggregateSemantics.RANGE
         )
-        assert direct == routed
+        assert direct == [routed]
 
     def test_grouped_medium_workload_matches_scalar(self):
         # A synthetic workload with an artificial group column.
