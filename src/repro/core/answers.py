@@ -10,7 +10,8 @@
 A :class:`DistributionAnswer` can be *projected* onto the other two
 semantics (paper Section III-B: "the answer according to the distribution
 semantics is rich, containing details that are eliminated in the other
-two").
+two"); :func:`project` does so for every lane that computes a
+distribution first.
 
 Aggregates over zero qualifying tuples are undefined for SUM/AVG/MIN/MAX
 (SQL returns NULL); answers carry that as ``None`` bounds / an ``undefined``
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import math
 
+from repro.core.semantics import AggregateSemantics
 from repro.exceptions import EvaluationError
 from repro.prob.distribution import DiscreteDistribution
 
@@ -275,6 +277,21 @@ class GroupedAnswer(AggregateAnswer):
     def __repr__(self) -> str:
         body = ", ".join(f"{k!r}: {v!r}" for k, v in self.groups.items())
         return f"GroupedAnswer({{{body}}})"
+
+
+def project(answer: AggregateAnswer, semantics: AggregateSemantics) -> AggregateAnswer:
+    """Project a distribution answer, or each group of one, onto ``semantics``."""
+    if isinstance(answer, GroupedAnswer):
+        return GroupedAnswer(
+            {key: project(group, semantics) for key, group in answer}
+        )
+    if semantics is AggregateSemantics.DISTRIBUTION:
+        return answer
+    if semantics is AggregateSemantics.RANGE:
+        return answer.to_range()
+    if semantics is AggregateSemantics.EXPECTED_VALUE:
+        return answer.to_expected_value()
+    raise EvaluationError(f"unknown aggregate semantics {semantics!r}")
 
 
 class BatchResult(list):

@@ -23,10 +23,11 @@ from repro.core.answers import (
     AggregateAnswer,
     DistributionAnswer,
     ExpectedValueAnswer,
-    GroupedAnswer,
     RangeAnswer,
+    project,
 )
 from repro.core.common import PreparedTupleQuery, run_possibly_grouped
+from repro.core.semantics import AggregateSemantics
 from repro.exceptions import EvaluationError
 from repro.obs import metrics
 from repro.prob.distribution import DiscreteDistribution
@@ -182,13 +183,10 @@ def by_tuple_expected_count(
     ``benchmarks/bench_ablation_expected_count.py`` quantifies the gap.
     """
     if method == "distribution":
-        answer = by_tuple_distribution_count(table, pmapping, query)
-        if isinstance(answer, GroupedAnswer):
-            return GroupedAnswer(
-                {k: v.to_expected_value() for k, v in answer}
-            )
-        assert isinstance(answer, DistributionAnswer)
-        return answer.to_expected_value()
+        return project(
+            by_tuple_distribution_count(table, pmapping, query),
+            AggregateSemantics.EXPECTED_VALUE,
+        )
     if method == "linear":
         return run_possibly_grouped(table, pmapping, query, expected_count_kernel)
     raise EvaluationError(

@@ -98,11 +98,10 @@ class AggregationEngine:
         ``"memory"`` evaluates by-table queries in-process; ``"sqlite"``
         materializes the sources into a SQLite database and pushes
         reformulated queries to it (the paper's DBMS-backed configuration).
-    planner:
-        Algorithm-selection policy; defaults to a strict paper-faithful
-        :class:`Planner` honouring the keyword flags below.
     allow_exponential / allow_sampling / use_extensions:
-        Convenience flags forwarded to the default planner.
+        The algorithm-selection policy for open Figure 6 cells: the
+        engine's :class:`Planner` is built from these flags (all off: the
+        strict paper-faithful policy).
     vectorize:
         With ``True`` (the default) and numpy importable, the engine keeps
         a columnar snapshot of each table
@@ -149,7 +148,6 @@ class AggregationEngine:
         mappings: SchemaPMapping | PMapping | Iterable[PMapping],
         *,
         backend: str = "memory",
-        planner: Planner | None = None,
         allow_exponential: bool = False,
         allow_sampling: bool = False,
         use_extensions: bool = False,
@@ -185,7 +183,7 @@ class AggregationEngine:
                     f"p-mapping source relation {pmapping.source.name!r} has "
                     "no table"
                 )
-        self.planner = planner or Planner(
+        self.planner = Planner(
             allow_exponential=allow_exponential,
             allow_sampling=allow_sampling,
             use_extensions=use_extensions,

@@ -27,7 +27,7 @@ import time
 from collections import OrderedDict
 from collections.abc import Mapping
 
-from repro.core import bytable
+from repro.core import bytable, naive, sampling
 from repro.core import guard as guardmod
 from repro.core.answers import (
     AggregateAnswer,
@@ -35,16 +35,16 @@ from repro.core.answers import (
     ExpectedValueAnswer,
     GroupedAnswer,
     RangeAnswer,
+    project,
 )
 from repro.core.common import run_prepared
 from repro.core.compile import CompiledQuery, cache_key, compile_query
 from repro.core.eval import apply_aggregate
 from repro.core.planner import (
-    EvaluationRequest,
+    SAMPLING_SPEC,
     ExecutionPlan,
     Lane,
     Planner,
-    _sampling_spec,
     degradation_chain,
 )
 from repro.core.semantics import (
@@ -561,8 +561,6 @@ def _record_execution(
     log; query-log persistence failures (the slow-query file) never fail
     the query, they downgrade to a metric.
     """
-    from repro.core import sampling
-
     context = plan.context
     effective_samples = context.samples if samples is None else samples
     if degraded is not None:
@@ -662,7 +660,10 @@ def _dispatch(
             _note_lane(lane)
             return answer
         if lane == Lane.EXTENSION:
-            answer = run_prepared(plan.compiled.prepared(), plan.spec.kernel)
+            answer = project(
+                run_prepared(plan.compiled.prepared(), plan.spec.kernel),
+                plan.aggregate_semantics,
+            )
             _note_lane(lane)
             return answer
         if lane == Lane.NESTED_RANGE:
@@ -689,9 +690,29 @@ def _dispatch(
                 "value semantics require allow_exponential=True or "
                 "allow_sampling=True"
             )
-        if lane in (Lane.NAIVE, Lane.SAMPLING):
-            answer = plan.spec.run(
-                _request(plan, samples, seed, max_sequences)
+        compiled = plan.compiled
+        if lane == Lane.NAIVE:
+            answer = naive.naive_by_tuple_answer(
+                compiled.table,
+                compiled.pmapping,
+                compiled.query,
+                plan.aggregate_semantics,
+                max_sequences=(
+                    context.max_sequences if max_sequences is None else max_sequences
+                ),
+            )
+            _note_lane(lane)
+            return answer
+        if lane == Lane.SAMPLING:
+            flat = not compiled.is_nested and compiled.query.group_by is None
+            answer = sampling.sample_by_tuple(
+                compiled.table,
+                compiled.pmapping,
+                compiled.query,
+                plan.aggregate_semantics,
+                samples=context.samples if samples is None else samples,
+                seed=context.seed if seed is None else seed,
+                prepared=compiled.prepared_or_none() if flat else None,
             )
             _note_lane(lane)
             return answer
@@ -756,8 +777,6 @@ def _degrade(
     When the lane has no chain, or every target breaches again, the last
     guardrail error propagates.
     """
-    from repro.core import sampling
-
     context = plan.context
     relaxed = budget.without_deadline() if budget is not None else None
     last_error: GuardrailError = error
@@ -768,7 +787,7 @@ def _degrade(
             plan.aggregate_semantics,
             target,
             plan.complexity,
-            _sampling_spec(plan.aggregate_semantics),
+            SAMPLING_SPEC,
             context=context,
         )
         context.metrics.inc("degraded.total")
@@ -804,31 +823,6 @@ def _degrade(
             "epsilon": sampling.dkw_epsilon(degraded_samples),
         }
     raise last_error
-
-
-def _request(
-    plan: ExecutionPlan,
-    samples: int | None,
-    seed: int | None,
-    max_sequences: int | None,
-) -> EvaluationRequest:
-    context = plan.context
-    compiled = plan.compiled
-    prepared = None
-    if not compiled.is_nested and compiled.query.group_by is None:
-        prepared = compiled.prepared_or_none()
-    return EvaluationRequest(
-        compiled.table,
-        compiled.pmapping,
-        compiled.query,
-        context.executor,
-        samples=context.samples if samples is None else samples,
-        seed=context.seed if seed is None else seed,
-        max_sequences=(
-            context.max_sequences if max_sequences is None else max_sequences
-        ),
-        prepared=prepared,
-    )
 
 
 def _ptime_answer(plan: ExecutionPlan) -> AggregateAnswer:
@@ -955,7 +949,4 @@ def _compose_nested(plan: ExecutionPlan) -> AggregateAnswer | None:
         distribution = nested.compose_independent(outer_op, distributions)
     except EvaluationError:
         return None  # support blow-up or similar: fall back
-    answer = DistributionAnswer(distribution)
-    if plan.aggregate_semantics is AggregateSemantics.DISTRIBUTION:
-        return answer
-    return answer.to_expected_value()
+    return project(DistributionAnswer(distribution), plan.aggregate_semantics)

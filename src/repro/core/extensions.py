@@ -14,20 +14,23 @@ probability that the MAX is undefined (no tuple participates) is
 yields the exact pmf in O(n * |V| * log k) after an O(n * m) preparation —
 ``|V| <= n * m`` distinct values, so O(n^2 * m log m) worst case.
 
-MIN is symmetric via survival functions.  These algorithms slot into the
-planner as *extensions* (disabled when strict paper-faithful complexity is
-requested) and are validated against naive enumeration in the tests.
+MIN is symmetric via survival functions.  :func:`order_statistic` is the
+one product-of-CDFs routine: the nested MIN/MAX composition of
+:mod:`repro.core.nested` passes it the independent group distributions.
+These algorithms slot into the planner as *extensions* (disabled when
+strict paper-faithful complexity is requested) and are validated against
+naive enumeration in the tests.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+from collections.abc import Iterable, Iterator
 
-from repro.core.answers import AggregateAnswer, DistributionAnswer
+from repro.core.answers import AggregateAnswer, DistributionAnswer, project
 from repro.core.common import PreparedTupleQuery, run_possibly_grouped
 from repro.core.semantics import AggregateSemantics
-from repro.exceptions import EvaluationError
 from repro.prob.distribution import DiscreteDistribution
 from repro.schema.mapping import PMapping
 from repro.sql.ast import AggregateQuery
@@ -70,11 +73,9 @@ class _TupleCDF:
         return self.exclusion + mass
 
 
-def _prepare_cdfs(
+def _prepare_factors(
     prepared: PreparedTupleQuery,
-) -> tuple[list[_TupleCDF], list[float]]:
-    cdfs: list[_TupleCDF] = []
-    support: set[float] = set()
+) -> Iterator[tuple[dict[float, float], float]]:
     for vector in prepared.contribution_vectors():
         weighted: dict[float, float] = {}
         exclusion = 0.0
@@ -83,24 +84,36 @@ def _prepare_cdfs(
                 exclusion += probability
             else:
                 weighted[contribution] = weighted.get(contribution, 0.0) + probability
+        yield weighted, exclusion
+
+
+def order_statistic(
+    factors: Iterable[tuple[dict[float, float], float]], *, maximize: bool
+) -> DistributionAnswer:
+    """MAX (or MIN) of independent variables, by the product of their CDFs.
+
+    Each factor is one variable: its ``{value: probability}`` weights and
+    its exclusion mass, the probability it contributes nothing.  The
+    answer is undefined in the worlds where every factor is excluded.
+    Tuples of one by-tuple problem and the independent group aggregates of
+    a nested query (exclusion 0) both fold here.
+    """
+    cdfs: list[_TupleCDF] = []
+    support: set[float] = set()
+    for weighted, exclusion in factors:
+        # A factor that never contributes multiplies every product by 1
+        # and can be dropped entirely.
         if weighted:
             support.update(weighted)
             cdfs.append(_TupleCDF(weighted, exclusion))
-        # A tuple that never participates multiplies every product by 1 and
-        # can be dropped entirely.
-    return cdfs, sorted(support)
-
-
-def _extreme_distribution(
-    prepared: PreparedTupleQuery, *, maximize: bool
-) -> DistributionAnswer:
-    cdfs, support = _prepare_cdfs(prepared)
     if not cdfs:
         return DistributionAnswer(None, undefined_probability=1.0)
     undefined = math.prod(cdf.exclusion for cdf in cdfs)
     outcomes: dict[float, float] = {}
     previous = undefined
-    values = support if maximize else list(reversed(support))
+    values = sorted(support)
+    if not maximize:
+        values.reverse()
     for value in values:
         if maximize:
             at_most = math.prod(cdf.cdf(value) for cdf in cdfs)
@@ -119,29 +132,12 @@ def _extreme_distribution(
 
 def max_distribution_kernel(prepared: PreparedTupleQuery) -> DistributionAnswer:
     """Exact by-tuple MAX distribution over one prepared problem."""
-    return _extreme_distribution(prepared, maximize=True)
+    return order_statistic(_prepare_factors(prepared), maximize=True)
 
 
 def min_distribution_kernel(prepared: PreparedTupleQuery) -> DistributionAnswer:
     """Exact by-tuple MIN distribution over one prepared problem."""
-    return _extreme_distribution(prepared, maximize=False)
-
-
-def extreme_kernel(
-    prepared: PreparedTupleQuery,
-    semantics: AggregateSemantics,
-    *,
-    maximize: bool,
-) -> AggregateAnswer:
-    """The extension's MIN/MAX answer, projected to one aggregate semantics."""
-    dist = _extreme_distribution(prepared, maximize=maximize)
-    if semantics is AggregateSemantics.DISTRIBUTION:
-        return dist
-    if semantics is AggregateSemantics.RANGE:
-        return dist.to_range()
-    if semantics is AggregateSemantics.EXPECTED_VALUE:
-        return dist.to_expected_value()
-    raise EvaluationError(f"unknown aggregate semantics {semantics!r}")
+    return order_statistic(_prepare_factors(prepared), maximize=False)
 
 
 def by_tuple_distribution_max(
@@ -167,9 +163,5 @@ def by_tuple_extreme_answer(
     maximize: bool,
 ) -> AggregateAnswer:
     """By-tuple MIN/MAX under any aggregate semantics via the extension."""
-    return run_possibly_grouped(
-        table,
-        pmapping,
-        query,
-        lambda prepared: extreme_kernel(prepared, semantics, maximize=maximize),
-    )
+    kernel = max_distribution_kernel if maximize else min_distribution_kernel
+    return project(run_possibly_grouped(table, pmapping, query, kernel), semantics)

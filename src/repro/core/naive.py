@@ -13,20 +13,23 @@ DISTINCT — which makes it the reference implementation the PTIME
 algorithms are tested against.
 
 The cost is Theta(m^n) query evaluations; :data:`DEFAULT_MAX_SEQUENCES`
-guards against accidental explosions.
+guards against accidental explosions.  :func:`fold_worlds` is the one
+possible-worlds fold: enumeration passes it every sequence with its
+probability, :mod:`repro.core.sampling` the drawn sequences with weight 1.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 from repro.core import guard as guardmod
 from repro.core.answers import (
     AggregateAnswer,
     DistributionAnswer,
     GroupedAnswer,
+    project,
 )
 from repro.core.eval import evaluate_certain
 from repro.core.semantics import AggregateSemantics
@@ -47,12 +50,20 @@ def _target_relation_name(query: AggregateQuery) -> str:
     return source.name
 
 
-def _projected_rows(table: Table, pmapping: PMapping) -> list[list[tuple]]:
+def _projected_rows(
+    table: Table, pmapping: PMapping, query: AggregateQuery
+) -> list[list[tuple]]:
     """``rows[i][j]``: tuple ``i`` projected onto the target schema by mapping ``j``.
 
     Target attributes without a correspondence under a mapping become NULL.
     """
     target = pmapping.target
+    target_name = _target_relation_name(query)
+    if target_name != target.name:
+        raise UnsupportedQueryError(
+            f"query reads from {target_name!r} but the p-mapping targets "
+            f"{target.name!r}"
+        )
     projections: list[list[tuple]] = []
     per_mapping_indexes: list[list[int | None]] = []
     for mapping, _ in pmapping:
@@ -83,6 +94,43 @@ def sequence_count(table: Table, pmapping: PMapping) -> int:
     return len(pmapping) ** len(table)
 
 
+def _world_results(
+    pmapping: PMapping,
+    projections: list[list[tuple]],
+    query: AggregateQuery,
+    weighted_sequences: Iterable[tuple[tuple[int, ...], float]],
+) -> Iterator[tuple[tuple[int, ...], object, float]]:
+    target = pmapping.target
+    guard = guardmod.current_guard()
+    for sequence, weight in weighted_sequences:
+        if guard is not None:
+            # Each sequence is one possible world: an O(n) materialization
+            # plus a full query evaluation, so check every iteration.
+            guard.add_worlds(1)
+        world = Table.from_prepared_rows(
+            target,
+            [projections[i][j] for i, j in enumerate(sequence)],
+        )
+        yield sequence, evaluate_certain(query, {target.name: world}), weight
+
+
+def _enumerated(
+    table: Table, pmapping: PMapping, max_sequences: int
+) -> Iterator[tuple[tuple[int, ...], float]]:
+    total = sequence_count(table, pmapping)
+    if total > max_sequences:
+        raise EvaluationError(
+            f"naive enumeration would visit {total} mapping sequences "
+            f"(> {max_sequences}); use the PTIME algorithms where available, "
+            "repro.core.sampling for an estimate, or raise max_sequences"
+        )
+    probabilities = list(pmapping.probabilities)
+    return (
+        (sequence, math.prod(probabilities[j] for j in sequence))
+        for sequence in itertools.product(range(len(pmapping)), repeat=len(table))
+    )
+
+
 def iter_sequence_results(
     table: Table,
     pmapping: PMapping,
@@ -97,49 +145,96 @@ def iter_sequence_results(
     possible world the sequence induces (a scalar, ``None`` for an
     undefined aggregate, or a per-group dict).
 
-    This generator backs both the distribution computation below and the
-    paper's Table VII, which lists the 16 sequences of query Q2'.
+    This generator lists the paper's Table VII (the 16 sequences of query
+    Q2'); :func:`naive_by_tuple_distribution` folds the same worlds.
     """
-    total = sequence_count(table, pmapping)
-    if total > max_sequences:
-        raise EvaluationError(
-            f"naive enumeration would visit {total} mapping sequences "
-            f"(> {max_sequences}); use the PTIME algorithms where available, "
-            "repro.core.sampling for an estimate, or raise max_sequences"
-        )
-    projections = _projected_rows(table, pmapping)
-    probabilities = list(pmapping.probabilities)
-    target = pmapping.target
-    target_name = _target_relation_name(query)
-    if target_name != target.name:
-        raise UnsupportedQueryError(
-            f"query reads from {target_name!r} but the p-mapping targets "
-            f"{target.name!r}"
-        )
-    guard = guardmod.current_guard()
-    n = len(projections)
-    for sequence in itertools.product(range(len(pmapping)), repeat=n):
-        if guard is not None:
-            # Each sequence is one possible world: an O(n) materialization
-            # plus a full query evaluation, so check every iteration.
-            guard.add_worlds(1)
-        world_rows = [
-            projections[i][mapping_index]
-            for i, mapping_index in enumerate(sequence)
-        ]
-        world = Table.from_prepared_rows(target, world_rows)
-        probability = math.prod(probabilities[j] for j in sequence)
-        result = evaluate_certain(query, {target.name: world})
-        yield sequence, result, probability
+    sequences = _enumerated(table, pmapping, max_sequences)
+    projections = _projected_rows(table, pmapping, query)
+    yield from _world_results(pmapping, projections, query, sequences)
 
 
-def _combine_scalar(
-    outcomes: dict[float, float], undefined_mass: float
+def fold_outcomes(
+    weighted_values: Iterable[tuple[object, float]], total: float = 1.0
+) -> DistributionAnswer:
+    """The distribution of weighted aggregate values (``None``: undefined).
+
+    ``total`` is the weight of all worlds: 1 for probabilities, the draw
+    count for sampled worlds weighted 1 each (integer counts, so a seeded
+    estimate never depends on summation order).
+    """
+    outcomes: dict[object, float] = {}
+    undefined = 0
+    for value, weight in weighted_values:
+        if value is None:
+            undefined += weight
+        else:
+            outcomes[value] = outcomes.get(value, 0) + weight
+    return _distribution(outcomes, undefined, total)
+
+
+def _distribution(
+    outcomes: dict[object, float], undefined: float, total: float
 ) -> DistributionAnswer:
     if not outcomes:
         return DistributionAnswer(None, undefined_probability=1.0)
-    distribution = DiscreteDistribution(outcomes, normalize=True)
-    return DistributionAnswer(distribution, undefined_probability=undefined_mass)
+    return DistributionAnswer(
+        DiscreteDistribution(outcomes, normalize=True),
+        undefined_probability=undefined / total,
+    )
+
+
+def fold_worlds(
+    table: Table,
+    pmapping: PMapping,
+    query: AggregateQuery,
+    weighted_sequences: Iterable[tuple[tuple[int, ...], float]],
+    *,
+    total: float = 1.0,
+) -> DistributionAnswer | GroupedAnswer:
+    """Fold the possible worlds of weighted mapping sequences into an answer.
+
+    The one possible-worlds fold behind naive enumeration (every sequence,
+    weighted by its probability) and sampling (drawn sequences, weighted
+    1 of ``total``).  Each sequence's world is materialized on the target
+    schema and the query evaluated in it.  A group's undefined weight is
+    summed over the worlds where the group is absent or its aggregate is
+    NULL; groups come out in first-occurrence order, walking the table's
+    rows and, within each row, the candidate mappings in order, and a
+    group is listed once some world carries it.
+    """
+    projections = _projected_rows(table, pmapping, query)
+    results = _world_results(pmapping, projections, query, weighted_sequences)
+    if query.group_by is None:
+        return fold_outcomes(
+            ((result, weight) for _, result, weight in results), total
+        )
+    group_index = pmapping.target.index_of(query.group_by.name)
+    keys = list(
+        dict.fromkeys(
+            projected[group_index]
+            for per_mapping in projections
+            for projected in per_mapping
+        )
+    )
+    outcomes: dict[object, dict[object, float]] = {key: {} for key in keys}
+    undefined: dict[object, float] = dict.fromkeys(keys, 0)
+    seen: set[object] = set()
+    for _, result, weight in results:
+        seen.update(result)
+        for key in keys:
+            value = result.get(key)
+            if value is None:
+                undefined[key] += weight
+            else:
+                bucket = outcomes[key]
+                bucket[value] = bucket.get(value, 0) + weight
+    return GroupedAnswer(
+        {
+            key: _distribution(outcomes[key], undefined[key], total)
+            for key in keys
+            if key in seen
+        }
+    )
 
 
 def naive_by_tuple_distribution(
@@ -154,42 +249,9 @@ def naive_by_tuple_distribution(
     For grouped queries, a group missing from a world (no qualifying tuple
     carried its key) counts toward that group's undefined mass.
     """
-    scalar_outcomes: dict[float, float] = {}
-    scalar_undefined = 0.0
-    grouped_outcomes: dict[object, dict[float, float]] = {}
-    grouped_mass: dict[object, float] = {}
-    total_mass = 0.0
-    saw_grouped = False
-    for _, result, probability in iter_sequence_results(
-        table, pmapping, query, max_sequences=max_sequences
-    ):
-        total_mass += probability
-        if isinstance(result, dict):
-            saw_grouped = True
-            for key, value in result.items():
-                grouped_mass[key] = grouped_mass.get(key, 0.0) + probability
-                if value is not None:
-                    bucket = grouped_outcomes.setdefault(key, {})
-                    bucket[value] = bucket.get(value, 0.0) + probability
-        elif result is None:
-            scalar_undefined += probability
-        else:
-            scalar_outcomes[result] = scalar_outcomes.get(result, 0.0) + probability
-    if saw_grouped or query.group_by is not None:
-        keys = set(grouped_mass) | set(grouped_outcomes)
-        return GroupedAnswer(
-            {
-                key: _combine_scalar(
-                    grouped_outcomes.get(key, {}),
-                    # Worlds where the group is absent, plus worlds where it
-                    # is present but the aggregate is undefined.
-                    total_mass
-                    - math.fsum(grouped_outcomes.get(key, {}).values()),
-                )
-                for key in keys
-            }
-        )
-    return _combine_scalar(scalar_outcomes, scalar_undefined)
+    return fold_worlds(
+        table, pmapping, query, _enumerated(table, pmapping, max_sequences)
+    )
 
 
 def naive_by_tuple_answer(
@@ -201,20 +263,9 @@ def naive_by_tuple_answer(
     max_sequences: int = DEFAULT_MAX_SEQUENCES,
 ) -> AggregateAnswer:
     """Exact by-tuple answer for any aggregate semantics, via enumeration."""
-    answer = naive_by_tuple_distribution(
-        table, pmapping, query, max_sequences=max_sequences
+    return project(
+        naive_by_tuple_distribution(
+            table, pmapping, query, max_sequences=max_sequences
+        ),
+        semantics,
     )
-
-    def project(dist: DistributionAnswer) -> AggregateAnswer:
-        if semantics is AggregateSemantics.DISTRIBUTION:
-            return dist
-        if semantics is AggregateSemantics.RANGE:
-            return dist.to_range()
-        if semantics is AggregateSemantics.EXPECTED_VALUE:
-            return dist.to_expected_value()
-        raise EvaluationError(f"unknown aggregate semantics {semantics!r}")
-
-    if isinstance(answer, GroupedAnswer):
-        return GroupedAnswer({key: project(value) for key, value in answer})
-    assert isinstance(answer, DistributionAnswer)
-    return project(answer)

@@ -16,7 +16,8 @@ distribution follows by classical composition:
 
 * outer SUM — convolution of the group distributions;
 * outer AVG — convolution scaled by 1/#groups;
-* outer MIN/MAX — order statistics over the group distributions;
+* outer MIN/MAX — order statistics over the group distributions, by the
+  extension's :func:`~repro.core.extensions.order_statistic`;
 * outer COUNT — a point mass at #groups.
 
 The convolution support can grow as the product of group support sizes, so
@@ -30,10 +31,10 @@ enumeration or sampling for those queries.
 from __future__ import annotations
 
 import functools
-import math
 from collections.abc import Sequence
 
 from repro.core import guard as guardmod
+from repro.core.extensions import order_statistic
 from repro.exceptions import EvaluationError, UnsupportedQueryError
 from repro.prob.distribution import DiscreteDistribution
 from repro.sql.ast import AggregateOp
@@ -60,28 +61,6 @@ def _convolve_all(
         return a.convolve(b)
 
     return functools.reduce(convolve, distributions)
-
-
-def _extreme_of_independents(
-    distributions: Sequence[DiscreteDistribution], *, maximize: bool
-) -> DiscreteDistribution:
-    support = sorted({v for d in distributions for v in d.support})
-    outcomes: dict[float, float] = {}
-    previous = 0.0
-    values = support if maximize else list(reversed(support))
-    for value in values:
-        if maximize:
-            at_most = math.prod(d.cdf(value) for d in distributions)
-        else:
-            at_most = math.prod(
-                1.0 - d.cdf(value) + d.probability_of(value)
-                for d in distributions
-            )
-        mass = at_most - previous
-        if mass > 0.0:
-            outcomes[value] = mass
-        previous = at_most
-    return DiscreteDistribution(outcomes, normalize=True)
 
 
 def compose_independent(
@@ -111,8 +90,9 @@ def compose_independent(
         # Divide rather than multiply by a reciprocal so the support values
         # match a direct sum/count computation bit-for-bit.
         return total.map(lambda value: value / count)
-    if outer_op is AggregateOp.MAX:
-        return _extreme_of_independents(distributions, maximize=True)
-    if outer_op is AggregateOp.MIN:
-        return _extreme_of_independents(distributions, maximize=False)
+    if outer_op in (AggregateOp.MAX, AggregateOp.MIN):
+        return order_statistic(
+            ((d.as_dict(), 0.0) for d in distributions),
+            maximize=outer_op is AggregateOp.MAX,
+        ).distribution
     raise UnsupportedQueryError(f"unknown outer aggregate {outer_op!r}")

@@ -28,8 +28,13 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from repro.core import bytable, bytuple_avg, bytuple_count, bytuple_minmax, bytuple_sum
-from repro.core import extensions, naive, sampling
+from repro.core import (
+    bytuple_avg,
+    bytuple_count,
+    bytuple_minmax,
+    bytuple_sum,
+    extensions,
+)
 from repro.core.answers import AggregateAnswer
 from repro.core.common import PreparedTupleQuery
 from repro.core.semantics import AggregateSemantics, MappingSemantics
@@ -39,10 +44,8 @@ from repro.exceptions import (
     SchemaError,
     UnsupportedQueryError,
 )
-from repro.schema.mapping import PMapping
 from repro.schema.model import AttributeType
-from repro.sql.ast import AggregateOp, AggregateQuery, SubquerySource
-from repro.storage.table import Table
+from repro.sql.ast import AggregateOp, SubquerySource
 
 
 class Complexity:
@@ -149,62 +152,28 @@ def format_complexity_matrix() -> str:
     return "\n".join(lines)
 
 
-class EvaluationRequest:
-    """Everything an algorithm needs to answer one query.
-
-    ``executor`` answers certain (reformulated) queries for the by-table
-    path — see :func:`repro.core.bytable.memory_executor` /
-    :func:`repro.core.bytable.sqlite_executor`.  ``prepared`` optionally
-    carries an already-compiled (possibly materialized)
-    :class:`~repro.core.common.PreparedTupleQuery` so the sampling
-    estimator can skip re-preparing the query.
-    """
-
-    def __init__(
-        self,
-        table: Table,
-        pmapping: PMapping,
-        query: AggregateQuery,
-        executor: bytable.CertainExecutor,
-        *,
-        samples: int = sampling.DEFAULT_SAMPLES,
-        seed: int | None = None,
-        max_sequences: int = naive.DEFAULT_MAX_SEQUENCES,
-        prepared: PreparedTupleQuery | None = None,
-    ) -> None:
-        self.table = table
-        self.pmapping = pmapping
-        self.query = query
-        self.executor = executor
-        self.samples = samples
-        self.seed = seed
-        self.max_sequences = max_sequences
-        self.prepared = prepared
-
-
 class AlgorithmSpec:
     """A named algorithm bound to a semantics cell.
 
-    ``run`` answers a full :class:`EvaluationRequest` (table + p-mapping +
-    query) — the standalone entry point.  ``kernel``, when set, is the same
-    algorithm as a fold over one already-prepared (ungrouped)
-    :class:`~repro.core.common.PreparedTupleQuery`; the execute stage uses
+    ``kernel``, when set, is the algorithm as a fold over one
+    already-prepared (ungrouped)
+    :class:`~repro.core.common.PreparedTupleQuery`; the execute stage runs
     it through :func:`repro.core.common.run_prepared` so repeated
     executions share the compiled predicates and pinned contribution
-    vectors.  ``lane`` is the :class:`Lane` this algorithm naturally runs
-    in.
+    vectors.  The extension kernels return the distribution, which the
+    execute stage projects onto the cell's semantics.  ``lane`` is the
+    :class:`Lane` this algorithm naturally runs in; the execute stage
+    dispatches on it.
     """
 
     __slots__ = (
-        "name", "complexity", "exact", "run", "paper_reference", "kernel",
-        "lane",
+        "name", "complexity", "exact", "paper_reference", "kernel", "lane",
     )
 
     def __init__(
         self,
         name: str,
         complexity: str,
-        run: Callable[[EvaluationRequest], AggregateAnswer],
         *,
         exact: bool = True,
         paper_reference: str = "",
@@ -213,7 +182,6 @@ class AlgorithmSpec:
     ) -> None:
         self.name = name
         self.complexity = complexity
-        self.run = run
         self.exact = exact
         self.paper_reference = paper_reference
         self.kernel = kernel
@@ -224,164 +192,65 @@ class AlgorithmSpec:
         return f"AlgorithmSpec({self.name}, {self.complexity}, {kind})"
 
 
-def _by_table_spec(aggregate_semantics: AggregateSemantics) -> AlgorithmSpec:
-    def run(request: EvaluationRequest) -> AggregateAnswer:
-        return bytable.by_table_answer(
-            request.query, request.pmapping, request.executor, aggregate_semantics
-        )
+BY_TABLE_SPEC = AlgorithmSpec(
+    "ByTableAggregateQuery",
+    Complexity.PTIME,
+    paper_reference="Figure 1",
+    lane=Lane.BY_TABLE,
+)
+NAIVE_SPEC = AlgorithmSpec(
+    "NaiveSequenceEnumeration",
+    Complexity.OPEN,
+    paper_reference="Section IV-B (generic algorithm)",
+    lane=Lane.NAIVE,
+)
+SAMPLING_SPEC = AlgorithmSpec(
+    "MonteCarloSampling",
+    Complexity.PTIME,
+    exact=False,
+    paper_reference="Section VII (future work)",
+    lane=Lane.SAMPLING,
+)
 
-    return AlgorithmSpec(
-        "ByTableAggregateQuery",
-        Complexity.PTIME,
-        run,
-        paper_reference="Figure 1",
-        lane=Lane.BY_TABLE,
+_PTIME_BY_TUPLE: dict[tuple[AggregateOp, AggregateSemantics], AlgorithmSpec] = {
+    (op, semantics): AlgorithmSpec(
+        name, Complexity.PTIME, paper_reference=reference, kernel=kernel
     )
-
-
-def _naive_spec(aggregate_semantics: AggregateSemantics) -> AlgorithmSpec:
-    def run(request: EvaluationRequest) -> AggregateAnswer:
-        return naive.naive_by_tuple_answer(
-            request.table,
-            request.pmapping,
-            request.query,
-            aggregate_semantics,
-            max_sequences=request.max_sequences,
-        )
-
-    return AlgorithmSpec(
-        "NaiveSequenceEnumeration",
-        Complexity.OPEN,
-        run,
-        paper_reference="Section IV-B (generic algorithm)",
-        lane=Lane.NAIVE,
+    for op, semantics, name, reference, kernel in (
+        (AggregateOp.COUNT, AggregateSemantics.RANGE, "ByTupleRangeCOUNT",
+         "Figure 2", bytuple_count.range_count_kernel),
+        (AggregateOp.COUNT, AggregateSemantics.DISTRIBUTION, "ByTuplePDCOUNT",
+         "Figure 3", bytuple_count.distribution_count_kernel),
+        (AggregateOp.COUNT, AggregateSemantics.EXPECTED_VALUE,
+         "ByTupleExpValCOUNT", "Section IV-B (from Figure 3)",
+         bytuple_count.expected_count_kernel),
+        (AggregateOp.SUM, AggregateSemantics.RANGE, "ByTupleRangeSUM",
+         "Figure 4", bytuple_sum.range_sum_kernel),
+        (AggregateOp.SUM, AggregateSemantics.EXPECTED_VALUE, "ByTupleExpValSUM",
+         "Theorem 4 (conditional-exact linear form)",
+         bytuple_sum.expected_sum_kernel),
+        (AggregateOp.AVG, AggregateSemantics.RANGE, "ByTupleRangeAVG",
+         "Section IV-B", bytuple_avg.range_avg_kernel),
+        (AggregateOp.MAX, AggregateSemantics.RANGE, "ByTupleRangeMAX",
+         "Figure 5", bytuple_minmax.range_max_kernel),
+        (AggregateOp.MIN, AggregateSemantics.RANGE, "ByTupleRangeMIN",
+         "Section IV-B", bytuple_minmax.range_min_kernel),
     )
+}
 
-
-def _sampling_spec(aggregate_semantics: AggregateSemantics) -> AlgorithmSpec:
-    def run(request: EvaluationRequest) -> AggregateAnswer:
-        return sampling.sample_by_tuple(
-            request.table,
-            request.pmapping,
-            request.query,
-            aggregate_semantics,
-            samples=request.samples,
-            seed=request.seed,
-            prepared=request.prepared,
-        )
-
-    return AlgorithmSpec(
-        "MonteCarloSampling",
-        Complexity.PTIME,
-        run,
-        exact=False,
-        paper_reference="Section VII (future work)",
-        lane=Lane.SAMPLING,
-    )
-
-
-_PTIME_BY_TUPLE: dict[tuple[AggregateOp, AggregateSemantics], AlgorithmSpec] = {}
-
-
-def _register_ptime_by_tuple() -> None:
-    def spec(name, fn, reference, kernel):
-        def run(request: EvaluationRequest) -> AggregateAnswer:
-            return fn(request.table, request.pmapping, request.query)
-
-        return AlgorithmSpec(
-            name, Complexity.PTIME, run, paper_reference=reference, kernel=kernel
-        )
-
-    _PTIME_BY_TUPLE[(AggregateOp.COUNT, AggregateSemantics.RANGE)] = spec(
-        "ByTupleRangeCOUNT",
-        bytuple_count.by_tuple_range_count,
-        "Figure 2",
-        bytuple_count.range_count_kernel,
-    )
-    _PTIME_BY_TUPLE[(AggregateOp.COUNT, AggregateSemantics.DISTRIBUTION)] = spec(
-        "ByTuplePDCOUNT",
-        bytuple_count.by_tuple_distribution_count,
-        "Figure 3",
-        bytuple_count.distribution_count_kernel,
-    )
-    _PTIME_BY_TUPLE[(AggregateOp.COUNT, AggregateSemantics.EXPECTED_VALUE)] = spec(
-        "ByTupleExpValCOUNT",
-        bytuple_count.by_tuple_expected_count,
-        "Section IV-B (from Figure 3)",
-        bytuple_count.expected_count_kernel,
-    )
-    _PTIME_BY_TUPLE[(AggregateOp.SUM, AggregateSemantics.RANGE)] = spec(
-        "ByTupleRangeSUM",
-        bytuple_sum.by_tuple_range_sum,
-        "Figure 4",
-        bytuple_sum.range_sum_kernel,
-    )
-    _PTIME_BY_TUPLE[(AggregateOp.AVG, AggregateSemantics.RANGE)] = spec(
-        "ByTupleRangeAVG",
-        bytuple_avg.by_tuple_range_avg,
-        "Section IV-B",
-        bytuple_avg.range_avg_kernel,
-    )
-    _PTIME_BY_TUPLE[(AggregateOp.MAX, AggregateSemantics.RANGE)] = spec(
-        "ByTupleRangeMAX",
-        bytuple_minmax.by_tuple_range_max,
-        "Figure 5",
-        bytuple_minmax.range_max_kernel,
-    )
-    _PTIME_BY_TUPLE[(AggregateOp.MIN, AggregateSemantics.RANGE)] = spec(
-        "ByTupleRangeMIN",
-        bytuple_minmax.by_tuple_range_min,
-        "Section IV-B",
-        bytuple_minmax.range_min_kernel,
-    )
-
-
-_register_ptime_by_tuple()
-
-
-def _expected_sum_spec() -> AlgorithmSpec:
-    def run(request: EvaluationRequest) -> AggregateAnswer:
-        return bytuple_sum.by_tuple_expected_sum(
-            request.table,
-            request.pmapping,
-            request.query,
-            method="exact",
-        )
-
-    return AlgorithmSpec(
-        "ByTupleExpValSUM",
-        Complexity.PTIME,
-        run,
-        paper_reference="Theorem 4 (conditional-exact linear form)",
-        kernel=bytuple_sum.expected_sum_kernel,
-    )
-
-
-def _extension_minmax_spec(
-    op: AggregateOp, aggregate_semantics: AggregateSemantics
-) -> AlgorithmSpec:
-    def run(request: EvaluationRequest) -> AggregateAnswer:
-        return extensions.by_tuple_extreme_answer(
-            request.table,
-            request.pmapping,
-            request.query,
-            aggregate_semantics,
-            maximize=op is AggregateOp.MAX,
-        )
-
-    def kernel(prepared):
-        return extensions.extreme_kernel(
-            prepared, aggregate_semantics, maximize=op is AggregateOp.MAX
-        )
-
-    return AlgorithmSpec(
+_EXTENSION: dict[AggregateOp, AlgorithmSpec] = {
+    op: AlgorithmSpec(
         f"ByTupleExact{op.value}Distribution",
         Complexity.PTIME,
-        run,
         paper_reference="extension beyond the paper (order statistics)",
         kernel=kernel,
         lane=Lane.EXTENSION,
     )
+    for op, kernel in (
+        (AggregateOp.MAX, extensions.max_distribution_kernel),
+        (AggregateOp.MIN, extensions.min_distribution_kernel),
+    )
+}
 
 
 def _check_numeric_argument(
@@ -624,18 +493,16 @@ class Planner:
             sampling (nor an applicable extension) is allowed.
         """
         if mapping_semantics is MappingSemantics.BY_TABLE:
-            return _by_table_spec(aggregate_semantics)
+            return BY_TABLE_SPEC
         key = (op, aggregate_semantics)
         if key in _PTIME_BY_TUPLE:
             return _PTIME_BY_TUPLE[key]
-        if key == (AggregateOp.SUM, AggregateSemantics.EXPECTED_VALUE):
-            return _expected_sum_spec()
-        if self.use_extensions and op in (AggregateOp.MIN, AggregateOp.MAX):
-            return _extension_minmax_spec(op, aggregate_semantics)
+        if self.use_extensions and op in _EXTENSION:
+            return _EXTENSION[op]
         if self.allow_exponential:
-            return _naive_spec(aggregate_semantics)
+            return NAIVE_SPEC
         if self.allow_sampling:
-            return _sampling_spec(aggregate_semantics)
+            return SAMPLING_SPEC
         raise IntractableError(
             f"no PTIME algorithm for {op.value} under "
             f"{mapping_semantics.value}/{aggregate_semantics.value} semantics "
@@ -678,7 +545,7 @@ class Planner:
                     aggregate_semantics,
                     Lane.BY_TABLE,
                     complexity,
-                    _by_table_spec(aggregate_semantics),
+                    BY_TABLE_SPEC,
                     context=context,
                 ),
                 context,
@@ -697,7 +564,7 @@ class Planner:
         if spec.lane == Lane.NAIVE:
             preempted = self._preempt_naive(compiled, context)
             if preempted is not None:
-                spec = _sampling_spec(aggregate_semantics)
+                spec = SAMPLING_SPEC
         chosen = ExecutionPlan(
             compiled,
             mapping_semantics,
@@ -804,9 +671,9 @@ class Planner:
             )
         fallback: ExecutionPlan | None = None
         if self.allow_exponential:
-            fallback_spec: AlgorithmSpec | None = _naive_spec(aggregate_semantics)
+            fallback_spec: AlgorithmSpec | None = NAIVE_SPEC
         elif self.allow_sampling:
-            fallback_spec = _sampling_spec(aggregate_semantics)
+            fallback_spec = SAMPLING_SPEC
         else:
             fallback_spec = None
         if fallback_spec is not None:

@@ -12,7 +12,9 @@ For flat queries the per-tuple contribution vectors are precomputed once
 and each sample costs O(n); when the prepared query pinned an array-backed
 problem, whole blocks of samples are drawn and reduced as arrays, with the
 same seeded stream and bit-identical values.  Nested or grouped queries
-fall back to full world materialization per sample.  Estimation error for the expected value
+materialize each sampled world through
+:func:`repro.core.naive.fold_worlds`, the fold naive enumeration runs
+over every world.  Estimation error for the expected value
 shrinks as O(1/sqrt(samples)); for the distribution, the
 Dvoretzky-Kiefer-Wolfowitz bound gives a uniform CDF error of
 ``sqrt(ln(2/alpha) / (2 * samples))`` with confidence ``1 - alpha``.
@@ -31,14 +33,14 @@ from repro.core.answers import (
     AggregateAnswer,
     DistributionAnswer,
     GroupedAnswer,
+    project,
 )
 from repro.core.common import PreparedTupleQuery
-from repro.core.eval import apply_aggregate, evaluate_certain
-from repro.core.naive import _projected_rows, _target_relation_name
+from repro.core.eval import apply_aggregate
+from repro.core.naive import fold_outcomes, fold_worlds
 from repro.core.semantics import AggregateSemantics
-from repro.exceptions import EvaluationError, UnsupportedQueryError
+from repro.exceptions import EvaluationError
 from repro.obs import metrics
-from repro.prob.distribution import DiscreteDistribution
 from repro.schema.mapping import PMapping
 from repro.sql.ast import AggregateOp, AggregateQuery, SubquerySource
 from repro.storage.table import Table
@@ -62,35 +64,6 @@ def dkw_epsilon(samples: int, alpha: float = 0.05) -> float:
     if samples <= 0:
         raise EvaluationError("need at least one sample")
     return math.sqrt(math.log(2.0 / alpha) / (2.0 * samples))
-
-
-def _empirical_answer(
-    outcomes: dict[float, int], undefined: int, samples: int
-) -> DistributionAnswer:
-    if not outcomes:
-        return DistributionAnswer(None, undefined_probability=1.0)
-    distribution = DiscreteDistribution(
-        {value: count for value, count in outcomes.items()}, normalize=True
-    )
-    return DistributionAnswer(
-        distribution, undefined_probability=undefined / samples
-    )
-
-
-def _project(
-    answer: DistributionAnswer | GroupedAnswer, semantics: AggregateSemantics
-) -> AggregateAnswer:
-    if isinstance(answer, GroupedAnswer):
-        return GroupedAnswer(
-            {key: _project(group, semantics) for key, group in answer}
-        )
-    if semantics is AggregateSemantics.DISTRIBUTION:
-        return answer
-    if semantics is AggregateSemantics.RANGE:
-        return answer.to_range()
-    if semantics is AggregateSemantics.EXPECTED_VALUE:
-        return answer.to_expected_value()
-    raise EvaluationError(f"unknown aggregate semantics {semantics!r}")
 
 
 class ExpectedValueEstimate:
@@ -220,7 +193,7 @@ def sample_by_tuple(
     answer = guardmod.shared(
         ("sampled", id(query), samples, seed), draw, worlds=samples
     )
-    return _project(answer, semantics)
+    return project(answer, semantics)
 
 
 def _sample_flat(
@@ -244,14 +217,7 @@ def _sample_flat(
         values = _sample_columnar(problem, op, cumulative, samples, rng, guard)
     else:
         values = _sample_rows(prepared, op, cumulative, samples, rng, guard)
-    outcomes: dict[float, int] = {}
-    undefined = 0
-    for value in values:
-        if value is None:
-            undefined += 1
-        else:
-            outcomes[value] = outcomes.get(value, 0) + 1
-    return _empirical_answer(outcomes, undefined, samples)
+    return fold_outcomes(((value, 1) for value in values), samples)
 
 
 def _sample_rows(
@@ -378,52 +344,16 @@ def _sample_worlds(
     samples: int,
     rng: random.Random,
 ) -> DistributionAnswer | GroupedAnswer:
-    target = pmapping.target
-    if _target_relation_name(query) != target.name:
-        raise UnsupportedQueryError(
-            f"query reads from {_target_relation_name(query)!r} but the "
-            f"p-mapping targets {target.name!r}"
-        )
     metrics.inc("sampling.iterations", samples)
-    projections = _projected_rows(table, pmapping)
     cumulative = list(itertools.accumulate(pmapping.probabilities))
-    mapping_count = len(pmapping)
-    scalar_outcomes: dict[float, int] = {}
-    scalar_undefined = 0
-    grouped_outcomes: dict[object, dict[float, int]] = {}
-    grouped_defined: dict[object, int] = {}
-    saw_grouped = False
-    guard = guardmod.current_guard()
-    for _ in range(samples):
-        if guard is not None:
-            guard.add_worlds(1)
-        world_rows = []
-        for per_mapping in projections:
-            j = bisect.bisect_left(cumulative, rng.random())
-            if j >= mapping_count:
-                j = mapping_count - 1
-            world_rows.append(per_mapping[j])
-        world = Table.from_prepared_rows(target, world_rows)
-        result = evaluate_certain(query, {target.name: world})
-        if isinstance(result, dict):
-            saw_grouped = True
-            for key, value in result.items():
-                if value is None:
-                    continue
-                bucket = grouped_outcomes.setdefault(key, {})
-                bucket[value] = bucket.get(value, 0) + 1
-                grouped_defined[key] = grouped_defined.get(key, 0) + 1
-        elif result is None:
-            scalar_undefined += 1
-        else:
-            scalar_outcomes[result] = scalar_outcomes.get(result, 0) + 1
-    if saw_grouped or query.group_by is not None:
-        return GroupedAnswer(
-            {
-                key: _empirical_answer(
-                    bucket, samples - grouped_defined.get(key, 0), samples
-                )
-                for key, bucket in grouped_outcomes.items()
-            }
+    last = len(cumulative) - 1
+    rows = range(len(table))
+
+    def draw() -> tuple[int, ...]:
+        # Clamp against a float edge at exactly 1.0, as the flat path does.
+        return tuple(
+            min(bisect.bisect_left(cumulative, rng.random()), last) for _ in rows
         )
-    return _empirical_answer(scalar_outcomes, scalar_undefined, samples)
+
+    draws = ((draw(), 1) for _ in range(samples))
+    return fold_worlds(table, pmapping, query, draws, total=samples)

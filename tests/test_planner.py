@@ -4,19 +4,19 @@ from __future__ import annotations
 
 import pytest
 
+from repro import AggregationEngine
+from repro.core.answers import DistributionAnswer, RangeAnswer
 from repro.core.planner import (
     Complexity,
-    EvaluationRequest,
+    Lane,
     Planner,
     complexity_matrix,
     format_complexity_matrix,
 )
-from repro.core.bytable import memory_executor
 from repro.core.semantics import AggregateSemantics, MappingSemantics
 from repro.data import realestate
 from repro.exceptions import IntractableError
 from repro.sql.ast import AggregateOp
-from repro.sql.parser import parse_query
 
 
 class TestComplexityMatrix:
@@ -141,39 +141,50 @@ class TestPlannerPolicy:
         ) == Complexity.OPEN
 
 
-class TestSpecsRun:
-    """Every reachable spec actually answers Q1/derived queries."""
+class TestEngineAnswersOpenCells:
+    """The planner's policy flags reach answers through the engine."""
 
-    def _request(self):
-        table = realestate.paper_instance()
-        pmapping = realestate.paper_pmapping()
-        return EvaluationRequest(
-            table,
-            pmapping,
-            parse_query(realestate.Q1),
-            memory_executor({"S1": table}),
+    def test_all_q1_count_cells_answer_with_exponential(self):
+        # Paper Table III (by-table range as in Table I; see EXPERIMENTS.md).
+        expected = {
+            ("by-table", "range"): RangeAnswer(1, 3),
+            ("by-table", "distribution"): {1: 0.4, 3: 0.6},
+            ("by-table", "expected-value"): 2.2,
+            ("by-tuple", "range"): RangeAnswer(1, 3),
+            ("by-tuple", "distribution"): {1: 0.16, 2: 0.48, 3: 0.36},
+            ("by-tuple", "expected-value"): 2.2,
+        }
+        engine = AggregationEngine(
+            [realestate.paper_instance()],
+            realestate.paper_pmapping(),
+            allow_exponential=True,
+        )
+        for mapping_sem in MappingSemantics:
+            for aggregate_sem in AggregateSemantics:
+                answer = engine.answer(realestate.Q1, mapping_sem, aggregate_sem)
+                want = expected[(mapping_sem.value, aggregate_sem.value)]
+                if aggregate_sem is AggregateSemantics.RANGE:
+                    assert answer == want
+                elif aggregate_sem is AggregateSemantics.DISTRIBUTION:
+                    assert answer.distribution.as_dict() == pytest.approx(want)
+                else:
+                    assert answer.value == pytest.approx(want)
+
+    def test_max_distribution_answers_with_sampling(self):
+        query = "SELECT MAX(listPrice) FROM T1"
+        engine = AggregationEngine(
+            [realestate.paper_instance()],
+            realestate.paper_pmapping(),
+            allow_sampling=True,
             samples=200,
             seed=0,
         )
-
-    def test_all_cells_runnable_with_full_policy(self):
-        planner = Planner(allow_exponential=True)
-        request = self._request()
-        for mapping_sem in MappingSemantics:
-            for aggregate_sem in AggregateSemantics:
-                spec = planner.algorithm_for(
-                    AggregateOp.COUNT, mapping_sem, aggregate_sem
-                )
-                answer = spec.run(request)
-                assert answer is not None
-
-    def test_sampling_spec_runs(self):
-        planner = Planner(allow_sampling=True)
-        spec = planner.algorithm_for(
-            AggregateOp.MAX, MappingSemantics.BY_TUPLE,
-            AggregateSemantics.DISTRIBUTION,
-        )
-        request = self._request()
-        request.query = parse_query("SELECT MAX(listPrice) FROM T1")
-        answer = spec.run(request)
-        assert answer is not None
+        plan = engine.plan(query, "by-tuple", "distribution")
+        assert plan.lane == Lane.SAMPLING
+        answer = plan.answer()
+        assert isinstance(answer, DistributionAnswer)
+        assert sum(p for _, p in answer.distribution.items()) == pytest.approx(1.0)
+        exact = RangeAnswer(*engine.answer(query, "by-tuple", "range").as_tuple())
+        assert exact.contains(answer.distribution.min())
+        assert exact.contains(answer.distribution.max())
+        assert engine.answer(query, "by-tuple", "distribution") == answer
