@@ -2,10 +2,18 @@
 
 The by-tuple SUM and AVG row walks (:mod:`repro.core.bytuple_sum`,
 :mod:`repro.core.bytuple_avg`) fold their float totals through
-:class:`ExactSum`, and the vectorized kernels reduce the same addends with
-:func:`math.fsum`.  Plain ``+=`` float addition is order dependent, so the
-lanes would differ by ULPs; an exact total makes every lane's answer the
-same correctly-rounded value regardless of the order the addends arrive in.
+:class:`ExactSum`.  Plain ``+=`` float addition is order dependent, so
+lanes adding in different orders would differ by ULPs; an exact total
+makes every lane's answer the same correctly-rounded value regardless of
+the order the addends arrive in.  The array kernels reach that value
+without Python lists: :func:`repro.core.vectorized.segment_sums` splits
+each addend into two halves of at most 27 significant bits, adds the
+halves of one binade exactly with ``numpy.bincount``, and rounds the few
+exact bucket totals once with :func:`math.fsum`.  Exact sums of the same
+multiset round to the same float, so the result is ``==`` to
+:meth:`ExactSum.value`.
+
+This module stays pure Python, so the row walks need no numpy.
 
 :class:`ExactSum` keeps the running total as a list of non-overlapping
 partial sums (Shewchuk's error-free transformation, the same technique

@@ -6,20 +6,29 @@ pair, which would cap the large-scale experiments (Figures 11-12 run to
 millions of tuples) at unrealistic sizes.  This module reimplements the
 by-tuple algorithms over the columnar storage layer
 (:class:`~repro.storage.columnar.ColumnarTable`): conditions compile to
-Kleene three-valued ``(true, unknown)`` mask pairs, contributions to
-``(mappings x tuples)`` matrices, and the per-tuple folds to array
-reductions.
+Kleene three-valued ``(true, unknown)`` mask pairs, contributions to one
+participation mask and value array per mapping, and the per-tuple folds
+to array reductions taken one mapping at a time.
 
 It is an *optimization*, not a semantic variant: every kernel here is
 **bit-identical** to its scalar counterpart in
 :mod:`repro.core.bytuple_count` / ``bytuple_sum`` / ``bytuple_avg`` /
 ``bytuple_minmax`` (cross-checked by the lane-differential and oracle
-suites).  The probability-weighted folds reach bit-identity by factoring
-every per-row float reduction through the same primitives as the scalar
-lane — ``math.fsum`` over identical addend multisets, the shared
-:func:`~repro.core.bytuple_avg._greedy_extreme_mean` greedy, and a
-participation-pattern dedup (rows with the same qualification pattern
-share one exactly-computed occurrence probability).
+suites), and its sums and AVG greedy never turn a row array into a
+Python list (only :func:`segment_sums`' fallback for non-finite,
+subnormal or huge items does):
+
+* Every float total is correctly rounded.  The row walks fold their
+  addends through :class:`~repro.core.exactsum.ExactSum`, whose value is
+  the exact sum rounded once, whatever the order; :func:`segment_sums`
+  computes the same rounding of the same multisets in numpy (exact
+  bucket totals by ``numpy.bincount``, then one ``math.fsum`` of a few
+  totals per segment), so the two agree bit for bit.
+* The AVG greedy (:func:`~repro.core.bytuple_avg._greedy_extreme_mean`)
+  adds its running total in candidate order; ``numpy.cumsum`` adds in
+  the same order, so every prefix total, mean, and stop is the same.
+* Rows with the same participation pattern share one exactly computed
+  occurrence probability (at most ``2**m`` patterns).
 
 Queries or data outside the vectorizable fragment — non-numeric or DATE
 aggregate arguments, nested queries, a missing numpy — raise
@@ -44,7 +53,6 @@ from repro.core.answers import (
     GroupedAnswer,
     RangeAnswer,
 )
-from repro.core.bytuple_avg import _greedy_extreme_mean
 from repro.core.common import certain_group_source
 from repro.core.semantics import AggregateSemantics
 from repro.exceptions import EvaluationError, UnsupportedQueryError
@@ -366,10 +374,9 @@ class VectorizedProblem:
     def __init__(
         self, ctable: ColumnarTable, pmapping: PMapping, query: AggregateQuery
     ) -> None:
-        if np is None or ctable.backend != "numpy":
+        if np is None:
             raise VectorizationError(
-                "the numpy columnar backend is unavailable; use the scalar "
-                "algorithms"
+                "numpy is unavailable; use the scalar algorithms"
             )
         if isinstance(query.source, SubquerySource):
             raise VectorizationError("nested queries are not vectorized")
@@ -511,6 +518,49 @@ def _group_segments(ctable: ColumnarTable, group_sources: set[str]):
 # -- exact per-row occurrence probabilities ---------------------------------
 
 
+def _occurrence_table(problem: VectorizedProblem, *, sequential: bool):
+    """``(table, codes)``: each row's participation pattern as an index
+    into ``table``, which holds the patterns' occurrence probabilities, so
+    that ``table[codes]`` is :func:`occurrence_array`."""
+    masks = problem.participation
+    if len(masks) > 62:  # pragma: no cover - no int64 code: one pattern per row
+        patterns = problem.participation_matrix().T.tolist()
+        codes = np.arange(problem.row_count)
+        slots = range(problem.row_count)
+        table_size = problem.row_count
+    else:
+        small = len(masks) <= 16
+        codes = np.zeros(problem.row_count, dtype=np.uint16 if small else np.int64)
+        bit = np.empty_like(codes)
+        for j, mask in enumerate(masks):
+            np.left_shift(mask, j, out=bit, dtype=codes.dtype)
+            codes |= bit
+        if small:  # a table of every code needs no numpy.unique sort
+            present = np.flatnonzero(np.bincount(codes, minlength=1 << len(masks)))
+            slots = present.tolist()
+            table_size = 1 << len(masks)
+        else:
+            present, codes = np.unique(codes, return_inverse=True)
+            slots = range(present.size)
+            table_size = present.size
+        patterns = [
+            [code >> j & 1 for j in range(len(masks))] for code in present.tolist()
+        ]
+    table = np.zeros(table_size)
+    for slot, pattern in zip(slots, patterns):
+        selected = [p for p, bit in zip(problem.probability_list, pattern) if bit]
+        if sequential:
+            occurrence = 0.0
+            for p in selected:
+                occurrence += p
+            table[slot] = occurrence
+        elif all(pattern):
+            table[slot] = 1.0
+        else:
+            table[slot] = math.fsum(selected)
+    return table, codes
+
+
 def occurrence_array(problem: VectorizedProblem, *, sequential: bool = False):
     """Per-row participation probability, bit-identical to the scalar fold.
 
@@ -524,40 +574,124 @@ def occurrence_array(problem: VectorizedProblem, *, sequential: bool = False):
 
     Rows sharing a participation pattern share one exactly-computed value
     (there are at most ``2**m`` patterns, and in practice only a handful),
-    so the whole column costs one ``numpy.unique`` plus a tiny Python loop.
+    so the whole column costs one pass per mapping plus a tiny Python loop.
     """
-    masks = problem.participation
-    if len(masks) > 62:  # pragma: no cover - no int64 code: one pattern per row
-        patterns = problem.participation_matrix().T.tolist()
-        inverse = np.arange(problem.row_count)
-    else:
-        codes = np.zeros(problem.row_count, dtype=np.int64)
-        for j, mask in enumerate(masks):
-            codes |= mask.astype(np.int64) << j
-        uniques, inverse = np.unique(codes, return_inverse=True)
-        patterns = [
-            [code >> j & 1 for j in range(len(masks))] for code in uniques.tolist()
-        ]
-    per_pattern = np.empty(len(patterns), dtype=np.float64)
-    for k, pattern in enumerate(patterns):
-        selected = [p for p, bit in zip(problem.probability_list, pattern) if bit]
-        if sequential:
-            occurrence = 0.0
-            for p in selected:
-                occurrence += p
-            per_pattern[k] = occurrence
-        elif all(pattern):
-            per_pattern[k] = 1.0
-        else:
-            per_pattern[k] = math.fsum(selected)
-    return per_pattern[inverse]
+    table, codes = _occurrence_table(problem, sequential=sequential)
+    return table[codes]
+
+
+# -- exact segmented sums ---------------------------------------------------
+
+#: Keeps an item's sign, exponent and top 25 stored significand bits:
+#: ``hi = x & _HIGH_BITS`` has at most 26 significant bits, and
+#: ``lo = x - hi`` (exact) at most 27.
+_HIGH_BITS = -(1 << 27)
+#: The biased exponent field from which an item is left to ``math.fsum``:
+#: magnitudes of ``2**996`` and up, whose bucket totals could overflow,
+#: and inf and NaN (field 2047).
+_HUGE_FIELD = 1023 + 996
+#: A bucket total is exact while fewer than this many halves add into it.
+_BUCKET_LIMIT = 2**26
+
+
+def segment_sums(arrays, starts) -> list[float]:
+    """Per segment, the correctly rounded sum of its items over ``arrays``.
+
+    Each of ``arrays`` holds one float per row, and segment ``s`` is the
+    rows from ``starts[s]`` up to the next start (``starts[0]`` is 0, and
+    a segment may be empty).  The arrays are consumed
+    one at a time, so a generator may build each one in a reused buffer.
+    Each result is ``==`` to :func:`math.fsum` of the segment's items of
+    every array.
+
+    Each item ``x`` of binade ``2**e`` splits exactly into ``hi + lo``:
+    ``hi``, ``x`` with its low 27 significand bits cleared, is a multiple of
+    ``2**(e-25)`` of magnitude below ``2**(e+1)``; ``lo`` is a multiple of
+    ``2**(e-52)`` below ``2**(e-25)``.  Bucket ``b`` of a segment takes the
+    ``hi`` halves of field ``b`` and the ``lo`` halves of field ``b + 27``,
+    so it only receives multiples of ``2**(b-25)`` below ``2**(b+2)``, and
+    a float64 total of fewer than ``2**26`` of them is exact in whatever
+    order ``numpy.bincount`` adds them.  ``math.fsum`` of a segment's few
+    nonzero bucket totals then rounds its exact sum once, which is what
+    ``fsum`` of the items gives.  An array holding an item outside that
+    argument (inf, NaN, a subnormal, a magnitude of ``2**996`` or more),
+    or one that could fill a bucket past ``2**26`` halves, goes to that
+    final ``fsum`` as Python lists instead.
+    """
+    segments = len(starts)
+    blocks = []  # (first field, exact (segments x fields) bucket totals)
+    pieces: list[list[list[float]]] = []  # per-segment lists for the fsum
+    halves = 0
+    lengths = rows = None
+
+    def split(items: list, counts) -> list[list[float]]:
+        if segments == 1:
+            return [items]
+        stops = np.cumsum(counts).tolist()
+        return [items[a:b] for a, b in zip([0, *stops[:-1]], stops)]
+
+    for array in arrays:
+        array = np.ascontiguousarray(array, dtype=np.float64)
+        if lengths is None:
+            lengths = np.diff(starts, append=array.size)
+            if segments > 1:
+                rows = np.repeat(np.arange(segments), lengths)
+            keys = np.empty(array.size, dtype=np.int64)
+            halves_buffer = np.empty(array.size)
+        bits = array.view(np.int64)
+        np.right_shift(bits, 52, out=keys)
+        keys &= 0x7FF  # the biased exponent field
+        fields = np.bincount(keys, minlength=2048)
+        used = np.flatnonzero(fields[1:]) + 1
+        halves += 2 * array.size
+        if (
+            fields[0] > array.size - np.count_nonzero(array)  # subnormals
+            or (used.size and used[-1] >= _HUGE_FIELD)
+            or halves >= _BUCKET_LIMIT
+        ):
+            pieces.append(split(array.tolist(), lengths))
+            continue
+        if not used.size:  # every item is zero
+            continue
+        low, high = int(used[0]), int(used[-1])
+        width = high - low + 1
+        keys -= low
+        np.maximum(keys, 0, out=keys)  # zeros add nothing to any bucket
+        if rows is not None:
+            keys += rows * width
+        size = segments * width
+        half = np.bitwise_and(bits, _HIGH_BITS, out=halves_buffer.view(np.int64))
+        hi_totals = np.bincount(keys, half.view(np.float64), size)
+        lo = np.subtract(array, halves_buffer, out=halves_buffer)
+        # Columns: fields low - 27 .. high; lo halves sit 27 below their hi.
+        block = np.zeros((segments, width + 27))
+        block[:, :width] = np.bincount(keys, lo, size).reshape(segments, width)
+        block[:, 27:] += hi_totals.reshape(segments, width)
+        blocks.append((low - 27, block))
+    if blocks:
+        base = min(first for first, _ in blocks)
+        totals = np.zeros(
+            (segments, max(first + b.shape[1] for first, b in blocks) - base)
+        )
+        for first, block in blocks:
+            totals[:, first - base : first - base + block.shape[1]] += block
+        nonzero = totals != 0.0
+        pieces.insert(
+            0, split(totals[nonzero].tolist(), np.count_nonzero(nonzero, axis=1))
+        )
+    if not pieces:
+        return [0.0] * segments
+    if len(pieces) == 1:
+        return [math.fsum(items) for items in pieces[0]]
+    return [math.fsum(itertools.chain(*parts)) for parts in zip(*pieces)]
 
 
 # -- kernels over a prepared problem ----------------------------------------
 #
 # Each ``*_on`` kernel takes a built :class:`VectorizedProblem` and its
 # segment starts, and returns one answer per segment, equal to the row
-# walk's: ``ufunc.reduceat`` reductions and per-segment ``math.fsum`` sums.
+# walk's: ``ufunc.reduceat`` reductions, :func:`segment_sums` for its
+# exact sums, and the AVG greedy's running totals by ``numpy.cumsum``.
 
 
 def _reduce(ufunc, array, starts, identity):
@@ -575,32 +709,53 @@ def _counts(mask, starts):
     return np.add.reduceat(mask, starts, dtype=np.intp)
 
 
-def _segment_lists(array, counts) -> list[list]:
-    """Per-segment Python lists of ``array``, which holds ``counts[s]``
-    consecutive items for segment ``s`` (a boolean-indexed row array)."""
-    items = array.tolist()
-    if len(counts) == 1:
-        return [items]
-    stops = np.cumsum(counts).tolist()
-    return [items[a:b] for a, b in zip([0] + stops[:-1], stops)]
+def _any_all(problem: VectorizedProblem):
+    """(satisfiable, forced): the rows qualifying under some mapping, and
+    under every mapping."""
+    masks = problem.participation
+    return (
+        functools.reduce(np.logical_or, masks),
+        functools.reduce(np.logical_and, masks),
+    )
+
+
+def _keep(mask, out=None):
+    """An int64 select mask for :func:`_pick`: all ones where ``mask``."""
+    return np.subtract(0, mask, out=out, dtype=np.int64)
+
+
+def _pick(keep, values, fill: float, out=None):
+    """``numpy.where(mask, values, fill)`` over float64 bit patterns, for
+    ``keep = _keep(mask)``: the same floats (NaNs and signed zeros
+    included) without ``where``'s per-row branch, which a random mask
+    keeps mispredicting."""
+    fill_bits = int(np.float64(fill).view(np.int64))
+    chosen = np.bitwise_xor(values.view(np.int64), fill_bits, out=out)
+    chosen &= keep
+    chosen ^= fill_bits
+    return chosen.view(np.float64)
 
 
 def _row_stats(problem: VectorizedProblem):
-    """(satisfiable, forced, vmin, vmax) per-row summaries."""
-    participation = problem.participation_matrix()
-    values = problem.value_matrix()
-    satisfiable = participation.any(axis=0)
-    forced = participation.all(axis=0)
-    vmin = np.where(participation, values, np.inf).min(axis=0)
-    vmax = np.where(participation, values, -np.inf).max(axis=0)
+    """(satisfiable, forced, vmin, vmax) per-row summaries, folded one
+    mapping at a time."""
+    satisfiable, forced = _any_all(problem)
+    vmin = np.full(problem.row_count, np.inf)
+    vmax = np.full(problem.row_count, -np.inf)
+    keep = np.empty(problem.row_count, dtype=np.int64)
+    chosen = np.empty_like(keep)
+    for mask, values in zip(problem.participation, problem.values):
+        _keep(mask, out=keep)
+        np.minimum(vmin, _pick(keep, values, np.inf, out=chosen), out=vmin)
+        np.maximum(vmax, _pick(keep, values, -np.inf, out=chosen), out=vmax)
     return satisfiable, forced, vmin, vmax
 
 
 def range_count_on(problem: VectorizedProblem, starts) -> list[RangeAnswer]:
     """The Figure 2 fold over a prepared problem (exact integers)."""
-    per_tuple = problem.participation_matrix().sum(axis=0)
-    lows = _counts(per_tuple == problem.mapping_count, starts).tolist()
-    ups = _counts(per_tuple > 0, starts).tolist()
+    satisfiable, forced = _any_all(problem)
+    lows = _counts(forced, starts).tolist()
+    ups = _counts(satisfiable, starts).tolist()
     return [RangeAnswer(low, up) for low, up in zip(lows, ups)]
 
 
@@ -702,50 +857,42 @@ def expected_count_on(
     problem: VectorizedProblem, starts
 ) -> list[ExpectedValueAnswer]:
     """Expected COUNT by linearity (the engine's scalar-kernel route)."""
-    rows = np.diff(starts, append=problem.row_count)
     return [
-        ExpectedValueAnswer(math.fsum(occurrence))
-        for occurrence in _segment_lists(occurrence_array(problem), rows)
+        ExpectedValueAnswer(total)
+        for total in segment_sums([occurrence_array(problem)], starts)
     ]
 
 
 def range_sum_on(problem: VectorizedProblem, starts) -> list[RangeAnswer]:
-    """The tightened Figure 4 fold; ``fsum`` of the same per-row
+    """The tightened Figure 4 fold; exact sums of the same per-row
     contributions the scalar kernel feeds its
-    :class:`~repro.core.exactsum.ExactSum`."""
+    :class:`~repro.core.exactsum.ExactSum` (a row that cannot qualify
+    contributes 0.0 to both)."""
     satisfiable, forced, vmin, vmax = _row_stats(problem)
-    low_contrib = np.where(forced, vmin, np.minimum(vmin, 0.0))
-    up_contrib = np.where(forced, vmax, np.maximum(vmax, 0.0))
+    # A row some mapping excludes may also contribute 0.0.
+    keep = _keep(forced)
+    low_contrib = np.minimum(vmin, _pick(keep, vmin, 0.0))
+    up_contrib = np.maximum(vmax, _pick(keep, vmax, 0.0))
     # Whether the world realizing each bound keeps a qualifying tuple.
     low_nonempty = _reduce(np.logical_or, forced | (low_contrib < 0.0), starts, False)
     up_nonempty = _reduce(np.logical_or, forced | (up_contrib > 0.0), starts, False)
-    defined = _counts(satisfiable, starts)
     return [
         RangeAnswer(
-            math.fsum(lows) if low_ok else single_low,
-            math.fsum(ups) if up_ok else single_up,
+            low if low_ok else single_low,
+            up if up_ok else single_up,
         )
-        if lows
+        if defined
         else RangeAnswer(None, None)
-        for lows, ups, low_ok, up_ok, single_low, single_up in zip(
-            _segment_lists(low_contrib[satisfiable], defined),
-            _segment_lists(up_contrib[satisfiable], defined),
+        for low, up, low_ok, up_ok, single_low, single_up, defined in zip(
+            segment_sums([low_contrib], starts),
+            segment_sums([up_contrib], starts),
             low_nonempty.tolist(),
             up_nonempty.tolist(),
             _reduce(np.minimum, vmin, starts, math.inf).tolist(),
             _reduce(np.maximum, vmax, starts, -math.inf).tolist(),
+            _reduce(np.logical_or, satisfiable, starts, False).tolist(),
         )
     ]
-
-
-def _expected_sum(terms: tuple, log_terms: list, certain: bool):
-    """One segment's conditional expected SUM from its addend lists."""
-    if not any(terms):
-        return None
-    empty_world_probability = 0.0 if certain else math.exp(math.fsum(log_terms))
-    if empty_world_probability >= 1.0:
-        return None
-    return math.fsum(itertools.chain(*terms)) / (1.0 - empty_world_probability)
 
 
 def expected_sum_on(
@@ -754,54 +901,139 @@ def expected_sum_on(
     """Exact conditional expected SUM, matching
     :func:`~repro.core.bytuple_sum.expected_sum_kernel` bit for bit.
 
-    The numerator's ``P(m_j) * contribution`` addends and the empty
-    world's ``log1p`` terms are ``fsum``-ed per segment: the scalar
+    The numerator's ``P(m_j) * contribution`` addends (built one mapping
+    at a time) and the empty world's ``log1p`` terms (one per
+    participation pattern) are summed exactly per segment: the scalar
     kernel folds the same multisets through
-    :class:`~repro.core.exactsum.ExactSum`, so any order gives the
-    identical correctly rounded totals.
+    :class:`~repro.core.exactsum.ExactSum`, so both reach the identical
+    correctly rounded totals.
     """
-    addends = [  # per mapping, per segment
-        _segment_lists((probability * values)[mask], _counts(mask, starts))
-        for probability, mask, values in zip(
-            problem.probability_list, problem.participation, problem.value_matrix()
-        )
-    ]
-    occurrence = occurrence_array(problem, sequential=True)
+    keep = np.empty(problem.row_count, dtype=np.int64)
+    numerators = segment_sums(
+        (
+            _pick(_keep(mask, out=keep), probability * values, 0.0)
+            for probability, mask, values in zip(
+                problem.probability_list, problem.participation, problem.values
+            )
+        ),
+        starts,
+    )
+    occurrence, codes = _occurrence_table(problem, sequential=True)
     partial = (occurrence > 0.0) & (occurrence < 1.0)
-    uniques, inverse = np.unique(occurrence[partial], return_inverse=True)
-    logs = np.array([math.log1p(-value) for value in uniques.tolist()])
-    return [
-        ExpectedValueAnswer(_expected_sum(*segment))
-        for segment in zip(
-            zip(*addends),
-            _segment_lists(logs[inverse], _counts(partial, starts)),
-            _reduce(np.logical_or, occurrence >= 1.0, starts, False).tolist(),
+    logs = np.zeros(occurrence.size)
+    logs[partial] = [math.log1p(-value) for value in occurrence[partial].tolist()]
+    satisfiable, _ = _any_all(problem)
+    answers = []
+    for numerator, log_empty, certain, defined in zip(
+        numerators,
+        segment_sums([logs[codes]], starts),
+        _reduce(np.logical_or, (occurrence >= 1.0)[codes], starts, False).tolist(),
+        _reduce(np.logical_or, satisfiable, starts, False).tolist(),
+    ):
+        empty_world_probability = 0.0 if certain else math.exp(log_empty)
+        if not defined or empty_world_probability >= 1.0:
+            answers.append(ExpectedValueAnswer(None))
+        else:
+            answers.append(
+                ExpectedValueAnswer(numerator / (1.0 - empty_world_probability))
+            )
+    return answers
+
+
+def _greedy_means(
+    forced_totals, forced_counts, values, optional, starts, *, minimize: bool
+) -> list[float | None]:
+    """Per segment, :func:`~repro.core.bytuple_avg._greedy_extreme_mean`
+    of its forced total and count and its ``optional`` rows' ``values``.
+
+    A segment's sequence is its forced total (when it has forced rows;
+    else its first candidate) followed by its candidates in greedy order,
+    so ``numpy.cumsum``, which adds sequentially, gives each prefix the
+    same float total as the greedy's ``total += value``.  The greedy stops
+    before the first candidate that does not improve the mean.  Sequences
+    are the rows of zero-padded blocks, one per power-of-two class of
+    sequence lengths, so padding at most doubles the items; a flat query
+    is one block of one row.
+    """
+    segments = len(starts)
+    candidate_counts = _counts(optional, starts)
+    candidates = values[optional]
+    if np.isnan(candidates).any():
+        raise VectorizationError(
+            "NaN among the AVG greedy's candidates: Python's sorted and "
+            "numpy's sort order NaN differently"
         )
+    # Greedy order: ascending to minimize, descending (by negation) else.
+    key = candidates if minimize else np.negative(candidates, out=candidates)
+    if segments == 1:
+        key = np.sort(key)
+    else:
+        key = key[np.lexsort((key, np.repeat(np.arange(segments), candidate_counts)))]
+    ordered = key if minimize else np.negative(key, out=key)
+    forced_counts = np.asarray(forced_counts)
+    has_forced = forced_counts > 0
+    sequence = np.insert(
+        ordered,
+        (np.cumsum(candidate_counts) - candidate_counts)[has_forced],
+        np.asarray(forced_totals)[has_forced],
+    )
+    lengths = candidate_counts + has_forced
+    classes = np.frexp(lengths)[1]  # 0 for an empty sequence
+    row_base = np.cumsum(lengths) - lengths  # where each sequence starts
+    shift = np.zeros(segments, dtype=np.intp)
+    blocks = []
+    offset = 0
+    for size_class in (np.flatnonzero(np.bincount(classes)[1:]) + 1).tolist():
+        members = np.flatnonzero(classes == size_class)
+        width = int(lengths[members].max())
+        shift[members] = offset + width * np.arange(members.size) - row_base[members]
+        blocks.append((members, offset, width))
+        offset += members.size * width
+    if offset == sequence.size and not shift.any():
+        padded = sequence  # already one block per class, unpadded (a flat query)
+    else:
+        padded = np.zeros(offset)
+        padded[np.arange(sequence.size) + np.repeat(shift, lengths)] = sequence
+    first_counts = np.maximum(forced_counts, 1).astype(np.float64)
+    improves = np.less if minimize else np.greater
+    means = np.zeros(segments)
+    for members, offset, width in blocks:
+        block = padded[offset : offset + members.size * width]
+        block = block.reshape(members.size, width)
+        # Past its stop the cumsum adds what the greedy never adds, so an
+        # overflow there is no fault of the answer.
+        with np.errstate(over="ignore", invalid="ignore"):
+            running = np.cumsum(block, axis=1)
+            running /= first_counts[members, None] + np.arange(width)
+            stop = np.ones(block.shape, dtype=bool)
+            stop[:, :-1] = ~improves(block[:, 1:], running[:, :-1])
+        stop[:, :-1] |= np.arange(1, width) >= lengths[members, None]
+        means[members] = running[np.arange(members.size), stop.argmax(axis=1)]
+    return [
+        mean if length else None
+        for mean, length in zip(means.tolist(), lengths.tolist())
     ]
 
 
 def range_avg_on(problem: VectorizedProblem, starts) -> list[RangeAnswer]:
-    """The tight AVG range through the shared scalar greedy."""
+    """The tight AVG range: exact forced totals and the greedy over the
+    optional rows, as arrays."""
     satisfiable, forced, vmin, vmax = _row_stats(problem)
     optional = satisfiable & ~forced
     forced_counts = _counts(forced, starts)
-    optional_counts = _counts(optional, starts)
-    answers = []
-    for forced_min, forced_max, optional_min, optional_max in zip(
-        _segment_lists(vmin[forced], forced_counts),
-        _segment_lists(vmax[forced], forced_counts),
-        _segment_lists(vmin[optional], optional_counts),
-        _segment_lists(vmax[optional], optional_counts),
-    ):
-        count = len(forced_min)
-        low = _greedy_extreme_mean(
-            math.fsum(forced_min), count, optional_min, minimize=True
+    keep = _keep(forced)
+    low, high = (
+        _greedy_means(
+            segment_sums([_pick(keep, bound, 0.0)], starts),
+            forced_counts,
+            bound,
+            optional,
+            starts,
+            minimize=minimize,
         )
-        high = _greedy_extreme_mean(
-            math.fsum(forced_max), count, optional_max, minimize=False
-        )
-        answers.append(RangeAnswer(low, high))
-    return answers
+        for bound, minimize in ((vmin, True), (vmax, False))
+    )
+    return [RangeAnswer(*bounds) for bounds in zip(low, high)]
 
 
 def range_minmax_on(
@@ -817,12 +1049,13 @@ def range_minmax_on(
     cast = int if types == {AttributeType.INT} else float
     lowest = _reduce(np.minimum, vmin, starts, math.inf)
     highest = _reduce(np.maximum, vmax, starts, -math.inf)
+    keep = _keep(forced)
     # Inner bound: the extreme forced value, else the least extreme value.
     if maximize:
-        inner = _reduce(np.maximum, np.where(forced, vmin, -np.inf), starts, -math.inf)
+        inner = _reduce(np.maximum, _pick(keep, vmin, -np.inf), starts, -math.inf)
         outer, unforced = highest, lowest
     else:
-        inner = _reduce(np.minimum, np.where(forced, vmax, np.inf), starts, math.inf)
+        inner = _reduce(np.minimum, _pick(keep, vmax, np.inf), starts, math.inf)
         outer, unforced = lowest, highest
     inner = np.where(_reduce(np.logical_or, forced, starts, False), inner, unforced)
     answers = []

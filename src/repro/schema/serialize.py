@@ -88,6 +88,11 @@ def pmapping_from_dict(data: dict) -> PMapping:
         entries = data["mappings"]
     except (KeyError, TypeError) as exc:
         raise MappingError("malformed p-mapping description") from exc
+    if not isinstance(entries, list):
+        raise MappingError(
+            f"malformed p-mapping description: \"mappings\" must be a list, "
+            f"not {type(entries).__name__}"
+        )
     alternatives = []
     for entry in entries:
         try:

@@ -10,16 +10,16 @@ the array-backed prepared queries of :mod:`repro.core.common`) consumes.
 Conversion contract (from ``storage/table.Table``)
 --------------------------------------------------
 
-One column array plus one optional null mask per attribute:
+One numpy column array plus one optional boolean null mask per attribute:
 
-========= ======================= =========================== ===========
-SQL type  numpy backend           pure-Python backend         NULL fill
-========= ======================= =========================== ===========
-INT       ``float64``             ``array('d')``              ``0.0``
-REAL      ``float64``             ``array('d')``              ``0.0``
-DATE      ``int64`` ordinals      ``array('q')``              ``0``
-TEXT      unicode (``np.str_``)   ``list[str]``               ``""``
-========= ======================= =========================== ===========
+========= ======================= ===========
+SQL type  column array            NULL fill
+========= ======================= ===========
+INT       ``float64``             ``0.0``
+REAL      ``float64``             ``0.0``
+DATE      ``int64`` ordinals      ``0``
+TEXT      unicode (``np.str_``)   ``""``
+========= ======================= ===========
 
 NULL cells are *only* distinguishable through the null mask
 (:meth:`ColumnarTable.nulls`): the fill values above are dummies that keep
@@ -30,11 +30,10 @@ integers up to 2**53; a column holding a larger magnitude is flagged
 (:meth:`ColumnarTable.exact`) and the array kernels decline it, leaving
 such data to the exact row walks.
 
-The numpy import is guarded: without numpy (``pip install repro[fast]``
-declares the optional dependency) the pure-Python backend — stdlib
-``array`` for numerics/dates, a plain list for text — keeps the layer,
-its null masks, and its conversion contract available, and the engine
-degrades gracefully to the scalar lane.
+The numpy import is guarded (``pip install repro[fast]`` declares the
+optional dependency): without numpy, building a :class:`ColumnarTable`
+raises :class:`ColumnarError`, the engine builds no snapshot, and every
+lane runs its pure-Python body.
 
 Build-once semantics: a :class:`ColumnarTable` is a snapshot of the rows
 at construction time and is never mutated afterwards; mutating the source
@@ -45,7 +44,6 @@ columnar cache drops its entries on ``invalidate()``/``close()``).
 from __future__ import annotations
 
 import datetime
-from array import array
 
 from repro.exceptions import StorageError
 from repro.schema.model import AttributeType, Relation
@@ -64,67 +62,35 @@ __all__ = ["ColumnarError", "ColumnarTable", "HAVE_NUMPY"]
 
 
 class ColumnarError(StorageError):
-    """The columnar layer cannot serve a request (unknown column, or an
-    operation that needs the numpy backend on a pure-Python build)."""
+    """The columnar layer cannot serve a request (unknown column, or no
+    numpy to build arrays with)."""
 
 
-def _numeric_store(raw, row_count: int, use_numpy: bool):
+def _null_mask(raw, row_count: int):
+    """The boolean NULL mask of a raw column, or None when it has none."""
+    if not any(value is None for value in raw):
+        return None
+    return np.fromiter((value is None for value in raw), dtype=bool, count=row_count)
+
+
+def _numeric_store(raw, row_count: int):
     """(values, nulls) for an INT/REAL column; nulls is None when clean."""
-    has_nulls = any(value is None for value in raw)
-    filled = (
-        [0.0 if value is None else float(value) for value in raw]
-        if has_nulls
-        else raw
-    )
-    if use_numpy:
-        values = np.asarray(filled, dtype=np.float64)
-        nulls = (
-            np.fromiter(
-                (value is None for value in raw), dtype=bool, count=row_count
-            )
-            if has_nulls
-            else None
-        )
-        return values, nulls
-    values = array("d", (float(value) for value in filled))
-    nulls = [value is None for value in raw] if has_nulls else None
-    return values, nulls
+    nulls = _null_mask(raw, row_count)
+    if nulls is not None:
+        raw = [0.0 if value is None else float(value) for value in raw]
+    return np.asarray(raw, dtype=np.float64), nulls
 
 
-def _date_store(raw, row_count: int, use_numpy: bool):
+def _date_store(raw, row_count: int):
     """(values, nulls) for a DATE column as proleptic-Gregorian ordinals."""
-    has_nulls = any(value is None for value in raw)
     ordinals = [0 if value is None else value.toordinal() for value in raw]
-    if use_numpy:
-        values = np.asarray(ordinals, dtype=np.int64)
-        nulls = (
-            np.fromiter(
-                (value is None for value in raw), dtype=bool, count=row_count
-            )
-            if has_nulls
-            else None
-        )
-        return values, nulls
-    return array("q", ordinals), (
-        [value is None for value in raw] if has_nulls else None
-    )
+    return np.asarray(ordinals, dtype=np.int64), _null_mask(raw, row_count)
 
 
-def _text_store(raw, row_count: int, use_numpy: bool):
+def _text_store(raw, row_count: int):
     """(values, nulls) for a TEXT column (empty-string dummy for NULL)."""
-    has_nulls = any(value is None for value in raw)
     filled = ["" if value is None else str(value) for value in raw]
-    if use_numpy:
-        values = np.asarray(filled, dtype=np.str_)
-        nulls = (
-            np.fromiter(
-                (value is None for value in raw), dtype=bool, count=row_count
-            )
-            if has_nulls
-            else None
-        )
-        return values, nulls
-    return filled, ([value is None for value in raw] if has_nulls else None)
+    return np.asarray(filled, dtype=np.str_), _null_mask(raw, row_count)
 
 
 class ColumnarTable:
@@ -135,11 +101,8 @@ class ColumnarTable:
     table:
         The row-major source.  Cell values are assumed coerced to the
         relation's attribute types (``Table`` guarantees this).
-    backend:
-        ``"auto"`` (default) uses numpy when importable, else the
-        pure-Python stores; ``"python"`` forces the stdlib fallback (used
-        by tests to exercise the no-numpy path with numpy installed).
 
+    Raises :class:`ColumnarError` when numpy is not importable.
     Instances are picklable and immutable by convention: no method
     mutates the arrays after construction.
     """
@@ -147,13 +110,12 @@ class ColumnarTable:
     __slots__ = (
         "relation",
         "row_count",
-        "backend",
         "_columns",
         "_nulls",
         "_inexact",
     )
 
-    def __init__(self, table: Table, *, backend: str = "auto") -> None:
+    def __init__(self, table: Table) -> None:
         self._build(
             table.relation,
             {
@@ -161,13 +123,10 @@ class ColumnarTable:
                 for attribute in table.relation
             },
             len(table),
-            backend,
         )
 
     @classmethod
-    def from_rows(
-        cls, relation: Relation, rows: list[tuple], *, backend: str = "auto"
-    ) -> "ColumnarTable":
+    def from_rows(cls, relation: Relation, rows: list[tuple]) -> "ColumnarTable":
         """Build directly from raw row tuples (same contract as a Table)."""
         instance = object.__new__(cls)
         instance._build(
@@ -177,7 +136,6 @@ class ColumnarTable:
                 for index, attribute in enumerate(relation)
             },
             len(rows),
-            backend,
         )
         return instance
 
@@ -186,17 +144,13 @@ class ColumnarTable:
         relation: Relation,
         raw_columns: dict[str, tuple],
         row_count: int,
-        backend: str,
     ) -> None:
-        if backend not in ("auto", "python"):
+        if not HAVE_NUMPY:
             raise ColumnarError(
-                f"unknown columnar backend {backend!r} "
-                "(choices: 'auto', 'python')"
+                "the columnar layer needs numpy (pip install repro[fast])"
             )
-        use_numpy = backend == "auto" and HAVE_NUMPY
         self.relation = relation
         self.row_count = row_count
-        self.backend = "numpy" if use_numpy else "python"
         self._columns: dict[str, object] = {}
         self._nulls: dict[str, object] = {}
         self._inexact: frozenset[str] = frozenset()
@@ -209,11 +163,11 @@ class ColumnarTable:
                     for value in raw
                 ):
                     inexact.add(attribute.name)
-                values, nulls = _numeric_store(raw, row_count, use_numpy)
+                values, nulls = _numeric_store(raw, row_count)
             elif attribute.type is AttributeType.DATE:
-                values, nulls = _date_store(raw, row_count, use_numpy)
+                values, nulls = _date_store(raw, row_count)
             else:
-                values, nulls = _text_store(raw, row_count, use_numpy)
+                values, nulls = _text_store(raw, row_count)
             self._columns[attribute.name] = values
             if nulls is not None:
                 self._nulls[attribute.name] = nulls
@@ -279,7 +233,4 @@ class ColumnarTable:
             object.__setattr__(self, slot, value)
 
     def __repr__(self) -> str:
-        return (
-            f"ColumnarTable({self.relation.name!r}, rows={self.row_count}, "
-            f"backend={self.backend!r})"
-        )
+        return f"ColumnarTable({self.relation.name!r}, rows={self.row_count})"

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import datetime
 from collections.abc import Iterator
+from contextlib import closing
 from pathlib import Path
 
 from repro.exceptions import StorageError
@@ -25,7 +26,7 @@ def save_table_csv(table: Table, path: str | Path) -> None:
     string.
     """
     path = Path(path)
-    with path.open("w", newline="") as handle:
+    with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(table.relation.attribute_names)
         for values in table.rows:
@@ -37,6 +38,15 @@ def save_table_csv(table: Table, path: str | Path) -> None:
                 )
                 for value in values
             )
+
+
+def _read_rows(path: Path) -> Iterator[list[str]]:
+    """The raw CSV rows of ``path``; invalid UTF-8 raises a StorageError."""
+    with path.open(newline="", encoding="utf-8") as handle:
+        try:
+            yield from csv.reader(handle)
+        except UnicodeDecodeError as error:
+            raise StorageError(f"{path} is not valid UTF-8: {error}") from None
 
 
 def infer_relation(
@@ -53,8 +63,7 @@ def infer_relation(
     or ship it in a serialized p-mapping (:mod:`repro.schema.serialize`).
     """
     path = Path(path)
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
+    with closing(_read_rows(path)) as reader:
         try:
             header = next(reader)
         except StopIteration:
@@ -120,28 +129,11 @@ def iter_csv_rows(
     :func:`repro.core.streaming.answer_stream` to aggregate files larger
     than RAM.
     """
-    path = Path(path)
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise StorageError(f"{path} is empty; expected a header row") from None
-        if tuple(header) != relation.attribute_names:
-            raise StorageError(
-                f"{path} header {header} does not match relation "
-                f"{relation.name!r} attributes {list(relation.attribute_names)}"
-            )
-        for line_number, raw in enumerate(reader, start=2):
-            if len(raw) != len(relation):
-                raise StorageError(
-                    f"{path}:{line_number}: expected {len(relation)} fields, "
-                    f"got {len(raw)}"
-                )
-            yield tuple(
-                attribute.type.coerce(None if field == "" else field)
-                for attribute, field in zip(relation.attributes, raw)
-            )
+    for raw in _data_rows(relation, Path(path)):
+        yield tuple(
+            attribute.type.coerce(None if field == "" else field)
+            for attribute, field in zip(relation.attributes, raw)
+        )
 
 
 def load_table_csv(relation: Relation, path: str | Path) -> Table:
@@ -151,26 +143,29 @@ def load_table_csv(relation: Relation, path: str | Path) -> Table:
     included); values are coerced through the attribute types, so an INT
     column containing ``"3.5"`` raises rather than silently truncating.
     """
-    path = Path(path)
     table = Table(relation)
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise StorageError(f"{path} is empty; expected a header row") from None
-        if tuple(header) != relation.attribute_names:
-            raise StorageError(
-                f"{path} header {header} does not match relation "
-                f"{relation.name!r} attributes {list(relation.attribute_names)}"
-            )
-        for line_number, raw in enumerate(reader, start=2):
-            if len(raw) != len(relation):
-                raise StorageError(
-                    f"{path}:{line_number}: expected {len(relation)} fields, "
-                    f"got {len(raw)}"
-                )
-            table.append(
-                tuple(None if field == "" else field for field in raw)
-            )
+    for raw in _data_rows(relation, Path(path)):
+        table.append(tuple(None if field == "" else field for field in raw))
     return table
+
+
+def _data_rows(relation: Relation, path: Path) -> Iterator[list[str]]:
+    """The raw data rows of a CSV whose header names ``relation``'s
+    attributes in order, each checked for its field count."""
+    reader = _read_rows(path)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise StorageError(f"{path} is empty; expected a header row") from None
+    if tuple(header) != relation.attribute_names:
+        raise StorageError(
+            f"{path} header {header} does not match relation "
+            f"{relation.name!r} attributes {list(relation.attribute_names)}"
+        )
+    for line_number, raw in enumerate(reader, start=2):
+        if len(raw) != len(relation):
+            raise StorageError(
+                f"{path}:{line_number}: expected {len(relation)} fields, "
+                f"got {len(raw)}"
+            )
+        yield raw

@@ -26,6 +26,7 @@ execution lane against this oracle.
 
 from __future__ import annotations
 
+import datetime
 import math
 import re
 
@@ -72,7 +73,19 @@ def _operand_value(operand, row: tuple, relation: Relation):
     raise TypeError(f"unsupported operand {operand!r}")
 
 
+def _as_date(text: str) -> datetime.date:
+    """A ``'Y-M-D'`` date literal; month and day may drop their leading
+    zero, as in the paper's ``'2008-1-20'``."""
+    year, month, day = (int(part) for part in text.strip().split("-"))
+    return datetime.date(year, month, day)
+
+
 def _compare(operator: str, a, b):
+    # A date literal reaches the AST as a string; compare it as a date.
+    if isinstance(a, datetime.date) and isinstance(b, str):
+        b = _as_date(b)
+    elif isinstance(b, datetime.date) and isinstance(a, str):
+        a = _as_date(a)
     if operator == "=":
         return a == b
     if operator in ("<>", "!="):

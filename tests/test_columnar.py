@@ -1,7 +1,7 @@
 """Tests for the first-class columnar storage layer.
 
 Covers the :mod:`repro.storage.columnar` contract (typed arrays, null
-masks, build-once snapshots, pure-Python fallback), the edge-dtype
+masks, build-once snapshots, no build without numpy), the edge-dtype
 differentials the ISSUE calls out (NULL-heavy columns, empty tables,
 TEXT under LIKE / IS NULL, single-row tables — strict ``==`` against the
 scalar lane on all 8 flat PTIME by-tuple cells), the engine cache
@@ -16,7 +16,6 @@ import os
 import pickle
 import subprocess
 import sys
-from array import array
 from pathlib import Path
 
 import pytest
@@ -108,7 +107,8 @@ def assert_lanes_bit_identical(table, pmapping, where, *, group_by=None):
 
 
 class TestLayerContract:
-    def test_python_backend_stores_stdlib_arrays(self):
+    @requires_numpy
+    def test_stores_typed_arrays_and_null_masks(self):
         table = Table(
             MIXED_RELATION,
             [
@@ -116,36 +116,37 @@ class TestLayerContract:
                 (2, None, None, -2.0, 4.0),
             ],
         )
-        columnar = ColumnarTable(table, backend="python")
-        assert columnar.backend == "python"
-        assert isinstance(columnar.column("v1"), array)
-        assert columnar.column("v1").typecode == "d"
-        assert isinstance(columnar.column("posted"), array)
-        assert columnar.column("posted").typecode == "q"
+        columnar = ColumnarTable(table)
+        assert columnar.column("v1").dtype == "float64"
+        assert columnar.column("posted").dtype == "int64"
         assert columnar.column("posted")[0] == datetime.date(2008, 1, 5).toordinal()
-        assert columnar.column("label") == ["alpha", ""]
-        assert columnar.nulls("label") == [False, True]
-        assert columnar.nulls("v2") == [True, False]
+        assert columnar.column("label").tolist() == ["alpha", ""]
+        assert columnar.nulls("label").tolist() == [False, True]
+        assert columnar.nulls("v2").tolist() == [True, False]
         assert columnar.nulls("v1") is None
 
-    def test_unknown_backend_rejected(self):
-        table = Table(MIXED_RELATION, [])
-        with pytest.raises(ColumnarError, match="unknown columnar backend"):
-            ColumnarTable(table, backend="fortran")
+    def test_building_without_numpy_raises(self, monkeypatch):
+        import repro.storage.columnar as columnar_module
 
+        monkeypatch.setattr(columnar_module, "HAVE_NUMPY", False)
+        with pytest.raises(ColumnarError, match="needs numpy"):
+            ColumnarTable(Table(MIXED_RELATION, []))
+
+    @requires_numpy
     def test_unknown_column_rejected(self):
-        columnar = ColumnarTable(Table(MIXED_RELATION, []), backend="python")
+        columnar = ColumnarTable(Table(MIXED_RELATION, []))
         with pytest.raises(ColumnarError, match="no column"):
             columnar.column("ghost")
         with pytest.raises(ColumnarError, match="no column"):
             columnar.nulls("ghost")
 
+    @requires_numpy
     def test_python_value_restores_types(self):
         table = Table(
             MIXED_RELATION,
             [(7, "abc", datetime.date(2009, 3, 29), 2.5, 0.0)],
         )
-        columnar = ColumnarTable(table, backend="python")
+        columnar = ColumnarTable(table)
         assert columnar.python_value("id", columnar.column("id")[0]) == 7
         assert columnar.python_value("label", columnar.column("label")[0]) == "abc"
         assert columnar.python_value(
@@ -154,13 +155,12 @@ class TestLayerContract:
         value = columnar.python_value("v1", columnar.column("v1")[0])
         assert value == 2.5 and isinstance(value, float)
 
+    @requires_numpy
     def test_int_columns_flag_float64_exactness(self):
         relation = Relation("BIG", [Attribute("n", AttributeType.INT)])
-        exact = ColumnarTable(Table(relation, [(2**53,)]), backend="python")
+        exact = ColumnarTable(Table(relation, [(2**53,)]))
         assert exact.exact("n")
-        inexact = ColumnarTable(
-            Table(relation, [(2**53 + 1,)]), backend="python"
-        )
+        inexact = ColumnarTable(Table(relation, [(2**53 + 1,)]))
         assert not inexact.exact("n")
 
     @requires_numpy
@@ -170,7 +170,6 @@ class TestLayerContract:
             [(1, "a", None, None, 2.0), (2, "b", datetime.date(2020, 5, 6), 3.0, None)],
         )
         columnar = ColumnarTable(table)
-        assert columnar.backend == "numpy"
         clone = pickle.loads(pickle.dumps(columnar))
         assert clone.row_count == 2
         assert list(clone.column("v2")) == list(columnar.column("v2"))
@@ -590,7 +589,7 @@ class _NumpyBlocker:
 
 sys.meta_path.insert(0, _NumpyBlocker())
 
-from repro.storage.columnar import HAVE_NUMPY, ColumnarTable
+from repro.storage.columnar import HAVE_NUMPY, ColumnarError, ColumnarTable
 assert not HAVE_NUMPY
 from repro.core import vectorized
 assert not vectorized.HAVE_NUMPY
@@ -602,8 +601,12 @@ from repro.data import synthetic
 relation = synthetic.source_relation(2)
 table = synthetic.generate_source_table(50, 2, seed=1, relation=relation)
 pmapping = synthetic.generate_pmapping(relation, 2, seed=1)
-columnar = ColumnarTable(table)
-assert columnar.backend == "python"
+try:
+    ColumnarTable(table)
+except ColumnarError:
+    pass
+else:
+    raise AssertionError("a columnar table was built without numpy")
 with AggregationEngine(table, pmapping, vectorize=True) as engine:
     answer = engine.answer(
         "SELECT SUM(value) FROM MED WHERE value < 500",

@@ -73,6 +73,12 @@ class TestInferRelation:
         with pytest.raises(StorageError, match="width"):
             infer_relation("T", path)
 
+    def test_invalid_utf8(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"name,price\ncaf\xe9,2.5\n")
+        with pytest.raises(StorageError, match="not valid UTF-8"):
+            infer_relation("T", path)
+
     def test_date_variants(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("d\n2008-1-5\n2008-12-31\n")

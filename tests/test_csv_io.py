@@ -8,7 +8,7 @@ import pytest
 
 from repro.exceptions import StorageError
 from repro.schema.model import Attribute, AttributeType, Relation
-from repro.storage.csv_io import load_table_csv, save_table_csv
+from repro.storage.csv_io import iter_csv_rows, load_table_csv, save_table_csv
 from repro.storage.table import Table
 
 RELATION = Relation(
@@ -65,3 +65,41 @@ def test_values_are_typed_after_load(tmp_path):
     assert isinstance(row["id"], int)
     assert isinstance(row["price"], float)
     assert isinstance(row["when"], datetime.date)
+
+
+#: A header, then a row whose label holds a byte that is not UTF-8.
+INVALID_UTF8 = b"id,price,label,when\n1,2.5,caf\xe9,2008-01-05\n"
+
+
+def test_invalid_utf8_load_is_a_storage_error(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(INVALID_UTF8)
+    with pytest.raises(StorageError, match="not valid UTF-8"):
+        load_table_csv(RELATION, path)
+
+
+def test_invalid_utf8_stream_is_a_storage_error(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(INVALID_UTF8)
+    with pytest.raises(StorageError, match="not valid UTF-8"):
+        list(iter_csv_rows(RELATION, path))
+
+
+def test_invalid_utf8_exits_with_the_storage_code(tmp_path, capsys):
+    from repro.cli import main
+    from repro.data import realestate
+    from repro.schema.serialize import save_pmapping
+
+    data = tmp_path / "listings.csv"
+    names = ",".join(realestate.S1_RELATION.attribute_names).encode()
+    data.write_bytes(names + b"\n1,2.5,caf\xe9,2008-01-05,2008-01-06\n")
+    mapping = tmp_path / "mapping.json"
+    save_pmapping(realestate.paper_pmapping(), mapping)
+    code = main([
+        "query",
+        "--data", str(data),
+        "--mapping", str(mapping),
+        "--query", realestate.Q1,
+    ])
+    assert code == 8  # StorageError
+    assert "not valid UTF-8" in capsys.readouterr().err

@@ -150,6 +150,28 @@ class TestByTupleConformance:
             )
 
 
+class TestPaperQ1:
+    """The oracle compares the DATE column with Q1's date literal."""
+
+    def test_by_tuple_answers_are_table_iii(self):
+        table = realestate.paper_instance()
+        pmapping = realestate.paper_pmapping()
+        query = parse_query(realestate.Q1)
+
+        def oracle(semantics):
+            return oracle_answer(
+                table, pmapping, query, MappingSemantics.BY_TUPLE, semantics
+            )
+
+        assert oracle(AggregateSemantics.RANGE) == RangeAnswer(1, 3)
+        distribution = oracle(AggregateSemantics.DISTRIBUTION)
+        for count, probability in {1: 0.16, 2: 0.48, 3: 0.36}.items():
+            assert distribution.probability_of(count) == pytest.approx(probability)
+        assert distribution.probability_of(0) == 0.0
+        expected = oracle(AggregateSemantics.EXPECTED_VALUE)
+        assert expected.value == pytest.approx(2.2)
+
+
 class TestNonNumericExtremes:
     """By-tuple MIN/MAX range over DATE and TEXT values (the paper's T1)."""
 

@@ -74,6 +74,13 @@ class TestPMappingRoundTrip:
             pmapping_from_dict({"source": relation_to_dict(
                 realestate.S1_RELATION)})
 
+    @pytest.mark.parametrize("mappings", [5, None, 3.5, True])
+    def test_mappings_must_be_a_list(self, mappings):
+        data = pmapping_to_dict(realestate.paper_pmapping())
+        data["mappings"] = mappings
+        with pytest.raises(MappingError, match="must be a list"):
+            pmapping_from_dict(data)
+
     def test_loaded_pmapping_answers_queries(self, tmp_path, ds1):
         from repro.core.engine import AggregationEngine
 
