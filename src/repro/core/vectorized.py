@@ -759,6 +759,17 @@ def range_count_on(problem: VectorizedProblem, starts) -> list[RangeAnswer]:
     return [RangeAnswer(low, up) for low, up in zip(lows, ups)]
 
 
+#: Steps of the COUNT DP between narrowings of its live window.
+_TRIM_STEPS = 32
+
+
+def _live_window(cells, lo: int, hi: int) -> tuple[int, int]:
+    """The narrowest ``[lo, hi)`` holding every nonzero of ``cells[:, lo:hi]``
+    (the DP keeps at least one)."""
+    nonzero = np.flatnonzero(cells[:, lo:hi].any(axis=0))
+    return lo + int(nonzero[0]), lo + int(nonzero[-1]) + 1
+
+
 def _count_distribution_dp_arrays(
     occurrence, starts
 ) -> list[DiscreteDistribution]:
@@ -797,7 +808,11 @@ def _count_distribution_dp_arrays(
     block = np.zeros((len(rank), 2))
     block[:, 0] = 1.0
     head = np.empty_like(block)
-    done, offset, cells, k, n = len(rank), 0, 0, 0, 0
+    # Columns lo .. hi - 1 hold every nonzero cell of the live segments.
+    # A cell outside stays exactly 0 under the step below, so only that
+    # window is folded; every _TRIM_STEPS steps it narrows past the zeros
+    # that q == 1 rows and underflow leave at its ends.
+    done, offset, cells, k, n, lo, hi = len(rank), 0, 0, 0, 0, 0, 1
     for k, n in enumerate(live[1:], 1):
         if n < done:  # segments with k - 1 qualifying rows are complete
             for r, row in zip(rank[n:done], block[n:done, :k].tolist()):
@@ -810,28 +825,36 @@ def _count_distribution_dp_arrays(
             guard.note_support(k + 1)
         if k >= block.shape[1]:  # double the width
             grown = np.zeros((n, 2 * k + 1))
-            grown[:, :k] = block[:n, :k]
+            grown[:, lo:hi] = block[:n, lo:hi]
             block, head = grown, np.empty_like(grown)
         q = values[offset : offset + n, None]
         offset += n
         # P'(j) = P(j) * notOcc + P(j-1) * occ  (paper Figure 3, lines 6-9)
-        np.multiply(block[:n, :k], q, out=head[:n, :k])
-        block[:n, :k] *= 1.0 - q
-        block[:n, 1 : k + 1] += head[:n, :k]
+        window, spill = block[:n, lo:hi], head[:n, lo:hi]
+        np.multiply(window, q, out=spill)
+        window *= 1.0 - q
+        hi += 1
+        block[:n, lo + 1 : hi] += spill
+        if not k % _TRIM_STEPS:
+            lo, hi = _live_window(block[:n], lo, hi)
         cells += n * (k + 1)
     if n == 1:  # the last live segment folds on alone, as a 1-D row
         row = np.zeros(len(live) - 1)
-        row[:k] = block[0, :k]
+        row[lo:hi] = block[0, lo:hi]
         carry = np.empty_like(row)
         for q in values[offset:].tolist():
             if guard is not None:
                 guard.check_deadline()
                 guard.note_support(k + 1)
-            np.multiply(row[:k], q, out=carry[:k])
-            row[:k] *= 1.0 - q
-            row[1 : k + 1] += carry[:k]
+            window, spill = row[lo:hi], carry[lo:hi]
+            np.multiply(window, q, out=spill)
+            window *= 1.0 - q
+            hi += 1
+            row[lo + 1 : hi] += spill
             k += 1
             cells += k
+            if not k % _TRIM_STEPS:
+                lo, hi = _live_window(row[None], lo, hi)
         rows[rank[0]] = row.tolist()
     metrics.inc("count_dp.rows", int(occurrence.size))
     metrics.inc("count_dp.cells", cells)

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import re
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.exceptions import MetricsExportError
 from repro.obs import metrics as metrics_mod
@@ -101,27 +100,6 @@ def render_prometheus(
     return "\n".join(lines) + "\n"
 
 
-class _ScrapeHandler(BaseHTTPRequestHandler):
-    """GET /metrics (or /) returns the current exposition; 404 otherwise."""
-
-    server_version = "repro-stats/1"
-
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        if self.path.split("?", 1)[0] not in ("/", "/metrics"):
-            self.send_error(404, "scrape /metrics")
-            return
-        body = render_prometheus(self.server.registry).encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", CONTENT_TYPE)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *args: object) -> None:
-        # Scrapes every few seconds would otherwise spam stderr.
-        pass
-
-
 class MetricsServer:
     """A background Prometheus scrape endpoint over one registry.
 
@@ -146,8 +124,33 @@ class MetricsServer:
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
+        # Imported here: the library path never serves scrapes, and
+        # http.server would load its HTTP stack into every process.
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+        class ScrapeHandler(BaseHTTPRequestHandler):
+            """GET /metrics (or /) returns the current exposition; 404
+            otherwise."""
+
+            server_version = "repro-stats/1"
+
+            def do_GET(self) -> None:  # noqa: N802 (http.server API)
+                if self.path.split("?", 1)[0] not in ("/", "/metrics"):
+                    self.send_error(404, "scrape /metrics")
+                    return
+                body = render_prometheus(self.server.registry).encode("utf-8")
+                self.send_response(200)
+                self.send_header("Content-Type", CONTENT_TYPE)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args: object) -> None:
+                # Scrapes every few seconds would otherwise spam stderr.
+                pass
+
         try:
-            self._server = ThreadingHTTPServer((host, port), _ScrapeHandler)
+            self._server = ThreadingHTTPServer((host, port), ScrapeHandler)
         except OSError as error:
             raise MetricsExportError(
                 f"cannot bind metrics endpoint on {host}:{port}: {error}",

@@ -28,19 +28,36 @@ See ``docs/serving.md`` for the endpoint contract and the operational
 runbook.
 """
 
-from repro.serve.admission import AdmissionController
-from repro.serve.client import LoadGenerator, ServeClient, ServeResponse
-from repro.serve.registry import DatasetRegistry, TenantPolicy
-from repro.serve.service import QueryService, ServeConfig, ServiceThread
+from __future__ import annotations
 
-__all__ = [
-    "AdmissionController",
-    "DatasetRegistry",
-    "LoadGenerator",
-    "QueryService",
-    "ServeClient",
-    "ServeConfig",
-    "ServeResponse",
-    "ServiceThread",
-    "TenantPolicy",
-]
+import importlib
+
+#: Each public name and the submodule defining it.  They load on first
+#: access (PEP 562), so importing one submodule — the registry, say —
+#: does not pull in the client's HTTP/TLS stack or the service's asyncio.
+_EXPORTS = {
+    "AdmissionController": "admission",
+    "DatasetRegistry": "registry",
+    "LoadGenerator": "client",
+    "QueryService": "service",
+    "ServeClient": "client",
+    "ServeConfig": "service",
+    "ServeResponse": "client",
+    "ServiceThread": "service",
+    "TenantPolicy": "registry",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> object:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -113,11 +113,11 @@ class Table:
     ) -> "Table":
         """Wrap already-typed row tuples without re-validating each value.
 
-        Intended for library internals that build many short-lived tables
-        from values that were *already* coerced by another Table (the naive
-        possible-worlds enumerator materializes one table per mapping
-        sequence).  Callers owning untrusted values must use the normal
-        constructor.
+        Intended for library internals that build tables from values
+        *already* coerced through the relation's attribute types: by
+        another Table (the naive possible-worlds enumerator materializes
+        one table per mapping sequence) or by the CSV loader.  Callers
+        owning untrusted values must use the normal constructor.
         """
         table = cls.__new__(cls)
         table.relation = relation

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import random
+import sys
+import threading
 
 import pytest
 
@@ -252,6 +255,16 @@ def _mixed_table(rows: int, seed: int = 0) -> Table:
     )
 
 
+def _untemper(word: int) -> int:
+    """The Mersenne Twister key word that tempers to ``word``."""
+    word ^= word >> 18
+    word ^= (word << 15) & 0xEFC60000
+    shifted = word
+    for _ in range(5):  # 7 more low bits recovered per pass
+        shifted = word ^ ((shifted << 7) & 0x9D2C5680)
+    return (shifted ^ (shifted >> 11) ^ (shifted >> 22)) & 0xFFFFFFFF
+
+
 def _pmapping(probabilities) -> PMapping:
     return PMapping(_SOURCE, _TARGET, list(zip(_MAPPINGS, probabilities)))
 
@@ -308,11 +321,19 @@ class TestArraySamplerDifferential:
         pytest.importorskip("numpy")
 
     def test_batched_draw_matches_random_stream(self):
-        for count in (1, 2, 3, 64, 4097):
-            batched, scalar = random.Random(count), random.Random(count)
-            drawn = sampling.uniform_block(batched, count).tolist()
-            assert drawn == [scalar.random() for _ in range(count)]
-            assert batched.getstate() == scalar.getstate()
+        # Counts around the 624-word twist (312 doubles per twist), from
+        # fresh and part-consumed states.
+        for count in (1, 2, 3, 64, 311, 312, 313, 4097):
+            for consumed in (0, 1, 311):
+                batched, scalar = random.Random(count), random.Random(count)
+                for stream in (batched, scalar):
+                    for _ in range(consumed):
+                        stream.random()
+                with sampling.continued_stream(batched) as generator:
+                    drawn = generator.random(count).tolist()
+                assert drawn == [scalar.random() for _ in range(count)]
+                assert batched.getstate() == scalar.getstate()
+                assert batched.random() == scalar.random()
 
     @pytest.mark.parametrize("case", sorted(_PROBABILITIES))
     @pytest.mark.parametrize("semantics", list(AggregateSemantics))
@@ -384,33 +405,115 @@ class TestArraySamplerDifferential:
         """Probabilities summing to just under one (inside the p-mapping
         tolerance) leave draws above the last cumulative bound; both
         samplers clamp them to the last mapping."""
-
-        class HighWords(random.Random):
-            """A word stream where most draws land at ``1 - 2**-53``."""
-
-            def getrandbits(self, k):
-                words = [
-                    0xFFFFFFFF if super(HighWords, self).random() < 0.8
-                    else super(HighWords, self).getrandbits(32)
-                    for _ in range(k // 32)
-                ]
-                return sum(word << (32 * i) for i, word in enumerate(words))
-
-            def random(self):
-                high = self.getrandbits(32) >> 5
-                low = self.getrandbits(32) >> 6
-                return (high * 67108864.0 + low) * (1.0 / 9007199254740992.0)
-
         probabilities = [0.5, 0.2, 0.2, 0.1 - 5e-10]
         assert sum(probabilities) < 1.0 - 2**-53
-        monkeypatch.setattr(sampling.random, "Random", HighWords)
+        # A state at position 0 emits its 624 key words, tempered, before
+        # the first twist.  Untempered so that most of them come out as
+        # 0xFFFFFFFF, most draws land at 1 - 2**-53; the query below
+        # draws rows * samples doubles, all from those 624 words.
+        words = random.Random(5)
+        key = tuple(
+            _untemper(0xFFFFFFFF if words.random() < 0.8 else words.getrandbits(32))
+            for _ in range(624)
+        )
+        Random = random.Random
+
+        def crafted(seed=None):
+            stream = Random()
+            stream.setstate((3, key + (0,), None))
+            return stream
+
+        rows, samples = 12, 26
+        assert rows * samples <= 624 // 2
+        stream = crafted()
+        draws = [stream.random() for _ in range(rows * samples)]
+        last_bound = list(itertools.accumulate(probabilities))[-1]
+        assert sum(u > last_bound for u in draws) > rows
+
+        monkeypatch.setattr(sampling.random, "Random", crafted)
         for aggregate in ("COUNT(value)", "SUM(value)", "MAX(value)"):
-            arrays, rows = _both_samplers(
-                _mixed_table(40), _pmapping(probabilities),
+            arrays, rows_answer = _both_samplers(
+                _mixed_table(rows), _pmapping(probabilities),
                 f"SELECT {aggregate} FROM T",
-                AggregateSemantics.DISTRIBUTION, samples=30, seed=5,
+                AggregateSemantics.DISTRIBUTION, samples=samples, seed=5,
             )
-            assert _bits(arrays) == _bits(rows), aggregate
+            assert _bits(arrays) == _bits(rows_answer), aggregate
+
+    def test_draws_spanning_blocks_at_the_real_block_size(self):
+        table = _mixed_table(150, seed=9)
+        pmapping = _pmapping(_PROBABILITIES["zero-probability mapping"])
+        per_block = sampling.BLOCK_CELLS // len(table)
+        samples = 3 * per_block + 7  # three full blocks and a partial one
+        for aggregate in _AGGREGATES:
+            text = f"SELECT {aggregate} FROM T WHERE score > 0"
+            arrays, rows = _both_samplers(
+                table, pmapping, text, AggregateSemantics.DISTRIBUTION,
+                samples=samples, seed=21,
+            )
+            assert _bits(arrays) == _bits(rows), text
+
+    def test_the_stream_ends_where_the_row_walk_leaves_it(self):
+        table = _mixed_table(40, seed=2)
+        pmapping = _pmapping(_PROBABILITIES["plain"])
+        query = parse_query("SELECT AVG(value) FROM T")
+        states, answers = [], []
+        for columnar in (ColumnarTable(table), None):
+            prepared = PreparedTupleQuery(table, pmapping, query).materialize(
+                columnar=columnar
+            )
+            rng = random.Random(8)
+            answers.append(
+                sampling._sample_flat(
+                    table, pmapping, query, 333, rng, prepared=prepared
+                )
+            )
+            states.append(rng.getstate())
+        assert states[0] == states[1]
+        assert _bits(answers[0]) == _bits(answers[1])
+
+    def test_concurrent_draws_equal_sequential_ones(self):
+        table = _mixed_table(120, seed=4)
+        pmapping = _pmapping(_PROBABILITIES["plain"])
+        query = parse_query("SELECT SUM(value) FROM T WHERE score > 5")
+        prepared = PreparedTupleQuery(table, pmapping, query).materialize(
+            columnar=ColumnarTable(table)
+        )
+        seeds = range(4)
+
+        def draws(seed):
+            return [
+                _bits(
+                    sample_by_tuple(
+                        table, pmapping, query, AggregateSemantics.DISTRIBUTION,
+                        samples=150, seed=seed * 100 + round, prepared=prepared,
+                    )
+                )
+                for round in range(15)
+            ]
+
+        expected = [draws(seed) for seed in seeds]
+        barrier = threading.Barrier(len(seeds), timeout=30)
+        got = [None] * len(seeds)
+
+        def worker(index, seed):
+            barrier.wait()
+            got[index] = draws(seed)
+
+        threads = [
+            threading.Thread(target=worker, args=(index, seed))
+            for index, seed in enumerate(seeds)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads mid-draw
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == expected
 
     def test_world_budget_breaches_at_the_same_count(self):
         table = _mixed_table(50)

@@ -8,6 +8,7 @@ random workloads.
 from __future__ import annotations
 
 import datetime
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from repro.core.bytuple_avg import by_tuple_range_avg
 from repro.core.bytuple_count import (
     by_tuple_distribution_count,
     by_tuple_range_count,
+    count_distribution_dp,
 )
 from repro.core.bytuple_minmax import by_tuple_range_max, by_tuple_range_min
 from repro.core.bytuple_sum import by_tuple_range_sum
@@ -106,6 +108,56 @@ class TestScalarVectorAgreement:
             workload.table, workload.pmapping, q_sum, method="exact"
         )
         assert vec.value == pytest.approx(scalar.value)
+
+
+def _dp_bits(distribution):
+    return [(count, p.hex()) for count, p in distribution.items()]
+
+
+class TestCountDPWindow:
+    """The array COUNT DP folds only its live window, and stays bit for bit
+    the row walk's DP."""
+
+    def _check(self, occurrence, starts):
+        import numpy as np
+
+        got = V._count_distribution_dp_arrays(np.array(occurrence), np.array(starts))
+        stops = [*starts[1:], len(occurrence)]
+        for distribution, start, stop in zip(got, starts, stops):
+            expected = count_distribution_dp(occurrence[start:stop])
+            assert distribution == expected
+            assert _dp_bits(distribution) == _dp_bits(expected)
+        return got
+
+    def test_flat_underflow_at_both_ends(self):
+        rng = random.Random(3)
+        occurrence = [0.0] * 20_000
+        for index in rng.sample(range(20_000), 1_800):
+            occurrence[index] = rng.uniform(0.2, 0.8)
+        (distribution,) = self._check(occurrence, [0])
+        support = distribution.support
+        # Underflow left exact zeros at both ends of the 1,801 counts.
+        assert 0 < min(support) and max(support) < 1_800
+
+    def test_certain_rows(self):
+        rng = random.Random(4)
+        occurrence = [
+            1.0 if rng.random() < 0.6 else rng.random() * (rng.random() < 0.7)
+            for _ in range(3_000)
+        ]
+        (distribution,) = self._check(occurrence, [0])
+        certain = occurrence.count(1.0)
+        assert min(distribution.support) >= certain
+
+    def test_grouped_window(self):
+        rng = random.Random(5)
+        # Two long segments fold side by side in the block past the
+        # underflow; the rest complete early.
+        occurrence = [
+            1.0 if rng.random() < 0.3 else rng.uniform(0.3, 0.7)
+            for _ in range(3_200)
+        ]
+        self._check(occurrence, [0, 1_300, 1_310, 1_311, 2_600])
 
 
 class TestColumnarTable:
