@@ -454,6 +454,47 @@ def _print_explain_analyze(report: dict) -> None:
             print(f"  {name} +{value:g}")
 
 
+def _unpaired_inputs(args: argparse.Namespace) -> bool:
+    """True, after printing the error, when only one of ``--data`` and
+    ``--mapping`` is given."""
+    if (args.data is None) == (args.mapping is None):
+        return False
+    print(
+        "error: --data and --mapping go together (omit both for a "
+        "synthetic workload)",
+        file=sys.stderr,
+    )
+    return True
+
+
+def _workload(args: argparse.Namespace):
+    """The ``(table, pmapping)`` a workload subcommand answers over.
+
+    The ``--data`` CSV under the ``--mapping`` p-mapping when given; else
+    a synthetic workload (``--tuples``/``--attributes``/``--mappings``/
+    ``--seed``) whose mediated relation takes its name from the query's
+    FROM clause.
+    """
+    if getattr(args, "data", None) is not None:
+        from repro.schema.serialize import load_pmapping
+        from repro.storage.csv_io import load_table_csv
+
+        pmapping = load_pmapping(args.mapping)
+        return load_table_csv(pmapping.source, args.data), pmapping
+    from repro.data import synthetic
+    from repro.sql.parser import parse_query
+
+    target = synthetic.mediated_relation(parse_query(args.query).source.name)
+    source = synthetic.source_relation(args.attributes)
+    table = synthetic.generate_source_table(
+        args.tuples, args.attributes, seed=args.seed, relation=source
+    )
+    pmapping = synthetic.generate_pmapping(
+        source, args.mappings, seed=args.seed, target=target
+    )
+    return table, pmapping
+
+
 def _run_profile(args: argparse.Namespace) -> int:
     """The ``profile`` subcommand: a flat per-span profile of a query.
 
@@ -469,34 +510,10 @@ def _run_profile(args: argparse.Namespace) -> int:
     from repro.core.engine import AggregationEngine
     from repro.exceptions import ReproError
 
-    if (args.data is None) != (args.mapping is None):
-        print(
-            "error: --data and --mapping go together (omit both for a "
-            "synthetic workload)",
-            file=sys.stderr,
-        )
+    if _unpaired_inputs(args):
         return 2
     try:
-        if args.data is not None:
-            from repro.schema.serialize import load_pmapping
-            from repro.storage.csv_io import load_table_csv
-
-            pmapping = load_pmapping(args.mapping)
-            table = load_table_csv(pmapping.source, args.data)
-        else:
-            from repro.data import synthetic
-            from repro.sql.parser import parse_query
-
-            target = synthetic.mediated_relation(
-                parse_query(args.query).source.name
-            )
-            source = synthetic.source_relation(args.attributes)
-            table = synthetic.generate_source_table(
-                args.tuples, args.attributes, seed=args.seed, relation=source
-            )
-            pmapping = synthetic.generate_pmapping(
-                source, args.mappings, seed=args.seed, target=target
-            )
+        table, pmapping = _workload(args)
         engine = AggregationEngine(
             [table],
             pmapping,
@@ -643,38 +660,13 @@ def _run_stats(args: argparse.Namespace) -> int:
     from repro.exceptions import ReproError
     from repro.obs import export, metrics
 
-    if (args.data is None) != (args.mapping is None):
-        print(
-            "error: --data and --mapping go together (omit both for a "
-            "synthetic workload)",
-            file=sys.stderr,
-        )
+    if _unpaired_inputs(args):
         return 2
     try:
         if args.query is not None:
             from repro.core.engine import AggregationEngine
 
-            if args.data is not None:
-                from repro.schema.serialize import load_pmapping
-                from repro.storage.csv_io import load_table_csv
-
-                pmapping = load_pmapping(args.mapping)
-                table = load_table_csv(pmapping.source, args.data)
-            else:
-                from repro.data import synthetic
-                from repro.sql.parser import parse_query
-
-                target = synthetic.mediated_relation(
-                    parse_query(args.query).source.name
-                )
-                source = synthetic.source_relation(args.attributes)
-                table = synthetic.generate_source_table(
-                    args.tuples, args.attributes, seed=args.seed,
-                    relation=source,
-                )
-                pmapping = synthetic.generate_pmapping(
-                    source, args.mappings, seed=args.seed, target=target
-                )
+            table, pmapping = _workload(args)
             with AggregationEngine(
                 [table],
                 pmapping,
@@ -741,19 +733,8 @@ def _run_recent(args: argparse.Namespace) -> int:
                 )
         else:
             from repro.core.engine import AggregationEngine
-            from repro.data import synthetic
-            from repro.sql.parser import parse_query
 
-            target = synthetic.mediated_relation(
-                parse_query(args.query).source.name
-            )
-            source = synthetic.source_relation(args.attributes)
-            table = synthetic.generate_source_table(
-                args.tuples, args.attributes, seed=args.seed, relation=source
-            )
-            pmapping = synthetic.generate_pmapping(
-                source, args.mappings, seed=args.seed, target=target
-            )
+            table, pmapping = _workload(args)
             with AggregationEngine([table], pmapping) as engine:
                 for _ in range(args.repeat):
                     engine.answer(

@@ -80,24 +80,7 @@ class PreparedTupleQuery:
         query: AggregateQuery,
         rows: Iterable[tuple] | None = None,
     ) -> None:
-        if isinstance(query.source, SubquerySource):
-            raise UnsupportedQueryError(
-                "by-tuple algorithms operate on flat queries; evaluate the "
-                "nested levels separately (see repro.core.engine)"
-            )
-        if query.aggregate.distinct and query.aggregate.op not in (
-            AggregateOp.MIN,
-            AggregateOp.MAX,
-        ):
-            raise UnsupportedQueryError(
-                f"DISTINCT is not supported for by-tuple "
-                f"{query.aggregate.op.value}"
-            )
-        if query.source.name != pmapping.target.name:
-            raise UnsupportedQueryError(
-                f"query reads from {query.source.name!r} but the p-mapping "
-                f"targets {pmapping.target.name!r}"
-            )
+        check_by_tuple_query(pmapping, query)
         self.table = table
         self.pmapping = pmapping
         self.query = query
@@ -137,9 +120,6 @@ class PreparedTupleQuery:
         self._relation = relation
         self._vectors: list[ContributionVector] | None = None
         self._partitioned: dict[object, PreparedTupleQuery] | None = None
-        #: Array-backed materialization (a VectorizedProblem over the
-        #: columnar snapshot), the alternative to pinning ``_vectors``.
-        self._problem = None
 
     @property
     def mapping_count(self) -> int:
@@ -158,28 +138,19 @@ class PreparedTupleQuery:
 
         Served from the pinned list after :meth:`materialize`; otherwise
         generated on the fly (one Row + ``m`` predicate calls per tuple).
-        Every row served is charged to the ``tuples.scanned`` counter,
-        the one place the row-walk kernels count their scan.
+        Every row served is charged to ``tuples.scanned`` and the row
+        budget, the one place the row-walk kernels count their scan.
         """
         if self._vectors is not None:
-            vectors = iter(self._vectors)
-        elif self._problem is not None:
-            vectors = self._problem.iter_vectors()
-        else:
-            vectors = self._generate_vectors()
-        return _scanned(vectors)
+            return _scanned(iter(self._vectors))
+        return _scanned(self._generate_vectors())
 
     def _generate_vectors(self) -> Iterator[ContributionVector]:
         relation = self._relation
         predicates = self._predicates
         argument_indexes = self._argument_indexes
         is_count = self.op is AggregateOp.COUNT
-        guard = guardmod.current_guard()
         for values in self.rows:
-            if guard is not None:
-                # Every by-tuple kernel's row scan funnels through here, so
-                # one stride-throttled check covers all the scalar lanes.
-                guard.add_rows(1)
             row = Row(relation, values)
             vector = []
             for predicate, argument_index in zip(predicates, argument_indexes):
@@ -218,80 +189,26 @@ class PreparedTupleQuery:
 
     @property
     def is_materialized(self) -> bool:
-        """True once contribution state is pinned (vectors or arrays)."""
-        return self._vectors is not None or self._problem is not None
+        """True once the contribution vectors are pinned."""
+        return self._vectors is not None
 
-    @property
-    def columnar_problem(self):
-        """The array-backed materialization, or ``None``.
-
-        Set by :meth:`materialize` when given a numpy-backed columnar
-        snapshot of the source table; the array bodies (the by-tuple PTIME
-        lane's kernels, the sampler, the by-table folds) read it instead
-        of per-row Python vectors (bit-identical answers, see
-        :mod:`repro.core.vectorized`).
-        """
-        return self._problem
-
-    def materialize(
-        self, columnar=None, *, vectors: bool = True
-    ) -> "PreparedTupleQuery":
-        """Pin the contribution state (and partition) for re-execution.
+    def materialize(self) -> "PreparedTupleQuery":
+        """Pin the contribution vectors (and partition) for re-execution.
 
         Costs one full evaluation pass and O(n * m) memory; afterwards every
-        algorithm run over this prepared query folds the pinned state
+        algorithm run over this prepared query folds the pinned vectors
         without re-evaluating any predicate.  Idempotent.  The pinned state
         reflects the table rows at call time — mutating the table afterwards
         requires a freshly prepared query.
-
-        Parameters
-        ----------
-        columnar:
-            An optional :class:`~repro.storage.columnar.ColumnarTable`
-            snapshot of the source table.  When it is numpy-backed, covers
-            exactly this problem's rows, and the query sits inside the
-            vectorizable fragment, materialization pins an array-backed
-            problem (contiguous participation masks and value columns)
-            instead of per-row vector tuples; otherwise it falls back to
-            pinning the vectors as before.
-        vectors:
-            With ``False``, pin only an array-backed problem: outside the
-            vectorizable fragment nothing is pinned and no row is walked
-            (the by-table lane's use, which has no use for row vectors).
         """
-        if self._vectors is None and self._problem is None:
-            if columnar is not None:
-                self._problem = self._columnar_problem_or_none(columnar)
-            if self._problem is None:
-                if not vectors:
-                    return self
-                self._vectors = list(self._generate_vectors())
+        if self._vectors is None:
+            self._vectors = list(self._generate_vectors())
             # Any partition built before pinning lacks the vectors; the
             # next partition() call rebuilds the subs over the pinned list.
             self._partitioned = None
-        if self._group_index is not None and self._problem is None:
-            self.partition()  # the array kernels need no partition
+        if self._group_index is not None:
+            self.partition()
         return self
-
-    def _columnar_problem_or_none(self, columnar):
-        """Build the array-backed problem, or ``None`` outside the fragment.
-
-        Declines — leaving the row-vector path to serve — for a stale
-        snapshot, or queries the vectorized fragment cannot express
-        (non-numeric aggregate arguments, conditions the mask compiler
-        rejects).  A grouped query pins one problem over all rows, sorted
-        by the group key into one segment per group.
-        """
-        from repro.core import vectorized
-
-        if columnar.row_count != len(self.rows):
-            return None
-        try:
-            return vectorized.VectorizedProblem(
-                columnar, self.pmapping, self.query
-            )
-        except (vectorized.ColumnarError, UnsupportedQueryError):
-            return None
 
     # -- grouping ------------------------------------------------------------
 
@@ -303,8 +220,7 @@ class PreparedTupleQuery:
         then decide per mapping which of its rows participate.  The split is
         computed once and cached, in order of each group's first row;
         sub-problems share the compiled predicates and, when materialized,
-        the parent's pinned vectors (read back from its pinned array-backed
-        problem, if that is what it pinned).
+        the parent's pinned vectors.
         """
         if self._group_index is None:
             raise UnsupportedQueryError("query has no GROUP BY")
@@ -312,8 +228,7 @@ class PreparedTupleQuery:
             return self._partitioned
         buckets: dict[object, list[tuple]] = {}
         vector_buckets: dict[object, list[ContributionVector]] = {}
-        problem = self._problem
-        vectors = self._vectors if problem is None else list(problem.iter_vectors())
+        vectors = self._vectors
         if vectors is None:
             for values in self.rows:
                 buckets.setdefault(values[self._group_index], []).append(values)
@@ -329,10 +244,39 @@ class PreparedTupleQuery:
             sub.rows = rows
             sub._vectors = vector_buckets.get(key)
             sub._partitioned = None
-            sub._problem = None
             out[key] = sub
         self._partitioned = out
         return out
+
+
+def check_by_tuple_query(
+    pmapping: PMapping,
+    query: AggregateQuery,
+    nested: type[Exception] = UnsupportedQueryError,
+) -> None:
+    """Raise unless ``query`` is a by-tuple query both bodies can answer.
+
+    A flat query (``nested`` is the error raised otherwise) on the
+    p-mapping's target, with DISTINCT only on MIN/MAX: the paper does not
+    define it for SUM/AVG/COUNT, and it cannot change a MIN or MAX.
+    """
+    if isinstance(query.source, SubquerySource):
+        raise nested(
+            "by-tuple algorithms operate on flat queries; evaluate the "
+            "nested levels separately (see repro.core.engine)"
+        )
+    if query.aggregate.distinct and query.aggregate.op not in (
+        AggregateOp.MIN,
+        AggregateOp.MAX,
+    ):
+        raise UnsupportedQueryError(
+            f"DISTINCT is not supported for by-tuple {query.aggregate.op.value}"
+        )
+    if query.source.name != pmapping.target.name:
+        raise UnsupportedQueryError(
+            f"query reads from {query.source.name!r} but the p-mapping "
+            f"targets {pmapping.target.name!r}"
+        )
 
 
 def certain_group_source(group_sources: set[str]) -> str:
@@ -351,13 +295,27 @@ def certain_group_source(group_sources: set[str]) -> str:
 def _scanned(
     vectors: Iterator[ContributionVector],
 ) -> Iterator[ContributionVector]:
+    guard = guardmod.current_guard()
     scanned = 0
     try:
         for vector in vectors:
+            if guard is not None:
+                # Every row walk's scan funnels through here, so one
+                # stride-throttled check covers all the scalar lanes.
+                guard.add_rows(1)
             scanned += 1
             yield vector
     finally:
         metrics.inc("tuples.scanned", scanned)
+
+
+def charge_rows(count: int) -> None:
+    """Charge one array fold over ``count`` rows, as the row walk charges
+    each row it serves: to ``tuples.scanned`` and to the row budget."""
+    metrics.inc("tuples.scanned", count)
+    guard = guardmod.current_guard()
+    if guard is not None:
+        guard.add_rows(count)
 
 
 def run_prepared(

@@ -50,15 +50,19 @@ class CompiledQuery:
     """A query parsed, resolved, and prepared against one engine's data.
 
     Holds the parsed AST, the resolved ``(Table, PMapping)`` pair, the
-    per-mapping reformulations (built lazily, cached), and the per-mapping
-    compiled condition evaluators of
-    :class:`~repro.core.common.PreparedTupleQuery` (likewise lazy — by-table
-    and naive lanes never pay for them, and queries outside the by-tuple
-    fragment only fail when a by-tuple lane actually asks).
+    per-mapping reformulations (built lazily, cached), the array-backed
+    problem every array body reads (:meth:`problem`), and the row walk's
+    per-mapping compiled condition evaluators of
+    :class:`~repro.core.common.PreparedTupleQuery` (likewise lazy — only a
+    row walk pays for them, and queries outside the by-tuple fragment only
+    fail when a by-tuple lane actually asks).
+
+    A prepared handle pins its query (:meth:`pin`): the problem and the
+    row vectors are then kept across calls instead of rebuilt per call.
     """
 
-    __slots__ = ("query", "table", "pmapping", "text", "inner",
-                 "_prepared", "_reformulations")
+    __slots__ = ("query", "table", "pmapping", "text", "inner", "pinned",
+                 "_prepared", "_reformulations", "_problem", "_snapshot")
 
     def __init__(
         self, query: AggregateQuery, table: Table, pmapping: PMapping
@@ -70,16 +74,69 @@ class CompiledQuery:
         self.inner: CompiledQuery | None = None
         if isinstance(query.source, SubquerySource):
             self.inner = CompiledQuery(query.source.query, table, pmapping)
+        self.pinned = False
         self._prepared: PreparedTupleQuery | None = None
         self._reformulations: list[tuple[AggregateQuery, float]] | None = None
+        #: The pinned problem and the snapshot it was tried on (the
+        #: problem is ``None`` where the arrays declined that snapshot).
+        self._problem = None
+        self._snapshot = None
 
     @property
     def is_nested(self) -> bool:
         """True when the query aggregates over a subquery in FROM."""
         return self.inner is not None
 
+    def pin(self) -> None:
+        """Keep this query's problem and row vectors across calls.
+
+        Called by a prepared handle; every level of a nested query is
+        pinned.  Nothing is built here: :meth:`problem` pins the first
+        problem it builds per snapshot, :meth:`prepared` the row vectors
+        the first time a row walk asks.
+        """
+        self.pinned = True
+        if self.inner is not None:
+            self.inner.pin()
+
+    def problem(self, columnar):
+        """The array-backed problem over ``columnar``, or ``None``.
+
+        The one builder of a :class:`~repro.core.vectorized.VectorizedProblem`
+        for the engine's lanes (the by-tuple PTIME kernels, the by-table
+        fold, the flat sampler).  ``None`` without a snapshot, for nested
+        queries, and outside the array fragment (non-numeric aggregate
+        arguments, conditions the mask compiler rejects, shapes outside
+        the by-tuple fragment).  A pinned query builds once per snapshot
+        and keeps the result, a declined build included, so later calls
+        go straight to the row walk; an unpinned one builds per call and
+        keeps nothing.
+        """
+        if columnar is None or self.inner is not None:
+            return None
+        if not self.pinned:
+            return self._build_problem(columnar)
+        if self._snapshot is not columnar:
+            with trace.span("compile.materialize", query=self.text):
+                self._problem = self._build_problem(columnar)
+            self._snapshot = columnar
+            if self._problem is not None:
+                metrics.inc("prepared.materializations")
+        return self._problem
+
+    def _build_problem(self, columnar):
+        from repro.core import vectorized
+
+        try:
+            return vectorized.VectorizedProblem(columnar, self.pmapping, self.query)
+        except (vectorized.ColumnarError, UnsupportedQueryError):
+            return None
+
     def prepared(self) -> PreparedTupleQuery:
-        """The by-tuple form: per-mapping compiled predicates, built once.
+        """The row walk's state: per-mapping compiled predicates, built once.
+
+        A pinned query also pins the contribution vectors, the first time
+        it is asked (:meth:`PreparedTupleQuery.materialize`).
 
         Raises
         ------
@@ -92,6 +149,10 @@ class CompiledQuery:
                 self._prepared = PreparedTupleQuery(
                     self.table, self.pmapping, self.query
                 )
+        if self.pinned and not self._prepared.is_materialized:
+            with trace.span("compile.materialize", query=self.text):
+                self._prepared.materialize()
+            metrics.inc("prepared.materializations")
         return self._prepared
 
     def prepared_or_none(self) -> PreparedTupleQuery | None:
@@ -100,22 +161,6 @@ class CompiledQuery:
             return self.prepared()
         except UnsupportedQueryError:
             return None
-
-    @property
-    def is_materialized(self) -> bool:
-        """True once this (flat) level's contribution state is pinned."""
-        return self._prepared is not None and self._prepared.is_materialized
-
-    @property
-    def columnar_problem(self):
-        """The pinned array-backed problem of this (flat) level, or ``None``.
-
-        Never builds anything: ``None`` until a prepared query's plan has
-        materialized it over a numpy columnar snapshot.
-        """
-        if self._prepared is None:
-            return None
-        return self._prepared.columnar_problem
 
     def reformulations(self) -> list[tuple[AggregateQuery, float]]:
         """Per-mapping ``(reformulated query, probability)`` pairs.
@@ -129,29 +174,6 @@ class CompiledQuery:
                     reformulations(self.query, self.pmapping, unmapped="null")
                 )
         return self._reformulations
-
-    def materialize(
-        self, columnar=None, *, vectors: bool = True
-    ) -> "CompiledQuery":
-        """Pin the contribution vectors for repeated execution.
-
-        Delegates to :meth:`PreparedTupleQuery.materialize` on the flat
-        level actually scanned (the inner query for nested shapes); a no-op
-        for queries outside the by-tuple fragment.  Idempotent.  When a
-        :class:`~repro.storage.columnar.ColumnarTable` snapshot of the
-        source table is supplied, the prepared query materializes as an
-        array-backed problem instead of per-row vectors where it can (see
-        :meth:`PreparedTupleQuery.materialize`); ``vectors=False`` pins
-        that array-backed problem or nothing.
-        """
-        target = self.inner if self.inner is not None else self
-        prepared = target.prepared_or_none()
-        if prepared is not None and not prepared.is_materialized:
-            with trace.span("compile.materialize", query=self.text):
-                prepared.materialize(columnar=columnar, vectors=vectors)
-            if prepared.is_materialized:
-                metrics.inc("prepared.materializations")
-        return self
 
     def __repr__(self) -> str:
         return f"CompiledQuery({self.text!r})"

@@ -71,7 +71,6 @@ from repro.exceptions import (
 )
 from repro.obs import metrics, trace
 from repro.obs.timers import Stopwatch
-from repro.storage.columnar import ColumnarTable
 from repro.schema.mapping import PMapping, SchemaPMapping
 from repro.sql.ast import AggregateQuery
 from repro.sql.parser import parse_query
@@ -230,11 +229,6 @@ class AggregationEngine:
         )
 
     # -- lifecycle ---------------------------------------------------------
-
-    @property
-    def _columnar_cache(self) -> dict[str, ColumnarTable]:
-        # Backwards-compatible alias; the cache now lives on the context.
-        return self.context.columnar_cache
 
     def invalidate(self) -> None:
         """Drop every cached artifact (compiled, plans, prepared, columnar).

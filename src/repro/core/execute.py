@@ -12,9 +12,9 @@ query handles keyed by query text.
 on its lane; :class:`PreparedQuery` is the user-facing prepare-once/
 execute-many handle returned by
 :meth:`~repro.core.engine.AggregationEngine.prepare`, which additionally
-pins the contribution vectors (see
-:meth:`repro.core.common.PreparedTupleQuery.materialize`) so repeated
-executions skip per-row predicate evaluation entirely.
+pins its query's array-backed problem and row vectors (see
+:meth:`repro.core.compile.CompiledQuery.pin`) so repeated executions skip
+rebuilding masks and re-evaluating predicates.
 """
 
 from __future__ import annotations
@@ -299,12 +299,12 @@ class ExecutionContext:
 class PreparedQuery:
     """A query compiled once, answerable under any semantics cell.
 
-    The prepare-once/execute-many handle: the first execution of a
-    by-tuple lane materializes the contribution vectors
-    (:meth:`~repro.core.compile.CompiledQuery.materialize`), so every
-    subsequent :meth:`answer` folds pinned vectors instead of re-evaluating
-    predicates row by row.  Obtain via
-    :meth:`~repro.core.engine.AggregationEngine.prepare`.
+    The prepare-once/execute-many handle: planning a cell pins the
+    compiled query (:meth:`~repro.core.compile.CompiledQuery.pin`), so the
+    first execution that reads the array-backed problem or walks the rows
+    keeps what it built, and every subsequent :meth:`answer` folds that
+    instead of rebuilding masks or re-evaluating predicates row by row.
+    Obtain via :meth:`~repro.core.engine.AggregationEngine.prepare`.
     """
 
     __slots__ = ("compiled", "_planner", "_context")
@@ -335,24 +335,13 @@ class PreparedQuery:
         aggregate_semantics: AggregateSemantics | str,
     ) -> ExecutionPlan:
         """The execution plan for one cell (inspectable: ``.lane`` etc.)."""
-        plan = self._context.plan(
+        self.compiled.pin()
+        return self._context.plan(
             self._planner,
             self.compiled,
             coerce_mapping_semantics(mapping_semantics),
             coerce_aggregate_semantics(aggregate_semantics),
         )
-        # By-table plans pin the array-backed problem only (see
-        # _by_table_columnar_shape); by-tuple lanes fall back to vectors.
-        arrays_only = (
-            plan.lane == Lane.BY_TABLE and _by_table_columnar_shape(plan)
-        )
-        if plan.uses_prepared_tuples or arrays_only:
-            columnar = self._context.columnar_for(self.compiled)
-            if columnar is not None or not arrays_only:
-                self.compiled.materialize(
-                    columnar=columnar, vectors=not arrays_only
-                )
-        return plan
 
     def answer(
         self,
@@ -704,7 +693,11 @@ def _dispatch(
             _note_lane(lane)
             return answer
         if lane == Lane.SAMPLING:
-            flat = not compiled.is_nested and compiled.query.group_by is None
+            prepared = None
+            if not compiled.is_nested and compiled.query.group_by is None:
+                prepared = compiled.problem(context.columnar_for(compiled))
+                if prepared is None:
+                    prepared = compiled.prepared_or_none()
             answer = sampling.sample_by_tuple(
                 compiled.table,
                 compiled.pmapping,
@@ -712,7 +705,7 @@ def _dispatch(
                 plan.aggregate_semantics,
                 samples=context.samples if samples is None else samples,
                 seed=context.seed if seed is None else seed,
-                prepared=compiled.prepared_or_none() if flat else None,
+                prepared=prepared,
             )
             _note_lane(lane)
             return answer
@@ -722,15 +715,17 @@ def _dispatch(
 def _by_table_results(plan: ExecutionPlan) -> list[tuple[object, float]]:
     """The per-mapping ``(answer, probability)`` pairs of paper Figure 1."""
     context = plan.context
+    compiled = plan.compiled
+    if _by_table_columnar_shape(plan):
+        problem = compiled.problem(context.columnar_for(compiled))
+        if problem is not None:
+            results = bytable.columnar_results(problem)
+            if results is not None:
+                context.metrics.inc("bytable.columnar")
+                return results
     guard = guardmod.current_guard()
-    reformulated_pairs = plan.compiled.reformulations()
+    reformulated_pairs = compiled.reformulations()
     context.metrics.inc("bytable.reformulations", len(reformulated_pairs))
-    problem = plan.compiled.columnar_problem
-    if problem is not None and _by_table_columnar_shape(plan):
-        results = bytable.columnar_results(problem)
-        if results is not None:
-            context.metrics.inc("bytable.columnar")
-            return results
     results = []
     for reformulated, probability in reformulated_pairs:
         if guard is not None:
@@ -740,7 +735,7 @@ def _by_table_results(plan: ExecutionPlan) -> list[tuple[object, float]]:
 
 
 def _by_table_columnar_shape(plan: ExecutionPlan) -> bool:
-    """True when a by-table plan may answer from the pinned arrays.
+    """True when a by-table plan may answer from the array-backed problem.
 
     Flat, ungrouped, non-DISTINCT queries on the in-memory executor: the
     per-mapping answers then come from one masked fold per mapping
@@ -829,41 +824,26 @@ def _ptime_answer(plan: ExecutionPlan) -> AggregateAnswer:
     """Run the by-tuple PTIME lane: the one place its body is chosen.
 
     With a columnar snapshot, the cell's array kernel runs once over the
-    prepared query's pinned problem, else over a problem built for this
-    call; a GROUP BY query's groups are the problem's segments.  The
-    Figure 2-5 row walk answers without a snapshot, and for data outside
-    the array fragment (TEXT/DATE arguments, integers beyond 2**53).  A
-    prepared query that pinned row vectors has already seen the array
-    body decline, so it goes straight to the row walk.
+    query's problem (:meth:`~repro.core.compile.CompiledQuery.problem`);
+    a GROUP BY query's groups are the problem's segments.  The Figure 2-5
+    row walk answers without a snapshot, and for data outside the array
+    fragment (TEXT/DATE arguments, integers beyond 2**53).
     """
     from repro.core import vectorized
 
     compiled = plan.compiled
     context = plan.context
     columnar = context.columnar_for(compiled)
-    problem = compiled.columnar_problem
-    if columnar is not None and (
-        problem is not None or not compiled.is_materialized
-    ):
+    problem = compiled.problem(columnar)
+    if problem is not None:
         try:
-            if problem is not None and problem.ctable is columnar:
-                metrics.inc("tuples.scanned", problem.row_count)
-            else:
-                problem = vectorized.VectorizedProblem(
-                    columnar, compiled.pmapping, compiled.query
-                )
             answer = vectorized.answer_problem(problem, plan.aggregate_semantics)
         except vectorized.ColumnarError:
-            context.metrics.inc("vectorized.fallback")
+            pass
         else:
-            # Counted once the body succeeded: a declined array body must
-            # not charge the row budget before the row walk charges it.
-            guard = guardmod.current_guard()
-            if guard is not None:
-                guard.add_rows(columnar.row_count)
             context.metrics.inc("vectorized.hit")
             return answer
-    elif columnar is not None:
+    if columnar is not None:
         context.metrics.inc("vectorized.fallback")
     return run_prepared(compiled.prepared(), plan.spec.kernel)
 

@@ -374,17 +374,6 @@ class ExecutionPlan:
             plan = plan.fallback
         return chain
 
-    @property
-    def uses_prepared_tuples(self) -> bool:
-        """True when executing folds the compiled contribution vectors."""
-        return self.lane in (
-            Lane.SCALAR,
-            Lane.EXTENSION,
-            Lane.NESTED_RANGE,
-            Lane.NESTED_COMPOSE,
-            Lane.SAMPLING,
-        )
-
     def to_dict(self) -> dict:
         """A stable, JSON-ready description of the plan.
 

@@ -9,9 +9,9 @@ the aggregate in the induced world, and the empirical distribution of the
 results estimates the true one.
 
 For flat queries the per-tuple contribution vectors are precomputed once
-and each sample costs O(n); when the prepared query pinned an array-backed
-problem, whole blocks of samples are drawn and reduced as arrays, with the
-same seeded stream and bit-identical values.  Nested or grouped queries
+and each sample costs O(n); given the query's array-backed problem, whole
+blocks of samples are drawn and reduced as arrays instead, with the same
+seeded stream and bit-identical values.  Nested or grouped queries
 materialize each sampled world through
 :func:`repro.core.naive.fold_worlds`, the fold naive enumeration runs
 over every world.  Estimation error for the expected value
@@ -37,11 +37,11 @@ from repro.core.answers import (
     GroupedAnswer,
     project,
 )
-from repro.core.common import PreparedTupleQuery
+from repro.core.common import PreparedTupleQuery, charge_rows
 from repro.core.eval import apply_aggregate
 from repro.core.naive import fold_outcomes, fold_worlds
 from repro.core.semantics import AggregateSemantics
-from repro.core.vectorized import segment_sums
+from repro.core.vectorized import VectorizedProblem, segment_sums
 from repro.exceptions import EvaluationError
 from repro.obs import metrics
 from repro.schema.mapping import PMapping
@@ -168,14 +168,16 @@ def sample_by_tuple(
     *,
     samples: int = DEFAULT_SAMPLES,
     seed: int | None = None,
-    prepared: PreparedTupleQuery | None = None,
+    prepared: PreparedTupleQuery | VectorizedProblem | None = None,
 ) -> AggregateAnswer:
     """Estimate a by-tuple answer by sampling mapping sequences.
 
-    ``prepared`` optionally reuses an already-compiled (possibly
-    materialized) :class:`PreparedTupleQuery` for the flat path, skipping
-    predicate compilation; it must have been built from the same
-    ``(table, pmapping, query)`` triple.
+    ``prepared`` optionally reuses the flat path's input, built from the
+    same ``(table, pmapping, query)`` triple: a (possibly materialized)
+    :class:`PreparedTupleQuery`, whose row walk skips predicate
+    compilation, or the query's
+    :class:`~repro.core.vectorized.VectorizedProblem`, which draws and
+    reduces blocks of samples as arrays.
 
     Note that under the *range* semantics the estimate is the range of the
     sampled worlds, a subset of the true range; prefer the exact PTIME
@@ -192,36 +194,23 @@ def sample_by_tuple(
         rng = random.Random(seed)
         if isinstance(query.source, SubquerySource) or query.group_by is not None:
             return _sample_worlds(table, pmapping, query, samples, rng)
-        return _sample_flat(table, pmapping, query, samples, rng, prepared=prepared)
+        source = prepared
+        if source is None:
+            source = PreparedTupleQuery(table, pmapping, query)
+        metrics.inc("sampling.iterations", samples)
+        cumulative = list(itertools.accumulate(pmapping.probabilities))
+        sample = (
+            _sample_columnar
+            if isinstance(source, VectorizedProblem)
+            else _sample_rows
+        )
+        values = sample(source, query.aggregate.op, cumulative, samples, rng)
+        return fold_outcomes(((value, 1) for value in values), samples)
 
     answer = guardmod.shared(
         ("sampled", id(query), samples, seed), draw, worlds=samples
     )
     return project(answer, semantics)
-
-
-def _sample_flat(
-    table: Table,
-    pmapping: PMapping,
-    query: AggregateQuery,
-    samples: int,
-    rng: random.Random,
-    *,
-    prepared: PreparedTupleQuery | None = None,
-) -> DistributionAnswer:
-    if prepared is None:
-        prepared = PreparedTupleQuery(table, pmapping, query)
-    metrics.inc("sampling.iterations", samples)
-    cumulative = list(itertools.accumulate(prepared.probabilities))
-    op = prepared.op
-    guard = guardmod.current_guard()
-    problem = prepared.columnar_problem
-    if problem is not None:
-        metrics.inc("tuples.scanned", problem.row_count)
-        values = _sample_columnar(problem, op, cumulative, samples, rng, guard)
-    else:
-        values = _sample_rows(prepared, op, cumulative, samples, rng, guard)
-    return fold_outcomes(((value, 1) for value in values), samples)
 
 
 def _sample_rows(
@@ -230,9 +219,9 @@ def _sample_rows(
     cumulative: list[float],
     samples: int,
     rng: random.Random,
-    guard: guardmod.ExecutionGuard | None,
 ) -> Iterator[float | None]:
     """Per-sample aggregate values, drawn one tuple at a time."""
+    guard = guardmod.current_guard()
     vectors = list(prepared.contribution_vectors())
     for _ in range(samples):
         if guard is not None:
@@ -285,14 +274,13 @@ def continued_stream(rng: random.Random):
 
 
 def _sample_columnar(
-    problem,
+    problem: VectorizedProblem,
     op: AggregateOp,
     cumulative: list[float],
     samples: int,
     rng: random.Random,
-    guard: guardmod.ExecutionGuard | None,
 ) -> list[float | None]:
-    """Per-sample aggregate values over a pinned array-backed problem.
+    """Per-sample aggregate values over an array-backed problem.
 
     Draws blocks of whole samples from the stream the row walk consumes
     (sample-major, tuple-minor; see :func:`continued_stream`) into reused
@@ -304,9 +292,12 @@ def _sample_columnar(
     SUM/AVG (:func:`~repro.core.vectorized.segment_sums`, ``==`` to
     ``fsum``), ``min``/``max`` with ties and NaNs settled in tuple order.
     Every value is bit-identical to the row walk over the problem's
-    contribution vectors.
+    contribution vectors.  The rows are charged once, before the first
+    draw, as the row walk charges them when it lists its vectors.
     """
     n = problem.row_count
+    charge_rows(n)
+    guard = guardmod.current_guard()
     bounds = cumulative[:-1]
     participation = problem.participation_matrix().ravel()
     value_flat = None if op is AggregateOp.COUNT else problem.value_matrix().ravel()

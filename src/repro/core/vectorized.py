@@ -53,9 +53,13 @@ from repro.core.answers import (
     GroupedAnswer,
     RangeAnswer,
 )
-from repro.core.common import certain_group_source
+from repro.core.common import (
+    certain_group_source,
+    charge_rows,
+    check_by_tuple_query,
+)
 from repro.core.semantics import AggregateSemantics
-from repro.exceptions import EvaluationError, UnsupportedQueryError
+from repro.exceptions import EvaluationError
 from repro.obs import metrics
 from repro.prob.distribution import DiscreteDistribution
 from repro.schema.mapping import PMapping
@@ -73,7 +77,6 @@ from repro.sql.ast import (
     LikePredicate,
     Literal,
     NotCondition,
-    SubquerySource,
 )
 from repro.sql.conditions import _coerce_literal, _like_to_regex
 from repro.sql.reformulate import reformulate_query
@@ -365,10 +368,10 @@ class VectorizedProblem:
     source column it reads (``None`` for ``COUNT(*)``).
 
     The rows fall into *segments*, one per answer, starting at ``starts``.
-    A flat query is the one segment ``[0]`` (``order`` and ``groups`` are
-    ``None``).  A GROUP BY query's arrays are permuted by ``order``, one
-    stable sort on the group key, so each group is a contiguous segment;
-    ``groups`` lists ``(key, segment)`` in the row walk's key order.
+    A flat query is the one segment ``[0]`` (``groups`` is ``None``).  A
+    GROUP BY query's arrays are permuted by one stable sort on the group
+    key, so each group is a contiguous segment; ``groups`` lists ``(key,
+    segment)`` in the row walk's key order.
     """
 
     def __init__(
@@ -378,21 +381,7 @@ class VectorizedProblem:
             raise VectorizationError(
                 "numpy is unavailable; use the scalar algorithms"
             )
-        if isinstance(query.source, SubquerySource):
-            raise VectorizationError("nested queries are not vectorized")
-        if query.aggregate.distinct and query.aggregate.op not in (
-            AggregateOp.MIN,
-            AggregateOp.MAX,
-        ):
-            raise UnsupportedQueryError(
-                f"DISTINCT is not supported for by-tuple "
-                f"{query.aggregate.op.value}"
-            )
-        if query.source.name != pmapping.target.name:
-            raise UnsupportedQueryError(
-                f"query reads from {query.source.name!r} but the p-mapping "
-                f"targets {pmapping.target.name!r}"
-            )
+        check_by_tuple_query(pmapping, query, nested=VectorizationError)
         self.op = query.aggregate.op
         self.ctable = ctable
         self.row_count = ctable.row_count
@@ -401,7 +390,7 @@ class VectorizedProblem:
         self.participation: list = []
         self.values: list = []
         self.arguments: list[str | None] = []
-        self.order = self.groups = None
+        self.groups = None
         self.starts = np.zeros(1, dtype=np.intp)
         group_sources = set()
         for mapping, _ in pmapping:
@@ -437,13 +426,11 @@ class VectorizedProblem:
                     f"aggregate over non-numeric column {argument.name!r}"
                 )
         if group_sources:
-            self.order, self.starts, self.groups = _group_segments(
+            order, self.starts, self.groups = _group_segments(
                 ctable, group_sources
             )
-            self.participation = [m[self.order] for m in self.participation]
-            self.values = [v if v is None else v[self.order] for v in self.values]
-        # Counted once the problem is built: a declined build scans nothing.
-        metrics.inc("tuples.scanned", ctable.row_count)
+            self.participation = [m[order] for m in self.participation]
+            self.values = [v if v is None else v[order] for v in self.values]
 
     @property
     def mapping_count(self) -> int:
@@ -463,26 +450,6 @@ class VectorizedProblem:
                 else values
             )
         return np.vstack(rows)
-
-    def iter_vectors(self):
-        """Reconstruct scalar contribution vectors from the arrays.
-
-        Serves consumers outside the array kernels (naive enumeration,
-        the extension lanes) from an array-backed prepared query, in table
-        row order (undoing a group-key sort).  Numeric values come back as
-        Python floats; ``int == float`` equality keeps them interchangeable
-        with the scalar lane's.
-        """
-        rows = slice(None) if self.order is None else np.argsort(self.order)
-        masks = [mask[rows].tolist() for mask in self.participation]
-        value_lists = [None if v is None else v[rows].tolist() for v in self.values]
-        for i in range(self.row_count):
-            yield tuple(
-                (1 if value_lists[j] is None else value_lists[j][i])
-                if masks[j][i]
-                else None
-                for j in range(len(masks))
-            )
 
 
 def _group_segments(ctable: ColumnarTable, group_sources: set[str]):
@@ -1116,7 +1083,10 @@ def answer_problem(
     """Answer one by-tuple PTIME cell with one kernel call over a problem
     (a GROUP BY query's answers in first-appearance key order).
 
-    Raises :class:`VectorizationError` for a cell without an array kernel.
+    The call is one fold over every row, charged once the kernel answered
+    (:func:`~repro.core.common.charge_rows`): a declined body must not
+    charge the row budget before the row walk charges it.  Raises
+    :class:`VectorizationError` for a cell without an array kernel.
     """
     kernel = PROBLEM_KERNELS.get((problem.op, aggregate_semantics))
     if kernel is None:
@@ -1125,6 +1095,7 @@ def answer_problem(
             f"{aggregate_semantics.value}"
         )
     answers = kernel(problem, problem.starts)
+    charge_rows(problem.row_count)
     if problem.groups is None:
         return answers[0]
     return GroupedAnswer({key: answers[s] for key, s in problem.groups})

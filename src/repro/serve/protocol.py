@@ -71,6 +71,14 @@ MAX_REQUEST_LINE = 8192
 MAX_HEADER_BYTES = 32768
 MAX_BODY_BYTES = 8 << 20
 
+#: Seconds the rest of a request (line, headers, body) may take once its
+#: first byte has arrived; a client stalling mid-request then gets a
+#: typed 400 and a close instead of holding its connection open.  The
+#: idle wait for a keep-alive connection's next request is unbounded.
+REQUEST_TIMEOUT_S = 10.0
+
+_timeout = getattr(asyncio, "timeout", None)
+
 _REASONS = {
     200: "OK",
     400: "Bad Request",
@@ -163,12 +171,31 @@ async def _read_line(reader: asyncio.StreamReader, limit: int) -> bytes:
 async def read_request(reader: asyncio.StreamReader) -> HttpRequest | None:
     """Parse one request; ``None`` on clean EOF (client closed keep-alive).
 
-    Raises :class:`ProtocolError` on malformed framing — the server
-    answers it with a typed 400 and closes the connection.
+    Raises :class:`ProtocolError` on malformed framing, and when the
+    request is not complete :data:`REQUEST_TIMEOUT_S` after its first
+    byte — the server answers it with a typed 400 and closes the
+    connection.
     """
-    request_line = await _read_line(reader, MAX_REQUEST_LINE)
-    if not request_line:
+    first = await reader.read(1)
+    if not first:
         return None
+    rest = _read_rest(reader, first)
+    try:
+        if _timeout is None:  # Python 3.10
+            return await asyncio.wait_for(rest, REQUEST_TIMEOUT_S)
+        # Cheaper than wait_for before 3.12: no task per request.
+        async with _timeout(REQUEST_TIMEOUT_S):
+            return await rest
+    except asyncio.TimeoutError:
+        raise ProtocolError(
+            f"request incomplete {REQUEST_TIMEOUT_S:g} s after its first byte"
+        ) from None
+
+
+async def _read_rest(reader: asyncio.StreamReader, first: bytes) -> HttpRequest:
+    request_line = first
+    if first != b"\n":
+        request_line += await _read_line(reader, MAX_REQUEST_LINE - 1)
     parts = request_line.decode("latin-1").strip().split()
     if len(parts) != 3:
         raise ProtocolError(f"malformed request line: {request_line!r}")

@@ -336,9 +336,9 @@ class TestCacheLifecycle:
                 MappingSemantics.BY_TUPLE,
                 AggregateSemantics.RANGE,
             )
-            assert engine._columnar_cache
+            assert engine.context.columnar_cache
             engine.invalidate()
-            assert not engine._columnar_cache
+            assert not engine.context.columnar_cache
 
     def test_close_drops_cached_columnar_tables(self):
         table, pmapping = self._workload()
@@ -348,9 +348,9 @@ class TestCacheLifecycle:
             MappingSemantics.BY_TUPLE,
             AggregateSemantics.RANGE,
         )
-        assert engine._columnar_cache
+        assert engine.context.columnar_cache
         engine.close()
-        assert not engine._columnar_cache
+        assert not engine.context.columnar_cache
 
     def test_data_swap_answers_from_fresh_snapshot(self):
         """The stale-cache-after-data-swap guard: invalidate() must force a
@@ -543,7 +543,103 @@ class TestPinnedProblemReuse:
                     text, MappingSemantics.BY_TUPLE, AggregateSemantics.RANGE
                 )
             assert len(built) == 2
-            assert engine.compile(text).columnar_problem is None
+            assert engine.compile(text)._problem is None
+
+
+@requires_numpy
+class TestEveryLaneAsksCompiledQuery:
+    """Prepared and unprepared calls pick their body the same way: the
+    by-table fold and the flat sampler read the array-backed problem
+    whether or not the query was prepared."""
+
+    QUERY = "SELECT {aggregate} FROM MED WHERE value < 500"
+
+    def _engines(self, **options):
+        table, pmapping = TestCacheLifecycle()._workload()
+        return (
+            AggregationEngine(table, pmapping, **options),
+            AggregationEngine(table, pmapping, vectorize=False, **options),
+        )
+
+    @pytest.mark.parametrize(
+        "aggregate", ["COUNT(*)", "SUM(value)", "AVG(value)", "MAX(value)"]
+    )
+    def test_unprepared_by_table_cells_read_the_arrays(self, aggregate):
+        from tests.test_bytable import _answer_types
+
+        text = self.QUERY.format(aggregate=aggregate)
+        engine, scalar = self._engines()
+        for semantics in AggregateSemantics:
+            expected = scalar.answer(text, MappingSemantics.BY_TABLE, semantics)
+            answers = [
+                engine.answer(text, MappingSemantics.BY_TABLE, semantics),
+                engine.plan(text, MappingSemantics.BY_TABLE, semantics).answer(),
+            ]
+            for answer in answers:
+                assert answer == expected
+                assert _answer_types(answer) == _answer_types(expected)
+        assert engine.metrics_snapshot()["bytable.columnar"] == 6
+        assert "bytable.columnar" not in scalar.metrics_snapshot()
+        assert engine.compile(text)._problem is None
+
+    @pytest.mark.parametrize(
+        "aggregate", ["SUM(value)", "AVG(value)", "MIN(value)", "MAX(value)"]
+    )
+    def test_unprepared_sampled_cells_run_the_array_sampler(
+        self, monkeypatch, aggregate
+    ):
+        from repro.core import sampling
+        from tests.test_sampling import _bits
+
+        drawn = []
+        columnar_sampler = sampling._sample_columnar
+
+        def counting(*args):
+            drawn.append(1)
+            return columnar_sampler(*args)
+
+        monkeypatch.setattr(sampling, "_sample_columnar", counting)
+        text = self.QUERY.format(aggregate=aggregate)
+        engine, scalar = self._engines(allow_sampling=True, samples=150, seed=5)
+        semantics = AggregateSemantics.DISTRIBUTION
+        expected = scalar.answer(text, MappingSemantics.BY_TUPLE, semantics)
+        assert drawn == []
+        answers = [
+            engine.answer(text, MappingSemantics.BY_TUPLE, semantics),
+            engine.plan(text, MappingSemantics.BY_TUPLE, semantics).answer(),
+        ]
+        assert len(drawn) == 2
+        for answer in answers:
+            assert _bits(answer) == _bits(expected)
+        assert engine.compile(text)._problem is None
+
+    @pytest.mark.parametrize(
+        "aggregate", ["COUNT(*)", "SUM(value)", "AVG(value)", "MAX(value)"]
+    )
+    def test_answer_six_builds_one_problem_and_no_row_walk(
+        self, monkeypatch, aggregate
+    ):
+        from repro.core.common import PreparedTupleQuery
+
+        walks = []
+        init = PreparedTupleQuery.__init__
+
+        def counting(self, *args, **kwargs):
+            walks.append(1)
+            init(self, *args, **kwargs)
+
+        text = self.QUERY.format(aggregate=aggregate)
+        engine, scalar = self._engines(allow_sampling=True, samples=100, seed=3)
+        expected = scalar.answer_six(text)
+        built = TestPinnedProblemReuse()._counting(monkeypatch)
+        monkeypatch.setattr(PreparedTupleQuery, "__init__", counting)
+        for _ in range(3):
+            assert engine.answer_six(text) == expected
+        assert len(built) == 1
+        assert walks == []
+        snapshot = engine.metrics_snapshot()
+        assert snapshot["bytable.columnar"] == 3  # one shared fold per request
+        assert "bytable.reformulations" not in snapshot
 
 
 class TestNoNumpyDegradation:

@@ -245,9 +245,9 @@ class TestVectorizedEngine:
         pytest.importorskip("numpy")
         engine = AggregationEngine([ds2], pm2, vectorize=True)
         engine.answer("SELECT MAX(price) FROM T2", "by-tuple", "range")
-        cached = engine._columnar_cache["S2"]
+        cached = engine.context.columnar_cache["S2"]
         engine.answer("SELECT MIN(price) FROM T2", "by-tuple", "range")
-        assert engine._columnar_cache["S2"] is cached
+        assert engine.context.columnar_cache["S2"] is cached
 
     def test_by_table_unaffected(self, ds2, pm2):
         scalar_engine = AggregationEngine([ds2], pm2, vectorize=False)

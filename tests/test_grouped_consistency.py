@@ -364,15 +364,18 @@ class TestGroupKeyOrder:
 
     @pytest.mark.parametrize("shape", ["9", "43"])
     def test_extension_lane_over_a_pinned_sorted_problem(self, shape):
-        # The extension lane folds row vectors per group; a prepared query
-        # pinned the group-sorted arrays, whose vectors come back in table
-        # order before the partition.
+        # The extension lane folds row vectors per group, in table order,
+        # on a prepared query whose range cell pinned the group-sorted
+        # arrays.
         table, pmapping = _grid_problem(shape)
         text = GRID_QUERY.format(aggregate="MAX(value)")
         with AggregationEngine([table], pmapping, use_extensions=True) as engine:
             handle = engine.prepare(text)
+            handle.answer("by-tuple", "range")
             answer = handle.answer("by-tuple", "distribution")
-            assert handle.compiled.columnar_problem.groups is not None
+            compiled = handle.compiled
+            problem = compiled.problem(engine.context.columnar_for(compiled))
+            assert problem.groups is not None
         expected = AggregationEngine(
             [table], pmapping, use_extensions=True, vectorize=False
         ).answer(text, "by-tuple", "distribution")

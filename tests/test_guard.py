@@ -232,6 +232,35 @@ class TestEngineGuardrails:
             engine.answer(realestate.Q1, "by-tuple", "range")
         assert info.value.resource == "rows"
 
+    @pytest.mark.parametrize("vectorize", [True, False])
+    @pytest.mark.parametrize("prepared", [True, False])
+    @pytest.mark.parametrize("semantics", ["range", "distribution"])
+    def test_max_rows_holds_on_every_by_tuple_body(
+        self, vectorize, prepared, semantics
+    ):
+        # SUM range runs the PTIME kernels, SUM distribution the sampler;
+        # each fold charges its 64 rows, whether the arrays, generated
+        # vectors or a prepared query's pinned vectors serve them.
+        relation = synthetic.source_relation(2)
+        table = synthetic.generate_source_table(64, 2, seed=9, relation=relation)
+        pmapping = synthetic.generate_pmapping(relation, 2, seed=9)
+        engine = AggregationEngine(
+            table, pmapping, vectorize=vectorize, allow_sampling=True,
+            samples=20,
+        )
+        text = "SELECT SUM(value) FROM MED WHERE value < 500"
+        budget = Budget(max_rows=40)
+        handle = engine.prepare(text) if prepared else None
+        for _ in range(2):  # a prepared query's second call reads what it pinned
+            with pytest.raises(BudgetExceededError) as info:
+                if handle is not None:
+                    handle.answer("by-tuple", semantics, budget=budget)
+                else:
+                    engine.answer(text, "by-tuple", semantics, budget=budget)
+            assert info.value.resource == "rows"
+        # By-table charges no rows.
+        engine.answer(text, "by-table", semantics, budget=budget)
+
     def test_max_worlds_caps_sampling_draws(self):
         engine = small_engine(allow_sampling=True, max_worlds=50)
         with pytest.raises(BudgetExceededError) as info:

@@ -65,7 +65,7 @@ class TestMultiRelationBackends:
         engine.answer(
             "SELECT MAX(listPrice) FROM T1", "by-tuple", "range"
         )
-        assert set(engine._columnar_cache) == {"S1", "S2"}
+        assert set(engine.context.columnar_cache) == {"S1", "S2"}
 
     def test_answer_six_per_relation(self, engine):
         six_t1 = engine.answer_six(realestate.Q1)

@@ -290,15 +290,22 @@ def _bits(answer):
     return (hexed(answer.value),)
 
 
+def _sampler_input(table, pmapping, query, arrays):
+    """The flat sampler's prepared input: the query's array-backed problem
+    (building it fails outside the array fragment), or the row walk's
+    pinned vectors."""
+    if arrays:
+        from repro.core.vectorized import VectorizedProblem
+
+        return VectorizedProblem(ColumnarTable(table), pmapping, query)
+    return PreparedTupleQuery(table, pmapping, query).materialize()
+
+
 def _both_samplers(table, pmapping, text, semantics, *, samples, seed):
     """``(array answer, row-walk answer)`` for one query."""
     query = parse_query(text)
-    arrays = PreparedTupleQuery(table, pmapping, query).materialize(
-        columnar=ColumnarTable(table)
-    )
-    assert arrays.columnar_problem is not None
-    rows = PreparedTupleQuery(table, pmapping, query).materialize()
-    assert rows.columnar_problem is None
+    arrays = _sampler_input(table, pmapping, query, arrays=True)
+    rows = _sampler_input(table, pmapping, query, arrays=False)
     return tuple(
         sample_by_tuple(
             table, pmapping, query, semantics,
@@ -456,16 +463,15 @@ class TestArraySamplerDifferential:
         table = _mixed_table(40, seed=2)
         pmapping = _pmapping(_PROBABILITIES["plain"])
         query = parse_query("SELECT AVG(value) FROM T")
+        cumulative = list(itertools.accumulate(pmapping.probabilities))
         states, answers = [], []
-        for columnar in (ColumnarTable(table), None):
-            prepared = PreparedTupleQuery(table, pmapping, query).materialize(
-                columnar=columnar
-            )
+        for arrays in (True, False):
+            prepared = _sampler_input(table, pmapping, query, arrays)
+            sample = sampling._sample_columnar if arrays else sampling._sample_rows
             rng = random.Random(8)
+            values = sample(prepared, query.aggregate.op, cumulative, 333, rng)
             answers.append(
-                sampling._sample_flat(
-                    table, pmapping, query, 333, rng, prepared=prepared
-                )
+                sampling.fold_outcomes(((value, 1) for value in values), 333)
             )
             states.append(rng.getstate())
         assert states[0] == states[1]
@@ -475,9 +481,7 @@ class TestArraySamplerDifferential:
         table = _mixed_table(120, seed=4)
         pmapping = _pmapping(_PROBABILITIES["plain"])
         query = parse_query("SELECT SUM(value) FROM T WHERE score > 5")
-        prepared = PreparedTupleQuery(table, pmapping, query).materialize(
-            columnar=ColumnarTable(table)
-        )
+        prepared = _sampler_input(table, pmapping, query, arrays=True)
         seeds = range(4)
 
         def draws(seed):
@@ -520,10 +524,8 @@ class TestArraySamplerDifferential:
         pmapping = _pmapping(_PROBABILITIES["plain"])
         query = parse_query("SELECT SUM(value) FROM T")
         progress = []
-        for columnar in (ColumnarTable(table), None):
-            prepared = PreparedTupleQuery(table, pmapping, query).materialize(
-                columnar=columnar
-            )
+        for arrays in (True, False):
+            prepared = _sampler_input(table, pmapping, query, arrays)
             with guardmod.guarded(Budget(max_worlds=37)):
                 with pytest.raises(BudgetExceededError) as raised:
                     sample_by_tuple(
@@ -540,10 +542,8 @@ class TestArraySamplerDifferential:
         pmapping = _pmapping(_PROBABILITIES["plain"])
         query = parse_query("SELECT AVG(value) FROM T")
         answers = []
-        for columnar in (ColumnarTable(table), None):
-            prepared = PreparedTupleQuery(table, pmapping, query).materialize(
-                columnar=columnar
-            )
+        for arrays in (True, False):
+            prepared = _sampler_input(table, pmapping, query, arrays)
             with guardmod.guarded(Budget(max_worlds=200)):
                 answers.append(
                     sample_by_tuple(

@@ -742,6 +742,80 @@ def test_readyz_flips_to_503_during_drain(registry):
     assert report["drained_clean"] is True
 
 
+def _raw_exchange(port: int, parts: list[bytes], *, half_close: bool = False):
+    """Send ``parts`` on a fresh connection (then optionally shut the
+    write side) and read until the server closes: ``(status, error type,
+    seconds waited)``."""
+    import time
+
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        for part in parts:
+            sock.sendall(part)
+        if half_close:
+            sock.shutdown(socket.SHUT_WR)
+        started = time.monotonic()
+        received = b""
+        while chunk := sock.recv(65536):
+            received += chunk
+        waited = time.monotonic() - started
+    head, _, body = received.partition(b"\r\n\r\n")
+    status = int(head.split()[1])
+    return status, json.loads(body)["error"]["type"], waited
+
+
+@pytest.mark.parametrize(
+    "parts, half_close",
+    [
+        # Stalled body: 6 of 100 promised bytes, then nothing.
+        ([b"POST /query HTTP/1.1\r\ncontent-length: 100\r\n\r\n", b"{\"a\":1"],
+         False),
+        # Stalled headers.
+        ([b"POST /query HTTP/1.1\r\ncontent-le"], False),
+        # Stalled request line.
+        ([b"GET /heal"], False),
+        # Truncated body, then a half-close: no need to wait.
+        ([b"POST /query HTTP/1.1\r\ncontent-length: 100\r\n\r\n", b"{\"a\":1"],
+         True),
+    ],
+    ids=["stalled-body", "stalled-headers", "stalled-line", "half-close"],
+)
+@pytest.mark.parametrize("python310", [False, True], ids=["timeout", "wait_for"])
+def test_stalled_request_gets_a_typed_400_and_a_close(
+    registry, monkeypatch, parts, half_close, python310
+):
+    monkeypatch.setattr(protocol, "REQUEST_TIMEOUT_S", 0.3)
+    if python310:  # no asyncio.timeout: the bound runs through wait_for
+        monkeypatch.setattr(protocol, "_timeout", None)
+    service = make_service(registry, default_timeout_ms=500)
+    try:
+        status, error, waited = _raw_exchange(
+            service.port, parts, half_close=half_close
+        )
+        assert (status, error) == (400, "ProtocolError")
+        assert waited < 5.0
+        # The service keeps serving.
+        with ServeClient(port=service.port) as client:
+            assert client.healthz().status_code == 200
+    finally:
+        report = service.stop()
+    assert report["drained_clean"] is True
+
+
+def test_idle_keep_alive_connection_is_not_cut(registry, monkeypatch):
+    import time
+
+    monkeypatch.setattr(protocol, "REQUEST_TIMEOUT_S", 0.2)
+    service = make_service(registry)
+    try:
+        with ServeClient(port=service.port) as client:
+            assert client.healthz().status_code == 200
+            time.sleep(0.5)  # idle between requests, past the request bound
+            assert client.healthz().status_code == 200
+    finally:
+        report = service.stop()
+    assert report["drained_clean"] is True
+
+
 def test_drain_report_flushes_registry():
     reg = DatasetRegistry()
     reg.add_synthetic("flush", tuples=100, attributes=4, mappings=3, seed=2)
