@@ -55,19 +55,7 @@ def bench_methods_agree(context):
     assert dp.value == pytest.approx(linear.value)
 
 
-#: Harness suite carrying this script's cases (``--harness`` runs it).
-HARNESS_SUITE = "ablations"
-
 if __name__ == "__main__":
-    import sys
-
-    if "--harness" in sys.argv:
-        from repro.bench.harness import main as harness_main
-
-        raise SystemExit(harness_main(
-            ["--suite", HARNESS_SUITE]
-            + [a for a in sys.argv[1:] if a != "--harness"]
-        ))
     from repro.bench.experiments import ablation_expected_count
 
     raise SystemExit(0 if ablation_expected_count() else 1)

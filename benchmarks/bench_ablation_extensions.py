@@ -86,19 +86,7 @@ def bench_exact_matches_naive(tiny_context):
     assert exact.approx_equal(naive, 1e-9)
 
 
-#: Harness suite carrying this script's cases (``--harness`` runs it).
-HARNESS_SUITE = "ablations"
-
 if __name__ == "__main__":
-    import sys
-
-    if "--harness" in sys.argv:
-        from repro.bench.harness import main as harness_main
-
-        raise SystemExit(harness_main(
-            ["--suite", HARNESS_SUITE]
-            + [a for a in sys.argv[1:] if a != "--harness"]
-        ))
     from repro.bench.experiments import ablation_avg_counter_method
 
     raise SystemExit(0 if ablation_avg_counter_method() else 1)

@@ -151,19 +151,7 @@ def grouped_timings(repeats: int = 7) -> bool:
     return agree
 
 
-#: Harness suite carrying this script's cases (``--harness`` runs it).
-HARNESS_SUITE = "kernels"
-
 if __name__ == "__main__":
-    import sys
-
-    if "--harness" in sys.argv:
-        from repro.bench.harness import main as harness_main
-
-        raise SystemExit(harness_main(
-            ["--suite", HARNESS_SUITE]
-            + [a for a in sys.argv[1:] if a != "--harness"]
-        ))
     from repro.bench.experiments import ablation_vectorized
 
     ok = ablation_vectorized()

@@ -43,19 +43,7 @@ def bench_q1_cell(benchmark, engine, mapping_sem, aggregate_sem):
     assert answer is not None
 
 
-#: Harness suite carrying this script's cases (``--harness`` runs it).
-HARNESS_SUITE = "engine"
-
 if __name__ == "__main__":
-    import sys
-
-    if "--harness" in sys.argv:
-        from repro.bench.harness import main as harness_main
-
-        raise SystemExit(harness_main(
-            ["--suite", HARNESS_SUITE]
-            + [a for a in sys.argv[1:] if a != "--harness"]
-        ))
     from repro.bench.experiments import figure6, table3
 
     table3()

@@ -26,19 +26,7 @@ def bench_ptime(benchmark, small_ebay_context, name):
     assert answer is not None
 
 
-#: Harness suite carrying this script's cases (``--harness`` runs it).
-HARNESS_SUITE = "exponential"
-
 if __name__ == "__main__":
-    import sys
-
-    if "--harness" in sys.argv:
-        from repro.bench.harness import main as harness_main
-
-        raise SystemExit(harness_main(
-            ["--suite", HARNESS_SUITE]
-            + [a for a in sys.argv[1:] if a != "--harness"]
-        ))
     from repro.bench.experiments import figure7
 
     raise SystemExit(0 if figure7() else 1)

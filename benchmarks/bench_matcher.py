@@ -92,17 +92,3 @@ def bench_murty_top20_of_20x20(benchmark):
     results = benchmark(run)
     totals = [t for _, t in results]
     assert totals == sorted(totals)
-
-
-#: Harness suite carrying this script's cases (``--harness`` runs it).
-HARNESS_SUITE = "matcher"
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.bench.harness import main as harness_main
-
-    raise SystemExit(harness_main(
-        ["--suite", HARNESS_SUITE]
-        + [a for a in sys.argv[1:] if a != "--harness"]
-    ))

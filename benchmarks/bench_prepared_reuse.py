@@ -154,29 +154,12 @@ def bench_prepared_count_range_100(benchmark):
     )
 
 
-#: Harness suite carrying this script's cases (``--harness`` runs it).
-#: The committed ``BENCH_prepared_reuse.json`` baseline is this suite's
-#: harness document (refresh with ``--harness --update-baseline``); the
-#: script's own ``--json`` writes the full speedup table instead.
-HARNESS_SUITE = "prepared-reuse"
-
 if __name__ == "__main__":
     import argparse
-    import sys
-
-    if "--harness" in sys.argv:
-        from repro.bench.harness import main as harness_main
-
-        raise SystemExit(harness_main(
-            ["--suite", HARNESS_SUITE]
-            + [a for a in sys.argv[1:] if a != "--harness"]
-        ))
     _parser = argparse.ArgumentParser(description=__doc__)
     _parser.add_argument(
         "--json", metavar="PATH", default=None,
-        help="write the speedup table as schema-versioned JSON (the "
-        "committed BENCH_prepared_reuse.json baseline is the harness "
-        "document; refresh it with --harness --update-baseline)",
+        help="write the speedup table as schema-versioned JSON",
     )
     _args = _parser.parse_args()
     raise SystemExit(0 if run(json_path=_args.json) else 1)

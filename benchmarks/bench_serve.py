@@ -8,9 +8,7 @@ letting queueing delay grow without bound.
 
 ``pytest benchmarks/bench_serve.py`` asserts that contract at small CI
 scale; ``python benchmarks/bench_serve.py`` prints the full report
-(p50/p95/p99 per offered load, saturation throughput, shed accounting);
-``python benchmarks/bench_serve.py --harness`` runs the registered
-``serve`` harness suite (baseline ``BENCH_serve.json``).
+(p50/p95/p99 per offered load, saturation throughput, shed accounting).
 """
 
 from __future__ import annotations
@@ -114,19 +112,7 @@ def test_flood_answers_match_direct_execution(service):
         assert client.query(**REQUEST).answer == direct
 
 
-#: Harness suite carrying this script's cases (``--harness`` runs it).
-HARNESS_SUITE = "serve"
-
 if __name__ == "__main__":
-    import sys
-
-    if "--harness" in sys.argv[1:]:
-        from repro.bench.harness import main as harness_main
-
-        raise SystemExit(harness_main(
-            ["--suite", HARNESS_SUITE]
-            + [a for a in sys.argv[1:] if a != "--harness"]
-        ))
     running = start_service()
     try:
         report = {

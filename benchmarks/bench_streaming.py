@@ -108,17 +108,3 @@ def bench_stream_compilation_overhead(benchmark, context):
         )
     )
     assert prepared.mapping_count == 5
-
-
-#: Harness suite carrying this script's cases (``--harness`` runs it).
-HARNESS_SUITE = "streaming"
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.bench.harness import main as harness_main
-
-    raise SystemExit(harness_main(
-        ["--suite", HARNESS_SUITE]
-        + [a for a in sys.argv[1:] if a != "--harness"]
-    ))

@@ -4,11 +4,6 @@ Each ``bench_figNN_*.py`` file measures the algorithms of one paper figure
 at a single laptop-friendly size under ``pytest --benchmark-only``; the
 full parameter sweeps (the actual figure series, with shape checks) run via
 ``repro-bench figNN`` or each file's ``python benchmarks/bench_figNN_*.py``.
-
-Each file also names its :mod:`repro.bench.harness` suite in a
-``HARNESS_SUITE`` constant — ``python benchmarks/bench_<x>.py --harness``
-runs that registered suite with warmup, repeats, and median/p95 statistics
-(extra flags are forwarded, e.g. ``--update-baseline``).
 """
 
 from __future__ import annotations

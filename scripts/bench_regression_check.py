@@ -11,7 +11,8 @@ Modes:
 * ``--mode fail`` (default) — exit 1 when any row regresses; the gate
   for machines comparable to the baseline's fingerprint.
 * ``--mode warn`` — always exit 0 (unless the run itself errors); what
-  CI uses, since hosted-runner hardware varies.
+  CI uses for ``obs-overhead``, whose variance on hosted runners is not
+  yet characterized.
 
 ``--update`` refreshes the committed baseline from the fresh run instead
 of comparing (use after an intentional perf change, on a quiet machine).

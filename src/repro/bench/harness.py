@@ -1,13 +1,12 @@
 """Registered benchmark suites with statistics and environment fingerprints.
 
-The repository's thirteen ``benchmarks/bench_*.py`` scripts each measure
-one slice of the system (a paper figure's algorithms, the matcher, the
-streaming path, prepared-plan reuse).  This module gives them one common
+Two suites back committed baselines: ``quick`` (the CI regression gate,
+``BENCH_quick.json``) and ``obs-overhead`` (telemetry on vs off,
+``BENCH_obs_overhead.json``).  This module gives them one common
 discipline, pyperf/ASV-style:
 
 * a **registry** of named suites, each a list of :class:`BenchCase`
-  closures (the built-in suites live in :mod:`repro.bench.suites` and
-  cover what the thirteen scripts measure);
+  closures (the built-in suites live in :mod:`repro.bench.suites`);
 * a **statistical protocol** — setup untimed, ``warmup`` untimed calls,
   ``repeats`` timed calls through :class:`~repro.obs.timers.Stopwatch`,
   reported as min/median/p95/mean rather than a biased best-of;
@@ -17,9 +16,8 @@ discipline, pyperf/ASV-style:
 * a **schema-versioned document** (``BENCH_<suite>.json``) that
   :mod:`repro.bench.regression` can diff against a committed baseline.
 
-Run a suite from the CLI (``repro-bench bench --suite quick``), from any
-benchmark script (``python benchmarks/bench_streaming.py --harness``),
-or programmatically via :func:`run_suite`.
+Run a suite from the CLI (``repro-bench bench --suite quick``) or
+programmatically via :func:`run_suite`.
 """
 
 from __future__ import annotations
@@ -288,13 +286,13 @@ def load_result(path: str | Path) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """The ``repro-bench bench`` driver (also reachable per script)."""
+    """The ``repro-bench bench`` driver."""
     import argparse
 
     parser = argparse.ArgumentParser(
         prog="repro-bench bench",
-        description="Run a registered benchmark suite with warmup, repeats, "
-        "and an environment fingerprint.",
+        description="Run a registered benchmark suite (quick, obs-overhead) "
+        "with warmup, repeats, and an environment fingerprint.",
     )
     parser.add_argument("--suite", default=None, help="registered suite name")
     parser.add_argument("--list", action="store_true",

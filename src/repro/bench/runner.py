@@ -16,6 +16,13 @@ from repro.bench.algorithms import BenchContext, get_algorithm
 from repro.obs.metrics import percentile
 from repro.obs.timers import Stopwatch, time_call
 
+#: A sweep cell whose first timed run is shorter than this is timed
+#: ``SHORT_CELL_RUNS`` times in all and records the median: one scheduler
+#: stall on a cell of about a millisecond would otherwise decide a
+#: figure's growth-ratio check.
+SHORT_CELL_SECONDS = 0.010
+SHORT_CELL_RUNS = 5
+
 
 class TimingStats(NamedTuple):
     """Statistics over the timed repetitions of one benchmark cell.
@@ -37,10 +44,10 @@ class TimingStats(NamedTuple):
 class SweepResult:
     """Timings of one sweep: ``seconds[algorithm][i]`` aligns with ``xs``.
 
-    A cell holds the *median* seconds over the cell's timed repeats, or
+    A cell holds the *median* seconds over the cell's timed runs, or
     ``None`` when the run was skipped because the algorithm blew its
-    budget at a smaller size.  When the sweep timed more than one repeat,
-    ``stats[algorithm][i]`` keeps the full ``{min, median, p95}`` dict.
+    budget at a smaller size; ``stats[algorithm][i]`` keeps the full
+    ``{min, median, p95}`` dict.
     """
 
     def __init__(
@@ -121,11 +128,23 @@ def time_stats(
         with watch:
             fn()
         durations.append(watch.elapsed)
+    return _summarize(durations)
+
+
+def _summarize(durations: list[float]) -> TimingStats:
     return TimingStats(
         min(durations),
         percentile(durations, 50.0),
         percentile(durations, 95.0),
     )
+
+
+def _time_cell(fn: Callable[[], object]) -> TimingStats:
+    """One timed run, or :data:`SHORT_CELL_RUNS` for a short cell."""
+    durations = [time_once(fn)]
+    if durations[0] < SHORT_CELL_SECONDS:
+        durations += [time_once(fn) for _ in range(SHORT_CELL_RUNS - 1)]
+    return _summarize(durations)
 
 
 def run_sweep(
@@ -135,8 +154,6 @@ def run_sweep(
     algorithms: Iterable[str],
     *,
     timeout: float = 30.0,
-    repeats: int = 1,
-    warmup: int = 0,
     verbose: bool = True,
 ) -> SweepResult:
     """Time every algorithm at every grid point.
@@ -153,13 +170,11 @@ def run_sweep(
     timeout:
         Once an algorithm's run exceeds this many seconds, it is skipped at
         every larger grid point (recorded as ``None``).
-    repeats:
-        Timing repetitions per cell; the recorded value is the *median*.
-    warmup:
-        Untimed calls before the timed repeats.  Defaults to 0 because the
-        figure sweeps include exponential algorithms whose single run is
-        already the budget; the suite harness
-        (:mod:`repro.bench.harness`) always warms up.
+
+    Each cell is timed once, with no warmup: the figure sweeps include
+    exponential algorithms whose single run is already the budget.  A
+    cell shorter than :data:`SHORT_CELL_SECONDS` is timed
+    :data:`SHORT_CELL_RUNS` times and records the median.
     """
     names = list(algorithms)
     seconds: dict[str, list[float | None]] = {name: [] for name in names}
@@ -175,9 +190,7 @@ def run_sweep(
                     continue
                 runner = get_algorithm(name)
                 try:
-                    timed = time_stats(
-                        lambda: runner(context), repeats, warmup=warmup
-                    )
+                    timed = _time_cell(lambda: runner(context))
                 except Exception as error:  # budget guards raise EvaluationError
                     if verbose:
                         print(f"  {x_label}={x} {name}: skipped ({error})")

@@ -923,8 +923,8 @@ def main(argv: list[str] | None = None) -> int:
                                 help="use Monte-Carlo sampling with N samples")
     bench_parser = subparsers.add_parser(
         "bench",
-        help="run a registered continuous-benchmark suite "
-        "(repro-bench bench --list; see repro.bench.harness)",
+        help="run a registered benchmark suite: quick (the CI gate) or "
+        "obs-overhead (repro-bench bench --list; see repro.bench.harness)",
     )
     bench_parser.add_argument(
         "harness_args", nargs=argparse.REMAINDER,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import datetime
 import enum
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 from repro.exceptions import SchemaError
 
@@ -36,6 +36,14 @@ class AttributeType(enum.Enum):
             AttributeType.DATE: datetime.date,
         }[self]
 
+    @property
+    def parse(self) -> Callable[[str], object]:
+        """This type's one string-to-value function (``int``, ``float``,
+        ISO date; TEXT keeps the string); it raises :class:`SchemaError`
+        on a malformed string.  :meth:`coerce` reads strings through it,
+        and the CSV loader picks it once per column."""
+        return _PARSERS[self]
+
     def coerce(self, value: object) -> object:
         """Convert ``value`` into this type's Python representation.
 
@@ -44,6 +52,8 @@ class AttributeType(enum.Enum):
         """
         if value is None:
             return None
+        if isinstance(value, str):
+            return self.parse(value)
         if self is AttributeType.INT:
             if isinstance(value, bool):
                 raise SchemaError(f"cannot store boolean {value!r} in INT column")
@@ -51,38 +61,50 @@ class AttributeType(enum.Enum):
                 return value
             if isinstance(value, float) and value.is_integer():
                 return int(value)
-            if isinstance(value, str):
-                try:
-                    return int(value)
-                except ValueError as exc:
-                    raise SchemaError(f"cannot coerce {value!r} to INT") from exc
         elif self is AttributeType.REAL:
             if isinstance(value, bool):
                 raise SchemaError(f"cannot store boolean {value!r} in REAL column")
             if isinstance(value, (int, float)):
                 return float(value)
-            if isinstance(value, str):
-                try:
-                    return float(value)
-                except ValueError as exc:
-                    raise SchemaError(f"cannot coerce {value!r} to REAL") from exc
         elif self is AttributeType.TEXT:
-            if isinstance(value, str):
-                return value
             return str(value)
         elif self is AttributeType.DATE:
             if isinstance(value, datetime.datetime):
                 return value.date()
             if isinstance(value, datetime.date):
                 return value
-            if isinstance(value, str):
-                try:
-                    return datetime.date.fromisoformat(value)
-                except ValueError as exc:
-                    raise SchemaError(
-                        f"cannot coerce {value!r} to DATE (expected ISO format)"
-                    ) from exc
         raise SchemaError(f"cannot coerce {value!r} to {self.value.upper()}")
+
+
+def _parse_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise SchemaError(f"cannot coerce {text!r} to INT") from exc
+
+
+def _parse_real(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise SchemaError(f"cannot coerce {text!r} to REAL") from exc
+
+
+def _parse_date(text: str) -> datetime.date:
+    try:
+        return datetime.date.fromisoformat(text)
+    except ValueError as exc:
+        raise SchemaError(
+            f"cannot coerce {text!r} to DATE (expected ISO format)"
+        ) from exc
+
+
+_PARSERS: dict[AttributeType, Callable[[str], object]] = {
+    AttributeType.INT: _parse_int,
+    AttributeType.REAL: _parse_real,
+    AttributeType.TEXT: str,
+    AttributeType.DATE: _parse_date,
+}
 
 
 class Attribute:

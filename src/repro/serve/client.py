@@ -10,7 +10,7 @@ admission controller raised on the server.
 
 :class:`LoadGenerator` floods the service from a thread pool at a fixed
 offered concurrency, tallying admitted/shed/error outcomes and latency
-percentiles — the instrument behind the ``serve`` bench suite and
+percentiles — the instrument behind ``benchmarks/bench_serve.py`` and
 ``scripts/serve_smoke_check.py``.
 
 Both are stdlib-only and synchronous: the service's robustness is

@@ -64,7 +64,6 @@ class ServeConfig:
         "queue_timeout_ms",
         "default_timeout_ms",
         "drain_timeout_ms",
-        "admission_cost_check",
         "close_registry_on_drain",
     )
 
@@ -78,7 +77,6 @@ class ServeConfig:
         queue_timeout_ms: float | None = None,
         default_timeout_ms: float | None = None,
         drain_timeout_ms: float = 10000.0,
-        admission_cost_check: bool = True,
         close_registry_on_drain: bool = True,
     ) -> None:
         self.host = host
@@ -88,7 +86,6 @@ class ServeConfig:
         self.queue_timeout_ms = queue_timeout_ms
         self.default_timeout_ms = default_timeout_ms
         self.drain_timeout_ms = drain_timeout_ms
-        self.admission_cost_check = admission_cost_check
         self.close_registry_on_drain = close_registry_on_drain
 
     def to_dict(self) -> dict:
@@ -435,8 +432,7 @@ class QueryService:
             plan = engine.plan(
                 qr.query, qr.mapping_semantics, qr.aggregate_semantics
             )
-            if self.config.admission_cost_check:
-                self._admission_cost_check(plan, budget, samples, engine)
+            self._admission_cost_check(plan, budget, samples, engine)
             watch = Stopwatch()
             with watch:
                 answer = plan.answer(

@@ -163,11 +163,12 @@ def iter_csv_rows(
     """
     path = Path(path)
     reals = _real_columns(relation)
+    parsers = [attribute.type.parse for attribute in relation.attributes]
     for line_number, raw in enumerate(_data_rows(relation, path), start=2):
-        row = tuple(
-            attribute.type.coerce(None if field == "" else field)
-            for attribute, field in zip(relation.attributes, raw)
-        )
+        row = tuple([
+            None if field == "" else parse(field)
+            for parse, field in zip(parsers, raw)
+        ])
         # The coerced value, not its spelling: "1e999" and a 400-digit
         # literal read as inf too.
         index = _non_finite_column(reals, row)

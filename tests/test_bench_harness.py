@@ -99,9 +99,7 @@ class TestRunSuite:
             harness.run_suite(toy_suite(), only=["nope"])
 
     def test_registry_knows_builtin_suites(self):
-        names = harness.suite_names()
-        assert "quick" in names
-        assert "prepared-reuse" in names
+        assert harness.suite_names() == ("obs-overhead", "quick")
         with pytest.raises(EvaluationError, match="unknown suite"):
             harness.get_suite("no-such-suite")
 
@@ -116,8 +114,8 @@ class TestRunSuite:
             harness.load_result(path)
 
     def test_baseline_path_flattens_dashes(self, tmp_path):
-        assert harness.baseline_path("prepared-reuse", tmp_path) == (
-            tmp_path / "BENCH_prepared_reuse.json"
+        assert harness.baseline_path("obs-overhead", tmp_path) == (
+            tmp_path / "BENCH_obs_overhead.json"
         )
 
     def test_format_result_mentions_fingerprint(self):
@@ -229,3 +227,23 @@ class TestRegressionScript:
         assert artifact.exists()
         out = capsys.readouterr().out
         assert "regression check: suite quick" in out
+
+
+def test_no_benchmark_script_forwards_to_the_harness():
+    """Only the registered suites reach the harness; a script that still
+    names a suite or handles ``--harness`` would point at a deleted one."""
+    from pathlib import Path
+
+    scripts = sorted(
+        (Path(__file__).resolve().parent.parent / "benchmarks").glob("bench_*.py")
+    )
+    assert scripts
+    offenders = [
+        script.name
+        for script in scripts
+        if any(
+            marker in script.read_text()
+            for marker in ("HARNESS_SUITE", "--harness")
+        )
+    ]
+    assert offenders == []
