@@ -10,7 +10,8 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.contexts import make_synthetic_context
-from repro.core.bytuple_count import by_tuple_expected_count
+from repro.core.bytuple_count import dp_expected_count_kernel, expected_count_kernel
+from repro.core.common import run_possibly_grouped
 from repro.sql.ast import AggregateOp
 
 
@@ -23,9 +24,13 @@ def context():
 
 def bench_expected_count_via_distribution(benchmark, context):
     answer = benchmark.pedantic(
-        by_tuple_expected_count,
-        args=(context.table, context.pmapping, context.query(AggregateOp.COUNT)),
-        kwargs={"method": "distribution"},
+        run_possibly_grouped,
+        args=(
+            context.table,
+            context.pmapping,
+            context.query(AggregateOp.COUNT),
+            dp_expected_count_kernel,
+        ),
         rounds=2,
         iterations=1,
     )
@@ -34,23 +39,23 @@ def bench_expected_count_via_distribution(benchmark, context):
 
 def bench_expected_count_linear(benchmark, context):
     answer = benchmark(
-        by_tuple_expected_count,
+        run_possibly_grouped,
         context.table,
         context.pmapping,
         context.query(AggregateOp.COUNT),
-        method="linear",
+        expected_count_kernel,
     )
     assert answer.is_defined
 
 
 def bench_methods_agree(context):
-    dp = by_tuple_expected_count(
+    dp = run_possibly_grouped(
         context.table, context.pmapping, context.query(AggregateOp.COUNT),
-        method="distribution",
+        dp_expected_count_kernel,
     )
-    linear = by_tuple_expected_count(
+    linear = run_possibly_grouped(
         context.table, context.pmapping, context.query(AggregateOp.COUNT),
-        method="linear",
+        expected_count_kernel,
     )
     assert dp.value == pytest.approx(linear.value)
 

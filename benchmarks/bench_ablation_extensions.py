@@ -4,7 +4,8 @@ The paper leaves by-tuple MIN/MAX distributions open and proposes sampling
 (Section VII).  This benchmark compares, on a 10-tuple instance where the
 naive baseline is still feasible and on a 2000-tuple instance where it is
 not: naive enumeration, Monte-Carlo sampling, and the exact
-order-statistics extension (:mod:`repro.core.extensions`).
+order-statistics extension (:mod:`repro.core.extensions`), which an
+engine built with ``use_extensions=True`` runs.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.contexts import make_synthetic_context
-from repro.core.extensions import by_tuple_distribution_max
+from repro.core.engine import AggregationEngine
 from repro.core.naive import naive_by_tuple_answer
 from repro.core.sampling import sample_by_tuple
 from repro.core.semantics import AggregateSemantics
@@ -61,22 +62,21 @@ def bench_sampling_max_distribution(benchmark, big_context):
     assert answer is not None
 
 
-def bench_exact_extension_max_distribution(benchmark, big_context):
-    answer = benchmark(
-        by_tuple_distribution_max,
-        big_context.table,
-        big_context.pmapping,
-        big_context.query(AggregateOp.MAX),
+def _exact_max_distribution(context):
+    """The exact MAX distribution, answered by the extension lane."""
+    engine = AggregationEngine(context.table, context.pmapping, use_extensions=True)
+    return lambda: engine.answer(
+        context.query(AggregateOp.MAX), "by-tuple", "distribution"
     )
+
+
+def bench_exact_extension_max_distribution(benchmark, big_context):
+    answer = benchmark(_exact_max_distribution(big_context))
     assert answer is not None
 
 
 def bench_exact_matches_naive(tiny_context):
-    exact = by_tuple_distribution_max(
-        tiny_context.table,
-        tiny_context.pmapping,
-        tiny_context.query(AggregateOp.MAX),
-    )
+    exact = _exact_max_distribution(tiny_context)()
     naive = naive_by_tuple_answer(
         tiny_context.table,
         tiny_context.pmapping,

@@ -22,9 +22,6 @@ from __future__ import annotations
 import time
 
 from repro import AggregationEngine
-from repro.core.extensions import by_tuple_distribution_max
-from repro.core.sampling import sample_by_tuple
-from repro.core.semantics import AggregateSemantics
 from repro.data import ebay
 from repro.sql.parser import parse_query
 
@@ -84,7 +81,8 @@ def closing_price_distributions() -> None:
     table = ebay.paper_instance()
     pmapping = ebay.paper_pmapping()
     query = parse_query("SELECT MAX(price) FROM T2 GROUP BY auctionID")
-    grouped = by_tuple_distribution_max(table, pmapping, query)
+    exact = AggregationEngine([table], pmapping, use_extensions=True)
+    grouped = exact.answer(query, "by-tuple", "distribution")
     for auction, answer in grouped:
         cells = ", ".join(
             f"{value:.2f}@{probability:.3f}"
@@ -94,10 +92,10 @@ def closing_price_distributions() -> None:
 
     print("Sampling estimate of the same distributions "
           "(paper Sec. VII future work):")
-    sampled = sample_by_tuple(
-        table, pmapping, query, AggregateSemantics.DISTRIBUTION,
-        samples=2000, seed=0,
+    estimator = AggregationEngine(
+        [table], pmapping, allow_sampling=True, samples=2000, seed=0
     )
+    sampled = estimator.answer(query, "by-tuple", "distribution")
     for auction, answer in sampled:
         top = max(answer.distribution.items(), key=lambda vp: vp[1])
         print(f"  auction {auction}: mode {top[0]:.2f} "

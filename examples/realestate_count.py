@@ -1,9 +1,10 @@
 """Walk through the paper's Example 1 / Tables III-V, with algorithm traces.
 
 Shows the machinery under the engine facade: per-mapping reformulation
-(Q1 -> Q11/Q12), the ByTupleRangeCOUNT one-pass bounds (Table IV), the
-ByTuplePDCOUNT dynamic program (Table V), and how the six-semantics answer
-table (Table III) is assembled.  Then scales the same query to a generated
+(Q1 -> Q11/Q12), the ByTupleRangeCOUNT one-pass bounds (Table IV) and the
+ByTuplePDCOUNT dynamic program (Table V) — each the engine's row-walk
+kernel, run here with a trace — and how the six-semantics answer table
+(Table III) is assembled.  Then scales the same query to a generated
 instance of 100k listings.
 
 Run with::
@@ -14,12 +15,11 @@ Run with::
 from __future__ import annotations
 
 import time
+from functools import partial
 
 from repro import AggregationEngine, parse_query
-from repro.core.bytuple_count import (
-    by_tuple_distribution_count,
-    by_tuple_range_count,
-)
+from repro.core.bytuple_count import distribution_count_kernel, range_count_kernel
+from repro.core.common import run_possibly_grouped
 from repro.data import realestate
 from repro.sql.reformulate import reformulations
 
@@ -37,11 +37,11 @@ def show_reformulations() -> None:
 def show_range_trace() -> None:
     print("Step 2 — ByTupleRangeCOUNT (paper Figure 2 / Table IV):")
     trace: list[dict] = []
-    answer = by_tuple_range_count(
+    answer = run_possibly_grouped(
         realestate.paper_instance(),
         realestate.paper_pmapping(),
         parse_query(realestate.Q1),
-        trace=trace,
+        partial(range_count_kernel, trace=trace),
     )
     print("  tuple   low   up")
     for step in trace:
@@ -53,11 +53,11 @@ def show_range_trace() -> None:
 def show_distribution_trace() -> None:
     print("Step 3 — ByTuplePDCOUNT (paper Figure 3 / Table V):")
     trace: list[dict] = []
-    answer = by_tuple_distribution_count(
+    answer = run_possibly_grouped(
         realestate.paper_instance(),
         realestate.paper_pmapping(),
         parse_query(realestate.Q1),
-        trace=trace,
+        partial(distribution_count_kernel, trace=trace),
     )
     for step in trace:
         cells = "  ".join(f"{p:.2f}" for p in step["probabilities"])
@@ -85,24 +85,15 @@ def scale_up() -> None:
     print("Step 5 — the same query on 100,000 generated listings:")
     table = realestate.generate_listings(100_000, seed=42)
     engine = AggregationEngine([table], realestate.paper_pmapping())
-    for cell in (("by-tuple", "range"), ("by-table", "distribution"),
-                 ("by-table", "expected-value")):
+    # The paper derives the by-tuple expected count from the O(m n^2)
+    # ByTuplePDCOUNT distribution, minutes of row walking at this size (its
+    # Figure 9); the engine answers it by linearity of expectation, O(m n).
+    for cell in (("by-tuple", "range"), ("by-tuple", "expected-value"),
+                 ("by-table", "distribution"), ("by-table", "expected-value")):
         start = time.perf_counter()
         answer = engine.answer(realestate.Q1, *cell)
         elapsed = time.perf_counter() - start
         print(f"  {cell[0]:>9} / {cell[1]:<15} {answer!r}   ({elapsed:.2f}s)")
-    # The O(m n^2) ByTuplePDCOUNT would take minutes at this size (that is
-    # the paper's Figure 9); the O(m n) linear form answers the expected
-    # count immediately.
-    from repro.core.bytuple_count import by_tuple_expected_count
-
-    start = time.perf_counter()
-    expected = by_tuple_expected_count(
-        table, realestate.paper_pmapping(), parse_query(realestate.Q1),
-        method="linear",
-    )
-    elapsed = time.perf_counter() - start
-    print(f"   by-tuple / expected (linear)  {expected!r}   ({elapsed:.2f}s)")
 
 
 def main() -> None:

@@ -31,10 +31,10 @@ Three observability subcommands round out the tooling::
     repro-bench bench --suite quick           # registered benchmark suites
     repro-bench stats --query "SELECT COUNT(*) FROM T"   # Prometheus text
 
-``stats`` renders the metrics registry in the Prometheus text exposition
-format (``--serve`` keeps the process alive behind a stdlib HTTP scrape
-endpoint on ``/metrics``), and ``query --trace-jsonl PATH`` appends the
-invocation's full span trees to a JSONL file.
+``stats`` prints the metrics registry in the Prometheus text exposition
+format (``GET /metrics`` on ``serve`` is the scrape endpoint), and
+``query --trace-jsonl PATH`` appends the invocation's full span trees to
+a JSONL file.
 
 ``query`` accepts execution guardrails: ``--timeout-ms`` (wall-clock
 deadline), ``--max-worlds`` (cap on enumerated/sampled possible worlds),
@@ -653,9 +653,7 @@ def _run_stats(args: argparse.Namespace) -> int:
     With ``--query`` the metrics are populated first by answering it
     (over ``--data``/``--mapping``, or a synthetic workload like
     ``profile``); per-engine registries chain to the process-wide one, so
-    everything the run recorded is visible.  ``--serve`` keeps the
-    process alive behind a stdlib HTTP scrape endpoint instead of
-    printing once.
+    everything the run recorded is visible.
     """
     from repro.exceptions import ReproError
     from repro.obs import export, metrics
@@ -680,16 +678,7 @@ def _run_stats(args: argparse.Namespace) -> int:
                         args.aggregate_semantics,
                         samples=args.samples,
                     )
-        registry = metrics.get_registry()
-        if args.serve:
-            server = export.MetricsServer(registry, port=args.port)
-            print(f"serving metrics at {server.url}", file=sys.stderr)
-            try:
-                server.serve_forever()
-            except KeyboardInterrupt:
-                pass
-            return 0
-        print(export.render_prometheus(registry), end="")
+        print(export.render_prometheus(metrics.get_registry()), end="")
     except (ReproError, OSError) as error:
         return _fail(error)
     return 0
@@ -934,8 +923,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     stats_parser = subparsers.add_parser(
         "stats",
-        help="Prometheus text exposition of the metrics registry "
-        "(--serve starts a stdlib HTTP scrape endpoint)",
+        help="print the Prometheus text exposition of the metrics "
+        "registry (repro-bench serve answers GET /metrics with it)",
     )
     stats_parser.add_argument(
         "--query", default=None,
@@ -965,15 +954,6 @@ def main(argv: list[str] | None = None) -> int:
     stats_parser.add_argument("--seed", type=int, default=0)
     stats_parser.add_argument("--allow-exponential", action="store_true")
     stats_parser.add_argument("--samples", type=int, default=None)
-    stats_parser.add_argument(
-        "--serve", action="store_true",
-        help="serve the exposition at /metrics instead of printing once",
-    )
-    stats_parser.add_argument(
-        "--port", type=int, default=0, metavar="P",
-        help="TCP port for --serve (default: an ephemeral port, printed "
-        "on startup)",
-    )
     recent_parser = subparsers.add_parser(
         "recent",
         help="render structured query-log records (a slow-query JSONL "

@@ -298,8 +298,8 @@ class BatchResult(list):
     """Per-query outcomes of a batch, in input order.
 
     A ``list`` subclass, so callers that index or iterate a batch answer
-    keep working unchanged.  When the batch collects errors (the default
-    for parallel batches), a failed query's entry is the typed
+    keep working unchanged.  When the batch collects errors
+    (``return_errors=True``), a failed query's entry is the typed
     :class:`~repro.exceptions.ReproError` it raised instead of an answer —
     one bad query never voids its siblings' work.
     """

@@ -4,7 +4,9 @@ Under by-table semantics one mapping applies to the whole relation, so the
 algorithm is: reformulate the query once per candidate mapping, answer each
 reformulation as an ordinary (certain) aggregate query, and combine the
 per-mapping results according to the chosen aggregate semantics
-(``CombineResults`` in the paper).
+(``CombineResults`` in the paper).  The engine's by-table lane
+(:func:`repro.core.execute._by_table_results`) runs that loop; this module
+holds its executors and :func:`combine_results`.
 
 Reformulated queries can be answered by either substrate:
 
@@ -34,10 +36,8 @@ from repro.core.eval import evaluate_certain
 from repro.core.semantics import AggregateSemantics
 from repro.exceptions import EvaluationError, UnsupportedQueryError
 from repro.prob.distribution import DiscreteDistribution
-from repro.schema.mapping import PMapping
 from repro.schema.model import AttributeType, Relation
 from repro.sql.ast import AggregateOp, AggregateQuery, SubquerySource
-from repro.sql.reformulate import reformulations
 from repro.sql.render import executable_sql
 from repro.storage.sqlite_backend import SQLiteBackend
 from repro.storage.table import Table
@@ -117,22 +117,8 @@ def _key_converter(flat: AggregateQuery, relation: Relation):
     return convert
 
 
-def by_table_results(
-    query: AggregateQuery,
-    pmapping: PMapping,
-    executor: CertainExecutor,
-) -> list[tuple[object, float]]:
-    """Steps 1-4 of Figure 1: one certain answer per candidate mapping."""
-    return [
-        (executor(reformulated), probability)
-        for reformulated, probability in reformulations(
-            query, pmapping, unmapped="null"
-        )
-    ]
-
-
 def columnar_results(problem) -> list[tuple[object, float]] | None:
-    """Steps 1-4 of Figure 1 read off a pinned array-backed problem.
+    """Steps 1-4 of Figure 1 read off an array-backed problem.
 
     ``problem`` is the :class:`~repro.core.vectorized.VectorizedProblem`
     of the same flat, ungrouped, non-DISTINCT query: its
@@ -252,13 +238,3 @@ def combine_results(
         per_mapping = [(result.get(key), probability) for result, probability in results]
         combined[key] = combine_scalar_results(per_mapping, semantics)
     return GroupedAnswer(combined)
-
-
-def by_table_answer(
-    query: AggregateQuery,
-    pmapping: PMapping,
-    executor: CertainExecutor,
-    semantics: AggregateSemantics,
-) -> AggregateAnswer:
-    """The full by-table algorithm of Figure 1 for any aggregate semantics."""
-    return combine_results(by_table_results(query, pmapping, executor), semantics)

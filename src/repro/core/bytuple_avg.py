@@ -8,7 +8,7 @@ the paper's experiments, whose conditions never touch uncertain
 attributes), but not in general: excluding a high-valued *optional* tuple
 can lower the average below ``low_sum / low_count``.
 
-:func:`by_tuple_range_avg` therefore computes the *tight* bounds with a
+:func:`range_avg_kernel` therefore computes the *tight* bounds with a
 classic greedy for optimizing a mean over optional elements:
 
 * every *forced* tuple (qualifies under all mappings) participates with its
@@ -18,8 +18,9 @@ classic greedy for optimizing a mean over optional elements:
 
 The greedy is optimal because adding an element below the current mean
 always lowers it and the optimal optional set is a prefix of the sorted
-order; it coincides with the paper's counter method whenever no tuple is
-optional.  Complexity O(n * m + k log k) time and O(k) state for ``k``
+order; it coincides with the paper's counter method
+(:func:`range_avg_counter_kernel`, kept for the ablation) whenever no tuple
+is optional.  Complexity O(n * m + k log k) time and O(k) state for ``k``
 optional tuples.
 
 The by-tuple distribution and expected value of AVG have no known PTIME
@@ -30,12 +31,9 @@ the remark after Example 5); use :mod:`repro.core.naive` or
 
 from __future__ import annotations
 
-from repro.core.answers import AggregateAnswer, RangeAnswer
-from repro.core.common import PreparedTupleQuery, run_possibly_grouped
+from repro.core.answers import RangeAnswer
+from repro.core.common import PreparedTupleQuery
 from repro.core.exactsum import ExactSum
-from repro.schema.mapping import PMapping
-from repro.sql.ast import AggregateQuery
-from repro.storage.table import Table
 
 
 def _greedy_extreme_mean(
@@ -109,20 +107,7 @@ def range_avg_kernel(prepared: PreparedTupleQuery) -> RangeAnswer:
     return RangeAnswer(low, high)
 
 
-def by_tuple_range_avg(
-    table: Table,
-    pmapping: PMapping,
-    query: AggregateQuery,
-) -> AggregateAnswer:
-    """ByTupleRangeAVG: the tight range of AVG over all mapping sequences."""
-    return run_possibly_grouped(table, pmapping, query, range_avg_kernel)
-
-
-def by_tuple_range_avg_counter_method(
-    table: Table,
-    pmapping: PMapping,
-    query: AggregateQuery,
-) -> AggregateAnswer:
+def range_avg_counter_kernel(prepared: PreparedTupleQuery) -> RangeAnswer:
     """The paper's literal counter-based sketch of ByTupleRangeAVG.
 
     Kept for faithfulness and for the ablation benchmark: divides the
@@ -130,22 +115,18 @@ def by_tuple_range_avg_counter_method(
     when every contributing tuple qualifies under all mappings; see the
     module docstring for why it can otherwise miss achievable averages.
     """
-
-    def scalar(prepared: PreparedTupleQuery) -> RangeAnswer:
-        low_sum = 0.0
-        up_sum = 0.0
-        low_count = 0
-        up_count = 0
-        for vector in prepared.contribution_vectors():
-            satisfying = [c for c in vector if c is not None]
-            if not satisfying:
-                continue
-            low_sum += min(satisfying)
-            low_count += 1
-            up_sum += max(satisfying)
-            up_count += 1
-        if low_count == 0:
-            return RangeAnswer(None, None)
-        return RangeAnswer(low_sum / low_count, up_sum / up_count)
-
-    return run_possibly_grouped(table, pmapping, query, scalar)
+    low_sum = 0.0
+    up_sum = 0.0
+    low_count = 0
+    up_count = 0
+    for vector in prepared.contribution_vectors():
+        satisfying = [c for c in vector if c is not None]
+        if not satisfying:
+            continue
+        low_sum += min(satisfying)
+        low_count += 1
+        up_sum += max(satisfying)
+        up_count += 1
+    if low_count == 0:
+        return RangeAnswer(None, None)
+    return RangeAnswer(low_sum / low_count, up_sum / up_count)

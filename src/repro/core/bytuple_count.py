@@ -1,16 +1,19 @@
 """COUNT under the by-tuple semantics (paper Section IV-B, Figures 2-3).
 
-* :func:`by_tuple_range_count` — the ByTupleRangeCOUNT algorithm
+Each kernel folds one prepared (ungrouped) problem; the engine's scalar
+lane runs it per GROUP BY group through
+:func:`~repro.core.common.run_prepared`.
+
+* :func:`range_count_kernel` — the ByTupleRangeCOUNT algorithm
   (Figure 2): one pass over the tuples, O(n * m).
-* :func:`by_tuple_distribution_count` — the ByTuplePDCOUNT dynamic program
+* :func:`distribution_count_kernel` — the ByTuplePDCOUNT dynamic program
   (Figure 3): the count is a Poisson-binomial random variable over the
   per-tuple participation probabilities; the DP updates the distribution
   one tuple at a time, O(m * n^2).
-* :func:`by_tuple_expected_count` — the expected value, derived from the
-  distribution (the paper's route), with an optional O(n * m) linear path
-  exploiting linearity of expectation (our optimization; both agree).
-
-All three handle GROUP BY over a certain grouping attribute.
+* :func:`expected_count_kernel` — the expected value by linearity of
+  expectation, O(n * m).  The paper derives it from the Figure 3
+  distribution instead (:func:`dp_expected_count_kernel`, kept for the
+  ablation); both agree.
 """
 
 from __future__ import annotations
@@ -20,26 +23,29 @@ from collections.abc import Iterable
 
 from repro.core import guard as guardmod
 from repro.core.answers import (
-    AggregateAnswer,
     DistributionAnswer,
     ExpectedValueAnswer,
     RangeAnswer,
     project,
 )
-from repro.core.common import PreparedTupleQuery, run_possibly_grouped
+from repro.core.common import PreparedTupleQuery
 from repro.core.semantics import AggregateSemantics
 from repro.exceptions import EvaluationError
 from repro.obs import metrics
 from repro.prob.distribution import DiscreteDistribution
-from repro.schema.mapping import PMapping
-from repro.sql.ast import AggregateQuery
-from repro.storage.table import Table
 
 
 def range_count_kernel(
     prepared: PreparedTupleQuery, trace: list[dict] | None = None
 ) -> RangeAnswer:
-    """The Figure 2 fold over one prepared (ungrouped) problem."""
+    """The Figure 2 fold over one prepared (ungrouped) problem.
+
+    For each tuple: if it satisfies the condition under *all* mappings both
+    bounds grow; if under *some* mapping only the upper bound grows; under
+    none, neither.  ``trace``, when given, receives one dict per processed
+    tuple, mirroring the paper's Table IV (``tuple_index``, ``low``,
+    ``up``).
+    """
     low = 0
     up = 0
     for index, vector in enumerate(prepared.contribution_vectors()):
@@ -52,29 +58,6 @@ def range_count_kernel(
         if trace is not None:
             trace.append({"tuple_index": index, "low": low, "up": up})
     return RangeAnswer(low, up)
-
-
-def by_tuple_range_count(
-    table: Table,
-    pmapping: PMapping,
-    query: AggregateQuery,
-    trace: list[dict] | None = None,
-) -> AggregateAnswer:
-    """ByTupleRangeCOUNT (paper Figure 2).
-
-    For each tuple: if it satisfies the condition under *all* mappings both
-    bounds grow; if under *some* mapping only the upper bound grows; under
-    none, neither.
-
-    Parameters
-    ----------
-    trace:
-        When given, one dict per processed tuple is appended, mirroring the
-        paper's Table IV trace (``tuple_index``, ``low``, ``up``).
-    """
-    return run_possibly_grouped(
-        table, pmapping, query, lambda prepared: range_count_kernel(prepared, trace)
-    )
 
 
 def count_distribution_dp(
@@ -137,61 +120,14 @@ def count_distribution_dp(
 def distribution_count_kernel(
     prepared: PreparedTupleQuery, trace: list[dict] | None = None
 ) -> DistributionAnswer:
-    """The Figure 3 DP over one prepared (ungrouped) problem."""
+    """The Figure 3 DP over one prepared (ungrouped) problem: O(m * n^2),
+    each of the ``n`` tuples costing O(m) to classify and O(i) to fold
+    (``trace`` as in :func:`count_distribution_dp`, the paper's Table V)."""
     occurrence = (
         prepared.satisfaction_probability(vector)
         for vector in prepared.contribution_vectors()
     )
     return DistributionAnswer(count_distribution_dp(occurrence, trace))
-
-
-def by_tuple_distribution_count(
-    table: Table,
-    pmapping: PMapping,
-    query: AggregateQuery,
-    trace: list[dict] | None = None,
-) -> AggregateAnswer:
-    """ByTuplePDCOUNT (paper Figure 3): the exact count distribution.
-
-    Runs in O(m * n^2): each of the ``n`` tuples costs O(m) to classify and
-    O(i) to fold into the distribution.
-    """
-    return run_possibly_grouped(
-        table,
-        pmapping,
-        query,
-        lambda prepared: distribution_count_kernel(prepared, trace),
-    )
-
-
-def by_tuple_expected_count(
-    table: Table,
-    pmapping: PMapping,
-    query: AggregateQuery,
-    *,
-    method: str = "distribution",
-) -> AggregateAnswer:
-    """Expected COUNT under by-tuple semantics.
-
-    ``method="distribution"`` follows the paper: build the full ByTuplePDCOUNT
-    distribution and take its expectation — O(m * n^2), which is why the
-    paper's Figure 9 shows ByTupleExpValCOUNT tracking ByTuplePDCOUNT.
-
-    ``method="linear"`` is our optimization: by linearity of expectation the
-    answer is simply the sum of per-tuple participation probabilities —
-    O(m * n).  Both methods provably agree; the benchmark
-    ``benchmarks/bench_ablation_expected_count.py`` quantifies the gap.
-    """
-    if method == "distribution":
-        return project(
-            by_tuple_distribution_count(table, pmapping, query),
-            AggregateSemantics.EXPECTED_VALUE,
-        )
-    if method == "linear":
-        return run_possibly_grouped(table, pmapping, query, expected_count_kernel)
-    raise EvaluationError(
-        f"unknown method {method!r}; expected 'distribution' or 'linear'"
-    )
 
 
 def expected_count_kernel(prepared: PreparedTupleQuery) -> ExpectedValueAnswer:
@@ -200,13 +136,23 @@ def expected_count_kernel(prepared: PreparedTupleQuery) -> ExpectedValueAnswer:
     The planner's kernel: it agrees with the paper's DP expectation, costs
     O(n * m) instead of O(m * n^2), and — because it is an ``fsum`` of the
     per-tuple participation probabilities — matches the array kernel
-    bit for bit.  The paper-faithful DP remains available
-    through :func:`by_tuple_expected_count` with
-    ``method="distribution"``.
+    bit for bit.  The paper's route is :func:`dp_expected_count_kernel`.
     """
     return ExpectedValueAnswer(
         math.fsum(
             prepared.satisfaction_probability(vector)
             for vector in prepared.contribution_vectors()
         )
+    )
+
+
+def dp_expected_count_kernel(prepared: PreparedTupleQuery) -> ExpectedValueAnswer:
+    """Expected COUNT the paper's way: the expectation of the full Figure 3
+    distribution, O(m * n^2) (paper Section IV-B).
+
+    Kept for the ablation against :func:`expected_count_kernel`, whose
+    linear form the planner runs; the two agree.
+    """
+    return project(
+        distribution_count_kernel(prepared), AggregateSemantics.EXPECTED_VALUE
     )

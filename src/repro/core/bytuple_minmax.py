@@ -24,11 +24,8 @@ exact polynomial method (beyond the paper) and :mod:`repro.core.naive` /
 
 from __future__ import annotations
 
-from repro.core.answers import AggregateAnswer, RangeAnswer
-from repro.core.common import PreparedTupleQuery, run_possibly_grouped
-from repro.schema.mapping import PMapping
-from repro.sql.ast import AggregateQuery
-from repro.storage.table import Table
+from repro.core.answers import RangeAnswer
+from repro.core.common import PreparedTupleQuery
 
 
 def _minmax_range(
@@ -62,21 +59,7 @@ def _minmax_range(
 
 
 def range_max_kernel(prepared: PreparedTupleQuery) -> RangeAnswer:
-    """The Figure 5 MAX fold over one prepared (ungrouped) problem."""
-    return _minmax_range(prepared, maximize=True)
-
-
-def range_min_kernel(prepared: PreparedTupleQuery) -> RangeAnswer:
-    """The MIN counterpart of :func:`range_max_kernel`."""
-    return _minmax_range(prepared, maximize=False)
-
-
-def by_tuple_range_max(
-    table: Table,
-    pmapping: PMapping,
-    query: AggregateQuery,
-) -> AggregateAnswer:
-    """ByTupleRangeMAX (paper Figure 5), tightened for partial qualification.
+    """The Figure 5 MAX fold over one prepared (ungrouped) problem.
 
     Examples
     --------
@@ -86,14 +69,11 @@ def by_tuple_range_max(
     [340.5, 439.95]`` (the paper prints 340.05 for the first bound — a typo
     for 340.5, the bid of transaction 3804).
     """
-    return run_possibly_grouped(table, pmapping, query, range_max_kernel)
+    return _minmax_range(prepared, maximize=True)
 
 
-def by_tuple_range_min(
-    table: Table,
-    pmapping: PMapping,
-    query: AggregateQuery,
-) -> AggregateAnswer:
-    """ByTupleRangeMIN: the MIN counterpart of Figure 5 (paper Section IV-B,
-    "the techniques presented here for MAX can be easily adapted")."""
-    return run_possibly_grouped(table, pmapping, query, range_min_kernel)
+def range_min_kernel(prepared: PreparedTupleQuery) -> RangeAnswer:
+    """ByTupleRangeMIN, the MIN counterpart of :func:`range_max_kernel`
+    (paper Section IV-B: "the techniques presented here for MAX can be
+    easily adapted")."""
+    return _minmax_range(prepared, maximize=False)

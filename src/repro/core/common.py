@@ -348,8 +348,9 @@ def run_possibly_grouped(
 ) -> AggregateAnswer:
     """Prepare a by-tuple query and run a scalar algorithm over it.
 
-    This is the one-shot driver used by the standalone algorithm functions:
-    prepare once, then delegate to :func:`run_prepared`.
+    The one-shot driver for a kernel run outside the engine (the paper's
+    traced Tables IV-VI, the ablations' alternative kernels): prepare
+    once, then delegate to :func:`run_prepared`.
     """
     return run_prepared(
         PreparedTupleQuery(table, pmapping, query), scalar_algorithm

@@ -72,10 +72,6 @@ class ExactSum:
         """The correctly-rounded sum of everything added so far."""
         return math.fsum(self._partials)
 
-    def is_zero(self) -> bool:
-        """True when nothing (or only zeros) has been added."""
-        return not any(self._partials)
-
     def copy(self) -> "ExactSum":
         """An independent accumulator with the same exact total."""
         duplicate = ExactSum()

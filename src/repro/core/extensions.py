@@ -28,13 +28,9 @@ import bisect
 import math
 from collections.abc import Iterable, Iterator
 
-from repro.core.answers import AggregateAnswer, DistributionAnswer, project
-from repro.core.common import PreparedTupleQuery, run_possibly_grouped
-from repro.core.semantics import AggregateSemantics
+from repro.core.answers import DistributionAnswer
+from repro.core.common import PreparedTupleQuery
 from repro.prob.distribution import DiscreteDistribution
-from repro.schema.mapping import PMapping
-from repro.sql.ast import AggregateQuery
-from repro.storage.table import Table
 
 
 class _TupleCDF:
@@ -138,30 +134,3 @@ def max_distribution_kernel(prepared: PreparedTupleQuery) -> DistributionAnswer:
 def min_distribution_kernel(prepared: PreparedTupleQuery) -> DistributionAnswer:
     """Exact by-tuple MIN distribution over one prepared problem."""
     return order_statistic(_prepare_factors(prepared), maximize=False)
-
-
-def by_tuple_distribution_max(
-    table: Table, pmapping: PMapping, query: AggregateQuery
-) -> AggregateAnswer:
-    """Exact by-tuple distribution of MAX (extension; see module docstring)."""
-    return run_possibly_grouped(table, pmapping, query, max_distribution_kernel)
-
-
-def by_tuple_distribution_min(
-    table: Table, pmapping: PMapping, query: AggregateQuery
-) -> AggregateAnswer:
-    """Exact by-tuple distribution of MIN (extension; see module docstring)."""
-    return run_possibly_grouped(table, pmapping, query, min_distribution_kernel)
-
-
-def by_tuple_extreme_answer(
-    table: Table,
-    pmapping: PMapping,
-    query: AggregateQuery,
-    semantics: AggregateSemantics,
-    *,
-    maximize: bool,
-) -> AggregateAnswer:
-    """By-tuple MIN/MAX under any aggregate semantics via the extension."""
-    kernel = max_distribution_kernel if maximize else min_distribution_kernel
-    return project(run_possibly_grouped(table, pmapping, query, kernel), semantics)

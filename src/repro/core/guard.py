@@ -178,10 +178,6 @@ class Deadline:
         self.started = clock()
         self.expires_at = self.started + timeout_ms / 1000.0
 
-    def remaining_ms(self, *, clock=time.monotonic) -> float:
-        """Milliseconds left; negative once expired."""
-        return (self.expires_at - clock()) * 1000.0
-
     def elapsed_ms(self, *, clock=time.monotonic) -> float:
         """Milliseconds since the deadline was armed."""
         return (clock() - self.started) * 1000.0

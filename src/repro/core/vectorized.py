@@ -95,7 +95,6 @@ __all__ = [
     "VectorizedProblem",
     "PROBLEM_KERNELS",
     "answer_problem",
-    "run_grouped_vectorized",
 ]
 
 
@@ -1099,25 +1098,3 @@ def answer_problem(
     if problem.groups is None:
         return answers[0]
     return GroupedAnswer({key: answers[s] for key, s in problem.groups})
-
-
-def run_grouped_vectorized(
-    ctable: ColumnarTable,
-    pmapping: PMapping,
-    query: AggregateQuery,
-    aggregate_semantics: AggregateSemantics,
-):
-    """Answer one by-tuple PTIME cell over a columnar snapshot.
-
-    The cell is the query's aggregate operator under
-    ``aggregate_semantics``; :func:`answer_problem` runs its
-    :data:`PROBLEM_KERNELS` entry once over a :class:`VectorizedProblem`
-    built for the call, whose segments are the GROUP BY groups (one
-    segment for a flat query).
-
-    Raises :class:`VectorizationError` for a cell without an array kernel
-    and for queries or data outside the vectorizable fragment.
-    """
-    return answer_problem(
-        VectorizedProblem(ctable, pmapping, query), aggregate_semantics
-    )

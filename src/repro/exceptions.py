@@ -89,27 +89,8 @@ class ObservabilityError(ReproError):
 
     Never raised from the answer pipeline itself — telemetry must not
     fail queries — only from the explicitly-requested tooling around it
-    (e.g. standing up a scrape endpoint).
+    (e.g. reading a query-log trail).
     """
-
-
-class MetricsExportError(ObservabilityError):
-    """The Prometheus scrape endpoint could not be stood up.
-
-    Typically the requested ``host:port`` is already in use or not
-    bindable; ``host``/``port`` carry the attempted address.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        host: str | None = None,
-        port: int | None = None,
-    ) -> None:
-        super().__init__(message)
-        self.host = host
-        self.port = port
 
 
 class ServeError(ReproError):
@@ -124,8 +105,8 @@ class ServeError(ReproError):
 class ServiceStartupError(ServeError):
     """The query service could not bind or start its listening socket.
 
-    The serving analogue of :class:`MetricsExportError`: typically the
-    requested ``host:port`` is already in use or not bindable;
+    Typically the requested ``host:port`` is already in use or not
+    bindable;
     ``host``/``port`` carry the attempted address.  ``repro-bench serve``
     maps it to its own exit code (15).
     """
@@ -312,7 +293,6 @@ ERROR_EXIT_CODES: tuple[tuple[type, int], ...] = (
     (MappingError, 6),
     (ReformulationError, 7),
     (StorageError, 8),
-    (MetricsExportError, 14),
     (ServiceStartupError, 15),
     (ServeError, 16),
     (EvaluationError, 13),

@@ -2,9 +2,9 @@
 
 :func:`render_prometheus` renders a :class:`~repro.obs.metrics.MetricsRegistry`
 in the Prometheus text format (version 0.0.4) — the lingua franca any
-scraping service tier understands — and :class:`MetricsServer` wraps it
-in a stdlib :mod:`http.server` scrape endpoint for ``repro stats
---serve``.  Zero dependencies, like the rest of :mod:`repro.obs`.
+scraping service tier understands.  ``GET /metrics`` on ``repro serve``
+is the scrape endpoint; ``repro-bench stats`` prints the same text.
+Zero dependencies, like the rest of :mod:`repro.obs`.
 
 Naming conventions (documented in ``docs/observability.md``):
 
@@ -24,9 +24,7 @@ Naming conventions (documented in ``docs/observability.md``):
 from __future__ import annotations
 
 import re
-import threading
 
-from repro.exceptions import MetricsExportError
 from repro.obs import metrics as metrics_mod
 
 #: Prefix applied to every exported metric name.
@@ -99,108 +97,3 @@ def render_prometheus(
         lines.append(f"{exported}_count {histogram.count}")
     return "\n".join(lines) + "\n"
 
-
-class MetricsServer:
-    """A background Prometheus scrape endpoint over one registry.
-
-    Binds immediately (``port=0`` picks an ephemeral port, exposed as
-    :attr:`port` — tests and the CLI print it); :meth:`start` serves from
-    a daemon thread, :meth:`stop` shuts down and joins.  Usable as a
-    context manager.
-
-    Raises
-    ------
-    MetricsExportError
-        When the requested address cannot be bound (port already in use,
-        privileged port, unresolvable host) — the typed form of the
-        underlying :class:`OSError`, so ``repro-bench stats --serve``
-        reports one clean line instead of a traceback.
-    """
-
-    def __init__(
-        self,
-        registry: metrics_mod.MetricsRegistry | None = None,
-        *,
-        host: str = "127.0.0.1",
-        port: int = 0,
-    ) -> None:
-        # Imported here: the library path never serves scrapes, and
-        # http.server would load its HTTP stack into every process.
-        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
-        class ScrapeHandler(BaseHTTPRequestHandler):
-            """GET /metrics (or /) returns the current exposition; 404
-            otherwise."""
-
-            server_version = "repro-stats/1"
-
-            def do_GET(self) -> None:  # noqa: N802 (http.server API)
-                if self.path.split("?", 1)[0] not in ("/", "/metrics"):
-                    self.send_error(404, "scrape /metrics")
-                    return
-                body = render_prometheus(self.server.registry).encode("utf-8")
-                self.send_response(200)
-                self.send_header("Content-Type", CONTENT_TYPE)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, *args: object) -> None:
-                # Scrapes every few seconds would otherwise spam stderr.
-                pass
-
-        try:
-            self._server = ThreadingHTTPServer((host, port), ScrapeHandler)
-        except OSError as error:
-            raise MetricsExportError(
-                f"cannot bind metrics endpoint on {host}:{port}: {error}",
-                host=host,
-                port=port,
-            ) from error
-        self._server.registry = (
-            registry if registry is not None else metrics_mod.get_registry()
-        )
-        self._thread: threading.Thread | None = None
-
-    @property
-    def port(self) -> int:
-        """The bound TCP port (the ephemeral one when created with 0)."""
-        return self._server.server_address[1]
-
-    @property
-    def url(self) -> str:
-        """The scrape URL."""
-        host = self._server.server_address[0]
-        return f"http://{host}:{self.port}/metrics"
-
-    def start(self) -> "MetricsServer":
-        """Serve scrapes from a daemon thread (idempotent)."""
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._server.serve_forever,
-                name="repro-metrics-server",
-                daemon=True,
-            )
-            self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        """Stop serving and release the socket."""
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
-
-    def serve_forever(self) -> None:
-        """Serve scrapes on the calling thread until interrupted."""
-        try:
-            self._server.serve_forever()
-        finally:
-            self._server.server_close()
-
-    def __enter__(self) -> "MetricsServer":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()

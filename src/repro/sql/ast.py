@@ -71,10 +71,6 @@ class ColumnRef:
         self.name = name
         self.qualifier = qualifier
 
-    def with_name(self, name: str) -> "ColumnRef":
-        """A copy referencing a different column (qualifier preserved)."""
-        return ColumnRef(name, self.qualifier)
-
     def to_sql(self) -> str:
         if self.qualifier:
             return f"{self.qualifier}.{self.name}"

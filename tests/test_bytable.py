@@ -13,22 +13,33 @@ from repro.core.answers import (
     GroupedAnswer,
     RangeAnswer,
 )
-from repro.core.bytable import (
-    by_table_answer,
-    by_table_results,
-    combine_results,
-    combine_scalar_results,
-    memory_executor,
-    sqlite_executor,
-)
+from repro.core.bytable import combine_results, combine_scalar_results
+from repro.core.engine import AggregationEngine
+from repro.core.execute import _by_table_results
 from repro.core.semantics import AggregateSemantics
-from repro.data import ebay, realestate
+from repro.data import realestate
 from repro.exceptions import EvaluationError, UnsupportedQueryError
 from repro.schema.mapping import AttributeCorrespondence, PMapping, RelationMapping
 from repro.schema.model import Attribute, AttributeType, Relation
 from repro.sql.parser import parse_query
-from repro.storage.sqlite_backend import SQLiteBackend
 from repro.storage.table import Table
+
+
+def _per_mapping(table, pmapping, query, backend="memory"):
+    """Figure 1's per-mapping answers from the engine's by-table loop on
+    ``backend``'s executor (no columnar snapshot, so no array fold)."""
+    with AggregationEngine(
+        [table], pmapping, backend=backend, vectorize=False
+    ) as engine:
+        return _by_table_results(engine.plan(query, "by-table", "range"))
+
+
+def _by_table(table, pmapping, query, semantics, backend="memory"):
+    """The by-table answer from ``backend``'s executor."""
+    with AggregationEngine(
+        [table], pmapping, backend=backend, vectorize=False
+    ) as engine:
+        return engine.answer(query, "by-table", semantics)
 
 
 class TestCombineScalarResults:
@@ -112,51 +123,34 @@ class TestCombineGroupedResults:
 
 class TestByTableEndToEnd:
     def test_results_per_mapping(self, ds1, q1, pm1):
-        results = by_table_results(q1, pm1, memory_executor({"S1": ds1}))
+        results = _per_mapping(ds1, pm1, q1)
         assert results == [(3, 0.6), (1, 0.4)]
 
     def test_memory_and_sqlite_agree_on_q1(self, ds1, q1, pm1):
-        memory = by_table_answer(
-            q1, pm1, memory_executor({"S1": ds1}), AggregateSemantics.DISTRIBUTION
+        memory = _by_table(ds1, pm1, q1, AggregateSemantics.DISTRIBUTION)
+        sqlite = _by_table(
+            ds1, pm1, q1, AggregateSemantics.DISTRIBUTION, backend="sqlite"
         )
-        with SQLiteBackend() as backend:
-            backend.materialize(ds1)
-            sqlite = by_table_answer(
-                q1, pm1, sqlite_executor(backend), AggregateSemantics.DISTRIBUTION
-            )
         assert memory.approx_equal(sqlite)
 
     def test_memory_and_sqlite_agree_on_nested_q2(self, ds2, q2, pm2):
-        memory = by_table_answer(
-            q2, pm2, memory_executor({"S2": ds2}), AggregateSemantics.EXPECTED_VALUE
+        memory = _by_table(ds2, pm2, q2, AggregateSemantics.EXPECTED_VALUE)
+        sqlite = _by_table(
+            ds2, pm2, q2, AggregateSemantics.EXPECTED_VALUE, backend="sqlite"
         )
-        with SQLiteBackend() as backend:
-            backend.materialize(ds2)
-            sqlite = by_table_answer(
-                q2, pm2, sqlite_executor(backend),
-                AggregateSemantics.EXPECTED_VALUE,
-            )
         assert memory.value == pytest.approx(sqlite.value)
 
     def test_grouped_by_table(self, ds2, pm2):
         q = parse_query("SELECT MAX(price) FROM T2 GROUP BY auctionID")
-        answer = by_table_answer(
-            q, pm2, memory_executor({"S2": ds2}), AggregateSemantics.RANGE
-        )
+        answer = _by_table(ds2, pm2, q, AggregateSemantics.RANGE)
         assert isinstance(answer, GroupedAnswer)
         assert answer[34] == RangeAnswer(336.94, 349.99)
         assert answer[38] == RangeAnswer(438.05, 439.95)
 
     def test_grouped_by_table_sqlite_agrees(self, ds2, pm2):
         q = parse_query("SELECT MAX(price) FROM T2 GROUP BY auctionID")
-        memory = by_table_answer(
-            q, pm2, memory_executor({"S2": ds2}), AggregateSemantics.RANGE
-        )
-        with SQLiteBackend() as backend:
-            backend.materialize(ds2)
-            sqlite = by_table_answer(
-                q, pm2, sqlite_executor(backend), AggregateSemantics.RANGE
-            )
+        memory = _by_table(ds2, pm2, q, AggregateSemantics.RANGE)
+        sqlite = _by_table(ds2, pm2, q, AggregateSemantics.RANGE, backend="sqlite")
         assert memory == sqlite
 
     def test_date_valued_min_from_sqlite(self, ds1):
@@ -165,20 +159,11 @@ class TestByTableEndToEnd:
 
         pm = realestate.paper_pmapping()
         q = parse_query("SELECT MIN(date) FROM T1")
-        with SQLiteBackend() as backend:
-            backend.materialize(ds1)
-            answer = by_table_answer(
-                q, pm, sqlite_executor(backend), AggregateSemantics.RANGE
-            )
+        answer = _by_table(ds1, pm, q, AggregateSemantics.RANGE, backend="sqlite")
         assert answer.low == datetime.date(2008, 1, 1)
 
     def test_sum_distribution_equals_paper_values(self, ds2, q2_prime, pm2):
-        answer = by_table_answer(
-            q2_prime,
-            pm2,
-            memory_executor({"S2": ds2}),
-            AggregateSemantics.DISTRIBUTION,
-        )
+        answer = _by_table(ds2, pm2, q2_prime, AggregateSemantics.DISTRIBUTION)
         assert answer.distribution.probability_of(1076.93) == pytest.approx(0.3)
         assert answer.distribution.probability_of(931.94) == pytest.approx(0.7)
 
@@ -319,10 +304,8 @@ class TestColumnarByTable:
         query = parse_query(text)
         problem = VectorizedProblem(ColumnarTable(table), _PMAPPING, query)
         arrays = columnar_results(problem)
-        memory = by_table_results(query, _PMAPPING, memory_executor({"S": table}))
-        with SQLiteBackend() as backend:
-            backend.materialize(table)
-            sqlite = by_table_results(query, _PMAPPING, sqlite_executor(backend))
+        memory = _per_mapping(table, _PMAPPING, query)
+        sqlite = _per_mapping(table, _PMAPPING, query, backend="sqlite")
         assert _typed(arrays) == _typed(memory) == _typed(sqlite)
 
     def test_int_sum_beyond_float_exactness_declines(self):
@@ -344,10 +327,7 @@ class TestColumnarByTable:
 
         engine = AggregationEngine([table], _PMAPPING)
         answer = engine.prepare(text).answer("by-table", semantics)
-        expected = by_table_answer(
-            parse_query(text), _PMAPPING, memory_executor({"S": table}),
-            semantics,
-        )
+        expected = _by_table(table, _PMAPPING, text, semantics)
         assert answer == expected
         assert _answer_types(answer) == _answer_types(expected)
         used_arrays = engine.metrics_snapshot().get("bytable.columnar", 0)

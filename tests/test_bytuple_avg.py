@@ -9,9 +9,10 @@ from hypothesis import given, settings
 
 from repro.core.bytuple_avg import (
     _greedy_extreme_mean,
-    by_tuple_range_avg,
-    by_tuple_range_avg_counter_method,
+    range_avg_counter_kernel,
+    range_avg_kernel,
 )
+from repro.core.common import run_possibly_grouped
 from repro.core.naive import naive_by_tuple_answer
 from repro.core.semantics import AggregateSemantics
 from repro.sql.parser import parse_query
@@ -59,15 +60,15 @@ class TestRangeAvg:
     def test_all_forced(self):
         table, pm = _two_column_problem([(1.0, 3.0), (5.0, 7.0)])
         q = parse_query("SELECT AVG(value) FROM MED")
-        answer = by_tuple_range_avg(table, pm, q)
+        answer = run_possibly_grouped(table, pm, q, range_avg_kernel)
         assert answer.as_tuple() == (3.0, 5.0)
 
     def test_counter_method_can_miss_achievable_average(self):
         # t1 forced with value 1; t2 optional with value 100.
         table, pm = _two_column_problem([(1.0, 1.0), (100.0, 200.0)])
         q = parse_query("SELECT AVG(value) FROM MED WHERE value < 150")
-        tight = by_tuple_range_avg(table, pm, q)
-        counter = by_tuple_range_avg_counter_method(table, pm, q)
+        tight = run_possibly_grouped(table, pm, q, range_avg_kernel)
+        counter = run_possibly_grouped(table, pm, q, range_avg_counter_kernel)
         # Excluding t2 yields AVG = 1, which the tight bound must include.
         assert tight.low == pytest.approx(1.0)
         # The paper's counter sketch averages the two minima instead.
@@ -77,18 +78,18 @@ class TestRangeAvg:
     def test_counter_method_matches_when_all_forced(self):
         table, pm = _two_column_problem([(1.0, 3.0), (5.0, 7.0)])
         q = parse_query("SELECT AVG(value) FROM MED")
-        assert by_tuple_range_avg(table, pm, q) == (
-            by_tuple_range_avg_counter_method(table, pm, q)
+        assert run_possibly_grouped(table, pm, q, range_avg_kernel) == (
+            run_possibly_grouped(table, pm, q, range_avg_counter_kernel)
         )
 
     def test_undefined_when_never_satisfiable(self):
         table, pm = _two_column_problem([(50.0, 60.0)])
         q = parse_query("SELECT AVG(value) FROM MED WHERE value < 10")
-        assert not by_tuple_range_avg(table, pm, q).is_defined
+        assert not run_possibly_grouped(table, pm, q, range_avg_kernel).is_defined
 
     def test_grouped(self, ds2, pm2):
         q = parse_query("SELECT AVG(price) FROM T2 GROUP BY auctionID")
-        answer = by_tuple_range_avg(ds2, pm2, q)
+        answer = run_possibly_grouped(ds2, pm2, q, range_avg_kernel)
         assert answer[34].low == pytest.approx(931.94 / 4)
         assert answer[34].high == pytest.approx(1076.93 / 4)
 
@@ -98,7 +99,9 @@ class TestAgainstNaive:
     @given(small_problems())
     def test_range_matches_naive(self, problem):
         query = problem.query(AVG_WHERE)
-        fast = by_tuple_range_avg(problem.table, problem.pmapping, query)
+        fast = run_possibly_grouped(
+            problem.table, problem.pmapping, query, range_avg_kernel
+        )
         naive = naive_by_tuple_answer(
             problem.table, problem.pmapping, query, AggregateSemantics.RANGE
         )
@@ -112,9 +115,11 @@ class TestAgainstNaive:
     @given(small_problems())
     def test_counter_method_never_wider_than_tight(self, problem):
         query = problem.query(AVG_WHERE)
-        tight = by_tuple_range_avg(problem.table, problem.pmapping, query)
-        counter = by_tuple_range_avg_counter_method(
-            problem.table, problem.pmapping, query
+        tight = run_possibly_grouped(
+            problem.table, problem.pmapping, query, range_avg_kernel
+        )
+        counter = run_possibly_grouped(
+            problem.table, problem.pmapping, query, range_avg_counter_kernel
         )
         if tight.is_defined and counter.is_defined:
             assert tight.low <= counter.low + 1e-9

@@ -7,11 +7,13 @@ from hypothesis import given, settings
 
 from repro.core.answers import GroupedAnswer
 from repro.core.bytuple_count import (
-    by_tuple_distribution_count,
-    by_tuple_expected_count,
-    by_tuple_range_count,
     count_distribution_dp,
+    distribution_count_kernel,
+    dp_expected_count_kernel,
+    expected_count_kernel,
+    range_count_kernel,
 )
+from repro.core.common import run_possibly_grouped
 from repro.core.naive import naive_by_tuple_answer
 from repro.core.semantics import AggregateSemantics
 from repro.exceptions import EvaluationError
@@ -57,7 +59,7 @@ class TestGroupedCount:
         q = parse_query(
             "SELECT COUNT(*) FROM T2 WHERE price > 330 GROUP BY auctionID"
         )
-        answer = by_tuple_range_count(ds2, pm2, q)
+        answer = run_possibly_grouped(ds2, pm2, q, range_count_kernel)
         assert isinstance(answer, GroupedAnswer)
         # auction 34: bids>330: t3,t4; currentPrice>330: t4 only.
         assert answer[34].as_tuple() == (1, 2)
@@ -68,7 +70,7 @@ class TestGroupedCount:
         q = parse_query(
             "SELECT COUNT(*) FROM T2 WHERE price > 330 GROUP BY auctionID"
         )
-        answer = by_tuple_distribution_count(ds2, pm2, q)
+        answer = run_possibly_grouped(ds2, pm2, q, distribution_count_kernel)
         for _, group_answer in answer:
             total = sum(p for _, p in group_answer.distribution.items())
             assert total == pytest.approx(1.0)
@@ -77,7 +79,7 @@ class TestGroupedCount:
         q = parse_query(
             "SELECT COUNT(*) FROM T2 WHERE price > 330 GROUP BY auctionID"
         )
-        answer = by_tuple_expected_count(ds2, pm2, q)
+        answer = run_possibly_grouped(ds2, pm2, q, dp_expected_count_kernel)
         assert answer[34].value == pytest.approx(0.3 * 2 + 0.7 * 1)
 
 
@@ -86,7 +88,9 @@ class TestAgainstNaive:
     @given(small_problems())
     def test_range_matches_naive(self, problem):
         query = problem.query(COUNT_QUERY)
-        fast = by_tuple_range_count(problem.table, problem.pmapping, query)
+        fast = run_possibly_grouped(
+            problem.table, problem.pmapping, query, range_count_kernel
+        )
         naive = naive_by_tuple_answer(
             problem.table, problem.pmapping, query, AggregateSemantics.RANGE
         )
@@ -96,8 +100,8 @@ class TestAgainstNaive:
     @given(small_problems())
     def test_distribution_matches_naive(self, problem):
         query = problem.query(COUNT_QUERY)
-        fast = by_tuple_distribution_count(
-            problem.table, problem.pmapping, query
+        fast = run_possibly_grouped(
+            problem.table, problem.pmapping, query, distribution_count_kernel
         )
         naive = naive_by_tuple_answer(
             problem.table, problem.pmapping, query,
@@ -109,17 +113,13 @@ class TestAgainstNaive:
     @given(small_problems())
     def test_expected_methods_agree(self, problem):
         query = problem.query(COUNT_QUERY)
-        via_dp = by_tuple_expected_count(
-            problem.table, problem.pmapping, query, method="distribution"
+        via_dp = run_possibly_grouped(
+            problem.table, problem.pmapping, query, dp_expected_count_kernel
         )
-        via_linear = by_tuple_expected_count(
-            problem.table, problem.pmapping, query, method="linear"
+        via_linear = run_possibly_grouped(
+            problem.table, problem.pmapping, query, expected_count_kernel
         )
         assert via_dp.value == pytest.approx(via_linear.value, abs=1e-9)
-
-    def test_unknown_method_rejected(self, ds1, q1, pm1):
-        with pytest.raises(EvaluationError, match="method"):
-            by_tuple_expected_count(ds1, pm1, q1, method="psychic")
 
 
 class TestCountOfColumn:
@@ -130,6 +130,6 @@ class TestCountOfColumn:
         table = Table(ds1.relation, list(ds1.rows))
         table.append((5, 1.0, "000", None, None))
         q = parse_query("SELECT COUNT(date) FROM T1")
-        answer = by_tuple_range_count(table, pm1, q)
+        answer = run_possibly_grouped(table, pm1, q, range_count_kernel)
         # The new tuple has NULL under both mappings: it never counts.
         assert answer.as_tuple() == (4, 4)

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from repro.core.bytuple_minmax import by_tuple_range_max, by_tuple_range_min
+from repro.core.bytuple_minmax import range_max_kernel, range_min_kernel
+from repro.core.common import run_possibly_grouped
 from repro.core.naive import naive_by_tuple_answer
 from repro.core.semantics import AggregateSemantics
 from repro.sql.parser import parse_query
@@ -21,7 +22,7 @@ class TestRangeMaxEdgeCases:
         # Figure 5: [max of per-tuple minima, max of per-tuple maxima].
         table, pm = _two_column_problem([(5.0, 3.0), (10.0, 2.0)])
         q = parse_query("SELECT MAX(value) FROM MED")
-        answer = by_tuple_range_max(table, pm, q)
+        answer = run_possibly_grouped(table, pm, q, range_max_kernel)
         assert answer.as_tuple() == (3.0, 10.0)
 
     def test_optional_tuple_can_be_excluded(self):
@@ -29,27 +30,30 @@ class TestRangeMaxEdgeCases:
         # is 5 (exclude t2), which plain Figure 5 would miss.
         table, pm = _two_column_problem([(5.0, 5.0), (10.0, 200.0)])
         q = parse_query("SELECT MAX(value) FROM MED WHERE value < 100")
-        answer = by_tuple_range_max(table, pm, q)
+        answer = run_possibly_grouped(table, pm, q, range_max_kernel)
         assert answer.as_tuple() == (5.0, 10.0)
 
     def test_no_forced_tuples(self):
         # Both optional: the world can shrink to either single tuple.
         table, pm = _two_column_problem([(5.0, 200.0), (10.0, 200.0)])
         q = parse_query("SELECT MAX(value) FROM MED WHERE value < 100")
-        answer = by_tuple_range_max(table, pm, q)
+        answer = run_possibly_grouped(table, pm, q, range_max_kernel)
         assert answer.as_tuple() == (5.0, 10.0)
 
     def test_undefined(self):
         table, pm = _two_column_problem([(200.0, 300.0)])
         q = parse_query("SELECT MAX(value) FROM MED WHERE value < 100")
-        assert not by_tuple_range_max(table, pm, q).is_defined
+        assert not run_possibly_grouped(table, pm, q, range_max_kernel).is_defined
 
     def test_distinct_is_noop_for_max(self, ds2, pm2):
-        plain = by_tuple_range_max(
-            ds2, pm2, parse_query("SELECT MAX(price) FROM T2")
+        plain = run_possibly_grouped(
+            ds2, pm2, parse_query("SELECT MAX(price) FROM T2"), range_max_kernel
         )
-        distinct = by_tuple_range_max(
-            ds2, pm2, parse_query("SELECT MAX(DISTINCT price) FROM T2")
+        distinct = run_possibly_grouped(
+            ds2,
+            pm2,
+            parse_query("SELECT MAX(DISTINCT price) FROM T2"),
+            range_max_kernel,
         )
         assert plain == distinct
 
@@ -58,14 +62,14 @@ class TestRangeMinMirror:
     def test_all_forced(self):
         table, pm = _two_column_problem([(5.0, 3.0), (10.0, 2.0)])
         q = parse_query("SELECT MIN(value) FROM MED")
-        answer = by_tuple_range_min(table, pm, q)
+        answer = run_possibly_grouped(table, pm, q, range_min_kernel)
         assert answer.as_tuple() == (2.0, 5.0)
 
     def test_optional_exclusion_raises_min_upper_bound(self):
         # t1 forced {5}; t2 optional {1}: max achievable MIN is 5.
         table, pm = _two_column_problem([(5.0, 5.0), (1.0, 200.0)])
         q = parse_query("SELECT MIN(value) FROM MED WHERE value < 100")
-        answer = by_tuple_range_min(table, pm, q)
+        answer = run_possibly_grouped(table, pm, q, range_min_kernel)
         assert answer.as_tuple() == (1.0, 5.0)
 
 
@@ -74,7 +78,7 @@ class TestPaperAuctionWalkthrough:
         q = parse_query(
             "SELECT MAX(DISTINCT price) FROM T2 WHERE auctionID = 38"
         )
-        answer = by_tuple_range_max(ds2, pm2, q)
+        answer = run_possibly_grouped(ds2, pm2, q, range_max_kernel)
         assert answer.low == pytest.approx(340.5)
         assert answer.high == pytest.approx(439.95)
 
@@ -84,7 +88,9 @@ class TestAgainstNaive:
     @given(small_problems())
     def test_max_matches_naive(self, problem):
         query = problem.query(MAX_WHERE)
-        fast = by_tuple_range_max(problem.table, problem.pmapping, query)
+        fast = run_possibly_grouped(
+            problem.table, problem.pmapping, query, range_max_kernel
+        )
         naive = naive_by_tuple_answer(
             problem.table, problem.pmapping, query, AggregateSemantics.RANGE
         )
@@ -98,7 +104,9 @@ class TestAgainstNaive:
     @given(small_problems())
     def test_min_matches_naive(self, problem):
         query = problem.query(MIN_WHERE)
-        fast = by_tuple_range_min(problem.table, problem.pmapping, query)
+        fast = run_possibly_grouped(
+            problem.table, problem.pmapping, query, range_min_kernel
+        )
         naive = naive_by_tuple_answer(
             problem.table, problem.pmapping, query, AggregateSemantics.RANGE
         )

@@ -5,21 +5,40 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from repro.core.bytable import sqlite_executor
-from repro.core.bytuple_sum import by_tuple_expected_sum, by_tuple_range_sum
+from repro.core.bytuple_sum import expected_sum_kernel, range_sum_kernel
+from repro.core.common import PreparedTupleQuery, run_possibly_grouped
+from repro.core.engine import AggregationEngine
 from repro.core.naive import naive_by_tuple_answer
 from repro.core.semantics import AggregateSemantics
 from repro.data import synthetic
-from repro.exceptions import EvaluationError, UnsupportedQueryError
+from repro.exceptions import UnsupportedQueryError
 from repro.schema.correspondence import AttributeCorrespondence
 from repro.schema.mapping import PMapping, RelationMapping
 from repro.sql.parser import parse_query
-from repro.storage.sqlite_backend import SQLiteBackend
 from repro.storage.table import Table
 from tests.conftest import small_problems
 
 SUM_WHERE = "SELECT SUM(value) FROM {t} WHERE value < {c}"
 SUM_ALL = "SELECT SUM(value) FROM {t}"
+
+
+def _by_table_expected_sum(table, pmapping, query, backend="memory"):
+    """Theorem 4's route: the by-table expected value, from ``backend``'s
+    executor."""
+    with AggregationEngine(
+        [table], pmapping, backend=backend, vectorize=False
+    ) as engine:
+        return engine.answer(query, "by-table", "expected-value")
+
+
+def _linear_expected_sum(prepared):
+    """The unconditional linear form ``sum_ij P(m_j) * contribution_ij``."""
+    return sum(
+        probability * contribution
+        for vector in prepared.contribution_vectors()
+        for probability, contribution in zip(prepared.probabilities, vector)
+        if contribution is not None
+    )
 
 
 def _two_column_problem(rows, p1=0.5):
@@ -46,7 +65,7 @@ class TestRangeSumEdgeCases:
     def test_all_forced(self):
         table, pm = _two_column_problem([(1.0, 2.0), (3.0, 5.0)])
         q = parse_query(SUM_ALL.format(t="MED"))
-        answer = by_tuple_range_sum(table, pm, q)
+        answer = run_possibly_grouped(table, pm, q, range_sum_kernel)
         assert answer.as_tuple() == (4.0, 7.0)
 
     def test_optional_positive_values_allow_zero(self):
@@ -56,19 +75,19 @@ class TestRangeSumEdgeCases:
         q = parse_query("SELECT SUM(value) FROM MED WHERE value < 10")
         # t1: qualifies under m1 (5) but not m2 (20) -> optional {5}.
         # t2: forced {1}.
-        answer = by_tuple_range_sum(table, pm, q)
+        answer = run_possibly_grouped(table, pm, q, range_sum_kernel)
         assert answer.as_tuple() == (1.0, 6.0)
 
     def test_optional_negative_value_lowers_bound(self):
         table, pm = _two_column_problem([(-5.0, 20.0), (1.0, 1.0)])
         q = parse_query("SELECT SUM(value) FROM MED WHERE value < 10")
-        answer = by_tuple_range_sum(table, pm, q)
+        answer = run_possibly_grouped(table, pm, q, range_sum_kernel)
         assert answer.as_tuple() == (-4.0, 1.0)
 
     def test_never_satisfiable_is_undefined(self):
         table, pm = _two_column_problem([(50.0, 60.0)])
         q = parse_query("SELECT SUM(value) FROM MED WHERE value < 10")
-        answer = by_tuple_range_sum(table, pm, q)
+        answer = run_possibly_grouped(table, pm, q, range_sum_kernel)
         assert not answer.is_defined
 
     def test_all_optional_nonnegative_low_is_single_cheapest(self):
@@ -76,19 +95,19 @@ class TestRangeSumEdgeCases:
         # exactly the cheapest qualifying tuple, not zero.
         table, pm = _two_column_problem([(3.0, 20.0), (7.0, 20.0)])
         q = parse_query("SELECT SUM(value) FROM MED WHERE value < 10")
-        answer = by_tuple_range_sum(table, pm, q)
+        answer = run_possibly_grouped(table, pm, q, range_sum_kernel)
         assert answer.as_tuple() == (3.0, 10.0)
 
     def test_all_optional_nonpositive_up_is_single_largest(self):
         table, pm = _two_column_problem([(-3.0, 20.0), (-7.0, 20.0)])
         q = parse_query("SELECT SUM(value) FROM MED WHERE value < 10")
-        answer = by_tuple_range_sum(table, pm, q)
+        answer = run_possibly_grouped(table, pm, q, range_sum_kernel)
         assert answer.as_tuple() == (-10.0, -3.0)
 
     def test_distinct_rejected(self, ds2, pm2):
         q = parse_query("SELECT SUM(DISTINCT price) FROM T2")
         with pytest.raises(UnsupportedQueryError, match="DISTINCT"):
-            by_tuple_range_sum(ds2, pm2, q)
+            run_possibly_grouped(ds2, pm2, q, range_sum_kernel)
 
 
 class TestAgainstNaive:
@@ -96,7 +115,9 @@ class TestAgainstNaive:
     @given(small_problems())
     def test_range_matches_naive(self, problem):
         query = problem.query(SUM_WHERE)
-        fast = by_tuple_range_sum(problem.table, problem.pmapping, query)
+        fast = run_possibly_grouped(
+            problem.table, problem.pmapping, query, range_sum_kernel
+        )
         naive = naive_by_tuple_answer(
             problem.table, problem.pmapping, query, AggregateSemantics.RANGE
         )
@@ -111,8 +132,8 @@ class TestAgainstNaive:
     def test_theorem4_expected_sum(self, problem):
         """Theorem 4 on random instances with full qualification."""
         query = problem.query(SUM_ALL)  # no WHERE: SUM defined everywhere
-        by_table_route = by_tuple_expected_sum(
-            problem.table, problem.pmapping, query, method="by-table"
+        by_table_route = _by_table_expected_sum(
+            problem.table, problem.pmapping, query
         )
         naive = naive_by_tuple_answer(
             problem.table,
@@ -128,8 +149,8 @@ class TestAgainstNaive:
         """The conditional-exact method is ground truth even when worlds
         can be empty (where Theorem 4's literal delegation is not)."""
         query = problem.query(SUM_WHERE)
-        exact = by_tuple_expected_sum(
-            problem.table, problem.pmapping, query, method="exact"
+        exact = run_possibly_grouped(
+            problem.table, problem.pmapping, query, expected_sum_kernel
         )
         naive = naive_by_tuple_answer(
             problem.table,
@@ -146,39 +167,30 @@ class TestAgainstNaive:
     @given(small_problems())
     def test_linear_method_agrees_with_by_table(self, problem):
         query = problem.query(SUM_ALL)
-        linear = by_tuple_expected_sum(
-            problem.table, problem.pmapping, query, method="linear"
+        linear = _linear_expected_sum(
+            PreparedTupleQuery(problem.table, problem.pmapping, query)
         )
-        by_table_route = by_tuple_expected_sum(
-            problem.table, problem.pmapping, query, method="by-table"
+        by_table_route = _by_table_expected_sum(
+            problem.table, problem.pmapping, query
         )
-        assert linear.value == pytest.approx(by_table_route.value, abs=1e-9)
+        assert linear == pytest.approx(by_table_route.value, abs=1e-9)
 
 
 class TestExpectedSumExecutors:
     def test_sqlite_executor_route(self, ds2, q2_prime, pm2):
-        with SQLiteBackend() as backend:
-            backend.materialize(ds2)
-            answer = by_tuple_expected_sum(
-                ds2, pm2, q2_prime,
-                executor=sqlite_executor(backend),
-                method="by-table",
-            )
+        answer = _by_table_expected_sum(ds2, pm2, q2_prime, backend="sqlite")
         assert answer.value == pytest.approx(975.437)
 
     def test_exact_method_agrees_on_certain_qualification(self, ds2, q2_prime,
                                                           pm2):
         # Q2's WHERE is on the certain auction attribute: no world is
         # empty, so the exact conditional value equals Theorem 4's.
-        exact = by_tuple_expected_sum(ds2, pm2, q2_prime, method="exact")
+        exact = run_possibly_grouped(ds2, pm2, q2_prime, expected_sum_kernel)
         assert exact.value == pytest.approx(975.437)
-
-    def test_unknown_method(self, ds2, q2_prime, pm2):
-        with pytest.raises(EvaluationError, match="method"):
-            by_tuple_expected_sum(ds2, pm2, q2_prime, method="psychic")
 
     def test_grouped_linear(self, ds2, pm2):
         q = parse_query("SELECT SUM(price) FROM T2 GROUP BY auctionID")
-        answer = by_tuple_expected_sum(ds2, pm2, q, method="linear")
+        prepared = PreparedTupleQuery(ds2, pm2, q)
+        groups = prepared.partition()
         expected_34 = 0.3 * 1076.93 + 0.7 * 931.94
-        assert answer[34].value == pytest.approx(expected_34)
+        assert _linear_expected_sum(groups[34]) == pytest.approx(expected_34)

@@ -145,22 +145,3 @@ class TestRecentCommand:
         assert "error:" in capsys.readouterr().err
 
 
-class TestStatsServeExitCode:
-    def test_bind_failure_exits_14(self, capsys):
-        import socket
-
-        blocker = socket.socket()
-        try:
-            blocker.bind(("127.0.0.1", 0))
-            blocker.listen(1)
-            port = blocker.getsockname()[1]
-            code = main([
-                "stats", "--serve", "--port", str(port),
-                "--tuples", "20", "--attributes", "4", "--mappings", "3",
-            ])
-        finally:
-            blocker.close()
-        assert code == 14
-        err = capsys.readouterr().err
-        assert "cannot bind metrics endpoint" in err
-        assert err.count("\n") == 1  # one clean line, no traceback

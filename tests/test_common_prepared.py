@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.common import PreparedTupleQuery, run_possibly_grouped
 from repro.core.answers import GroupedAnswer, RangeAnswer
-from repro.data import ebay, realestate
+from repro.data import ebay
 from repro.exceptions import UnsupportedQueryError
 from repro.sql.parser import parse_query
 

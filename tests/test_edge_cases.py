@@ -9,7 +9,6 @@ from repro.core.naive import iter_sequence_results, sequence_count
 from repro.data import ebay, realestate
 from repro.exceptions import EvaluationError, StorageError
 from repro.schema.mapping import PMapping
-from repro.sql.parser import parse_query
 from repro.storage.table import Table
 
 

@@ -322,15 +322,18 @@ class TestPartialCoverageMappings:
 
     def test_vectorized_matches_scalar(self, ds1, partial_pmapping, q1):
         pytest.importorskip("numpy")
+        from repro.core.bytuple_count import range_count_kernel
+        from repro.core.common import run_possibly_grouped
         from repro.core.vectorized import (
             ColumnarTable,
-            run_grouped_vectorized,
+            VectorizedProblem,
+            answer_problem,
         )
-        from repro.core.bytuple_count import by_tuple_range_count
 
-        scalar = by_tuple_range_count(ds1, partial_pmapping, q1)
-        vector = run_grouped_vectorized(
-            ColumnarTable(ds1), partial_pmapping, q1, AggregateSemantics.RANGE
+        scalar = run_possibly_grouped(ds1, partial_pmapping, q1, range_count_kernel)
+        vector = answer_problem(
+            VectorizedProblem(ColumnarTable(ds1), partial_pmapping, q1),
+            AggregateSemantics.RANGE,
         )
         assert scalar == vector
 

@@ -25,7 +25,7 @@ from repro.cli import main
 from repro.core.engine import AggregationEngine
 from repro.core.planner import Lane
 from repro.core.semantics import AggregateSemantics, MappingSemantics
-from repro.data import ebay, realestate, synthetic
+from repro.data import realestate, synthetic
 from repro.exceptions import EvaluationError
 from repro.obs import metrics, trace
 from repro.obs.trace import InMemorySink, use_sink

@@ -5,12 +5,9 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from repro.core.answers import DistributionAnswer
-from repro.core.extensions import (
-    by_tuple_distribution_max,
-    by_tuple_distribution_min,
-    by_tuple_extreme_answer,
-)
+from repro.core.answers import DistributionAnswer, project
+from repro.core.common import run_possibly_grouped
+from repro.core.extensions import max_distribution_kernel, min_distribution_kernel
 from repro.core.naive import naive_by_tuple_answer
 from repro.core.semantics import AggregateSemantics
 from repro.sql.parser import parse_query
@@ -25,14 +22,14 @@ class TestSmallCases:
     def test_single_tuple_two_values(self):
         table, pm = _two_column_problem([(5.0, 9.0)], p1=0.3)
         q = parse_query("SELECT MAX(value) FROM MED")
-        answer = by_tuple_distribution_max(table, pm, q)
+        answer = run_possibly_grouped(table, pm, q, max_distribution_kernel)
         assert answer.distribution.probability_of(5.0) == pytest.approx(0.3)
         assert answer.distribution.probability_of(9.0) == pytest.approx(0.7)
 
     def test_two_tuples_independent(self):
         table, pm = _two_column_problem([(1.0, 3.0), (2.0, 4.0)], p1=0.5)
         q = parse_query("SELECT MAX(value) FROM MED")
-        answer = by_tuple_distribution_max(table, pm, q)
+        answer = run_possibly_grouped(table, pm, q, max_distribution_kernel)
         # MAX=2 only for (1, 2): prob 0.25; MAX=3 for (3, 2): 0.25;
         # MAX=4 whenever t2 -> 4: 0.5.
         assert answer.distribution.probability_of(2.0) == pytest.approx(0.25)
@@ -42,20 +39,20 @@ class TestSmallCases:
     def test_undefined_mass(self):
         table, pm = _two_column_problem([(5.0, 50.0)], p1=0.4)
         q = parse_query("SELECT MAX(value) FROM MED WHERE value < 10")
-        answer = by_tuple_distribution_max(table, pm, q)
+        answer = run_possibly_grouped(table, pm, q, max_distribution_kernel)
         assert answer.undefined_probability == pytest.approx(0.6)
         assert answer.distribution.probability_of(5.0) == pytest.approx(1.0)
 
     def test_fully_undefined(self):
         table, pm = _two_column_problem([(50.0, 60.0)])
         q = parse_query("SELECT MAX(value) FROM MED WHERE value < 10")
-        answer = by_tuple_distribution_max(table, pm, q)
+        answer = run_possibly_grouped(table, pm, q, max_distribution_kernel)
         assert not answer.is_defined
 
     def test_min_mirror(self):
         table, pm = _two_column_problem([(1.0, 3.0), (2.0, 4.0)], p1=0.5)
         q = parse_query("SELECT MIN(value) FROM MED")
-        answer = by_tuple_distribution_min(table, pm, q)
+        answer = run_possibly_grouped(table, pm, q, min_distribution_kernel)
         # MIN=1 whenever t1 -> 1: 0.5; MIN=2 for (3, 2): 0.25; MIN=3 for
         # (3, 4): 0.25.
         assert answer.distribution.probability_of(1.0) == pytest.approx(0.5)
@@ -68,8 +65,8 @@ class TestAgainstNaive:
     @given(small_problems())
     def test_max_distribution_matches_naive(self, problem):
         query = problem.query(MAX_WHERE)
-        exact = by_tuple_distribution_max(
-            problem.table, problem.pmapping, query
+        exact = run_possibly_grouped(
+            problem.table, problem.pmapping, query, max_distribution_kernel
         )
         naive = naive_by_tuple_answer(
             problem.table, problem.pmapping, query,
@@ -82,8 +79,8 @@ class TestAgainstNaive:
     @given(small_problems())
     def test_min_distribution_matches_naive(self, problem):
         query = problem.query(MIN_WHERE)
-        exact = by_tuple_distribution_min(
-            problem.table, problem.pmapping, query
+        exact = run_possibly_grouped(
+            problem.table, problem.pmapping, query, min_distribution_kernel
         )
         naive = naive_by_tuple_answer(
             problem.table, problem.pmapping, query,
@@ -95,12 +92,11 @@ class TestAgainstNaive:
     @given(small_problems())
     def test_expected_max_matches_naive(self, problem):
         query = problem.query(MAX_WHERE)
-        exact = by_tuple_extreme_answer(
-            problem.table,
-            problem.pmapping,
-            query,
+        exact = project(
+            run_possibly_grouped(
+                problem.table, problem.pmapping, query, max_distribution_kernel
+            ),
             AggregateSemantics.EXPECTED_VALUE,
-            maximize=True,
         )
         naive = naive_by_tuple_answer(
             problem.table, problem.pmapping, query,
@@ -114,18 +110,20 @@ class TestAgainstNaive:
 
 class TestProjection:
     def test_range_projection_matches_range_algorithm(self, ds2, pm2):
-        from repro.core.bytuple_minmax import by_tuple_range_max
+        from repro.core.bytuple_minmax import range_max_kernel
 
         q = parse_query("SELECT MAX(price) FROM T2 WHERE auctionID = 38")
-        via_extension = by_tuple_extreme_answer(
-            ds2, pm2, q, AggregateSemantics.RANGE, maximize=True
+        via_extension = project(
+            run_possibly_grouped(ds2, pm2, q, max_distribution_kernel),
+            AggregateSemantics.RANGE,
         )
-        via_figure5 = by_tuple_range_max(ds2, pm2, q)
+        via_figure5 = run_possibly_grouped(ds2, pm2, q, range_max_kernel)
         assert via_extension == via_figure5
 
     def test_grouped(self, ds2, pm2):
         q = parse_query("SELECT MAX(price) FROM T2 GROUP BY auctionID")
-        answer = by_tuple_extreme_answer(
-            ds2, pm2, q, AggregateSemantics.DISTRIBUTION, maximize=True
+        answer = project(
+            run_possibly_grouped(ds2, pm2, q, max_distribution_kernel),
+            AggregateSemantics.DISTRIBUTION,
         )
         assert answer[34].distribution.probability_of(349.99) == pytest.approx(0.3)

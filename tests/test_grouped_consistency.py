@@ -18,12 +18,13 @@ from hypothesis import strategies as st
 from repro import AggregationEngine, Budget, BudgetExceededError, QueryTimeoutError
 from repro.core import guard as guardmod
 from repro.core.answers import RangeAnswer
-from repro.core.bytuple_avg import by_tuple_range_avg
-from repro.core.bytuple_count import by_tuple_range_count
-from repro.core.bytuple_minmax import by_tuple_range_max, by_tuple_range_min
-from repro.core.bytuple_sum import by_tuple_range_sum
+from repro.core.bytuple_avg import range_avg_kernel
+from repro.core.bytuple_count import range_count_kernel
+from repro.core.bytuple_minmax import range_max_kernel, range_min_kernel
+from repro.core.bytuple_sum import range_sum_kernel
+from repro.core.common import run_possibly_grouped
 from repro.core.semantics import AggregateSemantics, MappingSemantics
-from repro.core.vectorized import ColumnarTable, run_grouped_vectorized
+from repro.core.vectorized import ColumnarTable, VectorizedProblem, answer_problem
 from repro.data import ebay
 from repro.obs import metrics
 from repro.schema.correspondence import AttributeCorrespondence
@@ -54,15 +55,15 @@ TARGET = Relation(
 
 PAIRS = [
     ("COUNT", "SELECT COUNT(*) FROM MED WHERE value < {c} GROUP BY g",
-     by_tuple_range_count),
+     range_count_kernel),
     ("SUM", "SELECT SUM(value) FROM MED WHERE value < {c} GROUP BY g",
-     by_tuple_range_sum),
+     range_sum_kernel),
     ("AVG", "SELECT AVG(value) FROM MED WHERE value < {c} GROUP BY g",
-     by_tuple_range_avg),
+     range_avg_kernel),
     ("MAX", "SELECT MAX(value) FROM MED WHERE value < {c} GROUP BY g",
-     by_tuple_range_max),
+     range_max_kernel),
     ("MIN", "SELECT MIN(value) FROM MED WHERE value < {c} GROUP BY g",
-     by_tuple_range_min),
+     range_min_kernel),
 ]
 
 _VALUES = st.integers(min_value=-5, max_value=9).map(float)
@@ -108,11 +109,12 @@ class TestGroupedPaths:
     def test_scalar_and_vectorized_grouped_agree(self, problem):
         table, pmapping, threshold = problem
         columnar = ColumnarTable(table)
-        for name, template, scalar_fn in PAIRS:
+        for name, template, kernel in PAIRS:
             query = parse_query(template.format(c=threshold))
-            scalar = scalar_fn(table, pmapping, query)
-            vector = run_grouped_vectorized(
-                columnar, pmapping, query, AggregateSemantics.RANGE
+            scalar = run_possibly_grouped(table, pmapping, query, kernel)
+            vector = answer_problem(
+                VectorizedProblem(columnar, pmapping, query),
+                AggregateSemantics.RANGE,
             )
             assert set(scalar.groups) == set(vector.groups), name
             for key, answer in scalar:
@@ -133,10 +135,14 @@ class TestGroupedPaths:
         flat_query = parse_query(
             f"SELECT SUM(value) FROM MED WHERE value < {threshold}"
         )
-        grouped = by_tuple_range_sum(table, pmapping, grouped_query)
+        grouped = run_possibly_grouped(
+            table, pmapping, grouped_query, range_sum_kernel
+        )
         for key in {row["g"] for row in table.iter_rows()}:
             subset = table.select(lambda row, k=key: row["g"] == k)
-            direct = by_tuple_range_sum(subset, pmapping, flat_query)
+            direct = run_possibly_grouped(
+                subset, pmapping, flat_query, range_sum_kernel
+            )
             assert grouped[key] == direct
 
 

@@ -408,7 +408,7 @@ class TestBatchResult:
             [self.GOOD, self.BAD, self.GOOD],
             "by-tuple",
             "distribution",
-            parallel=True,
+            return_errors=True,
         )
         assert len(batch) == 3
         assert [index for index, _ in batch.errors] == [1]
@@ -417,7 +417,7 @@ class TestBatchResult:
     def test_all_good_batch_is_ok(self):
         engine = small_engine()
         batch = engine.answer_many(
-            [self.GOOD, self.GOOD], "by-tuple", "range", parallel=True
+            [self.GOOD, self.GOOD], "by-tuple", "range", return_errors=True
         )
         assert batch.ok
         assert batch.raise_first() is batch

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.answers import DistributionAnswer, RangeAnswer
-from repro.core.bytable import by_table_answer, memory_executor
 from repro.core.engine import AggregationEngine
 from repro.core.naive import naive_by_tuple_answer
 from repro.core.semantics import AggregateSemantics, MappingSemantics
@@ -28,9 +27,9 @@ TEMPLATES = {
 
 
 def _by_table(problem, op, semantics):
-    executor = memory_executor({problem.pmapping.source.name: problem.table})
-    return by_table_answer(
-        problem.query(TEMPLATES[op]), problem.pmapping, executor, semantics
+    engine = AggregationEngine([problem.table], problem.pmapping, vectorize=False)
+    return engine.answer(
+        problem.query(TEMPLATES[op]), MappingSemantics.BY_TABLE, semantics
     )
 
 

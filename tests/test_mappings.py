@@ -8,7 +8,7 @@ from repro.data import realestate
 from repro.exceptions import MappingError
 from repro.schema.correspondence import AttributeCorrespondence
 from repro.schema.mapping import PMapping, RelationMapping, SchemaPMapping
-from repro.schema.model import Attribute, AttributeType, Relation
+from repro.schema.model import Attribute, Relation
 
 S = Relation("S", [Attribute("x"), Attribute("y"), Attribute("z")])
 T = Relation("T", [Attribute("u"), Attribute("v")])

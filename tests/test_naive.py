@@ -12,7 +12,6 @@ from repro.core.naive import (
     sequence_count,
 )
 from repro.core.semantics import AggregateSemantics
-from repro.data import ebay
 from repro.exceptions import EvaluationError, UnsupportedQueryError
 from repro.sql.parser import parse_query
 from tests.test_bytuple_sum import _two_column_problem
@@ -79,11 +78,14 @@ class TestDistribution:
         # Auctions are independent and AVG is linear, so E[AVG of the two
         # group maxima] = (E[max34] + E[max38]) / 2; the per-group expected
         # maxima come from the exact order-statistics extension.
-        from repro.core.extensions import by_tuple_extreme_answer
+        from repro.core.answers import project
+        from repro.core.common import run_possibly_grouped
+        from repro.core.extensions import max_distribution_kernel
 
         q_max = parse_query("SELECT MAX(price) FROM T2 GROUP BY auctionID")
-        grouped = by_tuple_extreme_answer(
-            ds2, pm2, q_max, AggregateSemantics.EXPECTED_VALUE, maximize=True
+        grouped = project(
+            run_possibly_grouped(ds2, pm2, q_max, max_distribution_kernel),
+            AggregateSemantics.EXPECTED_VALUE,
         )
         expected = (grouped[34].value + grouped[38].value) / 2
         assert answer.value == pytest.approx(expected)

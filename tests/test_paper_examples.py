@@ -14,22 +14,30 @@ each discrepancy.
 from __future__ import annotations
 
 import datetime
+from functools import partial
 
 import pytest
 
-from repro.core.bytable import by_table_answer, memory_executor
 from repro.core.bytuple_count import (
-    by_tuple_distribution_count,
-    by_tuple_expected_count,
-    by_tuple_range_count,
+    distribution_count_kernel,
+    dp_expected_count_kernel,
+    expected_count_kernel,
+    range_count_kernel,
 )
-from repro.core.bytuple_minmax import by_tuple_range_max
-from repro.core.bytuple_sum import by_tuple_expected_sum, by_tuple_range_sum
+from repro.core.bytuple_minmax import range_max_kernel
+from repro.core.bytuple_sum import expected_sum_kernel, range_sum_kernel
+from repro.core.common import run_possibly_grouped
 from repro.core.engine import AggregationEngine
 from repro.core.naive import iter_sequence_results, naive_by_tuple_answer
 from repro.core.semantics import AggregateSemantics, MappingSemantics
-from repro.data import ebay, realestate
+from repro.data import realestate
 from repro.sql.parser import parse_query
+
+
+def _by_table(table, pmapping, query, semantics):
+    """The by-table answer (paper Figure 1) over the in-memory executor."""
+    engine = AggregationEngine([table], pmapping, vectorize=False)
+    return engine.answer(query, MappingSemantics.BY_TABLE, semantics)
 
 
 class TestTableI:
@@ -74,9 +82,7 @@ class TestExample3:
                            # Table I instance yields 1 — see EXPERIMENTS.md)
             )
         ]
-        answer = by_table_answer(
-            q1, pm1, memory_executor({"S1": ds1}), AggregateSemantics.DISTRIBUTION
-        )
+        answer = _by_table(ds1, pm1, q1, AggregateSemantics.DISTRIBUTION)
         for value, probability in results:
             assert answer.distribution.probability_of(value) == pytest.approx(
                 probability
@@ -84,7 +90,7 @@ class TestExample3:
 
     def test_by_tuple_distribution_matches_paper(self, ds1, q1, pm1):
         # The paper: 1 with 0.16, 2 with 0.48, 3 with 0.36.
-        answer = by_tuple_distribution_count(ds1, pm1, q1)
+        answer = run_possibly_grouped(ds1, pm1, q1, distribution_count_kernel)
         assert answer.distribution.probability_of(1) == pytest.approx(0.16)
         assert answer.distribution.probability_of(2) == pytest.approx(0.48)
         assert answer.distribution.probability_of(3) == pytest.approx(0.36)
@@ -102,7 +108,7 @@ class TestExample3:
         naive = naive_by_tuple_answer(
             ds1, pm1, q1, AggregateSemantics.DISTRIBUTION
         )
-        dp = by_tuple_distribution_count(ds1, pm1, q1)
+        dp = run_possibly_grouped(ds1, pm1, q1, distribution_count_kernel)
         assert naive.distribution.approx_equal(dp.distribution, 1e-9)
 
 
@@ -146,7 +152,9 @@ class TestTableIV:
 
     def test_trace_and_final_answer(self, ds1, q1, pm1):
         trace: list[dict] = []
-        answer = by_tuple_range_count(ds1, pm1, q1, trace=trace)
+        answer = run_possibly_grouped(
+            ds1, pm1, q1, partial(range_count_kernel, trace=trace)
+        )
         assert answer.as_tuple() == (1, 3)
         # Tuple-by-tuple bounds on the Table I instance: t1 sat under m11
         # only; t2 under none; t3 under both; t4 under m11 only.
@@ -160,7 +168,9 @@ class TestTableV:
 
     def test_trace_rows_are_distributions(self, ds1, q1, pm1):
         trace: list[dict] = []
-        by_tuple_distribution_count(ds1, pm1, q1, trace=trace)
+        run_possibly_grouped(
+            ds1, pm1, q1, partial(distribution_count_kernel, trace=trace)
+        )
         assert len(trace) == 4
         for step in trace:
             assert sum(step["probabilities"]) == pytest.approx(1.0)
@@ -168,13 +178,17 @@ class TestTableV:
     def test_first_tuple_probabilities(self, ds1, q1, pm1):
         # After tuple 1 (satisfies under m11 only): P(0)=0.4, P(1)=0.6.
         trace: list[dict] = []
-        by_tuple_distribution_count(ds1, pm1, q1, trace=trace)
+        run_possibly_grouped(
+            ds1, pm1, q1, partial(distribution_count_kernel, trace=trace)
+        )
         assert trace[0]["probabilities"][0] == pytest.approx(0.4)
         assert trace[0]["probabilities"][1] == pytest.approx(0.6)
 
     def test_final_distribution(self, ds1, q1, pm1):
         trace: list[dict] = []
-        by_tuple_distribution_count(ds1, pm1, q1, trace=trace)
+        run_possibly_grouped(
+            ds1, pm1, q1, partial(distribution_count_kernel, trace=trace)
+        )
         final = trace[-1]["probabilities"]
         # paper Table V final row: 0, 0.16, 0.48, 0.36, 0
         assert final[0] == pytest.approx(0.0)
@@ -193,7 +207,9 @@ class TestTableVI:
 
     def test_trace(self, ds2, q2_prime, pm2):
         trace: list[dict] = []
-        answer = by_tuple_range_sum(ds2, pm2, q2_prime, trace=trace)
+        answer = run_possibly_grouped(
+            ds2, pm2, q2_prime, partial(range_sum_kernel, trace=trace)
+        )
         assert [t["tuple_index"] for t in trace] == [0, 1, 2, 3]
         assert trace[0] == {
             "tuple_index": 0, "vmin": 195.0, "vmax": 195.0,
@@ -241,13 +257,8 @@ class TestTableVII:
         assert naive.value == pytest.approx(975.437)
 
     def test_theorem4_by_tuple_equals_by_table(self, ds2, q2_prime, pm2):
-        by_tuple = by_tuple_expected_sum(ds2, pm2, q2_prime)
-        by_table = by_table_answer(
-            q2_prime,
-            pm2,
-            memory_executor({"S2": ds2}),
-            AggregateSemantics.EXPECTED_VALUE,
-        )
+        by_tuple = run_possibly_grouped(ds2, pm2, q2_prime, expected_sum_kernel)
+        by_table = _by_table(ds2, pm2, q2_prime, AggregateSemantics.EXPECTED_VALUE)
         assert by_tuple.value == pytest.approx(by_table.value)
         assert by_tuple.value == pytest.approx(975.437)
 
@@ -256,9 +267,7 @@ class TestExample4:
     """Q2 (nested AVG-of-MAX) under by-table semantics."""
 
     def test_by_table_values(self, ds2, q2, pm2):
-        answer = by_table_answer(
-            q2, pm2, memory_executor({"S2": ds2}), AggregateSemantics.DISTRIBUTION
-        )
+        answer = _by_table(ds2, pm2, q2, AggregateSemantics.DISTRIBUTION)
         # Consistent with Table II: bids -> (349.99+439.95)/2, currentPrice
         # -> (336.94+438.05)/2.  (The paper prints 345.245/385.945, which do
         # not follow from its Table II; see EXPERIMENTS.md.)
@@ -271,7 +280,7 @@ class TestSectionIVMax:
 
     def test_auction_38_range(self, ds2, pm2):
         q = parse_query("SELECT MAX(DISTINCT price) FROM T2 GROUP BY auctionID")
-        answer = by_tuple_range_max(ds2, pm2, q)
+        answer = run_possibly_grouped(ds2, pm2, q, range_max_kernel)
         auction_38 = answer[38]
         # paper: [340.05, 439.95] — 340.05 is a typo for 340.5, the bid of
         # transaction 3804 (min of its two values 340.5/438.05).
@@ -280,16 +289,16 @@ class TestSectionIVMax:
 
     def test_auction_34_range(self, ds2, pm2):
         q = parse_query("SELECT MAX(DISTINCT price) FROM T2 GROUP BY auctionID")
-        answer = by_tuple_range_max(ds2, pm2, q)
+        answer = run_possibly_grouped(ds2, pm2, q, range_max_kernel)
         assert answer[34].low == pytest.approx(336.94)
         assert answer[34].high == pytest.approx(349.99)
 
 
 class TestExpectedCountConsistency:
     def test_expected_count_2_2(self, ds1, q1, pm1):
-        answer = by_tuple_expected_count(ds1, pm1, q1)
+        answer = run_possibly_grouped(ds1, pm1, q1, dp_expected_count_kernel)
         assert answer.value == pytest.approx(2.2)
 
     def test_linear_method_agrees(self, ds1, q1, pm1):
-        linear = by_tuple_expected_count(ds1, pm1, q1, method="linear")
+        linear = run_possibly_grouped(ds1, pm1, q1, expected_count_kernel)
         assert linear.value == pytest.approx(2.2)

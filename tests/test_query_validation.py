@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.bytable import by_table_answer, memory_executor
+from repro.core.bytable import combine_results, memory_executor
 from repro.core.engine import AggregationEngine
 from repro.core.semantics import AggregateSemantics, MappingSemantics
 from repro.data import realestate
@@ -24,6 +24,7 @@ from repro.exceptions import SchemaError, UnsupportedQueryError
 from repro.obs import metrics
 from repro.serve import DatasetRegistry, ServeClient, ServeConfig, ServiceThread
 from repro.sql.parser import parse_query
+from repro.sql.reformulate import reformulations
 
 #: T1 has ``listPrice`` and ``propertyID``; its source S1 has ``price``
 #: and ``ID``.
@@ -110,16 +111,18 @@ def test_expected_extreme_needs_numbers(sql, mapping_semantics, policy):
 
 @pytest.mark.parametrize("sql", NON_NUMERIC_EXTREMES)
 def test_direct_by_table_expected_extreme_needs_numbers(sql):
-    # by_table_answer bypasses the planner; its combine step still rejects
+    # Figure 1's combine step, reached without the planner, still rejects
     # a non-numeric expected value with the typed error.
     table = realestate.paper_instance()
-    with pytest.raises(UnsupportedQueryError, match="numeric"):
-        by_table_answer(
-            parse_query(sql),
-            realestate.paper_pmapping(),
-            memory_executor({table.relation.name: table}),
-            AggregateSemantics.EXPECTED_VALUE,
+    execute = memory_executor({table.relation.name: table})
+    results = [
+        (execute(reformulated), probability)
+        for reformulated, probability in reformulations(
+            parse_query(sql), realestate.paper_pmapping(), unmapped="null"
         )
+    ]
+    with pytest.raises(UnsupportedQueryError, match="numeric"):
+        combine_results(results, AggregateSemantics.EXPECTED_VALUE)
 
 
 def test_query_endpoint_answers_400():

@@ -528,6 +528,20 @@ def test_served_answers_bit_identical_to_engine(registry):
         service.stop()
 
 
+def test_metrics_endpoint_scrapes(registry):
+    """GET /metrics is the scrape endpoint: the service registry's
+    Prometheus exposition, counting the requests it served."""
+    service = make_service(registry)
+    try:
+        with ServeClient(port=service.port) as client:
+            client.answer("demo", "SELECT COUNT(*) FROM T", "by-table", "range")
+            text = client.metrics_text()
+    finally:
+        service.stop()
+    assert "# TYPE repro_serve_requests_total counter" in text
+    assert "repro_serve_requests_total " in text
+
+
 def test_typed_errors_over_the_wire(registry):
     service = make_service(registry)
     try:

@@ -12,15 +12,16 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings
 
-from repro.core.bytuple_avg import by_tuple_range_avg
+from repro.core.bytuple_avg import range_avg_kernel
 from repro.core.bytuple_count import (
-    by_tuple_distribution_count,
     count_distribution_dp,
-    by_tuple_expected_count,
-    by_tuple_range_count,
+    distribution_count_kernel,
+    expected_count_kernel,
+    range_count_kernel,
 )
-from repro.core.bytuple_minmax import by_tuple_range_max, by_tuple_range_min
-from repro.core.bytuple_sum import by_tuple_expected_sum, by_tuple_range_sum
+from repro.core.bytuple_minmax import range_max_kernel, range_min_kernel
+from repro.core.bytuple_sum import expected_sum_kernel, range_sum_kernel
+from repro.core.common import run_possibly_grouped
 from repro.core.engine import AggregationEngine
 from repro.core.semantics import AggregateSemantics
 from repro.core.streaming import answer_stream
@@ -74,8 +75,8 @@ class TestAgainstBatchAlgorithms:
     @given(small_problems())
     def test_range_count(self, problem):
         streamed = _stream_answer(problem, COUNT_Q, RANGE)
-        batch = by_tuple_range_count(
-            problem.table, problem.pmapping, problem.query(COUNT_Q)
+        batch = run_possibly_grouped(
+            problem.table, problem.pmapping, problem.query(COUNT_Q), range_count_kernel
         )
         assert streamed == batch
 
@@ -83,8 +84,8 @@ class TestAgainstBatchAlgorithms:
     @given(small_problems())
     def test_range_sum(self, problem):
         streamed = _stream_answer(problem, SUM_Q, RANGE)
-        batch = by_tuple_range_sum(
-            problem.table, problem.pmapping, problem.query(SUM_Q)
+        batch = run_possibly_grouped(
+            problem.table, problem.pmapping, problem.query(SUM_Q), range_sum_kernel
         )
         assert streamed == batch
 
@@ -92,8 +93,8 @@ class TestAgainstBatchAlgorithms:
     @given(small_problems())
     def test_range_avg(self, problem):
         streamed = _stream_answer(problem, AVG_Q, RANGE)
-        batch = by_tuple_range_avg(
-            problem.table, problem.pmapping, problem.query(AVG_Q)
+        batch = run_possibly_grouped(
+            problem.table, problem.pmapping, problem.query(AVG_Q), range_avg_kernel
         )
         assert streamed == batch
 
@@ -101,13 +102,13 @@ class TestAgainstBatchAlgorithms:
     @given(small_problems())
     def test_range_minmax(self, problem):
         streamed_max = _stream_answer(problem, MAX_Q, RANGE)
-        batch_max = by_tuple_range_max(
-            problem.table, problem.pmapping, problem.query(MAX_Q)
+        batch_max = run_possibly_grouped(
+            problem.table, problem.pmapping, problem.query(MAX_Q), range_max_kernel
         )
         assert streamed_max == batch_max
         streamed_min = _stream_answer(problem, MIN_Q, RANGE)
-        batch_min = by_tuple_range_min(
-            problem.table, problem.pmapping, problem.query(MIN_Q)
+        batch_min = run_possibly_grouped(
+            problem.table, problem.pmapping, problem.query(MIN_Q), range_min_kernel
         )
         assert streamed_min == batch_min
 
@@ -115,9 +116,11 @@ class TestAgainstBatchAlgorithms:
     @given(small_problems())
     def test_expected_count(self, problem):
         streamed = _stream_answer(problem, COUNT_Q, EXPECTED)
-        batch = by_tuple_expected_count(
-            problem.table, problem.pmapping, problem.query(COUNT_Q),
-            method="linear",
+        batch = run_possibly_grouped(
+            problem.table,
+            problem.pmapping,
+            problem.query(COUNT_Q),
+            expected_count_kernel,
         )
         assert streamed == batch
 
@@ -125,9 +128,8 @@ class TestAgainstBatchAlgorithms:
     @given(small_problems())
     def test_expected_sum(self, problem):
         streamed = _stream_answer(problem, SUM_Q, EXPECTED)
-        batch = by_tuple_expected_sum(
-            problem.table, problem.pmapping, problem.query(SUM_Q),
-            method="exact",
+        batch = run_possibly_grouped(
+            problem.table, problem.pmapping, problem.query(SUM_Q), expected_sum_kernel
         )
         assert streamed == batch
 
@@ -135,8 +137,11 @@ class TestAgainstBatchAlgorithms:
     @given(small_problems())
     def test_distribution_count(self, problem):
         streamed = _stream_answer(problem, COUNT_Q, DISTRIBUTION)
-        batch = by_tuple_distribution_count(
-            problem.table, problem.pmapping, problem.query(COUNT_Q)
+        batch = run_possibly_grouped(
+            problem.table,
+            problem.pmapping,
+            problem.query(COUNT_Q),
+            distribution_count_kernel,
         )
         assert streamed == batch
 
@@ -153,8 +158,8 @@ class TestCsvStreaming:
             query,
             RANGE,
         )
-        batch = by_tuple_range_count(
-            table, realestate.paper_pmapping(), query
+        batch = run_possibly_grouped(
+            table, realestate.paper_pmapping(), query, range_count_kernel
         )
         assert streamed == batch
 

@@ -14,14 +14,15 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core import vectorized as V
-from repro.core.bytuple_avg import by_tuple_range_avg
+from repro.core.bytuple_avg import range_avg_kernel
 from repro.core.bytuple_count import (
-    by_tuple_distribution_count,
-    by_tuple_range_count,
     count_distribution_dp,
+    distribution_count_kernel,
+    range_count_kernel,
 )
-from repro.core.bytuple_minmax import by_tuple_range_max, by_tuple_range_min
-from repro.core.bytuple_sum import by_tuple_range_sum
+from repro.core.bytuple_minmax import range_max_kernel, range_min_kernel
+from repro.core.bytuple_sum import expected_sum_kernel, range_sum_kernel
+from repro.core.common import run_possibly_grouped
 from repro.core.semantics import AggregateSemantics
 from repro.data import realestate, synthetic
 from repro.sql.ast import AggregateOp
@@ -34,15 +35,15 @@ pytest.importorskip("numpy")
 
 def _vec(ctable, pmapping, query, semantics=AggregateSemantics.RANGE):
     """The array kernel of the query's by-tuple cell over ``ctable``."""
-    return V.run_grouped_vectorized(ctable, pmapping, query, semantics)
+    return V.answer_problem(V.VectorizedProblem(ctable, pmapping, query), semantics)
 
 
 PAIRS = [
-    ("SELECT COUNT(*) FROM {t} WHERE value < {c}", by_tuple_range_count),
-    ("SELECT SUM(value) FROM {t} WHERE value < {c}", by_tuple_range_sum),
-    ("SELECT AVG(value) FROM {t} WHERE value < {c}", by_tuple_range_avg),
-    ("SELECT MAX(value) FROM {t} WHERE value < {c}", by_tuple_range_max),
-    ("SELECT MIN(value) FROM {t} WHERE value < {c}", by_tuple_range_min),
+    ("SELECT COUNT(*) FROM {t} WHERE value < {c}", range_count_kernel),
+    ("SELECT SUM(value) FROM {t} WHERE value < {c}", range_sum_kernel),
+    ("SELECT AVG(value) FROM {t} WHERE value < {c}", range_avg_kernel),
+    ("SELECT MAX(value) FROM {t} WHERE value < {c}", range_max_kernel),
+    ("SELECT MIN(value) FROM {t} WHERE value < {c}", range_min_kernel),
 ]
 
 
@@ -51,9 +52,11 @@ class TestScalarVectorAgreement:
     @given(small_problems())
     def test_all_range_algorithms(self, problem):
         columnar = V.ColumnarTable(problem.table)
-        for template, scalar_fn in PAIRS:
+        for template, kernel in PAIRS:
             query = problem.query(template)
-            scalar = scalar_fn(problem.table, problem.pmapping, query)
+            scalar = run_possibly_grouped(
+                problem.table, problem.pmapping, query, kernel
+            )
             vector = _vec(columnar, problem.pmapping, query)
             if scalar.is_defined:
                 assert vector.low == pytest.approx(scalar.low), template
@@ -65,8 +68,8 @@ class TestScalarVectorAgreement:
     @given(small_problems())
     def test_count_distribution(self, problem):
         query = problem.query("SELECT COUNT(*) FROM {t} WHERE value < {c}")
-        scalar = by_tuple_distribution_count(
-            problem.table, problem.pmapping, query
+        scalar = run_possibly_grouped(
+            problem.table, problem.pmapping, query, distribution_count_kernel
         )
         vector = _vec(
             V.ColumnarTable(problem.table),
@@ -79,10 +82,12 @@ class TestScalarVectorAgreement:
     def test_medium_workload(self):
         workload = synthetic.generate_workload(2000, 8, 4, seed=11)
         columnar = V.ColumnarTable(workload.table)
-        for template, scalar_fn in PAIRS:
+        for template, kernel in PAIRS:
             op = template.split("(")[0].split()[-1]
             query = parse_query(workload.query(AggregateOp(op)))
-            scalar = scalar_fn(workload.table, workload.pmapping, query)
+            scalar = run_possibly_grouped(
+                workload.table, workload.pmapping, query, kernel
+            )
             vector = _vec(columnar, workload.pmapping, query)
             assert vector.low == pytest.approx(scalar.low)
             assert vector.high == pytest.approx(scalar.high)
@@ -99,13 +104,11 @@ class TestScalarVectorAgreement:
         )
         assert dp.value == pytest.approx(linear.value)
         q_sum = parse_query(workload.query(AggregateOp.SUM))
-        from repro.core.bytuple_sum import by_tuple_expected_sum
-
         vec = _vec(
             columnar, workload.pmapping, q_sum, AggregateSemantics.EXPECTED_VALUE
         )
-        scalar = by_tuple_expected_sum(
-            workload.table, workload.pmapping, q_sum, method="exact"
+        scalar = run_possibly_grouped(
+            workload.table, workload.pmapping, q_sum, expected_sum_kernel
         )
         assert vec.value == pytest.approx(scalar.value)
 
@@ -191,48 +194,35 @@ class TestColumnarTable:
 
 class TestGroupedVectorized:
     def test_matches_scalar_grouped(self, ds2, pm2):
-        from repro.core.vectorized import run_grouped_vectorized
-
         q = parse_query(
             "SELECT MAX(price) FROM T2 WHERE price > 200 GROUP BY auctionID"
         )
-        scalar = by_tuple_range_max(ds2, pm2, q)
-        vector = run_grouped_vectorized(
-            V.ColumnarTable(ds2), pm2, q, AggregateSemantics.RANGE
-        )
+        scalar = run_possibly_grouped(ds2, pm2, q, range_max_kernel)
+        vector = _vec(V.ColumnarTable(ds2), pm2, q)
         assert set(scalar.groups) == set(vector.groups)
         for key, answer in scalar:
             assert vector[key].low == pytest.approx(answer.low)
             assert vector[key].high == pytest.approx(answer.high)
 
     def test_group_keys_converted_to_python_types(self, ds2, pm2):
-        from repro.core.vectorized import run_grouped_vectorized
-
         q = parse_query("SELECT SUM(price) FROM T2 GROUP BY auctionID")
-        grouped = run_grouped_vectorized(
-            V.ColumnarTable(ds2), pm2, q, AggregateSemantics.RANGE
-        )
+        grouped = _vec(V.ColumnarTable(ds2), pm2, q)
         assert all(isinstance(key, int) for key in grouped.groups)
 
     def test_flat_query_passes_through(self, ds2, pm2):
-        from repro.core.vectorized import run_grouped_vectorized
-
         q = parse_query("SELECT MAX(price) FROM T2")
         problem = V.VectorizedProblem(V.ColumnarTable(ds2), pm2, q)
         assert problem.starts.tolist() == [0] and problem.groups is None
         direct = V.PROBLEM_KERNELS[(AggregateOp.MAX, AggregateSemantics.RANGE)](
             problem, problem.starts
         )
-        routed = run_grouped_vectorized(
-            V.ColumnarTable(ds2), pm2, q, AggregateSemantics.RANGE
-        )
+        routed = _vec(V.ColumnarTable(ds2), pm2, q)
         assert direct == [routed]
 
     def test_grouped_medium_workload_matches_scalar(self):
         # A synthetic workload with an artificial group column.
         import random
 
-        from repro.core.vectorized import run_grouped_vectorized
         from repro.schema.correspondence import AttributeCorrespondence
         from repro.schema.mapping import PMapping, RelationMapping
         from repro.schema.model import Attribute, AttributeType, Relation
@@ -269,12 +259,8 @@ class TestGroupedVectorized:
         ]
         pm = PMapping(relation, target, [(mappings[0], 0.4), (mappings[1], 0.6)])
         q = parse_query("SELECT SUM(value) FROM MED WHERE value < 60 GROUP BY g")
-        from repro.core.bytuple_sum import by_tuple_range_sum
-
-        scalar = by_tuple_range_sum(table, pm, q)
-        vector = run_grouped_vectorized(
-            V.ColumnarTable(table), pm, q, AggregateSemantics.RANGE
-        )
+        scalar = run_possibly_grouped(table, pm, q, range_sum_kernel)
+        vector = _vec(V.ColumnarTable(table), pm, q)
         assert set(scalar.groups) == set(vector.groups)
         for key, answer in scalar:
             assert vector[key].low == pytest.approx(answer.low)
@@ -294,7 +280,7 @@ class TestVectorizationLimits:
         columnar = V.ColumnarTable(ds2)
         q = parse_query("SELECT MAX(price) FROM T2 GROUP BY auctionID")
         vector = _vec(columnar, pm2, q)
-        scalar = by_tuple_range_max(ds2, pm2, q)
+        scalar = run_possibly_grouped(ds2, pm2, q, range_max_kernel)
         assert vector == scalar
 
     def test_boolean_conditions_vectorize(self, ds2, pm2):
@@ -304,7 +290,7 @@ class TestVectorizationLimits:
             "OR NOT price >= 195"
         )
         vector = _vec(columnar, pm2, q)
-        scalar = by_tuple_range_count(ds2, pm2, q)
+        scalar = run_possibly_grouped(ds2, pm2, q, range_count_kernel)
         assert vector == scalar
 
     def test_between_and_in_vectorize(self, ds2, pm2):
@@ -314,5 +300,5 @@ class TestVectorizationLimits:
             "AND auctionID IN (34, 38)"
         )
         vector = _vec(columnar, pm2, q)
-        scalar = by_tuple_range_count(ds2, pm2, q)
+        scalar = run_possibly_grouped(ds2, pm2, q, range_count_kernel)
         assert vector == scalar
