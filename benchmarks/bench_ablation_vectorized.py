@@ -43,9 +43,7 @@ def scalar_context():
 
 @pytest.fixture(scope="module")
 def vector_context():
-    context = make_synthetic_context(
-        50000, 20, 10, use_vectorized=True, prebuild_columnar=True
-    )
+    context = make_synthetic_context(50000, 20, 10, use_vectorized=True)
     yield context
     context.close()
 

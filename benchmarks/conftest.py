@@ -47,7 +47,7 @@ def wide_context():
     """5k tuples x 110 attributes x 100 mappings (Figure 10's regime)."""
     context = make_synthetic_context(
         5000, 110, 100, use_vectorized=True,
-        prematerialize=True, prebuild_columnar=True,
+        prematerialize=True,
     )
     yield context
     context.close()
@@ -66,7 +66,7 @@ def xlarge_context():
     """1M tuples x 5 mappings, vectorized (Figure 12's regime)."""
     context = make_synthetic_context(
         1_000_000, 20, 5, use_vectorized=True,
-        prematerialize=True, prebuild_columnar=True,
+        prematerialize=True,
     )
     yield context
     context.close()
