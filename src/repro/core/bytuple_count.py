@@ -74,7 +74,14 @@ def count_distribution_dp(
     the distribution as it is, so the table widens only on tuples that
     can: its width is #qualifying + 1.
     """
+    # probabilities[i] is P(count = lo + i).  Every count outside that
+    # live window has probability exactly 0 and stays so under the step
+    # below, so only the window is folded; each step trims it past the
+    # zeros that q == 1 rows and underflow leave at its ends.  The table
+    # itself (trace rows, support, accounting) keeps its full width.
     probabilities = [1.0]  # P(count = 0) before any tuple
+    lo = 0
+    width = 1
     rows = 0
     dp_cells = 0
     guard = guardmod.current_guard()
@@ -92,7 +99,7 @@ def count_distribution_dp(
         if occ > 0.0:
             if guard is not None:
                 # The support budget bounds the table's width.
-                guard.note_support(len(probabilities) + 1)
+                guard.note_support(width + 1)
             not_occ = 1.0 - occ
             # P'(j) = P(j) * notOcc + P(j-1) * occ  (paper Figure 3, lines 6-9)
             previous = probabilities
@@ -102,19 +109,39 @@ def count_distribution_dp(
                     previous[j] * not_occ + previous[j - 1] * occ
                 )
             probabilities.append(previous[-1] * occ)
-            dp_cells += len(probabilities)
+            width += 1
+            dp_cells += width
+            if not (probabilities[0] and probabilities[-1]):
+                probabilities, lo = _live_window(probabilities, lo)
         if trace is not None:
+            high = width - lo - len(probabilities)
             trace.append(
-                {"tuple_index": index, "probabilities": list(probabilities)}
+                {
+                    "tuple_index": index,
+                    "probabilities": [0.0] * lo + probabilities + [0.0] * high,
+                }
             )
     # The Figure 3 table: one row per tuple, widening by one column per
     # qualifying tuple — rows x cols is what the O(m * n^2) bound counts.
     metrics.inc("count_dp.rows", rows)
     metrics.inc("count_dp.cells", dp_cells)
-    metrics.observe("count_dp.width", len(probabilities))
+    metrics.observe("count_dp.width", width)
     return DiscreteDistribution(
-        ((count, p) for count, p in enumerate(probabilities) if p > 0.0),
+        ((count, p) for count, p in enumerate(probabilities, lo) if p > 0.0),
     )
+
+
+def _live_window(cells: list[float], lo: int) -> tuple[list[float], int]:
+    """``cells`` (``cells[i]`` the probability of count ``lo + i``) without
+    its zero ends, and the count its first kept cell is for.  The DP's
+    probabilities sum to about 1, so a nonzero cell always remains."""
+    start = 0
+    while not cells[start]:
+        start += 1
+    stop = len(cells)
+    while not cells[stop - 1]:
+        stop -= 1
+    return cells[start:stop], lo + start
 
 
 def distribution_count_kernel(

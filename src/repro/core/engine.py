@@ -57,7 +57,7 @@ from repro.core.answers import AggregateAnswer, BatchResult
 from repro.core.compile import CompiledQuery, cache_key
 from repro.core.execute import ExecutionContext, PreparedQuery
 from repro.core.guard import Budget
-from repro.core.planner import AlgorithmSpec, ExecutionPlan, Planner
+from repro.core.planner import ExecutionPlan, Planner
 from repro.core.semantics import (
     AggregateSemantics,
     MappingSemantics,
@@ -73,7 +73,6 @@ from repro.obs import metrics, trace
 from repro.obs.timers import Stopwatch
 from repro.schema.mapping import PMapping, SchemaPMapping
 from repro.sql.ast import AggregateQuery
-from repro.sql.parser import parse_query
 from repro.storage.sqlite_backend import SQLiteBackend
 from repro.storage.table import Table
 
@@ -102,16 +101,15 @@ class AggregationEngine:
         engine's :class:`Planner` is built from these flags (all off: the
         strict paper-faithful policy).
     vectorize:
-        With ``True`` (the default) and numpy importable, the engine keeps
-        a columnar snapshot of each table
-        (:class:`~repro.storage.columnar.ColumnarTable`, built lazily and
-        cached until :meth:`invalidate`/:meth:`close`), and the by-tuple
-        PTIME, sampling and by-table lanes run their array bodies over it
-        (:mod:`repro.core.vectorized`) where the query and data allow,
-        with bit-identical answers.  With ``False`` no snapshot is built
-        and every lane runs its pure-Python body, exactly as on an
-        install without numpy (``pip install repro[fast]`` declares the
-        optional dependency).
+        With ``True`` (the default), the engine keeps a columnar snapshot
+        of each table (:class:`~repro.storage.columnar.ColumnarTable`,
+        built lazily and cached until :meth:`invalidate`/:meth:`close`),
+        and the by-tuple PTIME, sampling and by-table lanes run their
+        array bodies over it (:mod:`repro.core.vectorized`) where the
+        query and data allow, with bit-identical answers.  With ``False``
+        no snapshot is built and every lane runs its pure-Python body
+        (the Figure 2–5 row walks for the PTIME cells), the reference
+        the array bodies are checked against.
     samples / seed / max_sequences:
         Defaults for the sampling estimator and the naive-enumeration
         guard; individual :meth:`answer` calls can override them.
@@ -515,21 +513,6 @@ class AggregationEngine:
         ``docs/observability.md``.
         """
         return self.context.query_log.recent(n)
-
-    def algorithm_for(
-        self,
-        query: str | AggregateQuery,
-        mapping_semantics: MappingSemantics | str,
-        aggregate_semantics: AggregateSemantics | str,
-    ) -> AlgorithmSpec:
-        """The algorithm the engine would use (inspection/testing hook)."""
-        if isinstance(query, str):
-            query = parse_query(query)
-        return self.planner.algorithm_for(
-            query.aggregate.op,
-            coerce_mapping_semantics(mapping_semantics),
-            coerce_aggregate_semantics(aggregate_semantics),
-        )
 
     def answer_six(
         self,

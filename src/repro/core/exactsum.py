@@ -13,7 +13,9 @@ exact bucket totals once with :func:`math.fsum`.  Exact sums of the same
 multiset round to the same float, so the result is ``==`` to
 :meth:`ExactSum.value`.
 
-This module stays pure Python, so the row walks need no numpy.
+This module stays pure Python: it is the exact sum of the row walks,
+the reference the array kernels are checked against, so it shares no
+code with the numpy side it checks.
 
 :class:`ExactSum` keeps the running total as a list of non-overlapping
 partial sums (Shewchuk's error-free transformation, the same technique
@@ -28,7 +30,6 @@ CPython's ``math.fsum``.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 
 __all__ = ["ExactSum"]
 
@@ -47,10 +48,8 @@ class ExactSum:
 
     __slots__ = ("_partials",)
 
-    def __init__(self, values: Iterable[float] = ()) -> None:
+    def __init__(self) -> None:
         self._partials: list[float] = []
-        for value in values:
-            self.add(value)
 
     def add(self, value: float) -> None:
         """Fold ``value`` into the exact total (error-free transformation)."""
@@ -71,12 +70,6 @@ class ExactSum:
     def value(self) -> float:
         """The correctly-rounded sum of everything added so far."""
         return math.fsum(self._partials)
-
-    def copy(self) -> "ExactSum":
-        """An independent accumulator with the same exact total."""
-        duplicate = ExactSum()
-        duplicate._partials = list(self._partials)
-        return duplicate
 
     def __repr__(self) -> str:
         return f"ExactSum({self.value()!r})"

@@ -66,7 +66,6 @@ from repro.obs import metrics, querylog, trace
 from repro.testing import faults
 from repro.schema.mapping import SchemaPMapping
 from repro.sql.ast import AggregateOp, AggregateQuery
-from repro.storage import columnar as columnarmod
 from repro.storage.columnar import ColumnarTable
 from repro.storage.sqlite_backend import SQLiteBackend
 from repro.storage.table import Table
@@ -193,14 +192,14 @@ class ExecutionContext:
         """The cached columnar snapshot of one compiled query's table.
 
         The one switch for every array body: ``None`` (every lane runs its
-        pure-Python body) unless numpy is importable and the engine was
-        built with ``vectorize=True``.  Built once per source relation and
+        pure-Python reference body) unless the engine was built with
+        ``vectorize=True``.  Built once per source relation and
         shared across lanes.  A cached entry whose row count no longer
         matches the table is rebuilt (a defensive guard; :meth:`invalidate`
         after mutating a table remains the contract — a same-length data
         swap is only caught there).
         """
-        if not (self.vectorize and columnarmod.HAVE_NUMPY):
+        if not self.vectorize:
             return None
         name = compiled.pmapping.source.name
         with self._lock:
@@ -267,7 +266,6 @@ class ExecutionContext:
                     plan = planner.plan(
                         compiled, mapping_semantics, aggregate_semantics, self
                     )
-                self.metrics.inc(f"plan.lane.{plan.lane}")
                 self.metrics.inc(
                     "plan.cell."
                     f"{compiled.query.aggregate.op.value}."

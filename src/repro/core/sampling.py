@@ -30,6 +30,8 @@ import random
 import threading
 from collections.abc import Iterator
 
+import numpy as np
+
 from repro.core import guard as guardmod
 from repro.core.answers import (
     AggregateAnswer,
@@ -47,11 +49,6 @@ from repro.obs import metrics
 from repro.schema.mapping import PMapping
 from repro.sql.ast import AggregateOp, AggregateQuery, SubquerySource
 from repro.storage.table import Table
-
-try:  # pragma: no cover - exercised by the no-numpy CI job
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None
 
 #: Default number of sampled mapping sequences.
 DEFAULT_SAMPLES = 2000

@@ -31,7 +31,7 @@ subnormal or huge items does):
   occurrence probability (at most ``2**m`` patterns).
 
 Queries or data outside the vectorizable fragment — non-numeric or DATE
-aggregate arguments, nested queries, a missing numpy — raise
+aggregate arguments, nested queries — raise
 :class:`VectorizationError` (a :class:`~repro.storage.columnar.ColumnarError`);
 the by-tuple PTIME lane (:mod:`repro.core.execute`) then runs the row
 walk instead.  NULLs and GROUP BY are *inside* the fragment: null masks
@@ -45,6 +45,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+
+import numpy as np
 
 from repro.core import guard as guardmod
 from repro.core.answers import (
@@ -80,17 +82,11 @@ from repro.sql.ast import (
 )
 from repro.sql.conditions import _coerce_literal, _like_to_regex
 from repro.sql.reformulate import reformulate_query
-from repro.storage.columnar import HAVE_NUMPY, ColumnarError, ColumnarTable
-
-try:  # pragma: no cover - exercised by the no-numpy CI job
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None
+from repro.storage.columnar import ColumnarError, ColumnarTable
 
 __all__ = [
     "ColumnarTable",
     "ColumnarError",
-    "HAVE_NUMPY",
     "VectorizationError",
     "VectorizedProblem",
     "PROBLEM_KERNELS",
@@ -376,10 +372,6 @@ class VectorizedProblem:
     def __init__(
         self, ctable: ColumnarTable, pmapping: PMapping, query: AggregateQuery
     ) -> None:
-        if np is None:
-            raise VectorizationError(
-                "numpy is unavailable; use the scalar algorithms"
-            )
         check_by_tuple_query(pmapping, query, nested=VectorizationError)
         self.op = query.aggregate.op
         self.ctable = ctable

@@ -118,27 +118,6 @@ class Span:
             if sink is not None:
                 sink.handle(self)
 
-    def __getstate__(self) -> dict:
-        # Pickled spans travel closed: the context token is meaningless
-        # in another process.
-        return {
-            "name": self.name,
-            "attributes": self.attributes,
-            "start": self.start,
-            "end": self.end,
-            "start_ts": self.start_ts,
-            "children": self.children,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.name = state["name"]
-        self.attributes = state["attributes"]
-        self.start = state["start"]
-        self.end = state["end"]
-        self.start_ts = state["start_ts"]
-        self.children = state["children"]
-        self._token = None
-
     def __repr__(self) -> str:
         return f"Span({self.name!r}, {self.seconds * 1e3:.3f} ms)"
 
@@ -221,24 +200,6 @@ def uninstall_sink() -> None:
     """Remove the process-wide default sink."""
     global _PROCESS_SINK
     _PROCESS_SINK = None
-
-
-@contextmanager
-def capture_into(sink):
-    """Record into ``sink`` from a *detached* trace context.
-
-    Like :func:`use_sink`, but also resets the open-span stack to empty
-    for the duration, so the first span entered inside the block is a
-    root handed to ``sink`` — regardless of what the surrounding context
-    had open.
-    """
-    sink_token = _SINK.set(sink)
-    stack_token = _STACK.set(())
-    try:
-        yield sink
-    finally:
-        _STACK.reset(stack_token)
-        _SINK.reset(sink_token)
 
 
 @contextmanager

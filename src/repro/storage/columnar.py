@@ -30,11 +30,6 @@ integers up to 2**53; a column holding a larger magnitude is flagged
 (:meth:`ColumnarTable.exact`) and the array kernels decline it, leaving
 such data to the exact row walks.
 
-The numpy import is guarded (``pip install repro[fast]`` declares the
-optional dependency): without numpy, building a :class:`ColumnarTable`
-raises :class:`ColumnarError`, the engine builds no snapshot, and every
-lane runs its pure-Python body.
-
 Build-once semantics: a :class:`ColumnarTable` is a snapshot of the rows
 at construction time and is never mutated afterwards; mutating the source
 :class:`~repro.storage.table.Table` requires a fresh build (the engine's
@@ -45,25 +40,17 @@ from __future__ import annotations
 
 import datetime
 
+import numpy as np
+
 from repro.exceptions import StorageError
 from repro.schema.model import AttributeType, Relation
 from repro.storage.table import Table
 
-try:  # pragma: no cover - exercised by the no-numpy CI job
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None
-
-#: True when numpy is importable; the planner and the prepared-query
-#: materializer consult this before routing work at the columnar layer.
-HAVE_NUMPY = np is not None
-
-__all__ = ["ColumnarError", "ColumnarTable", "HAVE_NUMPY"]
+__all__ = ["ColumnarError", "ColumnarTable"]
 
 
 class ColumnarError(StorageError):
-    """The columnar layer cannot serve a request (unknown column, or no
-    numpy to build arrays with)."""
+    """The columnar layer cannot serve a request (an unknown column)."""
 
 
 def _null_mask(raw, row_count: int):
@@ -102,7 +89,6 @@ class ColumnarTable:
         The row-major source.  Cell values are assumed coerced to the
         relation's attribute types (``Table`` guarantees this).
 
-    Raises :class:`ColumnarError` when numpy is not importable.
     Instances are picklable and immutable by convention: no method
     mutates the arrays after construction.
     """
@@ -145,10 +131,6 @@ class ColumnarTable:
         raw_columns: dict[str, tuple],
         row_count: int,
     ) -> None:
-        if not HAVE_NUMPY:
-            raise ColumnarError(
-                "the columnar layer needs numpy (pip install repro[fast])"
-            )
         self.relation = relation
         self.row_count = row_count
         self._columns: dict[str, object] = {}
@@ -222,15 +204,6 @@ class ColumnarTable:
         if attribute.type is AttributeType.DATE:
             return datetime.date.fromordinal(int(value))
         return str(value)
-
-    # -- pickling (slots) --------------------------------------------------
-
-    def __getstate__(self):
-        return {slot: getattr(self, slot) for slot in self.__slots__}
-
-    def __setstate__(self, state):
-        for slot, value in state.items():
-            object.__setattr__(self, slot, value)
 
     def __repr__(self) -> str:
         return f"ColumnarTable({self.relation.name!r}, rows={self.row_count})"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,8 +21,6 @@ from repro.core.bytuple_avg import _greedy_extreme_mean
 from repro.core.engine import AggregationEngine
 from repro.data import synthetic
 from repro.storage.table import Table
-
-np = pytest.importorskip("numpy")
 
 #: Floats from every path of the split: zeros of both signs, subnormals,
 #: mixed binades, magnitudes around 1e300 (2**996 is about 6.7e299), and

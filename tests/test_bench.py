@@ -45,7 +45,6 @@ class TestRegistry:
             assert answer is not None, name
 
     def test_vectorized_context_matches_scalar(self):
-        pytest.importorskip("numpy")
         workload = synthetic.generate_workload(40, 6, 3, seed=2)
         scalar_ctx = BenchContext(
             workload.table, workload.pmapping, workload.queries
@@ -314,16 +313,12 @@ class TestExperimentSmoke:
 
     def test_contexts_helpers(self):
         from repro.bench.contexts import make_ebay_context, make_synthetic_context
-        from repro.storage.columnar import HAVE_NUMPY
 
-        # A columnar snapshot needs numpy.
         synthetic_context = make_synthetic_context(
-            20, 4, 2, use_vectorized=HAVE_NUMPY,
-            prematerialize=True,
+            20, 4, 2, use_vectorized=True, prematerialize=True
         )
         snapshots = synthetic_context.engine().context.columnar_cache
-        if HAVE_NUMPY:
-            assert [c.row_count for c in snapshots.values()] == [20]
+        assert [c.row_count for c in snapshots.values()] == [20]
         assert synthetic_context.engine("sqlite").context.backend is not None
         synthetic_context.close()
         ebay_context = make_ebay_context(6)

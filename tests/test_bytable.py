@@ -287,10 +287,6 @@ def _typed(results):
 
 
 class TestColumnarByTable:
-    @pytest.fixture(autouse=True)
-    def _numpy(self):
-        pytest.importorskip("numpy")
-
     @pytest.fixture(scope="class")
     def table(self):
         return _typed_table()

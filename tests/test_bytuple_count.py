@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
+from repro import Budget, BudgetExceededError
+from repro.core import guard as guardmod
 from repro.core.answers import GroupedAnswer
 from repro.core.bytuple_count import (
     count_distribution_dp,
@@ -17,6 +19,8 @@ from repro.core.common import run_possibly_grouped
 from repro.core.naive import naive_by_tuple_answer
 from repro.core.semantics import AggregateSemantics
 from repro.exceptions import EvaluationError
+from repro.obs import metrics
+from repro.prob.distribution import DiscreteDistribution
 from repro.sql.parser import parse_query
 from tests.conftest import small_problems
 
@@ -46,6 +50,54 @@ class TestCountDistributionDP:
         occurrences = [0.1, 0.7, 0.3, 0.9]
         d = count_distribution_dp(occurrences)
         assert d.expected_value() == pytest.approx(sum(occurrences))
+
+    def test_live_window_fold_is_bit_identical(self):
+        # Certain rows zero the low end of the table and the 0.01/0.99
+        # rows underflow both tails, so the fold trims its live window
+        # many times; the untrimmed Figure 3 DP must agree exactly.
+        occurrences = [1.0] * 40 + [0.01, 0.99, 0.0, 0.5] * 150
+
+        untrimmed = [1.0]
+        for occ in occurrences:
+            if occ > 0.0:
+                previous = untrimmed
+                untrimmed = [previous[0] * (1.0 - occ)]
+                for j in range(1, len(previous)):
+                    untrimmed.append(
+                        previous[j] * (1.0 - occ) + previous[j - 1] * occ
+                    )
+                untrimmed.append(previous[-1] * occ)
+
+        trace: list[dict] = []
+        d = count_distribution_dp(occurrences, trace=trace)
+        assert untrimmed[0] == untrimmed[-1] == 0.0
+        assert d == DiscreteDistribution(
+            (count, p) for count, p in enumerate(untrimmed) if p > 0.0
+        )
+        assert trace[-1]["probabilities"] == untrimmed
+
+    def test_live_window_keeps_full_width_accounting(self):
+        # The trimmed fold still accounts for the whole Figure 3 table:
+        # one row per tuple, widening by one column per qualifying tuple.
+        occurrences = [1.0] * 40 + [0.01, 0.99, 0.0, 0.5] * 150
+        qualifying = sum(1 for occ in occurrences if occ > 0.0)
+        registry = metrics.MetricsRegistry()
+        with metrics.use_registry(registry):
+            count_distribution_dp(occurrences)
+        snapshot = registry.snapshot()
+        assert snapshot["count_dp.rows"] == len(occurrences)
+        assert snapshot["count_dp.cells"] == sum(range(2, qualifying + 2))
+        assert snapshot["count_dp.width"]["max"] == qualifying + 1
+
+    def test_live_window_support_budget_counts_full_width(self):
+        # After 40 certain rows the live window is one cell wide, but the
+        # support budget bounds the table's full width.
+        with guardmod.guarded(Budget(max_support=40)):
+            with pytest.raises(BudgetExceededError) as info:
+                count_distribution_dp([1.0] * 50)
+        assert info.value.resource == "support"
+        assert info.value.limit == 40
+        assert info.value.used == 41
 
     def test_trace_records_every_step(self):
         trace: list[dict] = []

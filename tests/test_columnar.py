@@ -1,22 +1,17 @@
 """Tests for the first-class columnar storage layer.
 
 Covers the :mod:`repro.storage.columnar` contract (typed arrays, null
-masks, build-once snapshots, no build without numpy), the edge-dtype
-differentials the ISSUE calls out (NULL-heavy columns, empty tables,
-TEXT under LIKE / IS NULL, single-row tables — strict ``==`` against the
-scalar lane on all 8 flat PTIME by-tuple cells), the engine cache
-lifecycle (``invalidate()``/``close()`` must drop cached snapshots), and
-graceful degradation to the scalar lane when numpy is unavailable.
+masks, build-once snapshots), the edge-dtype differentials (NULL-heavy
+columns, empty tables, TEXT under LIKE / IS NULL, single-row tables —
+strict ``==`` against the scalar lane on all 8 flat PTIME by-tuple
+cells), and the engine cache lifecycle (``invalidate()``/``close()``
+must drop cached snapshots).
 """
 
 from __future__ import annotations
 
 import datetime
-import os
 import pickle
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -26,10 +21,8 @@ from repro.data import synthetic
 from repro.schema.correspondence import AttributeCorrespondence
 from repro.schema.mapping import PMapping, RelationMapping
 from repro.schema.model import Attribute, AttributeType, Relation
-from repro.storage.columnar import HAVE_NUMPY, ColumnarError, ColumnarTable
+from repro.storage.columnar import ColumnarError, ColumnarTable
 from repro.storage.table import Table
-
-requires_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 
 #: The eight PTIME flat by-tuple cells.
 CELLS = [
@@ -107,7 +100,6 @@ def assert_lanes_bit_identical(table, pmapping, where, *, group_by=None):
 
 
 class TestLayerContract:
-    @requires_numpy
     def test_stores_typed_arrays_and_null_masks(self):
         table = Table(
             MIXED_RELATION,
@@ -125,14 +117,6 @@ class TestLayerContract:
         assert columnar.nulls("v2").tolist() == [True, False]
         assert columnar.nulls("v1") is None
 
-    def test_building_without_numpy_raises(self, monkeypatch):
-        import repro.storage.columnar as columnar_module
-
-        monkeypatch.setattr(columnar_module, "HAVE_NUMPY", False)
-        with pytest.raises(ColumnarError, match="needs numpy"):
-            ColumnarTable(Table(MIXED_RELATION, []))
-
-    @requires_numpy
     def test_unknown_column_rejected(self):
         columnar = ColumnarTable(Table(MIXED_RELATION, []))
         with pytest.raises(ColumnarError, match="no column"):
@@ -140,7 +124,6 @@ class TestLayerContract:
         with pytest.raises(ColumnarError, match="no column"):
             columnar.nulls("ghost")
 
-    @requires_numpy
     def test_python_value_restores_types(self):
         table = Table(
             MIXED_RELATION,
@@ -155,7 +138,6 @@ class TestLayerContract:
         value = columnar.python_value("v1", columnar.column("v1")[0])
         assert value == 2.5 and isinstance(value, float)
 
-    @requires_numpy
     def test_int_columns_flag_float64_exactness(self):
         relation = Relation("BIG", [Attribute("n", AttributeType.INT)])
         exact = ColumnarTable(Table(relation, [(2**53,)]))
@@ -163,7 +145,6 @@ class TestLayerContract:
         inexact = ColumnarTable(Table(relation, [(2**53 + 1,)]))
         assert not inexact.exact("n")
 
-    @requires_numpy
     def test_numpy_backend_pickles(self):
         table = Table(
             MIXED_RELATION,
@@ -175,7 +156,6 @@ class TestLayerContract:
         assert list(clone.column("v2")) == list(columnar.column("v2"))
         assert list(clone.nulls("posted")) == [True, False]
 
-    @requires_numpy
     def test_from_rows_matches_table_build(self):
         rows = [
             (1, "x", datetime.date(2021, 2, 3), 5.0, None),
@@ -190,7 +170,6 @@ class TestLayerContract:
             if lhs is not None:
                 assert list(lhs) == list(rhs)
 
-    @requires_numpy
     def test_empty_table_builds(self):
         columnar = ColumnarTable(Table(MIXED_RELATION, []))
         assert len(columnar) == 0
@@ -198,7 +177,6 @@ class TestLayerContract:
         assert columnar.nulls("label") is None
 
 
-@requires_numpy
 class TestEdgeDtypeDifferential:
     """Strict lane equality on the shapes most likely to diverge."""
 
@@ -320,7 +298,6 @@ class TestEdgeDtypeDifferential:
             assert type(answers[1].low) is int, aggregate
 
 
-@requires_numpy
 class TestCacheLifecycle:
     def _workload(self):
         relation = synthetic.source_relation(2)
@@ -370,7 +347,6 @@ class TestCacheLifecycle:
         assert after.high == before.high + 10
 
 
-@requires_numpy
 class TestPinnedProblemReuse:
     """A prepared query's pinned array-backed problem serves the by-tuple
     PTIME lane directly; unprepared answers never pin one."""
@@ -546,7 +522,6 @@ class TestPinnedProblemReuse:
             assert engine.compile(text)._problem is None
 
 
-@requires_numpy
 class TestEveryLaneAsksCompiledQuery:
     """Prepared and unprepared calls pick their body the same way: the
     by-table fold and the flat sampler read the array-backed problem
@@ -640,87 +615,3 @@ class TestEveryLaneAsksCompiledQuery:
         snapshot = engine.metrics_snapshot()
         assert snapshot["bytable.columnar"] == 3  # one shared fold per request
         assert "bytable.reformulations" not in snapshot
-
-
-class TestNoNumpyDegradation:
-    def test_engine_degrades_to_scalar_lane(self, monkeypatch):
-        import repro.core.vectorized as vectorized_module
-        import repro.storage.columnar as columnar_module
-
-        relation = synthetic.source_relation(2)
-        table = synthetic.generate_source_table(40, 2, seed=3, relation=relation)
-        pmapping = synthetic.generate_pmapping(relation, 2, seed=3)
-        query = "SELECT SUM(value) FROM MED WHERE value < 600"
-        with AggregationEngine(table, pmapping, vectorize=False) as scalar:
-            baseline = scalar.answer(
-                query, MappingSemantics.BY_TUPLE, AggregateSemantics.RANGE
-            )
-        monkeypatch.setattr(columnar_module, "HAVE_NUMPY", False)
-        monkeypatch.setattr(vectorized_module, "HAVE_NUMPY", False)
-        with AggregationEngine(table, pmapping, vectorize=True) as engine:
-            answer = engine.answer(
-                query, MappingSemantics.BY_TUPLE, AggregateSemantics.RANGE
-            )
-            prepared = engine.prepare(query)
-            prepared_answer = prepared.answer(
-                MappingSemantics.BY_TUPLE, AggregateSemantics.RANGE
-            )
-            snapshot = engine.metrics_snapshot()
-        assert answer == baseline
-        assert prepared_answer == baseline
-        assert snapshot.get("vectorized.hit", 0) == 0
-
-    def test_subprocess_with_numpy_import_blocked(self):
-        """End-to-end proof that the package imports and answers without
-        numpy: a meta-path finder blocks the import in a child process."""
-        src = Path(__file__).resolve().parents[1] / "src"
-        code = """
-import sys
-
-class _NumpyBlocker:
-    def find_spec(self, name, path=None, target=None):
-        if name == "numpy" or name.startswith("numpy."):
-            raise ImportError("numpy blocked for this test")
-        return None
-
-sys.meta_path.insert(0, _NumpyBlocker())
-
-from repro.storage.columnar import HAVE_NUMPY, ColumnarError, ColumnarTable
-assert not HAVE_NUMPY
-from repro.core import vectorized
-assert not vectorized.HAVE_NUMPY
-
-from repro.core.engine import AggregationEngine
-from repro.core.semantics import AggregateSemantics, MappingSemantics
-from repro.data import synthetic
-
-relation = synthetic.source_relation(2)
-table = synthetic.generate_source_table(50, 2, seed=1, relation=relation)
-pmapping = synthetic.generate_pmapping(relation, 2, seed=1)
-try:
-    ColumnarTable(table)
-except ColumnarError:
-    pass
-else:
-    raise AssertionError("a columnar table was built without numpy")
-with AggregationEngine(table, pmapping, vectorize=True) as engine:
-    answer = engine.answer(
-        "SELECT SUM(value) FROM MED WHERE value < 500",
-        MappingSemantics.BY_TUPLE,
-        AggregateSemantics.RANGE,
-    )
-    assert answer.is_defined
-    assert engine.metrics_snapshot().get("vectorized.hit", 0) == 0
-print("degraded-ok")
-"""
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(src)
-        result = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-        )
-        assert result.returncode == 0, result.stderr
-        assert "degraded-ok" in result.stdout

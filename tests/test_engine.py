@@ -12,6 +12,7 @@ from repro.core.answers import (
 )
 from repro.core.engine import AggregationEngine
 from repro.core.naive import naive_by_tuple_answer
+from repro.core.planner import Lane
 from repro.core.semantics import AggregateSemantics, MappingSemantics
 from repro.data import ebay, realestate
 from repro.exceptions import (
@@ -100,9 +101,21 @@ class TestSemanticsCells:
             RangeAnswer,
         )
 
-    def test_algorithm_for_inspection(self, engine):
-        spec = engine.algorithm_for(realestate.Q1, "by-tuple", "distribution")
+    def test_plan_spec_inspection(self, engine):
+        spec = engine.plan(realestate.Q1, "by-tuple", "distribution").spec
         assert spec.name == "ByTuplePDCOUNT"
+
+    def test_plan_reports_nested_lanes(self, ds2, pm2):
+        # Q2's cells run the nested planner's lanes, with sampling and
+        # the extensions enabled too; no flat algorithm answers them.
+        engine = AggregationEngine(
+            [ds2], pm2, allow_sampling=True, use_extensions=True
+        )
+        range_plan = engine.plan(ebay.Q2, "by-tuple", "range")
+        distribution_plan = engine.plan(ebay.Q2, "by-tuple", "distribution")
+        assert range_plan.lane == Lane.NESTED_RANGE
+        assert distribution_plan.lane == Lane.NESTED_COMPOSE
+        assert range_plan.spec is None and distribution_plan.spec is None
 
 
 class TestBackends:
@@ -242,7 +255,6 @@ class TestVectorizedEngine:
         assert answer.as_tuple() == (1, 3)
 
     def test_columnar_cache_reused(self, ds2, pm2):
-        pytest.importorskip("numpy")
         engine = AggregationEngine([ds2], pm2, vectorize=True)
         engine.answer("SELECT MAX(price) FROM T2", "by-tuple", "range")
         cached = engine.context.columnar_cache["S2"]
@@ -321,7 +333,6 @@ class TestPartialCoverageMappings:
         assert fast.approx_equal(naive, 1e-9)
 
     def test_vectorized_matches_scalar(self, ds1, partial_pmapping, q1):
-        pytest.importorskip("numpy")
         from repro.core.bytuple_count import range_count_kernel
         from repro.core.common import run_possibly_grouped
         from repro.core.vectorized import (

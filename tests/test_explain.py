@@ -122,7 +122,7 @@ class TestExplainAnalyze:
         # Non-empty metric deltas, including the plan-cache miss and the
         # lane/cell selection counters.
         assert report["metrics"]["plan.cache.miss"] == 1
-        assert report["metrics"][f"plan.lane.{lane}"] == 1
+        assert report["metrics"][f"planner.decision.{lane}"] == 1
         cell_key = "plan.cell.COUNT.{}.{}".format(cell[0].value, cell[1].value)
         assert report["metrics"][cell_key] == 1
 
@@ -178,7 +178,18 @@ class TestCacheAccounting:
         assert snap["compile.cache.hit"] == 1
         assert snap["plan.cache.miss"] == 1
         assert snap["plan.cache.hit"] == 1
-        assert snap["plan.lane.scalar"] == 1
+        assert snap["planner.decision.scalar"] == 1
+
+    def test_plan_miss_counts_one_lane_decision(self, engine, q1):
+        engine.answer(q1, *self.CELL)
+        snap = engine.metrics_snapshot()
+        decisions = {
+            key: value
+            for key, value in snap.items()
+            if key.startswith("planner.decision.")
+        }
+        assert decisions == {"planner.decision.scalar": 1}
+        assert not [key for key in snap if key.startswith("plan.lane.")]
 
     def test_prepare_then_answer_many(self, engine, q1):
         engine.prepare(q1)
@@ -256,7 +267,6 @@ class TestSpanNesting:
     def test_array_decline_runs_row_walk_inside_the_lane_span(
         self, ds1, pm1, q1, monkeypatch
     ):
-        pytest.importorskip("numpy")
         from repro.core import vectorized
 
         def decline(*args, **kwargs):
@@ -277,7 +287,6 @@ class TestSpanNesting:
         assert not any(key.startswith("execute.fallback.") for key in snap)
 
     def test_vectorized_hit_has_no_fallback_span(self, ds1, pm1, q1):
-        pytest.importorskip("numpy")
         sink = InMemorySink()
         with AggregationEngine([ds1], pm1, vectorize=True) as engine, \
                 use_sink(sink):

@@ -34,8 +34,6 @@ from repro.sql.parser import parse_query
 from repro.storage.table import Table
 from tests.oracle import oracle_answer
 
-pytest.importorskip("numpy")
-
 RELATION = Relation(
     "SRC",
     [

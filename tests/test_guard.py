@@ -351,7 +351,6 @@ class TestDegradation:
         # The deadline expires inside the array-backed COUNT DP, which
         # checks it per row. The array body runs inside the scalar lane,
         # so there is no lane to degrade to: the breach propagates.
-        pytest.importorskip("numpy")
         engine = synthetic_engine(
             num_tuples=16, vectorize=True, degrade=True, timeout_ms=0
         )

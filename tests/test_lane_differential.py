@@ -140,8 +140,8 @@ class TestLanesAgree:
     @settings(max_examples=15, deadline=None)
     @given(lane_problems())
     def test_grouped_queries_fall_back_identically(self, case):
-        """GROUP BY on a vectorizing engine (the columnar partition, or
-        the scalar fallback without numpy) must agree with scalar."""
+        """GROUP BY on a vectorizing engine (the columnar partition) must
+        agree with scalar."""
         table, pmapping, where = case
         query = f"SELECT SUM(value) FROM MED WHERE {where} GROUP BY id"
         scalar = AggregationEngine(table, pmapping, vectorize=False)

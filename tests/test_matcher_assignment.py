@@ -15,8 +15,8 @@ from repro.schema.matcher.hungarian import (
 )
 from repro.schema.matcher.murty import top_k_assignments
 
-# The Hungarian solver is compared against scipy's reference solver; CI
-# jobs without scipy (the no-numpy job) skip the module at collection.
+# The Hungarian solver is compared against scipy's reference solver; an
+# install without scipy (an optional test tool) skips the module at collection.
 linear_sum_assignment = pytest.importorskip(
     "scipy.optimize"
 ).linear_sum_assignment

@@ -57,7 +57,6 @@ class TestMultiRelationBackends:
         assert b.value == pytest.approx(975.437)
 
     def test_vectorized_caches_per_relation(self, ds1, ds2, pm1, pm2):
-        pytest.importorskip("numpy")
         engine = AggregationEngine(
             [ds1, ds2], SchemaPMapping([pm1, pm2]), vectorize=True
         )

@@ -68,12 +68,10 @@ class TestPublicApi:
         numpy.random: each costs the library process resident memory.
         numpy 1.x imports numpy.random with numpy itself, so that part
         holds from numpy 2 on."""
+        import numpy
+
         unwanted = ["ssl", "http.client", "http.server", "asyncio"]
-        try:
-            import numpy
-        except ImportError:
-            numpy = None
-        if numpy is None or int(numpy.__version__.split(".")[0]) >= 2:
+        if int(numpy.__version__.split(".")[0]) >= 2:
             unwanted.append("numpy.random")
         script = (
             "import sys, repro, repro.serve.registry\n"

@@ -323,10 +323,6 @@ _WHERES = ["", " WHERE score > 10", " WHERE value > 1000"]
 
 
 class TestArraySamplerDifferential:
-    @pytest.fixture(autouse=True)
-    def _numpy(self):
-        pytest.importorskip("numpy")
-
     def test_batched_draw_matches_random_stream(self):
         # Counts around the 624-word twist (312 doubles per twist), from
         # fresh and part-consumed states.

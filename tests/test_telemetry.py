@@ -125,18 +125,6 @@ class TestConcurrentTracing:
             trace.uninstall_sink()
         assert [r.name for r in probe.roots] == ["visible"]
 
-    def test_capture_into_detaches_from_open_spans(self):
-        """A capture scope records roots even under an open parent span."""
-        local = InMemorySink()
-        with trace.use_sink(InMemorySink()) as outer_sink:
-            with trace.span("outer"):
-                with trace.capture_into(local):
-                    with trace.span("detached"):
-                        pass
-        (outer_root,) = outer_sink.roots
-        assert outer_root.children == []  # not adopted by `outer`
-        assert [r.name for r in local.roots] == ["detached"]
-
     def test_span_start_ts_wall_clock(self):
         with trace.use_sink(InMemorySink()) as sink:
             with trace.span("stamped"):

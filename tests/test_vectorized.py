@@ -30,8 +30,6 @@ from repro.sql.parser import parse_query
 from repro.storage.table import Table
 from tests.conftest import small_problems
 
-pytest.importorskip("numpy")
-
 
 def _vec(ctable, pmapping, query, semantics=AggregateSemantics.RANGE):
     """The array kernel of the query's by-tuple cell over ``ctable``."""
