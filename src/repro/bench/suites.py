@@ -136,7 +136,7 @@ def _quick_streaming():
 
     def run():
         return answer_stream(
-            iter(context.table.rows),
+            iter(context.table.row_tuples()),
             context.pmapping,
             context.query(AggregateOp.SUM),
             AggregateSemantics.RANGE,

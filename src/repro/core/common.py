@@ -68,7 +68,9 @@ class PreparedTupleQuery:
         their value).
     rows:
         Optionally restrict evaluation to these row tuples (used by the
-        GROUP BY partitioner); defaults to all rows of ``table``.  Any
+        GROUP BY partitioner); defaults to all rows of ``table``, read in
+        place (:meth:`~repro.storage.table.Table.row_tuples`), so a table
+        mutated afterwards needs a freshly prepared query.  Any
         other iterable is a one-shot stream, walked once by the first
         kernel that folds the problem; GROUP BY rejects it.
     """
@@ -86,7 +88,7 @@ class PreparedTupleQuery:
         self.query = query
         self.op = query.aggregate.op
         if rows is None:
-            rows = list(table.rows)
+            rows = table.row_tuples()
         elif not isinstance(rows, list) and query.group_by is not None:
             raise UnsupportedQueryError(
                 "Grouped queries need their rows partitioned per group; "

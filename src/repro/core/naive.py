@@ -76,7 +76,7 @@ def _projected_rows(
             else:
                 indexes.append(None)
         per_mapping_indexes.append(indexes)
-    for values in table.rows:
+    for values in table.row_tuples():
         projections.append(
             [
                 tuple(

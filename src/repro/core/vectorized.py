@@ -45,6 +45,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import threading
 
 import numpy as np
 
@@ -96,6 +97,50 @@ __all__ = [
 
 class VectorizationError(ColumnarError):
     """The query or data falls outside the vectorizable fragment."""
+
+
+# -- the per-thread workspace -----------------------------------------------
+#
+# The kernels' row-sized temporaries are views of buffers each thread keeps
+# and reuses (as ``sampling._streams`` keeps one generator per thread), not
+# arrays allocated per call.  A fresh 100,000-row float64 array is 800 KB:
+# once the allocator has handed such pages back to the system, every call
+# pays a minor page fault per 4 KiB it touches, which costs more than the
+# arithmetic on it.  A reused buffer faults once, when it grows.
+#
+# A slot holds one temporary at a time.  Each function below names the
+# slots it writes, and calls only functions whose slots are free there:
+#
+# * ``satisfiable``, ``forced`` (bool): :func:`_any_all`'s results;
+# * ``vmin``, ``vmax``: :func:`_row_stats`' per-row extremes;
+# * ``t1``, ``t2``, ``t3`` (8-byte rows): a kernel's own temporaries, and
+#   those of :func:`_row_stats`, :func:`_occurrence_table` and
+#   :func:`_greedy_means`, which a kernel calls when they are free;
+# * ``mask``, ``stop`` (bool): a kernel's mask, the greedy's stop flags;
+# * ``pattern``, ``bit``: :func:`_occurrence_table` only;
+# * ``keys``, ``halves``: :func:`segment_sums` only.
+#
+# Nothing a kernel returns, and nothing a problem keeps, is a view of a
+# slot; buffers grow to the largest row count seen and are never shrunk.
+# A thread keeps its buffers until it exits, about 64 bytes per row of the
+# largest table it answered on (docs/columnar.md, "The kernels' workspace").
+
+_workspace = threading.local()
+
+
+def _slot(slot: str, n: int, dtype=np.float64):
+    """A length-``n`` ``dtype`` view of this thread's ``slot`` buffer.
+
+    Its contents are whatever the slot's previous user left.
+    """
+    buffers = getattr(_workspace, "buffers", None)
+    if buffers is None:
+        buffers = _workspace.buffers = {}
+    size = n * np.dtype(dtype).itemsize
+    buffer = buffers.get(slot)
+    if buffer is None or buffer.size < size:
+        buffer = buffers[slot] = np.empty(size, dtype=np.uint8)
+    return buffer[:size].view(dtype)
 
 
 # -- three-valued condition compiler ----------------------------------------
@@ -479,7 +524,8 @@ def _group_segments(ctable: ColumnarTable, group_sources: set[str]):
 def _occurrence_table(problem: VectorizedProblem, *, sequential: bool):
     """``(table, codes)``: each row's participation pattern as an index
     into ``table``, which holds the patterns' occurrence probabilities, so
-    that ``table[codes]`` is :func:`occurrence_array`."""
+    that ``table[codes]`` is :func:`occurrence_array`.  Writes slots
+    ``pattern``, ``bit`` and ``t1`` (``codes``, up to 62 mappings)."""
     masks = problem.participation
     if len(masks) > 62:  # pragma: no cover - no int64 code: one pattern per row
         patterns = problem.participation_matrix().T.tolist()
@@ -487,12 +533,19 @@ def _occurrence_table(problem: VectorizedProblem, *, sequential: bool):
         slots = range(problem.row_count)
         table_size = problem.row_count
     else:
+        # Bit j of a row's code is its mask under mapping j, built in
+        # uint16 while that holds them (a quarter of the memory traffic),
+        # then widened once to the index type numpy.bincount and take use.
         small = len(masks) <= 16
-        codes = np.zeros(problem.row_count, dtype=np.uint16 if small else np.int64)
-        bit = np.empty_like(codes)
+        dtype = np.uint16 if small else np.int64
+        pattern = _slot("pattern", problem.row_count, dtype)
+        bit = _slot("bit", problem.row_count, dtype)
+        pattern.fill(0)
         for j, mask in enumerate(masks):
-            np.left_shift(mask, j, out=bit, dtype=codes.dtype)
-            codes |= bit
+            np.left_shift(mask, j, out=bit, dtype=dtype)
+            pattern |= bit
+        codes = _slot("t1", problem.row_count, np.intp)
+        np.copyto(codes, pattern)
         if small:  # a table of every code needs no numpy.unique sort
             present = np.flatnonzero(np.bincount(codes, minlength=1 << len(masks)))
             slots = present.tolist()
@@ -519,7 +572,9 @@ def _occurrence_table(problem: VectorizedProblem, *, sequential: bool):
     return table, codes
 
 
-def occurrence_array(problem: VectorizedProblem, *, sequential: bool = False):
+def occurrence_array(
+    problem: VectorizedProblem, *, sequential: bool = False, out=None
+):
     """Per-row participation probability, bit-identical to the scalar fold.
 
     With ``sequential=False`` (the default) each row's probability is what
@@ -533,9 +588,10 @@ def occurrence_array(problem: VectorizedProblem, *, sequential: bool = False):
     Rows sharing a participation pattern share one exactly-computed value
     (there are at most ``2**m`` patterns, and in practice only a handful),
     so the whole column costs one pass per mapping plus a tiny Python loop.
+    The result goes to ``out`` when given (which must not be slot ``t1``).
     """
     table, codes = _occurrence_table(problem, sequential=sequential)
-    return table[codes]
+    return np.take(table, codes, out=out, mode="clip")
 
 
 # -- exact segmented sums ---------------------------------------------------
@@ -560,7 +616,7 @@ def segment_sums(arrays, starts) -> list[float]:
     a segment may be empty).  The arrays are consumed
     one at a time, so a generator may build each one in a reused buffer.
     Each result is ``==`` to :func:`math.fsum` of the segment's items of
-    every array.
+    every array.  Writes slots ``keys`` and ``halves``.
 
     Each item ``x`` of binade ``2**e`` splits exactly into ``hi + lo``:
     ``hi``, ``x`` with its low 27 significand bits cleared, is a multiple of
@@ -594,8 +650,8 @@ def segment_sums(arrays, starts) -> list[float]:
             lengths = np.diff(starts, append=array.size)
             if segments > 1:
                 rows = np.repeat(np.arange(segments), lengths)
-            keys = np.empty(array.size, dtype=np.int64)
-            halves_buffer = np.empty(array.size)
+            keys = _slot("keys", array.size, np.int64)
+            halves_buffer = _slot("halves", array.size)
         bits = array.view(np.int64)
         np.right_shift(bits, 52, out=keys)
         keys &= 0x7FF  # the biased exponent field
@@ -669,12 +725,17 @@ def _counts(mask, starts):
 
 def _any_all(problem: VectorizedProblem):
     """(satisfiable, forced): the rows qualifying under some mapping, and
-    under every mapping."""
+    under every mapping, in slots ``satisfiable`` and ``forced``."""
+    n = problem.row_count
     masks = problem.participation
-    return (
-        functools.reduce(np.logical_or, masks),
-        functools.reduce(np.logical_and, masks),
-    )
+    satisfiable = _slot("satisfiable", n, bool)
+    forced = _slot("forced", n, bool)
+    np.copyto(satisfiable, masks[0])
+    np.copyto(forced, masks[0])
+    for mask in masks[1:]:
+        np.logical_or(satisfiable, mask, out=satisfiable)
+        np.logical_and(forced, mask, out=forced)
+    return satisfiable, forced
 
 
 def _keep(mask, out=None):
@@ -686,7 +747,8 @@ def _pick(keep, values, fill: float, out=None):
     """``numpy.where(mask, values, fill)`` over float64 bit patterns, for
     ``keep = _keep(mask)``: the same floats (NaNs and signed zeros
     included) without ``where``'s per-row branch, which a random mask
-    keeps mispredicting."""
+    keeps mispredicting.  ``out`` (int64, or None) may be ``values``'
+    own buffer."""
     fill_bits = int(np.float64(fill).view(np.int64))
     chosen = np.bitwise_xor(values.view(np.int64), fill_bits, out=out)
     chosen &= keep
@@ -696,12 +758,16 @@ def _pick(keep, values, fill: float, out=None):
 
 def _row_stats(problem: VectorizedProblem):
     """(satisfiable, forced, vmin, vmax) per-row summaries, folded one
-    mapping at a time."""
+    mapping at a time into slots ``vmin`` and ``vmax`` (via ``t1`` and
+    ``t2``)."""
+    n = problem.row_count
     satisfiable, forced = _any_all(problem)
-    vmin = np.full(problem.row_count, np.inf)
-    vmax = np.full(problem.row_count, -np.inf)
-    keep = np.empty(problem.row_count, dtype=np.int64)
-    chosen = np.empty_like(keep)
+    vmin = _slot("vmin", n)
+    vmin.fill(np.inf)
+    vmax = _slot("vmax", n)
+    vmax.fill(-np.inf)
+    keep = _slot("t1", n, np.int64)
+    chosen = _slot("t2", n, np.int64)
     for mask, values in zip(problem.participation, problem.values):
         _keep(mask, out=keep)
         np.minimum(vmin, _pick(keep, values, np.inf, out=chosen), out=vmin)
@@ -830,7 +896,8 @@ def distribution_count_on(
     """ByTuplePDCOUNT over a prepared problem (every row; one that can
     never qualify leaves the DP as it is, exactly as in the scalar
     :func:`distribution_count_kernel`)."""
-    distributions = _count_distribution_dp_arrays(occurrence_array(problem), starts)
+    occurrence = occurrence_array(problem, out=_slot("t2", problem.row_count))
+    distributions = _count_distribution_dp_arrays(occurrence, starts)
     return [DistributionAnswer(distribution) for distribution in distributions]
 
 
@@ -838,9 +905,9 @@ def expected_count_on(
     problem: VectorizedProblem, starts
 ) -> list[ExpectedValueAnswer]:
     """Expected COUNT by linearity (the engine's scalar-kernel route)."""
+    occurrence = occurrence_array(problem, out=_slot("t2", problem.row_count))
     return [
-        ExpectedValueAnswer(total)
-        for total in segment_sums([occurrence_array(problem)], starts)
+        ExpectedValueAnswer(total) for total in segment_sums([occurrence], starts)
     ]
 
 
@@ -849,14 +916,22 @@ def range_sum_on(problem: VectorizedProblem, starts) -> list[RangeAnswer]:
     contributions the scalar kernel feeds its
     :class:`~repro.core.exactsum.ExactSum` (a row that cannot qualify
     contributes 0.0 to both)."""
+    n = problem.row_count
     satisfiable, forced, vmin, vmax = _row_stats(problem)
     # A row some mapping excludes may also contribute 0.0.
-    keep = _keep(forced)
-    low_contrib = np.minimum(vmin, _pick(keep, vmin, 0.0))
-    up_contrib = np.maximum(vmax, _pick(keep, vmax, 0.0))
+    keep = _keep(forced, out=_slot("t1", n, np.int64))
+    low_contrib = _pick(keep, vmin, 0.0, out=_slot("t2", n, np.int64))
+    np.minimum(vmin, low_contrib, out=low_contrib)
+    up_contrib = _pick(keep, vmax, 0.0, out=_slot("t3", n, np.int64))
+    np.maximum(vmax, up_contrib, out=up_contrib)
     # Whether the world realizing each bound keeps a qualifying tuple.
-    low_nonempty = _reduce(np.logical_or, forced | (low_contrib < 0.0), starts, False)
-    up_nonempty = _reduce(np.logical_or, forced | (up_contrib > 0.0), starts, False)
+    nonempty = _slot("mask", n, bool)
+    np.less(low_contrib, 0.0, out=nonempty)
+    nonempty |= forced
+    low_nonempty = _reduce(np.logical_or, nonempty, starts, False)
+    np.greater(up_contrib, 0.0, out=nonempty)
+    nonempty |= forced
+    up_nonempty = _reduce(np.logical_or, nonempty, starts, False)
     return [
         RangeAnswer(
             low if low_ok else single_low,
@@ -889,26 +964,31 @@ def expected_sum_on(
     :class:`~repro.core.exactsum.ExactSum`, so both reach the identical
     correctly rounded totals.
     """
-    keep = np.empty(problem.row_count, dtype=np.int64)
-    numerators = segment_sums(
-        (
-            _pick(_keep(mask, out=keep), probability * values, 0.0)
-            for probability, mask, values in zip(
-                problem.probability_list, problem.participation, problem.values
-            )
-        ),
-        starts,
-    )
+    n = problem.row_count
+    keep = _slot("t1", n, np.int64)
+    addend = _slot("t2", n)
+
+    def addends():
+        for probability, mask, values in zip(
+            problem.probability_list, problem.participation, problem.values
+        ):
+            np.multiply(probability, values, out=addend)
+            yield _pick(_keep(mask, out=keep), addend, 0.0, out=addend.view(np.int64))
+
+    numerators = segment_sums(addends(), starts)
     occurrence, codes = _occurrence_table(problem, sequential=True)
     partial = (occurrence > 0.0) & (occurrence < 1.0)
     logs = np.zeros(occurrence.size)
     logs[partial] = [math.log1p(-value) for value in occurrence[partial].tolist()]
+    certain_rows = np.take(
+        occurrence >= 1.0, codes, out=_slot("mask", n, bool), mode="clip"
+    )
     satisfiable, _ = _any_all(problem)
     answers = []
     for numerator, log_empty, certain, defined in zip(
         numerators,
-        segment_sums([logs[codes]], starts),
-        _reduce(np.logical_or, (occurrence >= 1.0)[codes], starts, False).tolist(),
+        segment_sums([np.take(logs, codes, out=addend, mode="clip")], starts),
+        _reduce(np.logical_or, certain_rows, starts, False).tolist(),
         _reduce(np.logical_or, satisfiable, starts, False).tolist(),
     ):
         empty_world_probability = 0.0 if certain else math.exp(log_empty)
@@ -919,6 +999,26 @@ def expected_sum_on(
                 ExpectedValueAnswer(numerator / (1.0 - empty_world_probability))
             )
     return answers
+
+
+#: Rows :func:`_gather` selects per step: its index arrays stay near
+#: 64 KiB, small enough to come from the heap rather than fresh pages.
+GATHER_ROWS = 8192
+
+
+def _gather(mask, values, out):
+    """``values[mask]``, written to the front of ``out``; returns that view.
+
+    Selects one step of :data:`GATHER_ROWS` rows at a time, so no
+    row-sized index or value array is allocated.
+    """
+    end = 0
+    for start in range(0, values.size, GATHER_ROWS):
+        stop = start + GATHER_ROWS
+        rows = np.flatnonzero(mask[start:stop])
+        np.take(values[start:stop], rows, out=out[end : end + rows.size], mode="clip")
+        end += rows.size
+    return out[:end]
 
 
 def _greedy_means(
@@ -934,12 +1034,21 @@ def _greedy_means(
     before the first candidate that does not improve the mean.  Sequences
     are the rows of zero-padded blocks, one per power-of-two class of
     sequence lengths, so padding at most doubles the items; a flat query
-    is one block of one row.
+    is one block of one row, built in place.  Writes slots ``t1`` to
+    ``t3`` and ``stop``.
     """
     segments = len(starts)
     candidate_counts = _counts(optional, starts)
-    candidates = values[optional]
-    if np.isnan(candidates).any():
+    count = int(candidate_counts.sum())
+    forced_counts = np.asarray(forced_counts)
+    has_forced = forced_counts > 0
+    lengths = candidate_counts + has_forced
+    # A flat query's sequence is one buffer: its forced total, if any,
+    # then its candidates.
+    head = int(has_forced[0]) if segments == 1 else 0
+    buffer = _slot("t1", head + count)
+    candidates = _gather(optional, values, buffer[head:])
+    if np.isnan(candidates, out=_slot("stop", count, bool)).any():
         raise VectorizationError(
             "NaN among the AVG greedy's candidates: Python's sorted and "
             "numpy's sort order NaN differently"
@@ -947,18 +1056,20 @@ def _greedy_means(
     # Greedy order: ascending to minimize, descending (by negation) else.
     key = candidates if minimize else np.negative(candidates, out=candidates)
     if segments == 1:
-        key = np.sort(key)
+        key.sort()
     else:
         key = key[np.lexsort((key, np.repeat(np.arange(segments), candidate_counts)))]
     ordered = key if minimize else np.negative(key, out=key)
-    forced_counts = np.asarray(forced_counts)
-    has_forced = forced_counts > 0
-    sequence = np.insert(
-        ordered,
-        (np.cumsum(candidate_counts) - candidate_counts)[has_forced],
-        np.asarray(forced_totals)[has_forced],
-    )
-    lengths = candidate_counts + has_forced
+    if segments == 1:
+        if head:
+            buffer[0] = forced_totals[0]
+        sequence = buffer[: head + count]
+    else:
+        sequence = np.insert(
+            ordered,
+            (np.cumsum(candidate_counts) - candidate_counts)[has_forced],
+            np.asarray(forced_totals)[has_forced],
+        )
     classes = np.frexp(lengths)[1]  # 0 for an empty sequence
     row_base = np.cumsum(lengths) - lengths  # where each sequence starts
     shift = np.zeros(segments, dtype=np.intp)
@@ -975,21 +1086,29 @@ def _greedy_means(
     else:
         padded = np.zeros(offset)
         padded[np.arange(sequence.size) + np.repeat(shift, lengths)] = sequence
-    first_counts = np.maximum(forced_counts, 1).astype(np.float64)
     improves = np.less if minimize else np.greater
     means = np.zeros(segments)
     for members, offset, width in blocks:
-        block = padded[offset : offset + members.size * width]
-        block = block.reshape(members.size, width)
+        rows = members.size
+        block = padded[offset : offset + rows * width].reshape(rows, width)
+        running = _slot("t2", rows * width).reshape(rows, width)
+        divisor = _slot("t3", rows * width).reshape(rows, width)
+        stop = _slot("stop", rows * width, bool).reshape(rows, width)
+        # Item i's mean divides by the first count plus i: exact sums.
+        divisor.fill(1.0)
+        np.cumsum(divisor, axis=1, out=divisor)
+        divisor += np.maximum(forced_counts[members, None], 1) - 1.0
         # Past its stop the cumsum adds what the greedy never adds, so an
         # overflow there is no fault of the answer.
         with np.errstate(over="ignore", invalid="ignore"):
-            running = np.cumsum(block, axis=1)
-            running /= first_counts[members, None] + np.arange(width)
-            stop = np.ones(block.shape, dtype=bool)
-            stop[:, :-1] = ~improves(block[:, 1:], running[:, :-1])
-        stop[:, :-1] |= np.arange(1, width) >= lengths[members, None]
-        means[members] = running[np.arange(members.size), stop.argmax(axis=1)]
+            np.cumsum(block, axis=1, out=running)
+            running /= divisor
+            improves(block[:, 1:], running[:, :-1], out=stop[:, :-1])
+        np.logical_not(stop[:, :-1], out=stop[:, :-1])
+        # Each sequence stops at its last item at the latest.
+        stop[:, -1] = True
+        stop[np.arange(rows), lengths[members] - 1] = True
+        means[members] = running[np.arange(rows), stop.argmax(axis=1)]
     return [
         mean if length else None
         for mean, length in zip(means.tolist(), lengths.tolist())
@@ -999,20 +1118,24 @@ def _greedy_means(
 def range_avg_on(problem: VectorizedProblem, starts) -> list[RangeAnswer]:
     """The tight AVG range: exact forced totals and the greedy over the
     optional rows, as arrays."""
+    n = problem.row_count
     satisfiable, forced, vmin, vmax = _row_stats(problem)
-    optional = satisfiable & ~forced
+    optional = np.logical_not(forced, out=_slot("mask", n, bool))
+    optional &= satisfiable
     forced_counts = _counts(forced, starts)
-    keep = _keep(forced)
+    keep = _keep(forced, out=_slot("t1", n, np.int64))
+    chosen = _slot("t2", n, np.int64)
+    forced_totals = [
+        segment_sums([_pick(keep, bound, 0.0, out=chosen)], starts)
+        for bound in (vmin, vmax)
+    ]
     low, high = (
         _greedy_means(
-            segment_sums([_pick(keep, bound, 0.0)], starts),
-            forced_counts,
-            bound,
-            optional,
-            starts,
-            minimize=minimize,
+            totals, forced_counts, bound, optional, starts, minimize=minimize
         )
-        for bound, minimize in ((vmin, True), (vmax, False))
+        for totals, bound, minimize in zip(
+            forced_totals, (vmin, vmax), (True, False)
+        )
     )
     return [RangeAnswer(*bounds) for bounds in zip(low, high)]
 
@@ -1030,13 +1153,16 @@ def range_minmax_on(
     cast = int if types == {AttributeType.INT} else float
     lowest = _reduce(np.minimum, vmin, starts, math.inf)
     highest = _reduce(np.maximum, vmax, starts, -math.inf)
-    keep = _keep(forced)
+    keep = _keep(forced, out=_slot("t1", problem.row_count, np.int64))
+    chosen = _slot("t2", problem.row_count, np.int64)
     # Inner bound: the extreme forced value, else the least extreme value.
     if maximize:
-        inner = _reduce(np.maximum, _pick(keep, vmin, -np.inf), starts, -math.inf)
+        inner = _pick(keep, vmin, -np.inf, out=chosen)
+        inner = _reduce(np.maximum, inner, starts, -math.inf)
         outer, unforced = highest, lowest
     else:
-        inner = _reduce(np.minimum, _pick(keep, vmax, np.inf), starts, math.inf)
+        inner = _pick(keep, vmax, np.inf, out=chosen)
+        inner = _reduce(np.minimum, inner, starts, math.inf)
         outer, unforced = lowest, highest
     inner = np.where(_reduce(np.logical_or, forced, starts, False), inner, unforced)
     answers = []

@@ -29,6 +29,7 @@ from repro.exceptions import MappingError, SchemaError
 from repro.schema.correspondence import AttributeCorrespondence
 from repro.schema.mapping import PMapping, RelationMapping
 from repro.schema.model import Attribute, AttributeType, Relation
+from repro.storage.files import replace_atomically
 
 
 def relation_to_dict(relation: Relation) -> dict:
@@ -113,8 +114,11 @@ def pmapping_from_dict(data: dict) -> PMapping:
 
 
 def save_pmapping(pmapping: PMapping, path: str | Path) -> None:
-    """Write a p-mapping to ``path`` as indented JSON."""
-    Path(path).write_text(json.dumps(pmapping_to_dict(pmapping), indent=2))
+    """Write a p-mapping to ``path`` as indented JSON, whole: a failed
+    write leaves ``path`` as it was."""
+    text = json.dumps(pmapping_to_dict(pmapping), indent=2)
+    with replace_atomically(path) as handle:
+        handle.write(text)
 
 
 def load_pmapping(path: str | Path) -> PMapping:

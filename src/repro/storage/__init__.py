@@ -2,9 +2,10 @@
 
 Two execution substrates back the query algorithms:
 
-* :class:`~repro.storage.table.Table` — an in-memory row store used by the
+* :class:`~repro.storage.table.Table` — an in-memory table used by the
   by-tuple algorithms, which need to visit each tuple and evaluate it under
-  every candidate mapping;
+  every candidate mapping (rows built in code, or typed columns loaded from
+  CSV whose row tuples are built only when a row reader asks);
 * :class:`~repro.storage.sqlite_backend.SQLiteBackend` — a stdlib
   ``sqlite3``-backed engine used by the by-table algorithms, which issue one
   ordinary SQL aggregate query per mapping.  This stands in for the paper's

@@ -21,6 +21,12 @@ DATE      ``int64`` ordinals      ``0``
 TEXT      unicode (``np.str_``)   ``""``
 ========= ======================= ===========
 
+The snapshot is built from the table's typed columns
+(:meth:`~repro.storage.table.Table.typed_columns`: a CSV-loaded table's
+own buffers, or columns converted from a row-built table's rows).  REAL
+and DATE columns are already in the form above: the snapshot wraps those
+buffers and their masks without a copy, and converts INT and TEXT.
+
 NULL cells are *only* distinguishable through the null mask
 (:meth:`ColumnarTable.nulls`): the fill values above are dummies that keep
 the arrays dense, and consumers must mask them out.  ``nulls(name)``
@@ -30,10 +36,11 @@ integers up to 2**53; a column holding a larger magnitude is flagged
 (:meth:`ColumnarTable.exact`) and the array kernels decline it, leaving
 such data to the exact row walks.
 
-Build-once semantics: a :class:`ColumnarTable` is a snapshot of the rows
-at construction time and is never mutated afterwards; mutating the source
-:class:`~repro.storage.table.Table` requires a fresh build (the engine's
-columnar cache drops its entries on ``invalidate()``/``close()``).
+Build-once semantics: a :class:`ColumnarTable` is a snapshot of the table
+at construction time and is never mutated afterwards; a table's mutation
+never writes into a buffer a snapshot wraps (it drops the table's
+columns instead), and mutating the source requires a fresh build (the
+engine's columnar cache drops its entries on ``invalidate()``/``close()``).
 """
 
 from __future__ import annotations
@@ -43,8 +50,8 @@ import datetime
 import numpy as np
 
 from repro.exceptions import StorageError
-from repro.schema.model import AttributeType, Relation
-from repro.storage.table import Table
+from repro.schema.model import AttributeType
+from repro.storage.table import Table, TypedColumns
 
 __all__ = ["ColumnarError", "ColumnarTable"]
 
@@ -53,31 +60,20 @@ class ColumnarError(StorageError):
     """The columnar layer cannot serve a request (an unknown column)."""
 
 
-def _null_mask(raw, row_count: int):
-    """The boolean NULL mask of a raw column, or None when it has none."""
-    if not any(value is None for value in raw):
-        return None
-    return np.fromiter((value is None for value in raw), dtype=bool, count=row_count)
-
-
-def _numeric_store(raw, row_count: int):
-    """(values, nulls) for an INT/REAL column; nulls is None when clean."""
-    nulls = _null_mask(raw, row_count)
-    if nulls is not None:
-        raw = [0.0 if value is None else float(value) for value in raw]
-    return np.asarray(raw, dtype=np.float64), nulls
-
-
-def _date_store(raw, row_count: int):
-    """(values, nulls) for a DATE column as proleptic-Gregorian ordinals."""
-    ordinals = [0 if value is None else value.toordinal() for value in raw]
-    return np.asarray(ordinals, dtype=np.int64), _null_mask(raw, row_count)
-
-
-def _text_store(raw, row_count: int):
-    """(values, nulls) for a TEXT column (empty-string dummy for NULL)."""
-    filled = ["" if value is None else str(value) for value in raw]
-    return np.asarray(filled, dtype=np.str_), _null_mask(raw, row_count)
+def _wrap(attribute_type: AttributeType, typed: TypedColumns, index: int):
+    """(values, nulls, exact) of column ``index``: the REAL and DATE
+    buffers as they are, INT as float64, TEXT as a unicode array."""
+    values, nulls = typed.columns[index]
+    if attribute_type is AttributeType.TEXT:
+        return np.asarray(values, dtype=np.str_), nulls, True
+    if attribute_type is AttributeType.INT:
+        if not isinstance(values, np.ndarray):  # beyond int64: Python ints
+            return np.asarray(values, dtype=np.float64), nulls, False
+        exact = not values.size or (
+            -(2**53) <= int(values.min()) and int(values.max()) <= 2**53
+        )
+        return values.astype(np.float64), nulls, exact
+    return values, nulls, True
 
 
 class ColumnarTable:
@@ -86,8 +82,9 @@ class ColumnarTable:
     Parameters
     ----------
     table:
-        The row-major source.  Cell values are assumed coerced to the
-        relation's attribute types (``Table`` guarantees this).
+        The source, column-backed or row-built.  Cell values are assumed
+        coerced to the relation's attribute types (``Table`` guarantees
+        this).
 
     Instances are picklable and immutable by convention: no method
     mutates the arrays after construction.
@@ -102,54 +99,16 @@ class ColumnarTable:
     )
 
     def __init__(self, table: Table) -> None:
-        self._build(
-            table.relation,
-            {
-                attribute.name: table.column(attribute.name)
-                for attribute in table.relation
-            },
-            len(table),
-        )
-
-    @classmethod
-    def from_rows(cls, relation: Relation, rows: list[tuple]) -> "ColumnarTable":
-        """Build directly from raw row tuples (same contract as a Table)."""
-        instance = object.__new__(cls)
-        instance._build(
-            relation,
-            {
-                attribute.name: tuple(values[index] for values in rows)
-                for index, attribute in enumerate(relation)
-            },
-            len(rows),
-        )
-        return instance
-
-    def _build(
-        self,
-        relation: Relation,
-        raw_columns: dict[str, tuple],
-        row_count: int,
-    ) -> None:
-        self.relation = relation
-        self.row_count = row_count
+        self.relation = table.relation
+        self.row_count = len(table)
         self._columns: dict[str, object] = {}
         self._nulls: dict[str, object] = {}
-        self._inexact: frozenset[str] = frozenset()
+        typed = table.typed_columns()
         inexact = set()
-        for attribute in relation:
-            raw = raw_columns[attribute.name]
-            if attribute.type in (AttributeType.INT, AttributeType.REAL):
-                if attribute.type is AttributeType.INT and any(
-                    value is not None and not -(2**53) <= value <= 2**53
-                    for value in raw
-                ):
-                    inexact.add(attribute.name)
-                values, nulls = _numeric_store(raw, row_count)
-            elif attribute.type is AttributeType.DATE:
-                values, nulls = _date_store(raw, row_count)
-            else:
-                values, nulls = _text_store(raw, row_count)
+        for index, attribute in enumerate(self.relation):
+            values, nulls, exact = _wrap(attribute.type, typed, index)
+            if not exact:
+                inexact.add(attribute.name)
             self._columns[attribute.name] = values
             if nulls is not None:
                 self._nulls[attribute.name] = nulls

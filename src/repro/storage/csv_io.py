@@ -17,32 +17,33 @@ from pathlib import Path
 
 from repro.exceptions import StorageError
 from repro.schema.model import Attribute, AttributeType, Relation
-from repro.storage.table import Table
+from repro.storage.files import replace_atomically
+from repro.storage.table import Table, TypedColumns
 
 
 def save_table_csv(table: Table, path: str | Path) -> None:
     """Write ``table`` to ``path`` as CSV with a header row.
 
     DATE values are written as ISO-8601 strings; ``None`` becomes the empty
-    string.  A REAL nan or infinity raises a :class:`StorageError` before
-    the file is opened: the loaders reject such a field, so the file would
-    not read back.
+    string.  The file is written whole (:func:`replace_atomically`): a
+    failed write leaves ``path`` as it was.  A REAL nan or infinity raises
+    a :class:`StorageError` before ``path`` is touched: the loaders reject
+    such a field, so the file would not read back.
     """
     path = Path(path)
     relation = table.relation
     reals = _real_columns(relation)
-    for row_index, values in enumerate(table.rows):
-        index = _non_finite_column(reals, values)
-        if index is not None:
-            raise StorageError(
-                f"cannot write {path}: row {row_index}, column "
-                f"{relation.attributes[index].name!r} holds the non-finite "
-                f"REAL value {values[index]!r}, which the CSV loaders reject"
-            )
-    with path.open("w", newline="", encoding="utf-8") as handle:
+    with replace_atomically(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(relation.attribute_names)
-        for values in table.rows:
+        for row_index, values in enumerate(table.row_tuples()):
+            index = _non_finite_column(reals, values)
+            if index is not None:
+                raise StorageError(
+                    f"cannot write {path}: row {row_index}, column "
+                    f"{relation.attributes[index].name!r} holds the non-finite "
+                    f"REAL value {values[index]!r}, which the CSV loaders reject"
+                )
             writer.writerow(
                 "" if value is None else (
                     value.isoformat()
@@ -188,8 +189,15 @@ def load_table_csv(relation: Relation, path: str | Path) -> Table:
     The header must match the relation's attribute names exactly (order
     included); values are coerced through the attribute types, so an INT
     column containing ``"3.5"`` raises rather than silently truncating.
+
+    The table's storage is typed columns
+    (:class:`~repro.storage.table.TypedColumns`), filled from
+    :func:`iter_csv_rows` one block of rows at a time, so the errors are
+    that reader's, and no row tuple is kept until a row reader asks.
     """
-    return Table.from_prepared_rows(relation, list(iter_csv_rows(relation, path)))
+    return Table.from_columns(
+        TypedColumns.from_rows(relation, iter_csv_rows(relation, path))
+    )
 
 
 def _data_rows(relation: Relation, path: Path) -> Iterator[list[str]]:

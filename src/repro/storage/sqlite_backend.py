@@ -143,7 +143,7 @@ class SQLiteBackend:
                     _to_sqlite_value(attr, value)
                     for attr, value in zip(relation.attributes, values)
                 )
-                for values in table.rows
+                for values in table.row_tuples()
             ),
         )
         self._connection.commit()

@@ -13,6 +13,7 @@ from __future__ import annotations
 import datetime
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.core.engine import AggregationEngine
@@ -22,6 +23,7 @@ from repro.schema.correspondence import AttributeCorrespondence
 from repro.schema.mapping import PMapping, RelationMapping
 from repro.schema.model import Attribute, AttributeType, Relation
 from repro.storage.columnar import ColumnarError, ColumnarTable
+from repro.storage.csv_io import load_table_csv, save_table_csv
 from repro.storage.table import Table
 
 #: The eight PTIME flat by-tuple cells.
@@ -156,19 +158,33 @@ class TestLayerContract:
         assert list(clone.column("v2")) == list(columnar.column("v2"))
         assert list(clone.nulls("posted")) == [True, False]
 
-    def test_from_rows_matches_table_build(self):
+    @pytest.mark.parametrize("big", [7, 2**53 + 1, -(2**63), 2**64])
+    def test_csv_loaded_matches_table_build(self, tmp_path, big):
+        """A CSV-loaded table's snapshot wraps its typed columns; it must
+        equal the snapshot built from the same rows: arrays (dtype and
+        signed zeros included), null masks and exactness."""
         rows = [
             (1, "x", datetime.date(2021, 2, 3), 5.0, None),
-            (2, None, None, -1.0, 7.5),
+            (None, None, None, -0.0, 7.5),
+            (big, "", datetime.date(1, 1, 1), None, -1.25),
         ]
-        from_table = ColumnarTable(Table(MIXED_RELATION, rows))
-        from_rows = ColumnarTable.from_rows(MIXED_RELATION, rows)
+        path = tmp_path / "mixed.csv"
+        save_table_csv(Table(MIXED_RELATION, rows), path)
+        loaded = load_table_csv(MIXED_RELATION, path)
+        from_csv = ColumnarTable(loaded)
+        from_rows = ColumnarTable(Table(MIXED_RELATION, loaded.rows))
         for name in ("id", "label", "posted", "v1", "v2"):
-            assert list(from_rows.column(name)) == list(from_table.column(name))
-            lhs, rhs = from_rows.nulls(name), from_table.nulls(name)
+            lhs, rhs = from_csv.column(name), from_rows.column(name)
+            assert lhs.dtype == rhs.dtype
+            assert lhs.tolist() == rhs.tolist()
+            if lhs.dtype.kind == "f":
+                assert np.signbit(lhs).tolist() == np.signbit(rhs).tolist()
+            lhs, rhs = from_csv.nulls(name), from_rows.nulls(name)
             assert (lhs is None) == (rhs is None)
             if lhs is not None:
-                assert list(lhs) == list(rhs)
+                assert lhs.tolist() == rhs.tolist()
+            assert from_csv.exact(name) == from_rows.exact(name)
+        assert from_csv.exact("id") == (abs(big) <= 2**53)
 
     def test_empty_table_builds(self):
         columnar = ColumnarTable(Table(MIXED_RELATION, []))
